@@ -43,10 +43,9 @@ from .errors import (
     RunAbortedError,
     StorageError,
     UndersamplingWarning,
-    UnsupportedModeError,
 )
 from .logstore import PsychroRow, RunLog, RunMeta, read_csv, write_csv
-from .pport import HandshakeMap, PortBackend, PortRegisters, SimulatedPort, acquire_byte
+from .pport import PortBackend, PortRegisters, SimulatedPort, acquire_byte
 from .psychro import (
     PsychroConfig,
     PsychroReading,

@@ -25,7 +25,7 @@ from enum import Enum
 from random import Random
 from statistics import fmean
 
-from . import logstore, psychro
+from . import logstore, psychro, signal_chain
 from .adc0808 import AdcConfig, ClockConfig, clock_frequency, decode_temp, decode_volts
 from .errors import (
     DeviceTimeoutError,
@@ -35,7 +35,7 @@ from .errors import (
     RunAbortedError,
     UndersamplingWarning,
 )
-from .pport import HandshakeMap, SimulatedPort, acquire_byte
+from .pport import SimulatedPort, acquire_byte
 from .signal_chain import ChainConfig, chain_voltage, lowpass_step
 
 
@@ -71,6 +71,8 @@ class Sine:
     offset_c: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.amplitude_c, self.freq_hz, self.offset_c))):
+            raise InvalidInputError(f"sine parameters must be finite, got {self!r}")
         if not (self.freq_hz >= 0):
             raise InvalidInputError(f"freq_hz must be >= 0, got {self.freq_hz}")
 
@@ -142,7 +144,6 @@ class RunConfig:
     chains: dict = field(default_factory=_default_chains)
     stimuli: dict = field(default_factory=_default_stimuli)
     adc: AdcConfig = AdcConfig()
-    handshake: HandshakeMap = HandshakeMap()
     psychro: psychro.PsychroConfig = psychro.PsychroConfig()
     filter_substeps: int = 0
     pacer: str = "simulated"
@@ -151,7 +152,7 @@ class RunConfig:
     run_id: str | None = None
 
     def __post_init__(self):
-        if not (self.sample_rate_hz > 0):
+        if not (self.sample_rate_hz > 0) or not math.isfinite(self.sample_rate_hz):
             raise InvalidInputError(f"sample_rate_hz must be > 0, got {self.sample_rate_hz}")
         if not (self.duration_s >= 0) or not math.isfinite(self.duration_s):
             raise InvalidInputError(f"duration_s must be >= 0, got {self.duration_s}")
@@ -176,10 +177,10 @@ class RunConfig:
         nyquist = self.sample_rate_hz / 2.0
         for ch in self.channels:
             f = self.stimuli[ch].max_freq_hz()
-            if f > nyquist:
+            if signal_chain.is_undersampled(f, self.sample_rate_hz):
                 warnings.warn(
                     f"{ch.name} stimulus at {f:g} Hz exceeds Nyquist {nyquist:g} Hz; "
-                    f"it will alias to {abs(f - self.sample_rate_hz * round(f / self.sample_rate_hz)):g} Hz",
+                    f"it will alias to {signal_chain.alias_frequency(f, self.sample_rate_hz):g} Hz",
                     UndersamplingWarning,
                     stacklevel=2,
                 )
@@ -260,11 +261,10 @@ class QueueSink:
 
 
 def build_port(cfg: RunConfig) -> SimulatedPort:
-    """Simulated backend for a run: ADC + clock + handshake + noise RNG."""
+    """Simulated backend for a run: ADC + clock + noise RNG."""
     return SimulatedPort(
         adc=cfg.adc,
         clock_hz=clock_frequency(cfg.clock),
-        hs=cfg.handshake,
         rng=Random(cfg.seed),
     )
 
@@ -363,15 +363,15 @@ def run_acquisition(cfg: RunConfig, sinks=(), port: SimulatedPort | None = None)
             by_channel = {}
             for ch in cfg.channels:
                 port.set_input(ch.value, paths[ch].voltage_at_tick(k, cfg.sample_rate_hz))
-                result = acquire_byte(port, cfg.handshake, ch.value)
+                code = acquire_byte(port, ch.value)
                 sample = Sample(
                     seq=seq,
                     t=t,
                     timestamp=timestamp,
                     channel=ch,
-                    code=result.code,
-                    volts=decode_volts(result.code, cfg.adc.vref),
-                    temp_c=decode_temp(result.code),
+                    code=code,
+                    volts=decode_volts(code, cfg.adc.vref),
+                    temp_c=decode_temp(code),
                 )
                 seq += 1
                 by_channel[ch] = sample

@@ -107,11 +107,6 @@ class AdcCode:
             raise InvalidInputError(f"channel must be 0..7, got {self.channel}")
 
 
-def code_bits(code: int) -> tuple:
-    """The 8 bits of a code, MSB first, as the SAR would have decided them."""
-    return tuple((code >> k) & 1 for k in range(BITS - 1, -1, -1))
-
-
 def clock_in_window(freq_hz: float) -> bool:
     return CLOCK_MIN_HZ <= freq_hz <= CLOCK_MAX_HZ
 

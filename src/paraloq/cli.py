@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import os
 import sys
 from datetime import datetime
 
 from . import acquisition, logstore, plotting, psychro
 from .acquisition import Channel, Constant, Replay, RunConfig, Sine
-from .adc0808 import ClockConfig
 from .errors import (
     ConfigError,
     CsvParseError,
@@ -106,12 +106,13 @@ def _effective_config(args) -> dict:
     return load_config_file(path) if path else {}
 
 
+def _section(file_cfg: dict, section: str) -> dict:
+    """The file's values for one section, keyed as the matching config fields."""
+    return {key: value for (sec, key), value in file_cfg.items() if sec == section}
+
+
 def _psychro_from(file_cfg: dict, pressure_flag=None) -> psychro.PsychroConfig:
-    kwargs = {
-        key: file_cfg[("psychro", key)]
-        for key in ("psychrometer_coeff", "pressure_hpa", "magnus_a", "magnus_b", "magnus_c")
-        if ("psychro", key) in file_cfg
-    }
+    kwargs = _section(file_cfg, "psychro")
     if pressure_flag is not None:
         kwargs["pressure_hpa"] = pressure_flag
     return psychro.PsychroConfig(**kwargs)
@@ -160,27 +161,28 @@ def _print_table(stats: dict, humidity) -> None:
 def cmd_simulate(args) -> int:
     file_cfg = _effective_config(args)
 
-    rate = args.rate if args.rate is not None else file_cfg.get(("run", "sample_rate_hz"), 2.0)
-    duration = (
-        args.duration if args.duration is not None else file_cfg.get(("run", "duration_s"))
-    )
+    # only what a flag or the config file supplies; RunConfig owns the defaults
+    run_kwargs = _section(file_cfg, "run")
+    for key, flag_value in (
+        ("duration_s", args.duration),
+        ("sample_rate_hz", args.rate),
+        ("filter_substeps", args.filter_substeps),
+        ("pacer", args.pacer),
+        ("seed", args.seed),
+    ):
+        if flag_value is not None:
+            run_kwargs[key] = flag_value
+    duration = run_kwargs.get("duration_s")
     if duration is None:
         raise ConfigError("--duration is required (or [run] duration_s in the config file)")
-    if rate <= 0:
+    rate = run_kwargs.get("sample_rate_hz")
+    if rate is not None and rate <= 0:
         raise ConfigError(f"--rate must be > 0, got {rate}")
     if duration < 0:
         raise ConfigError(f"--duration must be >= 0, got {duration}")
 
-    chain_kwargs = {
-        key: file_cfg[("chain", key)]
-        for key in ("sensor_slope", "amp_gain", "clamp_volts", "filter_cutoff_hz", "vref")
-        if ("chain", key) in file_cfg
-    }
-    chain = ChainConfig(**chain_kwargs)
-    clock = ClockConfig(
-        r_ohms=file_cfg.get(("clock", "r_ohms"), acquisition.DEFAULT_CLOCK.r_ohms),
-        c_farads=file_cfg.get(("clock", "c_farads"), acquisition.DEFAULT_CLOCK.c_farads),
-    )
+    chain = ChainConfig(**_section(file_cfg, "chain"))
+    clock = dataclasses.replace(acquisition.DEFAULT_CLOCK, **_section(file_cfg, "clock"))
 
     stimuli = {}
     for channel, temp_flag, stim_flag, name in (
@@ -191,8 +193,6 @@ def cmd_simulate(args) -> int:
             stimuli[channel] = parse_stimulus(stim_flag, name, channel)
         elif temp_flag is not None:
             stimuli[channel] = Constant(temp_flag)
-        else:
-            stimuli[channel] = Constant(25.0 if channel is Channel.DRY else 20.0)
 
     start_time = None
     if args.start_time is not None:
@@ -202,24 +202,18 @@ def cmd_simulate(args) -> int:
             raise ConfigError(f"--start-time: not ISO-8601: {args.start_time!r}") from None
 
     cfg = RunConfig(
-        duration_s=duration,
-        sample_rate_hz=rate,
         clock=clock,
         chains={Channel.DRY: chain, Channel.WET: chain},
-        stimuli=stimuli,
         psychro=_psychro_from(file_cfg),
-        filter_substeps=args.filter_substeps
-        if args.filter_substeps is not None
-        else file_cfg.get(("run", "filter_substeps"), 0),
-        pacer=args.pacer or file_cfg.get(("run", "pacer"), "simulated"),
-        seed=args.seed if args.seed is not None else file_cfg.get(("run", "seed"), 0),
         start_time=start_time,
+        **run_kwargs,
     )
+    cfg.stimuli.update(stimuli)  # a channel without a flag keeps its default stimulus
 
     run = acquisition.run_acquisition(cfg)
     logstore.write_csv(run, args.out)
     n_rows = len(run.rows)
-    print(f"wrote {args.out}: {n_rows} ticks, {2 * n_rows} samples, rate {rate:g} S/s")
+    print(f"wrote {args.out}: {n_rows} ticks, {2 * n_rows} samples, rate {cfg.sample_rate_hz:g} S/s")
     _print_table(acquisition.summarize(run), acquisition.humidity_summary(run))
     return EXIT_OK
 

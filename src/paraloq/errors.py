@@ -17,10 +17,6 @@ class DeviceTimeoutError(ParaloqError):
     """The device never asserted end-of-conversion within the poll timeout."""
 
 
-class UnsupportedModeError(ParaloqError):
-    """A declared but unimplemented transfer mode was requested."""
-
-
 class InconsistentReadingError(ParaloqError):
     """Wet/dry pair implies a non-physical (negative) vapor pressure."""
 

@@ -17,11 +17,12 @@ needs. ``SimulatedPort`` implements them over an ADC0808 model with its
 own simulated clock; a real-hardware backend would implement them with
 port I/O instead.
 
-Handshake wiring (the emulator's convention): C0 drives START+ALE, C1
-drives OUTPUT ENABLE, S3 carries EOC, and the mux address rides on
-control bits 4..6, latched at the ALE rising edge. In bidirectional mode
-the data register reads the converter's output latch; an undriven bus
-reads as the high-impedance sentinel 0xFF.
+Handshake wiring is fixed, as on the logger: control bit C0
+(``START_ALE_BIT``) drives START+ALE, C1 (``OUTPUT_ENABLE_BIT``) drives
+OUTPUT ENABLE, status bit S3 (``EOC_BIT``) carries EOC, and the mux
+address rides on control bits 4..6, latched at the ALE rising edge. The
+data register reads the converter's output latch as one byte; an
+undriven bus reads as the high-impedance sentinel 0xFF.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from random import Random
 
 from . import adc0808
-from .errors import DeviceTimeoutError, InvalidInputError, UnsupportedModeError
+from .errors import DeviceTimeoutError, InvalidInputError
 
 CONTROL_INVERT_MASK = 0x0B  # C0, C1, C3
 STATUS_INVERT_MASK = 0x80  # S7
@@ -42,6 +43,10 @@ HIGH_Z = 0xFF  # undriven data bus
 
 ADDRESS_SHIFT = 4  # mux address on control bits 4..6
 
+START_ALE_BIT = 0  # control bit: START+ALE pulse
+OUTPUT_ENABLE_BIT = 1  # control bit: OUTPUT ENABLE level
+EOC_BIT = 3  # status bit: END OF CONVERSION
+
 
 @dataclass
 class PortRegisters:
@@ -50,7 +55,6 @@ class PortRegisters:
     data: int = HIGH_Z
     status: int = 0
     control: int = 0
-    base_addr: int = 0x378  # informational only
 
     def __post_init__(self):
         for name in ("data", "status", "control"):
@@ -80,26 +84,6 @@ def read_status(regs: PortRegisters) -> int:
 def read_data(regs: PortRegisters) -> int:
     """Software view of the data register (no inversion on data lines)."""
     return regs.data
-
-
-@dataclass(frozen=True)
-class HandshakeMap:
-    """Which port lines carry the converter handshake."""
-
-    start_ale: int = 0  # control bit: START+ALE pulse
-    output_enable: int = 1  # control bit: OUTPUT ENABLE level
-    eoc: int = 3  # status bit: END OF CONVERSION
-    data_path: str = "bidirectional"  # or "nibble" (declared, not implemented)
-
-    def __post_init__(self):
-        if not (0 <= self.start_ale <= 3) or not (0 <= self.output_enable <= 3):
-            raise InvalidInputError("control bit indices must be 0..3")
-        if not (3 <= self.eoc <= 7):
-            raise InvalidInputError("status bit index must be 3..7")
-        if self.start_ale == self.output_enable:
-            raise InvalidInputError("start_ale and output_enable must differ")
-        if self.data_path not in ("bidirectional", "nibble"):
-            raise InvalidInputError(f"unknown data_path {self.data_path!r}")
 
 
 class PortBackend(ABC):
@@ -147,12 +131,10 @@ class SimulatedPort(PortBackend):
         self,
         adc: adc0808.AdcConfig = adc0808.AdcConfig(),
         clock_hz: float = 640e3,
-        hs: HandshakeMap = HandshakeMap(),
         rng: Random | None = None,
     ):
         self.adc = adc
         self.clock_hz = clock_hz
-        self.hs = hs
         self.regs = PortRegisters()
         self.connected = True
         self._now = 0.0
@@ -161,7 +143,7 @@ class SimulatedPort(PortBackend):
         self._prev_ale = 0
         self._oe = 0
         self._busy_until = -math.inf
-        self._latched: adc0808.AdcCode | None = None
+        self._latched: int | None = None  # output latch: the last code
 
     # -- simulation controls -------------------------------------------
 
@@ -187,33 +169,25 @@ class SimulatedPort(PortBackend):
     def latency_s(self) -> float:
         return self.adc.conversion_cycles / self.clock_hz
 
-    def last_conversion(self) -> adc0808.AdcCode | None:
-        return self._latched
-
     # -- backend primitives --------------------------------------------
 
     def write_control(self, value: int) -> None:
         write_control(self.regs, value)
         wire = self.regs.control
-        ale = (wire >> self.hs.start_ale) & 1
-        self._oe = (wire >> self.hs.output_enable) & 1
+        ale = (wire >> START_ALE_BIT) & 1
+        self._oe = (wire >> OUTPUT_ENABLE_BIT) & 1
         if ale and not self._prev_ale:
             self._start_conversion((wire >> ADDRESS_SHIFT) & 0x07)
         self._prev_ale = ale
 
     def read_status(self) -> int:
         eoc = 1 if (self.connected and self._conversion_done()) else 0
-        self.regs.status = eoc << self.hs.eoc
+        self.regs.status = eoc << EOC_BIT
         return read_status(self.regs)
 
     def read_data(self) -> int:
-        drives_bus = (
-            self.connected
-            and self._oe
-            and self._latched is not None
-            and self._conversion_done()
-        )
-        self.regs.data = self._latched.code if drives_bus else HIGH_Z
+        drives_bus = self.connected and self._oe and self._conversion_done()
+        self.regs.data = self._latched if drives_bus else HIGH_Z
         return read_data(self.regs)
 
     # -- device model ---------------------------------------------------
@@ -227,16 +201,11 @@ class SimulatedPort(PortBackend):
         result = adc0808.sar_convert(
             self._inputs[channel], channel, self.clock_hz, self.adc
         )
+        code = result.code
         if self.adc.noise_sigma_lsb > 0:
-            noisy = result.code + round(self._rng.gauss(0.0, self.adc.noise_sigma_lsb))
-            noisy = min(max(noisy, 0), adc0808.CODE_MAX)
-            result = adc0808.AdcCode(
-                code=noisy,
-                sar_trace=adc0808.code_bits(noisy),
-                latency_s=result.latency_s,
-                channel=channel,
-            )
-        self._latched = result
+            code += round(self._rng.gauss(0.0, self.adc.noise_sigma_lsb))
+            code = min(max(code, 0), adc0808.CODE_MAX)
+        self._latched = code
         self._busy_until = self.now_s + result.latency_s
 
 
@@ -247,22 +216,20 @@ def _software_byte_for_wire(wire: int) -> int:
 
 def acquire_byte(
     port: PortBackend,
-    hs: HandshakeMap,
     channel: int,
     poll_divisor: int = 16,
     timeout_factor: float = 10.0,
-) -> adc0808.AdcCode:
-    """Run one conversion handshake and return the result.
+) -> int:
+    """Run one conversion handshake and return the byte read (the code).
 
-    Sequence: drive the channel address, pulse START+ALE, poll EOC at
-    latency/poll_divisor granularity until it asserts (giving up after
-    timeout_factor * latency), assert OUTPUT ENABLE, read the data
-    register, release the bus. Never returns without having seen EOC.
+    Sequence: drive the channel address, pulse START+ALE (``START_ALE_BIT``),
+    poll EOC (``EOC_BIT``) at latency/poll_divisor granularity until it
+    asserts (giving up after timeout_factor * latency), assert OUTPUT ENABLE
+    (``OUTPUT_ENABLE_BIT``), read the data register, release the bus.
+    Never returns without having seen EOC.
     """
     if not (0 <= channel <= 7):
         raise InvalidInputError(f"channel must be 0..7, got {channel}")
-    if hs.data_path == "nibble":
-        raise UnsupportedModeError("nibble data path is declared but not implemented")
     if poll_divisor < 1:
         raise InvalidInputError(f"poll_divisor must be >= 1, got {poll_divisor}")
 
@@ -273,7 +240,7 @@ def acquire_byte(
     # Address first, then the ALE rising edge latches it and starts conversion.
     port.write_control(_software_byte_for_wire(addr))
     t_start = port.now_s
-    port.write_control(_software_byte_for_wire(addr | (1 << hs.start_ale)))
+    port.write_control(_software_byte_for_wire(addr | (1 << START_ALE_BIT)))
     port.write_control(_software_byte_for_wire(addr))
 
     deadline = t_start + timeout_factor * latency
@@ -287,15 +254,10 @@ def acquire_byte(
                 f"{timeout_factor:g} conversion times ({deadline - t_start:.6g} s)"
             )
         port.advance_to(t_poll)
-        if (port.read_status() >> hs.eoc) & 1:
+        if (port.read_status() >> EOC_BIT) & 1:
             break
 
-    port.write_control(_software_byte_for_wire(addr | (1 << hs.output_enable)))
+    port.write_control(_software_byte_for_wire(addr | (1 << OUTPUT_ENABLE_BIT)))
     code = port.read_data()
     port.write_control(_software_byte_for_wire(addr))
-    return adc0808.AdcCode(
-        code=code,
-        sar_trace=adc0808.code_bits(code),
-        latency_s=latency,
-        channel=channel,
-    )
+    return code

@@ -19,7 +19,6 @@ from paraloq import (
     ClockRangeError,
     ClockWindowWarning,
     DeviceTimeoutError,
-    HandshakeMap,
     QueueSink,
     SimulatedPort,
     Sine,
@@ -273,6 +272,6 @@ def test_criterion_10_invariant_suite():
     dead = SimulatedPort()
     dead.connected = False
     with pytest.raises(DeviceTimeoutError):
-        acquire_byte(dead, HandshakeMap(), 0)
+        acquire_byte(dead, 0)
 
     report(10, "clamp, monotonicity, psychro bounds, handshake order, timeout path")

@@ -277,6 +277,18 @@ class TestConfigValidation:
     def test_bad_rate(self):
         with pytest.raises(InvalidInputError):
             RunConfig(duration_s=1.0, sample_rate_hz=0.0)
+        with pytest.raises(InvalidInputError):
+            RunConfig(duration_s=1.0, sample_rate_hz=math.inf)
+
+    def test_sine_rejects_non_finite_parameters(self):
+        Sine(amplitude_c=1.0, freq_hz=0.1, offset_c=20.0)
+        for bad in (
+            dict(amplitude_c=math.inf, freq_hz=0.1, offset_c=20.0),
+            dict(amplitude_c=1.0, freq_hz=math.inf, offset_c=20.0),
+            dict(amplitude_c=1.0, freq_hz=0.1, offset_c=math.nan),
+        ):
+            with pytest.raises(InvalidInputError):
+                Sine(**bad)
 
     def test_channels_must_be_the_dry_wet_pair(self):
         with pytest.raises(InvalidInputError):

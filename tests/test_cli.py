@@ -1,4 +1,7 @@
+import hashlib
+import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +9,8 @@ from paraloq.cli import main
 from paraloq.logstore import HEADER, read_csv
 
 START = "2026-08-10T12:00:00"
+# the benchmark's recorded digests: the one source of truth for golden outputs
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
 
 def simulate(tmp_path, *extra, name="run.csv"):
@@ -52,6 +57,49 @@ class TestSimulate:
         assert code == 2
         assert "--rate" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()  # validate before create
+
+    def test_non_finite_rate_exits_2(self, tmp_path, capsys):
+        code = main(
+            ["simulate", "--rate", "inf", "--duration", "1", "--out", str(tmp_path / "x.csv")]
+        )
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "params",
+        ["amp=1,freq=inf,offset=20", "amp=inf,freq=0.1,offset=20", "amp=1,freq=0.1,offset=-inf"],
+    )
+    def test_non_finite_sine_exits_2_and_names_the_flag(self, tmp_path, capsys, params):
+        code = main(
+            [
+                "simulate",
+                "--duration", "1",
+                "--dry-stimulus", f"sine:{params}",
+                "--out", str(tmp_path / "x.csv"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "--dry-stimulus" in err
+
+    def test_golden_steady_run_is_byte_identical(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("PARALOQ_CONFIG", raising=False)
+        golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        out = tmp_path / "steady.csv"
+        code = main(
+            [
+                "simulate",
+                "--duration", "600",
+                "--dry-temp", "19.92858",
+                "--wet-temp", "18.02167",
+                "--seed", "0",
+                "--start-time", START,
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == golden["steady"]["csv_sha256"]
 
     def test_deterministic_given_flags_and_seed(self, tmp_path):
         _, first = simulate(tmp_path, name="a.csv")

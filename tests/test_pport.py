@@ -3,24 +3,21 @@ import pytest
 from paraloq import (
     AdcConfig,
     DeviceTimeoutError,
-    HandshakeMap,
     InvalidInputError,
     PortRegisters,
     SimulatedPort,
-    UnsupportedModeError,
     acquire_byte,
     quantize,
 )
 from paraloq.pport import (
     CONTROL_INVERT_MASK,
+    EOC_BIT,
     HIGH_Z,
     read_control,
     read_data,
     read_status,
     write_control,
 )
-
-HS = HandshakeMap()
 
 
 class TestRegisterInversion:
@@ -71,44 +68,27 @@ class TestRegisterInversion:
             write_control(PortRegisters(), 256)
 
 
-class TestHandshakeMap:
-    def test_defaults(self):
-        assert (HS.start_ale, HS.output_enable, HS.eoc) == (0, 1, 3)
-        assert HS.data_path == "bidirectional"
-
-    def test_rejects_duplicate_control_bits(self):
-        with pytest.raises(InvalidInputError):
-            HandshakeMap(start_ale=1, output_enable=1)
-
-    def test_rejects_bad_indices_and_modes(self):
-        with pytest.raises(InvalidInputError):
-            HandshakeMap(eoc=2)
-        with pytest.raises(InvalidInputError):
-            HandshakeMap(data_path="epp")
-
-
 class TestAcquireByte:
     def test_conversion_through_the_full_handshake(self):
         port = SimulatedPort()
         port.set_input(0, 2.5)
-        result = acquire_byte(port, HS, 0)
-        assert result.code == 128
+        assert acquire_byte(port, 0) == 128
         assert port.now_s >= 100e-6  # simulated, not wall, time
 
     def test_observed_latency_within_poll_granularity(self):
         port = SimulatedPort()
         port.set_input(0, 1.0)
         t0 = port.now_s
-        acquire_byte(port, HS, 0)
+        acquire_byte(port, 0)
         observed = port.now_s - t0
         assert port.latency_s <= observed < 2 * port.latency_s
 
     def test_repeated_acquisitions_are_identical(self):
         port = SimulatedPort()
         port.set_input(2, 3.3)
-        first = acquire_byte(port, HS, 2)
-        second = acquire_byte(port, HS, 2)
-        assert first.code == second.code
+        first = acquire_byte(port, 2)
+        second = acquire_byte(port, 2)
+        assert first == second
 
     def test_every_mux_input_is_addressable(self):
         port = SimulatedPort()
@@ -116,36 +96,32 @@ class TestAcquireByte:
         for ch, v in enumerate(volts):
             port.set_input(ch, min(v, 5.0))
         for ch, v in enumerate(volts):
-            assert acquire_byte(port, HS, ch).code == quantize(min(v, 5.0))
+            assert acquire_byte(port, ch) == quantize(min(v, 5.0))
 
     def test_disconnected_device_times_out(self):
         port = SimulatedPort()
         port.connected = False
         with pytest.raises(DeviceTimeoutError):
-            acquire_byte(port, HS, 0)
+            acquire_byte(port, 0)
 
     def test_timeout_budget_is_ten_conversions(self):
         port = SimulatedPort()
         port.connected = False
         t0 = port.now_s
         with pytest.raises(DeviceTimeoutError):
-            acquire_byte(port, HS, 0)
+            acquire_byte(port, 0)
         assert port.now_s - t0 <= 10 * port.latency_s
 
     def test_bad_channel_rejected(self):
         with pytest.raises(InvalidInputError):
-            acquire_byte(SimulatedPort(), HS, 8)
+            acquire_byte(SimulatedPort(), 8)
 
     def test_out_of_window_clock_propagates(self):
         from paraloq import ClockRangeError
 
         port = SimulatedPort(clock_hz=5e3)
         with pytest.raises(ClockRangeError):
-            acquire_byte(port, HS, 0)
-
-    def test_nibble_mode_unsupported(self):
-        with pytest.raises(UnsupportedModeError):
-            acquire_byte(SimulatedPort(), HandshakeMap(data_path="nibble"), 0)
+            acquire_byte(port, 0)
 
     def test_noise_is_seeded_and_reproducible(self):
         from random import Random
@@ -153,7 +129,7 @@ class TestAcquireByte:
         def run(seed):
             port = SimulatedPort(adc=AdcConfig(noise_sigma_lsb=2.0), rng=Random(seed))
             port.set_input(0, 2.5)
-            return [acquire_byte(port, HS, 0).code for _ in range(20)]
+            return [acquire_byte(port, 0) for _ in range(20)]
 
         assert run(1) == run(1)
         assert run(1) != run(2)
@@ -173,7 +149,7 @@ class TestHandshakeOrder:
         port.write_control(self._wire(0x01))  # ALE rise: start conversion
         port.write_control(self._wire(0x00))  # ALE fall
         port.advance_to(port.now_s + 2 * port.latency_s)
-        assert (port.read_status() >> HS.eoc) & 1 == 1  # conversion done
+        assert (port.read_status() >> EOC_BIT) & 1 == 1  # conversion done
         assert port.read_data() == HIGH_Z  # but nobody enabled the outputs
         port.write_control(self._wire(0x02))  # now assert OE
         assert port.read_data() == 128
@@ -188,11 +164,11 @@ class TestHandshakeOrder:
         port.set_input(0, 1.0)
         port.write_control(self._wire(0x01))
         port.write_control(self._wire(0x00))
-        assert (port.read_status() >> HS.eoc) & 1 == 0
+        assert (port.read_status() >> EOC_BIT) & 1 == 0
         port.advance_to(port.now_s + port.latency_s / 2)
-        assert (port.read_status() >> HS.eoc) & 1 == 0
+        assert (port.read_status() >> EOC_BIT) & 1 == 0
         port.advance_to(port.now_s + port.latency_s)
-        assert (port.read_status() >> HS.eoc) & 1 == 1
+        assert (port.read_status() >> EOC_BIT) & 1 == 1
 
     def test_time_never_runs_backwards(self):
         port = SimulatedPort()
