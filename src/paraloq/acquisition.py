@@ -26,7 +26,7 @@ from random import Random
 from statistics import fmean
 
 from . import logstore, psychro, signal_chain
-from .adc0808 import AdcConfig, ClockConfig, clock_frequency, decode_temp, decode_volts
+from .adc0808 import CODE_MAX, AdcConfig, ClockConfig, clock_frequency, decode_temp, decode_volts
 from .errors import (
     DeviceTimeoutError,
     EmptyRunError,
@@ -85,27 +85,24 @@ class Sine:
 
 @dataclass
 class Replay:
-    """Temperature replayed from a recorded log column (zero-order hold)."""
+    """Temperature replayed from a recorded log column (zero-order hold).
+
+    The source log is read once, when the Replay is made.
+    """
 
     path: str
     column: str = "dry_temp_c"
-    _times: list = field(default=None, repr=False, compare=False)
-    _temps: list = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.column not in ("dry_temp_c", "wet_temp_c"):
             raise InvalidInputError(f"column must be a temp column, got {self.column!r}")
-
-    def _load(self):
-        if self._times is None:
-            run = logstore.read_csv(self.path)
-            if not run.rows:
-                raise EmptyRunError(f"replay source {self.path} has no rows")
-            self._times = [row.t_s for row in run.rows]
-            self._temps = [getattr(row, self.column) for row in run.rows]
+        run = logstore.read_csv(self.path)
+        if not run.rows:
+            raise EmptyRunError(f"replay source {self.path} has no rows")
+        self._times = [row.t_s for row in run.rows]
+        self._temps = [getattr(row, self.column) for row in run.rows]
 
     def temp_at(self, t_s: float) -> float:
-        self._load()
         # small guard: logged t_s is rounded to 6 decimals and may sit just
         # above the exact tick time
         idx = bisect_right(self._times, t_s + 1e-6) - 1
@@ -149,13 +146,14 @@ class RunConfig:
     pacer: str = "simulated"
     seed: int = 0
     start_time: datetime | None = None
-    run_id: str | None = None
 
     def __post_init__(self):
         if not (self.sample_rate_hz > 0) or not math.isfinite(self.sample_rate_hz):
-            raise InvalidInputError(f"sample_rate_hz must be > 0, got {self.sample_rate_hz}")
+            raise InvalidInputError(
+                f"sample_rate_hz must be finite and > 0, got {self.sample_rate_hz}"
+            )
         if not (self.duration_s >= 0) or not math.isfinite(self.duration_s):
-            raise InvalidInputError(f"duration_s must be >= 0, got {self.duration_s}")
+            raise InvalidInputError(f"duration_s must be finite and >= 0, got {self.duration_s}")
         if set(self.channels) != {Channel.DRY, Channel.WET} or len(self.channels) != 2:
             raise InvalidInputError(
                 "channels must list DRY and WET exactly once (the log format is wide)"
@@ -169,6 +167,11 @@ class RunConfig:
                 raise InvalidInputError(f"missing chain config for channel {ch.name}")
             if ch not in self.stimuli:
                 raise InvalidInputError(f"missing stimulus for channel {ch.name}")
+            if self.chains[ch].vref != self.adc.vref:
+                raise InvalidInputError(
+                    f"{ch.name} chain is scaled to vref {self.chains[ch].vref} V "
+                    f"but the ADC reference is {self.adc.vref} V"
+                )
 
     def tick_count(self) -> int:
         return math.floor(self.duration_s * self.sample_rate_hz) + 1
@@ -218,12 +221,6 @@ class Sample:
     volts: float
     temp_c: float
 
-    def __post_init__(self):
-        if self.seq < 0:
-            raise InvalidInputError(f"seq must be >= 0, got {self.seq}")
-        if not (0 <= self.code <= 255):
-            raise InvalidInputError(f"code must be 0..255, got {self.code}")
-
 
 class QueueSink:
     """Bounded FIFO sample sink.
@@ -270,9 +267,8 @@ def build_port(cfg: RunConfig) -> SimulatedPort:
 
 
 def _derive_meta(cfg: RunConfig, start_dt: datetime) -> logstore.RunMeta:
-    run_id = cfg.run_id or f"{start_dt:%Y%m%dT%H%M%S}_{cfg.seed & 0xFFFFFFFF:08x}"
     return logstore.RunMeta(
-        run_id=run_id,
+        run_id=f"{start_dt:%Y%m%dT%H%M%S}_{cfg.seed & 0xFFFFFFFF:08x}",
         start=start_dt.isoformat(timespec="milliseconds"),
         sample_rate_hz=cfg.sample_rate_hz,
         channels={ch.name.lower(): ch.value for ch in cfg.channels},
@@ -313,11 +309,13 @@ def _tick_row(
     dry = by_channel[Channel.DRY]
     wet = by_channel[Channel.WET]
     rh = dew = None
-    try:
-        result = psychro.reading(dry.temp_c, wet.temp_c, cfg.psychro)
-        rh, dew = result.rh_pct, result.dew_point_c
-    except (InvalidInputError, InconsistentReadingError):
-        pass  # row keeps empty humidity fields
+    # a rail code only bounds the temperature, so humidity from it would be wrong
+    if 0 < dry.code < CODE_MAX and 0 < wet.code < CODE_MAX:
+        try:
+            result = psychro.reading(dry.temp_c, wet.temp_c, cfg.psychro)
+            rh, dew = result.rh_pct, result.dew_point_c
+        except (InvalidInputError, InconsistentReadingError):
+            pass  # row keeps empty humidity fields
     return logstore.PsychroRow(
         t_s=t,
         timestamp=timestamp,
@@ -336,12 +334,18 @@ def run_acquisition(cfg: RunConfig, sinks=(), port: SimulatedPort | None = None)
     Emits floor(duration * rate) + 1 ticks (t = 0 and t = duration are both
     included); every configured channel is acquired per tick, in order, all
     stamped with the tick time. Sinks are called synchronously with each
-    Sample. A device timeout aborts the run and raises RunAbortedError
-    carrying the partial RunLog.
+    Sample. A rate at which one tick cannot hold a conversion per channel
+    raises InvalidInputError before the first tick. A device timeout aborts
+    the run and raises RunAbortedError carrying the partial RunLog.
     """
     cfg.warn_if_undersampled()
     if port is None:
         port = build_port(cfg)
+    if len(cfg.channels) * port.latency_s > 1.0 / cfg.sample_rate_hz:
+        raise InvalidInputError(
+            f"{len(cfg.channels)} conversions of {port.latency_s * 1e6:g} us do not fit "
+            f"in one {1e6 / cfg.sample_rate_hz:g} us tick at {cfg.sample_rate_hz:g} S/s"
+        )
     start_dt = cfg.start_time or datetime.now()
     meta = _derive_meta(cfg, start_dt)
     paths = {

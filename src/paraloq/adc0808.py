@@ -22,7 +22,7 @@ from .errors import ClockRangeError, ClockWindowWarning, InvalidInputError
 
 BITS = 8
 CODE_MAX = 255
-TEMP_FULL_SCALE_C = 50.0
+TEMP_FULL_SCALE_C = 50.0  # top code's temperature; the signal chain is scaled to it
 
 # Valid converter clock window per the device rating.
 CLOCK_MIN_HZ = 10e3

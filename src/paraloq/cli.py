@@ -18,18 +18,19 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import math
 import os
 import sys
 from datetime import datetime
 
 from . import acquisition, logstore, plotting, psychro
 from .acquisition import Channel, Constant, Replay, RunConfig, Sine
+from .adc0808 import AdcConfig
 from .errors import (
     ConfigError,
     CsvParseError,
     DeviceTimeoutError,
     EmptyRunError,
-    InconsistentReadingError,
     InvalidInputError,
     ParaloqError,
     RunAbortedError,
@@ -44,6 +45,13 @@ EXIT_USAGE = 2
 EXIT_TIMEOUT = 3
 EXIT_STORAGE = 4
 EXIT_PARSE = 5
+
+# error type -> exit code, first match wins; any other ParaloqError is a usage error
+_EXIT_CODES = (
+    ((DeviceTimeoutError, RunAbortedError), EXIT_TIMEOUT),
+    ((CsvParseError, EmptyRunError), EXIT_PARSE),
+    (StorageError, EXIT_STORAGE),
+)
 
 # (section, key) -> parser; the whole schema the config file may use
 _CONFIG_SCHEMA = {
@@ -140,6 +148,8 @@ def parse_stimulus(spec: str, flag: str, channel: Channel):
         if kind == "replay":
             column = "dry_temp_c" if channel is Channel.DRY else "wet_temp_c"
             return Replay(body, column=column)
+    except InvalidInputError as exc:  # a number that parsed but a stimulus rejects
+        raise ConfigError(f"{flag}: {exc}") from None
     except ValueError:
         raise ConfigError(f"{flag}: bad number in {spec!r}") from None
     raise ConfigError(f"{flag}: unknown stimulus kind {kind!r}")
@@ -176,10 +186,10 @@ def cmd_simulate(args) -> int:
     if duration is None:
         raise ConfigError("--duration is required (or [run] duration_s in the config file)")
     rate = run_kwargs.get("sample_rate_hz")
-    if rate is not None and rate <= 0:
-        raise ConfigError(f"--rate must be > 0, got {rate}")
-    if duration < 0:
-        raise ConfigError(f"--duration must be >= 0, got {duration}")
+    if rate is not None and not (0 < rate < math.inf):
+        raise ConfigError(f"--rate must be finite and > 0, got {rate}")
+    if not (0 <= duration < math.inf):
+        raise ConfigError(f"--duration must be finite and >= 0, got {duration}")
 
     chain = ChainConfig(**_section(file_cfg, "chain"))
     clock = dataclasses.replace(acquisition.DEFAULT_CLOCK, **_section(file_cfg, "clock"))
@@ -204,6 +214,7 @@ def cmd_simulate(args) -> int:
     cfg = RunConfig(
         clock=clock,
         chains={Channel.DRY: chain, Channel.WET: chain},
+        adc=AdcConfig(vref=chain.vref),  # the converter reference the chain is scaled to
         psychro=_psychro_from(file_cfg),
         start_time=start_time,
         **run_kwargs,
@@ -327,21 +338,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, InvalidInputError, InconsistentReadingError) as exc:
+    except ParaloqError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DeviceTimeoutError, RunAbortedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TIMEOUT
-    except (CsvParseError, EmptyRunError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except StorageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STORAGE
-    except ParaloqError as exc:  # safety net for anything typed we missed
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next((code for types, code in _EXIT_CODES if isinstance(exc, types)), EXIT_USAGE)
 
 
 if __name__ == "__main__":

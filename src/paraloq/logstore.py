@@ -174,9 +174,12 @@ def write_csv(run: RunLog, path) -> None:
 
 def _parse_float(text: str, line_no: int, name: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise CsvParseError(line_no, f"bad {name} value {text!r}") from None
+    if not math.isfinite(value):
+        raise CsvParseError(line_no, f"{name} must be finite, got {text!r}")
+    return value
 
 
 def _parse_code(text: str, line_no: int, name: str) -> int:
@@ -220,8 +223,8 @@ def read_csv(path) -> RunLog:
     """Read a file produced by write_csv (exact inverse).
 
     Metadata lines may be absent (hand-written files); data rows are
-    validated for column count, types, code range, and strictly
-    increasing t_s. Errors carry the offending 1-based line number.
+    validated for column count, types, finite floats, code range, and
+    strictly increasing t_s. Errors carry the offending 1-based line number.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:

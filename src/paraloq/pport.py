@@ -47,6 +47,9 @@ START_ALE_BIT = 0  # control bit: START+ALE pulse
 OUTPUT_ENABLE_BIT = 1  # control bit: OUTPUT ENABLE level
 EOC_BIT = 3  # status bit: END OF CONVERSION
 
+POLLS_PER_CONVERSION = 16  # EOC polls spread over one conversion time
+TIMEOUT_CONVERSIONS = 10  # conversion times to wait for EOC before giving up
+
 
 @dataclass
 class PortRegisters:
@@ -198,15 +201,14 @@ class SimulatedPort(PortBackend):
     def _start_conversion(self, channel: int) -> None:
         if not self.connected:
             return
-        result = adc0808.sar_convert(
+        code = adc0808.sar_convert(
             self._inputs[channel], channel, self.clock_hz, self.adc
-        )
-        code = result.code
+        ).code
         if self.adc.noise_sigma_lsb > 0:
             code += round(self._rng.gauss(0.0, self.adc.noise_sigma_lsb))
             code = min(max(code, 0), adc0808.CODE_MAX)
         self._latched = code
-        self._busy_until = self.now_s + result.latency_s
+        self._busy_until = self.now_s + self.latency_s
 
 
 def _software_byte_for_wire(wire: int) -> int:
@@ -214,27 +216,21 @@ def _software_byte_for_wire(wire: int) -> int:
     return wire ^ CONTROL_INVERT_MASK
 
 
-def acquire_byte(
-    port: PortBackend,
-    channel: int,
-    poll_divisor: int = 16,
-    timeout_factor: float = 10.0,
-) -> int:
+def acquire_byte(port: PortBackend, channel: int) -> int:
     """Run one conversion handshake and return the byte read (the code).
 
     Sequence: drive the channel address, pulse START+ALE (``START_ALE_BIT``),
-    poll EOC (``EOC_BIT``) at latency/poll_divisor granularity until it
-    asserts (giving up after timeout_factor * latency), assert OUTPUT ENABLE
-    (``OUTPUT_ENABLE_BIT``), read the data register, release the bus.
-    Never returns without having seen EOC.
+    poll EOC (``EOC_BIT``) ``POLLS_PER_CONVERSION`` times per conversion
+    time until it asserts (giving up after ``TIMEOUT_CONVERSIONS``
+    conversion times), assert OUTPUT ENABLE (``OUTPUT_ENABLE_BIT``), read
+    the data register, release the bus. Never returns without having seen
+    EOC.
     """
     if not (0 <= channel <= 7):
         raise InvalidInputError(f"channel must be 0..7, got {channel}")
-    if poll_divisor < 1:
-        raise InvalidInputError(f"poll_divisor must be >= 1, got {poll_divisor}")
 
     latency = port.latency_s
-    poll_dt = latency / poll_divisor
+    poll_dt = latency / POLLS_PER_CONVERSION
     addr = channel << ADDRESS_SHIFT
 
     # Address first, then the ALE rising edge latches it and starts conversion.
@@ -243,7 +239,7 @@ def acquire_byte(
     port.write_control(_software_byte_for_wire(addr | (1 << START_ALE_BIT)))
     port.write_control(_software_byte_for_wire(addr))
 
-    deadline = t_start + timeout_factor * latency
+    deadline = t_start + TIMEOUT_CONVERSIONS * latency
     polls = 0
     while True:
         polls += 1
@@ -251,7 +247,7 @@ def acquire_byte(
         if t_poll > deadline:
             raise DeviceTimeoutError(
                 f"EOC not asserted on channel {channel} within "
-                f"{timeout_factor:g} conversion times ({deadline - t_start:.6g} s)"
+                f"{TIMEOUT_CONVERSIONS} conversion times ({deadline - t_start:.6g} s)"
             )
         port.advance_to(t_poll)
         if (port.read_status() >> EOC_BIT) & 1:

@@ -89,17 +89,19 @@ def _vapor_pressure(dry_c: float, wet_c: float, cfg: PsychroConfig) -> float:
     return e
 
 
+def _rh_from(e_hpa: float, dry_c: float, cfg: PsychroConfig) -> float:
+    rh = 100.0 * e_hpa / saturation_vapor_pressure(dry_c, cfg)
+    return min(max(rh, 0.0), 100.0)
+
+
 def relative_humidity(dry_c: float, wet_c: float, cfg: PsychroConfig = PsychroConfig()) -> float:
     """Relative humidity in percent, clamped to [0, 100]."""
-    e = _vapor_pressure(dry_c, wet_c, cfg)
-    rh = 100.0 * e / saturation_vapor_pressure(dry_c, cfg)
-    return min(max(rh, 0.0), 100.0)
+    return _rh_from(_vapor_pressure(dry_c, wet_c, cfg), dry_c, cfg)
 
 
 def dew_point(dry_c: float, wet_c: float, cfg: PsychroConfig = PsychroConfig()) -> float:
     """Dew point in degC: the Magnus curve inverted at the actual vapor pressure."""
-    e = _vapor_pressure(dry_c, wet_c, cfg)
-    return dew_point_from_vapor_pressure(e, cfg)
+    return dew_point_from_vapor_pressure(_vapor_pressure(dry_c, wet_c, cfg), cfg)
 
 
 def dew_point_from_vapor_pressure(e_hpa: float, cfg: PsychroConfig = PsychroConfig()) -> float:
@@ -114,9 +116,10 @@ def dew_point_from_vapor_pressure(e_hpa: float, cfg: PsychroConfig = PsychroConf
 
 def reading(dry_c: float, wet_c: float, cfg: PsychroConfig = PsychroConfig()) -> PsychroReading:
     """Compute a full PsychroReading for one dry/wet pair."""
+    e = _vapor_pressure(dry_c, wet_c, cfg)
     return PsychroReading(
         dry_c=dry_c,
         wet_c=wet_c,
-        rh_pct=relative_humidity(dry_c, wet_c, cfg),
-        dew_point_c=dew_point(dry_c, wet_c, cfg),
+        rh_pct=_rh_from(e, dry_c, cfg),
+        dew_point_c=dew_point_from_vapor_pressure(e, cfg),
     )

@@ -12,10 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .adc0808 import TEMP_FULL_SCALE_C
 from .errors import InvalidInputError
-
-# Temperature span the logger is scaled for, used by the full-scale check.
-FULL_RANGE_C = 50.0
 
 
 @dataclass(frozen=True)
@@ -51,11 +49,11 @@ class ChainConfig:
                 f"filter_cutoff_hz must be > 0, got {self.filter_cutoff_hz}"
             )
         if not self.allow_misaligned:
-            full_scale = self.sensor_slope * self.amp_gain * FULL_RANGE_C
+            full_scale = self.sensor_slope * self.amp_gain * TEMP_FULL_SCALE_C
             if abs(full_scale - self.vref) > 1e-9:
                 raise InvalidInputError(
                     f"chain full scale {full_scale} V does not match vref "
-                    f"{self.vref} V over 0..{FULL_RANGE_C} degC "
+                    f"{self.vref} V over 0..{TEMP_FULL_SCALE_C} degC "
                     "(pass allow_misaligned=True to override)"
                 )
 

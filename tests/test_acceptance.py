@@ -11,8 +11,11 @@ from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paraloq import (
+    AdcConfig,
     ChainConfig,
     Channel,
     ClockConfig,
@@ -275,3 +278,25 @@ def test_criterion_10_invariant_suite():
         acquire_byte(dead, 0)
 
     report(10, "clamp, monotonicity, psychro bounds, handshake order, timeout path")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    vref=st.floats(min_value=1.0, max_value=5.0),
+    temp=st.floats(min_value=0.0, max_value=50.0),
+)
+def test_criterion_10_decode_within_one_lsb_for_every_aligned_chain(vref, temp):
+    chain = ChainConfig(sensor_slope=vref / (10.0 * 50.0), clamp_volts=vref, vref=vref)
+    code = quantize(chain_voltage(temp, chain), AdcConfig(vref=vref))
+    assert abs(decode_temp(code) - temp) <= LSB_C + 1e-12
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    dry=st.floats(min_value=-10.0, max_value=70.0),
+    wet=st.floats(min_value=-10.0, max_value=70.0),
+)
+def test_criterion_10_no_humidity_from_a_railed_code(dry, wet):
+    row = run_acquisition(constant_run_config(dry_c=dry, wet_c=wet, duration_s=0.0)).rows[0]
+    if {row.dry_code, row.wet_code} & {0, 255}:
+        assert row.rh_pct is None and row.dew_point_c is None

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from paraloq import (
     AdcConfig,
+    ChainConfig,
     Channel,
     Constant,
     EmptyRunError,
@@ -141,6 +142,13 @@ class TestReplay:
         with pytest.raises(EmptyRunError):
             Replay(str(path)).temp_at(0.0)
 
+    def test_source_is_read_once(self, tmp_path):
+        path = tmp_path / "source.csv"
+        write_csv(run_acquisition(constant_run_config(duration_s=2.0)), path)
+        replay = Replay(str(path), column="wet_temp_c")
+        path.unlink()  # every later lookup is served from memory
+        assert replay.temp_at(0.0) == replay.temp_at(2.0) == round(decode_temp(92), 6)
+
 
 class TestSummaries:
     def _synthetic(self, dry_temps, wet_temps):
@@ -204,6 +212,25 @@ class TestFailurePaths:
         partial = err.value.partial_run
         assert len(partial.rows) == 3
         assert partial.meta.sample_rate_hz == 2.0
+
+    @pytest.mark.parametrize(
+        "dry_c, wet_c",
+        [(60.0, 55.0), (60.0, 40.0), (5.0, -5.0)],
+        ids=["both_top", "dry_top", "wet_bottom"],
+    )
+    def test_humidity_fields_empty_at_rail_codes(self, dry_c, wet_c):
+        run = run_acquisition(constant_run_config(dry_c=dry_c, wet_c=wet_c, duration_s=1.0))
+        assert all({row.dry_code, row.wet_code} & {0, 255} for row in run.rows)
+        assert all(row.rh_pct is None and row.dew_point_c is None for row in run.rows)
+
+    def test_rate_beyond_the_handshake_rejected_before_the_first_tick(self):
+        sink = QueueSink()
+        cfg = constant_run_config(duration_s=0.01, sample_rate_hz=20000.0)
+        with pytest.raises(InvalidInputError):
+            run_acquisition(cfg, sinks=[sink])
+        assert len(sink) == 0
+        # two conversions of about 100 us fit in a 250 us tick
+        run_acquisition(constant_run_config(duration_s=0.001, sample_rate_hz=4000.0))
 
     def test_humidity_fields_empty_when_wet_exceeds_dry(self):
         cfg = constant_run_config(dry_c=18.0, wet_c=22.0, duration_s=1.0)
@@ -277,7 +304,7 @@ class TestConfigValidation:
     def test_bad_rate(self):
         with pytest.raises(InvalidInputError):
             RunConfig(duration_s=1.0, sample_rate_hz=0.0)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="finite"):
             RunConfig(duration_s=1.0, sample_rate_hz=math.inf)
 
     def test_sine_rejects_non_finite_parameters(self):
@@ -289,6 +316,13 @@ class TestConfigValidation:
         ):
             with pytest.raises(InvalidInputError):
                 Sine(**bad)
+
+    def test_chain_and_adc_share_the_reference(self):
+        chain = ChainConfig(sensor_slope=0.0066, clamp_volts=3.3, vref=3.3)
+        chains = {Channel.DRY: chain, Channel.WET: chain}
+        with pytest.raises(InvalidInputError, match="vref"):
+            RunConfig(duration_s=1.0, chains=chains)
+        RunConfig(duration_s=1.0, chains=chains, adc=AdcConfig(vref=3.3))
 
     def test_channels_must_be_the_dry_wet_pair(self):
         with pytest.raises(InvalidInputError):
@@ -307,6 +341,8 @@ class TestConfigValidation:
     def test_negative_duration(self):
         with pytest.raises(InvalidInputError):
             RunConfig(duration_s=-1.0)
+        with pytest.raises(InvalidInputError, match="finite"):
+            RunConfig(duration_s=math.nan)
 
     def test_reversed_channel_order_still_runs(self):
         cfg = constant_run_config(duration_s=1.0, channels=(Channel.WET, Channel.DRY))

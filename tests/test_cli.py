@@ -59,12 +59,32 @@ class TestSimulate:
         assert not (tmp_path / "x.csv").exists()  # validate before create
 
     def test_non_finite_rate_exits_2(self, tmp_path, capsys):
+        for flag, other in (("--rate", "--duration"), ("--duration", "--rate")):
+            code = main(["simulate", flag, "inf", other, "1", "--out", str(tmp_path / "x.csv")])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "error:" in err and flag in err and "finite" in err
+            assert not (tmp_path / "x.csv").exists()
+
+    def test_sine_error_keeps_the_parameter_message(self, tmp_path, capsys):
         code = main(
-            ["simulate", "--rate", "inf", "--duration", "1", "--out", str(tmp_path / "x.csv")]
+            [
+                "simulate",
+                "--duration", "1",
+                "--dry-stimulus", "sine:amp=1,freq=-1,offset=20",
+                "--out", str(tmp_path / "x.csv"),
+            ]
         )
         assert code == 2
+        assert "--dry-stimulus: freq_hz must be >= 0" in capsys.readouterr().err
+
+    def test_rate_beyond_the_handshake_exits_2(self, tmp_path, capsys):
+        # each 50 us tick would need two 100 us conversions
+        out = tmp_path / "x.csv"
+        code = main(["simulate", "--rate", "20000", "--duration", "0.01", "--out", str(out)])
+        assert code == 2
         assert "error:" in capsys.readouterr().err
-        assert not (tmp_path / "x.csv").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "params",
@@ -268,6 +288,18 @@ class TestSummarize:
         assert "Dry Temp 20.000000 (min=10.000000, max=30.000000)" in out
         assert "Rel. Humidity -" in out  # no humidity columns present
 
+    @pytest.mark.parametrize(
+        "bad_row",
+        ["0.5,t,102,nan,92,18.0,,", "nan,t,102,20.0,92,18.0,,", "0.5,t,102,20.0,92,18.0,inf,"],
+        ids=["dry_temp_nan", "t_s_nan", "rh_inf"],
+    )
+    def test_non_finite_value_exits_5_and_names_the_line(self, tmp_path, capsys, bad_row):
+        path = tmp_path / "nan.csv"
+        path.write_text(HEADER + "\n0.0,t,102,20.0,92,18.0,,\n" + bad_row + "\n", encoding="utf-8")
+        assert main(["summarize", "--input", str(path)]) == 5
+        err = capsys.readouterr().err
+        assert "line 3" in err and "finite" in err
+
     def test_empty_log_exits_5(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
         path.write_text(HEADER + "\n", encoding="utf-8")
@@ -310,6 +342,28 @@ class TestConfigFile:
         monkeypatch.delenv("PARALOQ_CONFIG")
         assert main(["compute", "--dry", "20", "--wet", "18"]) == 0
         assert with_env != capsys.readouterr().out
+
+    def test_adc_reference_follows_the_chain(self, tmp_path):
+        cfg = tmp_path / "3v3.ini"
+        cfg.write_text(
+            "[chain]\nsensor_slope = 0.0066\nclamp_volts = 3.3\nvref = 3.3\n", encoding="utf-8"
+        )
+        out = tmp_path / "run.csv"
+        code = main(
+            [
+                "--config", str(cfg),
+                "simulate",
+                "--duration", "1",
+                "--dry-temp", "25",
+                "--wet-temp", "20",
+                "--start-time", START,
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        for row in read_csv(out).rows:
+            assert abs(row.dry_temp_c - 25.0) <= 50 / 255
+            assert abs(row.wet_temp_c - 20.0) <= 50 / 255
 
     def test_chain_section_must_stay_aligned(self, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"

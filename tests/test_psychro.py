@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from paraloq import (
     InconsistentReadingError,
@@ -136,3 +138,19 @@ class TestConfigAndReading:
         sea_level = relative_humidity(DRY_REF, WET_REF)
         altitude = relative_humidity(DRY_REF, WET_REF, PsychroConfig(pressure_hpa=850.0))
         assert altitude > sea_level  # smaller psychrometer correction
+
+
+@given(
+    dry=st.floats(min_value=0.0, max_value=50.0),
+    depression=st.floats(min_value=0.0, max_value=10.0),
+)
+def test_reading_matches_the_single_value_functions_bit_for_bit(dry, depression):
+    wet = max(dry - depression, 0.0)
+    try:
+        result = reading(dry, wet)
+    except InconsistentReadingError:
+        with pytest.raises(InconsistentReadingError):
+            relative_humidity(dry, wet)
+        return
+    assert result.rh_pct == relative_humidity(dry, wet)
+    assert result.dew_point_c == dew_point(dry, wet)
