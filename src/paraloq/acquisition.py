@@ -4,18 +4,14 @@ Each tick acquires every configured channel through the port handshake,
 decodes code -> volts -> degC, streams immutable Sample values to the
 attached sinks, and folds the dry/wet pair plus derived humidity into one
 log row. Tick times are computed as k / rate (never accumulated), so the
-schedule has zero floating drift.
-
-Scheduling is simulated-time by default: runs are instantaneous and
-deterministic. The wall-clock pacer sleeps toward absolute deadlines for
-live demo runs.
+schedule has zero floating drift, and that tick time is the run's only
+time base: runs are instantaneous and deterministic.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-import time
 import warnings
 from bisect import bisect_right
 from collections import deque
@@ -143,7 +139,6 @@ class RunConfig:
     adc: AdcConfig = AdcConfig()
     psychro: psychro.PsychroConfig = psychro.PsychroConfig()
     filter_substeps: int = 0
-    pacer: str = "simulated"
     seed: int = 0
     start_time: datetime | None = None
 
@@ -160,8 +155,6 @@ class RunConfig:
             )
         if self.filter_substeps < 0:
             raise InvalidInputError(f"filter_substeps must be >= 0, got {self.filter_substeps}")
-        if self.pacer not in ("simulated", "wall"):
-            raise InvalidInputError(f"pacer must be 'simulated' or 'wall', got {self.pacer!r}")
         for ch in self.channels:
             if ch not in self.chains:
                 raise InvalidInputError(f"missing chain config for channel {ch.name}")
@@ -172,6 +165,8 @@ class RunConfig:
                     f"{ch.name} chain is scaled to vref {self.chains[ch].vref} V "
                     f"but the ADC reference is {self.adc.vref} V"
                 )
+            # decode_temp is right only for an aligned chain, whatever allow_misaligned says
+            signal_chain.require_aligned(self.chains[ch])
 
     def tick_count(self) -> int:
         return math.floor(self.duration_s * self.sample_rate_hz) + 1
@@ -277,29 +272,32 @@ def _derive_meta(cfg: RunConfig, start_dt: datetime) -> logstore.RunMeta:
 
 
 class _FilteredChain:
-    """Per-channel analog path with optional anti-alias filter dynamics."""
+    """Per-channel analog path with optional anti-alias filter dynamics.
+
+    Called once per tick with the tick time; the filter advances from the
+    previous tick time to this one.
+    """
 
     def __init__(self, chain: ChainConfig, stimulus, substeps: int, rate_hz: float):
         self.chain = chain
         self.stimulus = stimulus
         self.substeps = substeps
-        self.dt_sub = 1.0 / (rate_hz * substeps) if substeps else 0.0
-        self.state = None
+        if substeps:
+            self.t_prev = 0.0
+            self.dt_sub = 1.0 / (rate_hz * substeps)
+            # circuit assumed settled at power-on
+            self.state = chain_voltage(stimulus.temp_at(0.0), chain)
 
-    def voltage_at_tick(self, k: int, rate_hz: float) -> float:
-        t = k / rate_hz
+    def voltage_at(self, t: float) -> float:
         if not self.substeps:
             return chain_voltage(self.stimulus.temp_at(t), self.chain)
-        if self.state is None:
-            # circuit assumed settled at power-on
-            self.state = chain_voltage(self.stimulus.temp_at(0.0), self.chain)
-        if k > 0:
-            t_prev = (k - 1) / rate_hz
+        if t > self.t_prev:  # tick 0 reads the settled state
             for j in range(1, self.substeps + 1):
                 x = chain_voltage(
-                    self.stimulus.temp_at(t_prev + j * self.dt_sub), self.chain
+                    self.stimulus.temp_at(self.t_prev + j * self.dt_sub), self.chain
                 )
                 self.state = lowpass_step(self.state, x, self.dt_sub, self.chain)
+            self.t_prev = t
         return self.state
 
 
@@ -354,19 +352,13 @@ def run_acquisition(cfg: RunConfig, sinks=(), port: SimulatedPort | None = None)
     }
     rows: list = []
     seq = 0
-    wall_start = time.monotonic() if cfg.pacer == "wall" else 0.0
     try:
         for k in range(cfg.tick_count()):
             t = k / cfg.sample_rate_hz
-            if cfg.pacer == "wall":
-                # absolute deadline: immune to per-tick drift
-                delay = wall_start + t - time.monotonic()
-                if delay > 0:
-                    time.sleep(delay)
             timestamp = (start_dt + timedelta(seconds=t)).isoformat(timespec="milliseconds")
             by_channel = {}
             for ch in cfg.channels:
-                port.set_input(ch.value, paths[ch].voltage_at_tick(k, cfg.sample_rate_hz))
+                port.set_input(ch.value, paths[ch].voltage_at(t))
                 code = acquire_byte(port, ch.value)
                 sample = Sample(
                     seq=seq,

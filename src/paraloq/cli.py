@@ -5,7 +5,7 @@ Exit codes:
     2  invalid flags or config
     3  device timeout during acquisition
     4  storage (output write) failure
-    5  input log parse failure or empty input
+    5  input log unreadable, malformed or empty
 
 Defaults can come from a `key = value` config file with [section] headers
 (sections: run, chain, clock, psychro). Precedence is flags > file >
@@ -59,7 +59,6 @@ _CONFIG_SCHEMA = {
     ("run", "duration_s"): float,
     ("run", "filter_substeps"): int,
     ("run", "seed"): int,
-    ("run", "pacer"): str,
     ("chain", "sensor_slope"): float,
     ("chain", "amp_gain"): float,
     ("chain", "clamp_volts"): float,
@@ -177,7 +176,6 @@ def cmd_simulate(args) -> int:
         ("duration_s", args.duration),
         ("sample_rate_hz", args.rate),
         ("filter_substeps", args.filter_substeps),
-        ("pacer", args.pacer),
         ("seed", args.seed),
     ):
         if flag_value is not None:
@@ -248,20 +246,12 @@ def _plot_series(run, column: str):
     return [t for t, _ in pairs], [v for _, v in pairs]
 
 
-def _read_input(path) -> logstore.RunLog:
-    """Read an input log; a missing/unreadable input counts as a parse failure."""
-    try:
-        return logstore.read_csv(path)
-    except StorageError as exc:
-        raise CsvParseError(0, f"cannot read input: {exc}") from exc
-
-
 def cmd_plot(args) -> int:
     if args.column not in PLOTTABLE_COLUMNS:
         raise ConfigError(
             f"--column must be one of {', '.join(PLOTTABLE_COLUMNS)}; got {args.column!r}"
         )
-    run = _read_input(args.input)
+    run = logstore.read_csv(args.input)
     t_values, values = _plot_series(run, args.column)
     if args.format == "ascii":
         body = plotting.ascii_chart(t_values, values, args.column)
@@ -279,7 +269,7 @@ def cmd_plot(args) -> int:
 
 
 def cmd_summarize(args) -> int:
-    run = _read_input(args.input)
+    run = logstore.read_csv(args.input)
     stats = acquisition.summarize(run)
     _print_table(stats, acquisition.humidity_summary(run))
     return EXIT_OK
@@ -310,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=None, help="noise/run-id seed")
     sim.add_argument("--start-time", default=None, help="ISO-8601 run start (default: now)")
     sim.add_argument("--filter-substeps", type=int, default=None, help="anti-alias filter steps per tick (0 = off)")
-    sim.add_argument("--pacer", choices=("simulated", "wall"), default=None)
     sim.set_defaults(func=cmd_simulate)
 
     comp = sub.add_parser("compute", help="one psychrometric computation")

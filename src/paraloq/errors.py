@@ -34,7 +34,8 @@ class StorageError(ParaloqError):
 
 
 class CsvParseError(ParaloqError):
-    """Log file is malformed; carries the 1-based offending line number."""
+    """Input log is unreadable or malformed; carries the 1-based offending line
+    number (0 when the file could not be read)."""
 
     def __init__(self, line_no, message):
         super().__init__(f"line {line_no}: {message}")

@@ -93,11 +93,6 @@ class RunLog:
     rows: list = field(default_factory=list)
 
 
-def default_filename(meta: RunMeta) -> str:
-    """Conventional log name: run_<ISO-8601-basic-start>_<id>.csv."""
-    return f"run_{meta.run_id}.csv"
-
-
 def _format_float(value: float | None) -> str:
     return "" if value is None else f"{value:.6f}"
 
@@ -224,13 +219,14 @@ def read_csv(path) -> RunLog:
 
     Metadata lines may be absent (hand-written files); data rows are
     validated for column count, types, finite floats, code range, and
-    strictly increasing t_s. Errors carry the offending 1-based line number.
+    strictly increasing t_s. Errors carry the offending 1-based line number;
+    a file that cannot be read is a CsvParseError at line 0.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             text = fh.read()
     except OSError as exc:
-        raise StorageError(path, str(exc)) from exc
+        raise CsvParseError(0, f"cannot read input: {path}: {exc}") from exc
 
     meta_values: dict = {}
     meta_line_no = 0

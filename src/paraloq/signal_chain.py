@@ -25,7 +25,8 @@ class ChainConfig:
     clamp_volts      protection zener voltage; output never exceeds this
     filter_cutoff_hz anti-alias low-pass -3 dB point
     vref             ADC reference the chain is scaled against
-    allow_misaligned skip the full-scale alignment check
+    allow_misaligned skip the full-scale alignment check (a run still
+                     rejects such a chain)
     """
 
     sensor_slope: float = 0.010
@@ -49,13 +50,21 @@ class ChainConfig:
                 f"filter_cutoff_hz must be > 0, got {self.filter_cutoff_hz}"
             )
         if not self.allow_misaligned:
-            full_scale = self.sensor_slope * self.amp_gain * TEMP_FULL_SCALE_C
-            if abs(full_scale - self.vref) > 1e-9:
-                raise InvalidInputError(
-                    f"chain full scale {full_scale} V does not match vref "
-                    f"{self.vref} V over 0..{TEMP_FULL_SCALE_C} degC "
-                    "(pass allow_misaligned=True to override)"
-                )
+            require_aligned(self)
+
+
+def require_aligned(cfg: ChainConfig) -> None:
+    """Reject a chain that does not reach vref at TEMP_FULL_SCALE_C.
+
+    decode_temp maps codes onto 0..TEMP_FULL_SCALE_C, so only such a chain
+    decodes to the temperature it measured.
+    """
+    full_scale = cfg.sensor_slope * cfg.amp_gain * TEMP_FULL_SCALE_C
+    if abs(full_scale - cfg.vref) > 1e-9:
+        raise InvalidInputError(
+            f"chain full scale {full_scale} V does not match vref "
+            f"{cfg.vref} V over 0..{TEMP_FULL_SCALE_C} degC"
+        )
 
 
 def _require_finite(name: str, value: float) -> None:

@@ -1,5 +1,4 @@
 import math
-import time
 from datetime import datetime
 
 import numpy as np
@@ -290,16 +289,6 @@ class TestQueueSink:
             QueueSink(capacity=0)
 
 
-class TestWallPacer:
-    def test_wall_mode_paces_against_absolute_deadlines(self):
-        cfg = constant_run_config(duration_s=0.02, sample_rate_hz=100.0, pacer="wall")
-        started = time.monotonic()
-        run = run_acquisition(cfg)
-        elapsed = time.monotonic() - started
-        assert len(run.rows) == 3
-        assert elapsed >= 0.01  # at least the span between first and last tick
-
-
 class TestConfigValidation:
     def test_bad_rate(self):
         with pytest.raises(InvalidInputError):
@@ -324,6 +313,12 @@ class TestConfigValidation:
             RunConfig(duration_s=1.0, chains=chains)
         RunConfig(duration_s=1.0, chains=chains, adc=AdcConfig(vref=3.3))
 
+    def test_misaligned_chain_rejected_even_when_allowed(self):
+        # decode_temp assumes vref at 50 degC; this half-gain chain logged 25 degC as 12.5
+        chain = ChainConfig(amp_gain=5.0, allow_misaligned=True)
+        with pytest.raises(InvalidInputError, match="full scale"):
+            RunConfig(duration_s=1.0, chains={Channel.DRY: chain, Channel.WET: chain})
+
     def test_channels_must_be_the_dry_wet_pair(self):
         with pytest.raises(InvalidInputError):
             RunConfig(duration_s=1.0, channels=(Channel.DRY,))
@@ -333,10 +328,6 @@ class TestConfigValidation:
     def test_missing_stimulus(self):
         with pytest.raises(InvalidInputError):
             RunConfig(duration_s=1.0, stimuli={Channel.DRY: Constant(20.0)})
-
-    def test_bad_pacer(self):
-        with pytest.raises(InvalidInputError):
-            RunConfig(duration_s=1.0, pacer="warp")
 
     def test_negative_duration(self):
         with pytest.raises(InvalidInputError):

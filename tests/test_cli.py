@@ -174,6 +174,16 @@ class TestSimulate:
             r.dry_code for r in read_csv(source).rows
         ]
 
+    def test_missing_replay_source_exits_5(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        missing = tmp_path / "nope.csv"
+        code = main(
+            ["simulate", "--duration", "1", "--dry-stimulus", f"replay:{missing}", "--out", str(out)]
+        )
+        assert code == 5  # an unreadable input log, not a failed write
+        assert "cannot read input" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCompute:
     def test_reference_pair(self, capsys):

@@ -9,7 +9,6 @@ from paraloq.logstore import (
     PsychroRow,
     RunLog,
     RunMeta,
-    default_filename,
     fingerprint,
     round6,
 )
@@ -207,10 +206,6 @@ def test_round_trip_property(run, tmp_path_factory):
 def test_round6_quantization():
     assert round6(19.80392156862745) == 19.803922
     assert round6(0.5) == 0.5
-
-
-def test_default_filename():
-    assert default_filename(META) == "run_20260810T120000_00000001.csv"
 
 
 def test_fingerprint_is_stable_and_short():
