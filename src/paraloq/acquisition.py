@@ -302,25 +302,26 @@ class _FilteredChain:
 
 
 def _tick_row(
-    t: float, timestamp: str, by_channel: dict, cfg: RunConfig
+    t: float, timestamp: str, dry: tuple, wet: tuple, cfg: RunConfig
 ) -> logstore.PsychroRow:
-    dry = by_channel[Channel.DRY]
-    wet = by_channel[Channel.WET]
+    """One log row from the tick's (code, temp_c) reading of each channel."""
+    dry_code, dry_temp = dry
+    wet_code, wet_temp = wet
     rh = dew = None
     # a rail code only bounds the temperature, so humidity from it would be wrong
-    if 0 < dry.code < CODE_MAX and 0 < wet.code < CODE_MAX:
+    if 0 < dry_code < CODE_MAX and 0 < wet_code < CODE_MAX:
         try:
-            result = psychro.reading(dry.temp_c, wet.temp_c, cfg.psychro)
+            result = psychro.reading(dry_temp, wet_temp, cfg.psychro)
             rh, dew = result.rh_pct, result.dew_point_c
         except (InvalidInputError, InconsistentReadingError):
             pass  # row keeps empty humidity fields
     return logstore.PsychroRow(
         t_s=t,
         timestamp=timestamp,
-        dry_code=dry.code,
-        dry_temp_c=dry.temp_c,
-        wet_code=wet.code,
-        wet_temp_c=wet.temp_c,
+        dry_code=dry_code,
+        dry_temp_c=dry_temp,
+        wet_code=wet_code,
+        wet_temp_c=wet_temp,
         rh_pct=rh,
         dew_point_c=dew,
     )
@@ -332,9 +333,10 @@ def run_acquisition(cfg: RunConfig, sinks=(), port: SimulatedPort | None = None)
     Emits floor(duration * rate) + 1 ticks (t = 0 and t = duration are both
     included); every configured channel is acquired per tick, in order, all
     stamped with the tick time. Sinks are called synchronously with each
-    Sample. A rate at which one tick cannot hold a conversion per channel
-    raises InvalidInputError before the first tick. A device timeout aborts
-    the run and raises RunAbortedError carrying the partial RunLog.
+    Sample; Samples are built only when there are sinks, and rows never
+    depend on them. A rate at which one tick cannot hold a conversion per
+    channel raises InvalidInputError before the first tick. A device timeout
+    aborts the run and raises RunAbortedError carrying the partial RunLog.
     """
     cfg.warn_if_undersampled()
     if port is None:
@@ -346,34 +348,39 @@ def run_acquisition(cfg: RunConfig, sinks=(), port: SimulatedPort | None = None)
         )
     start_dt = cfg.start_time or datetime.now()
     meta = _derive_meta(cfg, start_dt)
-    paths = {
-        ch: _FilteredChain(cfg.chains[ch], cfg.stimuli[ch], cfg.filter_substeps, cfg.sample_rate_hz)
-        for ch in cfg.channels
-    }
+    rate = cfg.sample_rate_hz
+    vref = cfg.adc.vref
+    dry_mux, wet_mux = Channel.DRY.value, Channel.WET.value
+    lanes = []  # (channel, mux input, voltage at tick time)
+    for ch in cfg.channels:
+        path = _FilteredChain(cfg.chains[ch], cfg.stimuli[ch], cfg.filter_substeps, rate)
+        lanes.append((ch, ch.value, path.voltage_at))
     rows: list = []
     seq = 0
     try:
         for k in range(cfg.tick_count()):
-            t = k / cfg.sample_rate_hz
+            t = k / rate
             timestamp = (start_dt + timedelta(seconds=t)).isoformat(timespec="milliseconds")
-            by_channel = {}
-            for ch in cfg.channels:
-                port.set_input(ch.value, paths[ch].voltage_at(t))
-                code = acquire_byte(port, ch.value)
-                sample = Sample(
-                    seq=seq,
-                    t=t,
-                    timestamp=timestamp,
-                    channel=ch,
-                    code=code,
-                    volts=decode_volts(code, cfg.adc.vref),
-                    temp_c=decode_temp(code),
-                )
-                seq += 1
-                by_channel[ch] = sample
-                for sink in sinks:
-                    sink(sample)
-            rows.append(_tick_row(t, timestamp, by_channel, cfg))
+            readings = {}  # mux input -> (code, temp_c)
+            for ch, mux, voltage_at in lanes:
+                port.set_input(mux, voltage_at(t))
+                code = acquire_byte(port, mux)
+                temp_c = decode_temp(code)
+                readings[mux] = (code, temp_c)
+                if sinks:
+                    sample = Sample(
+                        seq=seq,
+                        t=t,
+                        timestamp=timestamp,
+                        channel=ch,
+                        code=code,
+                        volts=decode_volts(code, vref),
+                        temp_c=temp_c,
+                    )
+                    seq += 1
+                    for sink in sinks:
+                        sink(sample)
+            rows.append(_tick_row(t, timestamp, readings[dry_mux], readings[wet_mux], cfg))
     except DeviceTimeoutError as exc:
         raise RunAbortedError(
             f"run aborted at tick {k}: {exc}", logstore.RunLog(meta=meta, rows=rows)

@@ -22,6 +22,7 @@ from .errors import ClockRangeError, ClockWindowWarning, InvalidInputError
 
 BITS = 8
 CODE_MAX = 255
+_BIT_WEIGHTS = tuple(1 << (BITS - 1 - step) for step in range(BITS))  # MSB first
 TEMP_FULL_SCALE_C = 50.0  # top code's temperature; the signal chain is scaled to it
 
 # Valid converter clock window per the device rating.
@@ -136,19 +137,6 @@ def quantize(v_in: float, cfg: AdcConfig = AdcConfig()) -> int:
     return min(max(code, 0), CODE_MAX)
 
 
-def _sar_steps(v_in: float, vref: float):
-    """Yield (step, trial_code, threshold_volts, keep) for each bit trial."""
-    code = 0
-    for step in range(BITS):
-        bit = 1 << (BITS - 1 - step)
-        trial = code | bit
-        threshold = trial * vref / 256.0
-        keep = v_in >= threshold
-        if keep:
-            code = trial
-        yield step, trial, threshold, keep
-
-
 def sar_convert(
     v_in: float,
     channel: int,
@@ -170,12 +158,16 @@ def sar_convert(
         raise ClockRangeError(
             f"clock {clock_hz:.6g} Hz outside [{CLOCK_MIN_HZ:.0f}, {CLOCK_MAX_HZ:.0f}] Hz"
         )
+    vref = cfg.vref
     code = 0
     trace = []
-    for _step, trial, _threshold, keep in _sar_steps(v_in, cfg.vref):
-        trace.append(1 if keep else 0)
-        if keep:
+    for bit in _BIT_WEIGHTS:
+        trial = code | bit
+        if v_in >= trial * vref / 256.0:
             code = trial
+            trace.append(1)
+        else:
+            trace.append(0)
     return AdcCode(
         code=code,
         sar_trace=tuple(trace),
@@ -187,13 +179,19 @@ def sar_convert(
 def dump_sar_trace(v_in: float, channel: int, clock_hz: float, cfg: AdcConfig, path) -> AdcCode:
     """Convert once and write one line per SAR step to a debug text file.
 
-    Line format: `step=<k> trial=<code> threshold=<volts> keep=<0|1>`.
+    Line format: `step=<k> trial=<code> threshold=<volts> keep=<0|1>`,
+    rebuilt from the conversion's own bit decisions.
     """
     result = sar_convert(v_in, channel, clock_hz, cfg)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# v_in={v_in!r} channel={channel} clock_hz={clock_hz!r}\n")
-        for step, trial, threshold, keep in _sar_steps(v_in, cfg.vref):
-            fh.write(f"step={step} trial={trial} threshold={threshold:.6f} keep={int(keep)}\n")
+        code = 0
+        for step, (bit, keep) in enumerate(zip(_BIT_WEIGHTS, result.sar_trace)):
+            trial = code | bit
+            if keep:
+                code = trial
+            threshold = trial * cfg.vref / 256.0
+            fh.write(f"step={step} trial={trial} threshold={threshold:.6f} keep={keep}\n")
         fh.write(f"# code={result.code} latency_s={result.latency_s!r}\n")
     return result
 

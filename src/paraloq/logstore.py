@@ -55,7 +55,7 @@ class RunMeta:
         object.__setattr__(self, "sample_rate_hz", round6(self.sample_rate_hz))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PsychroRow:
     """One logged tick: both channel readings plus derived humidity.
 
@@ -73,16 +73,20 @@ class PsychroRow:
     dew_point_c: float | None = None
 
     def __post_init__(self):
-        for name in ("dry_code", "wet_code"):
-            code = getattr(self, name)
-            if not isinstance(code, int) or not (0 <= code <= 255):
+        for name, code in (("dry_code", self.dry_code), ("wet_code", self.wet_code)):
+            # bool is an int subclass, but True is not a code the file can carry
+            if type(code) is not int or not (0 <= code <= 255):
                 raise InvalidInputError(f"{name} must be an integer 0..255, got {code}")
         if not math.isfinite(self.t_s):
             raise InvalidInputError(f"t_s must be finite, got {self.t_s}")
-        for name in ("t_s", "dry_temp_c", "wet_temp_c", "rh_pct", "dew_point_c"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, round6(value))
+        # round(x, 6) is round6 inlined: one call per field on every row built
+        object.__setattr__(self, "t_s", round(self.t_s, 6))
+        object.__setattr__(self, "dry_temp_c", round(self.dry_temp_c, 6))
+        object.__setattr__(self, "wet_temp_c", round(self.wet_temp_c, 6))
+        if self.rh_pct is not None:
+            object.__setattr__(self, "rh_pct", round(self.rh_pct, 6))
+        if self.dew_point_c is not None:
+            object.__setattr__(self, "dew_point_c", round(self.dew_point_c, 6))
 
 
 @dataclass
@@ -219,8 +223,9 @@ def read_csv(path) -> RunLog:
 
     Metadata lines may be absent (hand-written files); data rows are
     validated for column count, types, finite floats, code range, and
-    strictly increasing t_s. Errors carry the offending 1-based line number;
-    a file that cannot be read is a CsvParseError at line 0.
+    strictly increasing t_s. Lines end in LF or CRLF. Errors carry the
+    offending 1-based line number, counting LF-separated lines; a file that
+    cannot be read is a CsvParseError at line 0.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -233,8 +238,10 @@ def read_csv(path) -> RunLog:
     rows: list = []
     header_seen = False
     last_t = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\r\n")
+    # split on LF only: a CR, form feed or U+2028 inside a line is not a line break
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        if line.endswith("\r"):
+            line = line[:-1]
         if line == "":
             continue
         if line.startswith("#"):

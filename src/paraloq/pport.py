@@ -46,6 +46,7 @@ ADDRESS_SHIFT = 4  # mux address on control bits 4..6
 START_ALE_BIT = 0  # control bit: START+ALE pulse
 OUTPUT_ENABLE_BIT = 1  # control bit: OUTPUT ENABLE level
 EOC_BIT = 3  # status bit: END OF CONVERSION
+EOC_MASK = 1 << EOC_BIT
 
 POLLS_PER_CONVERSION = 16  # EOC polls spread over one conversion time
 TIMEOUT_CONVERSIONS = 10  # conversion times to wait for EOC before giving up
@@ -145,7 +146,7 @@ class SimulatedPort(PortBackend):
         self._rng = rng or Random(0)
         self._prev_ale = 0
         self._oe = 0
-        self._busy_until = -math.inf
+        self._busy_until = math.inf  # no conversion started yet: EOC stays low
         self._latched: int | None = None  # output latch: the last code
 
     # -- simulation controls -------------------------------------------
@@ -175,8 +176,7 @@ class SimulatedPort(PortBackend):
     # -- backend primitives --------------------------------------------
 
     def write_control(self, value: int) -> None:
-        write_control(self.regs, value)
-        wire = self.regs.control
+        wire = write_control(self.regs, value).control
         ale = (wire >> START_ALE_BIT) & 1
         self._oe = (wire >> OUTPUT_ENABLE_BIT) & 1
         if ale and not self._prev_ale:
@@ -184,19 +184,16 @@ class SimulatedPort(PortBackend):
         self._prev_ale = ale
 
     def read_status(self) -> int:
-        eoc = 1 if (self.connected and self._conversion_done()) else 0
-        self.regs.status = eoc << EOC_BIT
+        done = self.connected and self._now >= self._busy_until
+        self.regs.status = EOC_MASK if done else 0
         return read_status(self.regs)
 
     def read_data(self) -> int:
-        drives_bus = self.connected and self._oe and self._conversion_done()
+        drives_bus = self.connected and self._oe and self._now >= self._busy_until
         self.regs.data = self._latched if drives_bus else HIGH_Z
         return read_data(self.regs)
 
     # -- device model ---------------------------------------------------
-
-    def _conversion_done(self) -> bool:
-        return self._latched is not None and self.now_s >= self._busy_until
 
     def _start_conversion(self, channel: int) -> None:
         if not self.connected:
@@ -208,7 +205,7 @@ class SimulatedPort(PortBackend):
             code += round(self._rng.gauss(0.0, self.adc.noise_sigma_lsb))
             code = min(max(code, 0), adc0808.CODE_MAX)
         self._latched = code
-        self._busy_until = self.now_s + self.latency_s
+        self._busy_until = self._now + self.latency_s
 
 
 def _software_byte_for_wire(wire: int) -> int:
@@ -232,14 +229,18 @@ def acquire_byte(port: PortBackend, channel: int) -> int:
     latency = port.latency_s
     poll_dt = latency / POLLS_PER_CONVERSION
     addr = channel << ADDRESS_SHIFT
+    idle = _software_byte_for_wire(addr)
+    write = port.write_control
 
     # Address first, then the ALE rising edge latches it and starts conversion.
-    port.write_control(_software_byte_for_wire(addr))
+    write(idle)
     t_start = port.now_s
-    port.write_control(_software_byte_for_wire(addr | (1 << START_ALE_BIT)))
-    port.write_control(_software_byte_for_wire(addr))
+    write(_software_byte_for_wire(addr | (1 << START_ALE_BIT)))
+    write(idle)
 
     deadline = t_start + TIMEOUT_CONVERSIONS * latency
+    advance = port.advance_to
+    poll = port.read_status
     polls = 0
     while True:
         polls += 1
@@ -249,11 +250,11 @@ def acquire_byte(port: PortBackend, channel: int) -> int:
                 f"EOC not asserted on channel {channel} within "
                 f"{TIMEOUT_CONVERSIONS} conversion times ({deadline - t_start:.6g} s)"
             )
-        port.advance_to(t_poll)
-        if (port.read_status() >> EOC_BIT) & 1:
+        advance(t_poll)
+        if poll() & EOC_MASK:
             break
 
-    port.write_control(_software_byte_for_wire(addr | (1 << OUTPUT_ENABLE_BIT)))
+    write(_software_byte_for_wire(addr | (1 << OUTPUT_ENABLE_BIT)))
     code = port.read_data()
-    port.write_control(_software_byte_for_wire(addr))
+    write(idle)
     return code

@@ -288,6 +288,27 @@ class TestQueueSink:
         with pytest.raises(InvalidInputError):
             QueueSink(capacity=0)
 
+    def test_a_sink_changes_nothing(self):
+        def config():
+            cfg = constant_run_config(
+                duration_s=5.0, adc=AdcConfig(noise_sigma_lsb=1.5), filter_substeps=4, seed=3
+            )
+            cfg.stimuli[Channel.DRY] = Sine(amplitude_c=4.0, freq_hz=0.1, offset_c=22.0)
+            return cfg
+
+        plain = run_acquisition(config())
+        sink = QueueSink(capacity=10000)
+        watched = run_acquisition(config(), sinks=[sink])
+        assert watched == plain
+        samples = sink.drain()
+        assert [s.seq for s in samples] == list(range(2 * len(plain.rows)))
+        for sample in samples:
+            assert sample.volts == decode_volts(sample.code, 5.0)
+            assert sample.temp_c == decode_temp(sample.code)
+        assert [s.code for s in samples] == [
+            code for row in plain.rows for code in (row.dry_code, row.wet_code)
+        ]
+
 
 class TestConfigValidation:
     def test_bad_rate(self):

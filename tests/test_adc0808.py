@@ -187,3 +187,20 @@ def test_sar_trace_dump(tmp_path):
     assert len(step_lines) == 8
     assert step_lines[0] == "step=0 trial=128 threshold=2.500000 keep=1"
     assert step_lines[1] == "step=1 trial=192 threshold=3.750000 keep=0"
+
+
+def test_sar_trace_dump_text_is_fixed(tmp_path):
+    path = tmp_path / "trace.txt"
+    dump_sar_trace(1.99, 3, 640e3, AdcConfig(), path)
+    assert path.read_bytes() == (
+        b"# v_in=1.99 channel=3 clock_hz=640000.0\n"
+        b"step=0 trial=128 threshold=2.500000 keep=0\n"
+        b"step=1 trial=64 threshold=1.250000 keep=1\n"
+        b"step=2 trial=96 threshold=1.875000 keep=1\n"
+        b"step=3 trial=112 threshold=2.187500 keep=0\n"
+        b"step=4 trial=104 threshold=2.031250 keep=0\n"
+        b"step=5 trial=100 threshold=1.953125 keep=1\n"
+        b"step=6 trial=102 threshold=1.992188 keep=0\n"
+        b"step=7 trial=101 threshold=1.972656 keep=1\n"
+        b"# code=101 latency_s=0.0001\n"
+    )

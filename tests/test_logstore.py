@@ -161,6 +161,31 @@ class TestRead:
         )
         assert len(read_csv(path).rows) == 1
 
+    @pytest.mark.parametrize("brk", ["\u2028", "\x0c"])
+    def test_only_lf_ends_a_line(self, tmp_path, brk):
+        # str.splitlines() also breaks on these, which split a free-form
+        # comment in two and made its second part look like a bad header
+        path = tmp_path / "note.csv"
+        path.write_text(
+            f"# first part{brk}second part\n" + HEADER + "\n0.0,t,102,20.0,92,18.0,,\n"
+            f"0.5,t{brk},102,20.0,92,18.0,,\n0.5,t,102,20.0,92,18.0,,\n",
+            encoding="utf-8",
+            newline="",
+        )
+        with pytest.raises(CsvParseError) as err:
+            read_csv(path)
+        assert err.value.line_no == 5  # LF-separated lines, comment included
+        assert "t_s not increasing" in str(err.value)
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_lf_and_crlf_files_read_alike(self, tmp_path, eol):
+        path = tmp_path / "eol.csv"
+        text = eol.join(["# run_id = x", HEADER, "0.0,t,102,20.0,92,18.0,,", ""])
+        path.write_text(text, encoding="utf-8", newline="")
+        run = read_csv(path)
+        assert run.meta.run_id == "x"
+        assert [row.timestamp for row in run.rows] == ["t"]
+
 
 codes = st.integers(min_value=0, max_value=255)
 temps = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
@@ -201,6 +226,16 @@ def test_round_trip_property(run, tmp_path_factory):
     path = tmp_path_factory.mktemp("rt") / "run.csv"
     write_csv(run, path)
     assert read_csv(path) == run
+
+
+@pytest.mark.parametrize("field", ["dry_code", "wet_code"])
+def test_row_rejects_a_bool_code(field):
+    # bool is an int subclass: True used to be written as "True", which
+    # read_csv then rejected as a bad code
+    fields = dict(t_s=0.0, timestamp="t", dry_code=91, dry_temp_c=19.8, wet_code=91, wet_temp_c=17.9)
+    fields[field] = True
+    with pytest.raises(InvalidInputError, match=field):
+        PsychroRow(**fields)
 
 
 def test_round6_quantization():

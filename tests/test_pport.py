@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paraloq import (
     AdcConfig,
@@ -12,7 +14,9 @@ from paraloq import (
 from paraloq.pport import (
     CONTROL_INVERT_MASK,
     EOC_BIT,
+    EOC_MASK,
     HIGH_Z,
+    START_ALE_BIT,
     read_control,
     read_data,
     read_status,
@@ -175,3 +179,41 @@ class TestHandshakeOrder:
         port.advance_to(1.0)
         with pytest.raises(InvalidInputError):
             port.advance_to(0.5)
+
+
+class TestPortPrimitives:
+    """SimulatedPort's primitives agree with the module's register helpers."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=255),
+                st.floats(min_value=0.0, max_value=300e-6, allow_nan=False),
+            ),
+            max_size=12,
+        ),
+        connected=st.booleans(),
+    )
+    def test_status_is_the_register_helper_view_of_eoc(self, steps, connected):
+        port = SimulatedPort()
+        port.set_input(0, 2.5)
+        port.connected = connected
+        ale = 1 << START_ALE_BIT  # on the wire
+        started_at = None
+        for control, dt in steps:
+            prev_ale = port.regs.control & ale
+            port.write_control(control)
+            if connected and port.regs.control & ale and not prev_ale:
+                started_at = port.now_s
+            port.advance_to(port.now_s + dt)
+            done = started_at is not None and port.now_s >= started_at + port.latency_s
+            assert port.read_status() == read_status(
+                PortRegisters(status=EOC_MASK if done else 0)
+            )
+
+    @pytest.mark.parametrize("value", [256, -1])
+    def test_port_rejects_a_control_value_that_is_not_a_byte(self, value):
+        port = SimulatedPort()
+        with pytest.raises(InvalidInputError):
+            port.write_control(value)
