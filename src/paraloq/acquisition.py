@@ -253,7 +253,7 @@ class QueueSink:
 
 
 def build_port(cfg: RunConfig) -> SimulatedPort:
-    """Simulated backend for a run: ADC + clock + noise RNG."""
+    """Simulated port for a run: ADC + clock + noise RNG."""
     return SimulatedPort(
         adc=cfg.adc,
         clock_hz=clock_frequency(cfg.clock),
@@ -335,7 +335,8 @@ def run_acquisition(cfg: RunConfig, sinks=(), port: SimulatedPort | None = None)
     stamped with the tick time. Sinks are called synchronously with each
     Sample; Samples are built only when there are sinks, and rows never
     depend on them. A rate at which one tick cannot hold a conversion per
-    channel raises InvalidInputError before the first tick. A device timeout
+    channel, or a run whose last tick falls after the last representable
+    date, raises InvalidInputError before the first tick. A device timeout
     aborts the run and raises RunAbortedError carrying the partial RunLog.
     """
     cfg.warn_if_undersampled()
@@ -346,9 +347,15 @@ def run_acquisition(cfg: RunConfig, sinks=(), port: SimulatedPort | None = None)
             f"{len(cfg.channels)} conversions of {port.latency_s * 1e6:g} us do not fit "
             f"in one {1e6 / cfg.sample_rate_hz:g} us tick at {cfg.sample_rate_hz:g} S/s"
         )
-    start_dt = cfg.start_time or datetime.now()
-    meta = _derive_meta(cfg, start_dt)
     rate = cfg.sample_rate_hz
+    start_dt = cfg.start_time or datetime.now()
+    try:
+        start_dt + timedelta(seconds=(cfg.tick_count() - 1) / rate)  # the last tick's stamp
+    except OverflowError:
+        raise InvalidInputError(
+            f"a {cfg.duration_s:g} s run from {start_dt.isoformat()} ends past {datetime.max}"
+        ) from None
+    meta = _derive_meta(cfg, start_dt)
     vref = cfg.adc.vref
     dry_mux, wet_mux = Channel.DRY.value, Channel.WET.value
     lanes = []  # (channel, mux input, voltage at tick time)

@@ -51,7 +51,7 @@ class AdcConfig:
     unadjusted_error_lsb is the device's total error bound (1/2 LSB for the
     0808, 1 LSB for the 0809); it is a verification budget, not injected
     into conversions. noise_sigma_lsb > 0 adds Gaussian code noise in the
-    simulated backend only, off by default for reproducibility.
+    simulated port only, off by default for reproducibility.
     """
 
     vref: float = 5.0
@@ -81,31 +81,24 @@ class AdcConfig:
 
 @dataclass(frozen=True)
 class AdcCode:
-    """One conversion result with its bit-decision trace and timing."""
+    """One conversion result and its timing."""
 
     code: int
-    sar_trace: tuple
     latency_s: float
     channel: int = 0
 
     def __post_init__(self):
         if not (0 <= self.code <= CODE_MAX):
             raise InvalidInputError(f"code must be 0..{CODE_MAX}, got {self.code}")
-        if len(self.sar_trace) != BITS:
-            raise InvalidInputError(
-                f"sar_trace must have {BITS} decisions, got {len(self.sar_trace)}"
-            )
-        traced = 0
-        for bit in self.sar_trace:
-            traced = (traced << 1) | (1 if bit else 0)
-        if traced != self.code:
-            raise InvalidInputError(
-                f"sar_trace {self.sar_trace} encodes {traced}, not code {self.code}"
-            )
         if not (self.latency_s > 0):
             raise InvalidInputError(f"latency_s must be > 0, got {self.latency_s}")
         if not (0 <= self.channel <= 7):
             raise InvalidInputError(f"channel must be 0..7, got {self.channel}")
+
+    @property
+    def sar_trace(self) -> tuple:
+        """The SAR's per-bit keep decisions, MSB first: the bits of the code."""
+        return tuple(1 if self.code & bit else 0 for bit in _BIT_WEIGHTS)
 
 
 def clock_in_window(freq_hz: float) -> bool:
@@ -146,8 +139,8 @@ def sar_convert(
     """Run the 8-step successive-approximation loop.
 
     Each step sets the next bit in a trial code and keeps it iff the input
-    is at or above the trial threshold (trial * vref / 256). The result is
-    identical to quantize(); the trace records the per-bit decisions.
+    is at or above the trial threshold (trial * vref / 256), so the kept
+    bits are the code's bits. The result is identical to quantize().
     Latency is conversion_cycles / clock_hz (100 us at 640 kHz).
     """
     if not math.isfinite(v_in):
@@ -160,20 +153,11 @@ def sar_convert(
         )
     vref = cfg.vref
     code = 0
-    trace = []
     for bit in _BIT_WEIGHTS:
         trial = code | bit
         if v_in >= trial * vref / 256.0:
             code = trial
-            trace.append(1)
-        else:
-            trace.append(0)
-    return AdcCode(
-        code=code,
-        sar_trace=tuple(trace),
-        latency_s=cfg.conversion_cycles / clock_hz,
-        channel=channel,
-    )
+    return AdcCode(code=code, latency_s=cfg.conversion_cycles / clock_hz, channel=channel)
 
 
 def dump_sar_trace(v_in: float, channel: int, clock_hz: float, cfg: AdcConfig, path) -> AdcCode:

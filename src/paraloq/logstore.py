@@ -36,6 +36,13 @@ def round6(x: float) -> float:
     return round(x, 6)
 
 
+def _finite6(name: str, value) -> float:
+    """round6 of a value that must be a finite number (not None, nan or inf)."""
+    if value is None or not math.isfinite(value):
+        raise InvalidInputError(f"{name} must be finite, got {value!r}")
+    return round(value, 6)
+
+
 def fingerprint(text: str) -> str:
     """Short stable hash used to tag a run with its configuration."""
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
@@ -52,7 +59,8 @@ class RunMeta:
     config_fingerprint: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "sample_rate_hz", round6(self.sample_rate_hz))
+        rate = _finite6("sample_rate_hz", self.sample_rate_hz)
+        object.__setattr__(self, "sample_rate_hz", rate)
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,7 +68,9 @@ class PsychroRow:
     """One logged tick: both channel readings plus derived humidity.
 
     rh_pct / dew_point_c are None when the psychrometric computation
-    errored for that tick (they serialize as empty fields).
+    errored for that tick (they serialize as empty fields). A value the
+    file cannot carry back (None or non-finite t_s or temperature, a
+    non-finite dew point, RH outside 0..100) raises InvalidInputError.
     """
 
     t_s: float
@@ -77,16 +87,16 @@ class PsychroRow:
             # bool is an int subclass, but True is not a code the file can carry
             if type(code) is not int or not (0 <= code <= 255):
                 raise InvalidInputError(f"{name} must be an integer 0..255, got {code}")
-        if not math.isfinite(self.t_s):
-            raise InvalidInputError(f"t_s must be finite, got {self.t_s}")
-        # round(x, 6) is round6 inlined: one call per field on every row built
-        object.__setattr__(self, "t_s", round(self.t_s, 6))
-        object.__setattr__(self, "dry_temp_c", round(self.dry_temp_c, 6))
-        object.__setattr__(self, "wet_temp_c", round(self.wet_temp_c, 6))
+        object.__setattr__(self, "t_s", _finite6("t_s", self.t_s))
+        object.__setattr__(self, "dry_temp_c", _finite6("dry_temp_c", self.dry_temp_c))
+        object.__setattr__(self, "wet_temp_c", _finite6("wet_temp_c", self.wet_temp_c))
         if self.rh_pct is not None:
+            # the comparison also fails for nan
+            if not (0.0 <= self.rh_pct <= 100.0):
+                raise InvalidInputError(f"rh_pct must be finite and 0..100, got {self.rh_pct!r}")
             object.__setattr__(self, "rh_pct", round(self.rh_pct, 6))
         if self.dew_point_c is not None:
-            object.__setattr__(self, "dew_point_c", round(self.dew_point_c, 6))
+            object.__setattr__(self, "dew_point_c", _finite6("dew_point_c", self.dew_point_c))
 
 
 @dataclass
@@ -171,24 +181,19 @@ def write_csv(run: RunLog, path) -> None:
             writer.write_row(row)
 
 
+# The parse helpers only convert text; PsychroRow and RunMeta check the values.
 def _parse_float(text: str, line_no: int, name: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise CsvParseError(line_no, f"bad {name} value {text!r}") from None
-    if not math.isfinite(value):
-        raise CsvParseError(line_no, f"{name} must be finite, got {text!r}")
-    return value
 
 
 def _parse_code(text: str, line_no: int, name: str) -> int:
     try:
-        code = int(text)
+        return int(text)
     except ValueError:
         raise CsvParseError(line_no, f"bad {name} value {text!r}") from None
-    if not (0 <= code <= 255):
-        raise CsvParseError(line_no, f"{name} out of range 0..255: {code}")
-    return code
 
 
 def _parse_optional(text: str, line_no: int, name: str) -> float | None:
@@ -222,10 +227,12 @@ def read_csv(path) -> RunLog:
     """Read a file produced by write_csv (exact inverse).
 
     Metadata lines may be absent (hand-written files); data rows are
-    validated for column count, types, finite floats, code range, and
-    strictly increasing t_s. Lines end in LF or CRLF. Errors carry the
-    offending 1-based line number, counting LF-separated lines; a file that
-    cannot be read is a CsvParseError at line 0.
+    validated for column count, types and strictly increasing t_s, and a
+    value PsychroRow or RunMeta rejects (non-finite floats, codes outside
+    0..255, RH outside 0..100) is a CsvParseError too. Lines end in LF or
+    CRLF. Errors carry the offending 1-based line number, counting
+    LF-separated lines; a file that cannot be read is a CsvParseError at
+    line 0.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -256,16 +263,19 @@ def read_csv(path) -> RunLog:
         fields = line.split(",")
         if len(fields) != 8:
             raise CsvParseError(line_no, f"expected 8 columns, found {len(fields)}")
-        row = PsychroRow(
-            t_s=_parse_float(fields[0], line_no, "t_s"),
-            timestamp=fields[1],
-            dry_code=_parse_code(fields[2], line_no, "dry_code"),
-            dry_temp_c=_parse_float(fields[3], line_no, "dry_temp_c"),
-            wet_code=_parse_code(fields[4], line_no, "wet_code"),
-            wet_temp_c=_parse_float(fields[5], line_no, "wet_temp_c"),
-            rh_pct=_parse_optional(fields[6], line_no, "rh_pct"),
-            dew_point_c=_parse_optional(fields[7], line_no, "dew_point_c"),
-        )
+        try:
+            row = PsychroRow(
+                t_s=_parse_float(fields[0], line_no, "t_s"),
+                timestamp=fields[1],
+                dry_code=_parse_code(fields[2], line_no, "dry_code"),
+                dry_temp_c=_parse_float(fields[3], line_no, "dry_temp_c"),
+                wet_code=_parse_code(fields[4], line_no, "wet_code"),
+                wet_temp_c=_parse_float(fields[5], line_no, "wet_temp_c"),
+                rh_pct=_parse_optional(fields[6], line_no, "rh_pct"),
+                dew_point_c=_parse_optional(fields[7], line_no, "dew_point_c"),
+            )
+        except InvalidInputError as exc:
+            raise CsvParseError(line_no, str(exc)) from None
         if last_t is not None and row.t_s <= last_t:
             raise CsvParseError(line_no, f"t_s not increasing: {row.t_s} after {last_t}")
         last_t = row.t_s
@@ -273,13 +283,16 @@ def read_csv(path) -> RunLog:
     if not header_seen:
         raise CsvParseError(max(meta_line_no, 1), "missing header line")
 
-    meta = RunMeta(
-        run_id=meta_values.get("run_id", ""),
-        start=meta_values.get("start", ""),
-        sample_rate_hz=_parse_float(
-            meta_values.get("sample_rate_hz", "0"), meta_line_no, "sample_rate_hz"
-        ),
-        channels=_parse_channels(meta_values.get("channels", ""), meta_line_no),
-        config_fingerprint=meta_values.get("config", ""),
-    )
+    try:
+        meta = RunMeta(
+            run_id=meta_values.get("run_id", ""),
+            start=meta_values.get("start", ""),
+            sample_rate_hz=_parse_float(
+                meta_values.get("sample_rate_hz", "0"), meta_line_no, "sample_rate_hz"
+            ),
+            channels=_parse_channels(meta_values.get("channels", ""), meta_line_no),
+            config_fingerprint=meta_values.get("config", ""),
+        )
+    except InvalidInputError as exc:
+        raise CsvParseError(meta_line_no, str(exc)) from None
     return RunLog(meta=meta, rows=rows)

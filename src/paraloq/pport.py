@@ -11,11 +11,9 @@ software register and the connector pins:
 read/write helpers translate between software bytes and wire levels, so
 applying a helper twice cancels the inversion.
 
-Backends expose exactly three primitives in software-byte space --
+``SimulatedPort`` exposes three primitives in software-byte space --
 read_data, read_status, write_control -- which is all the polled handshake
-needs. ``SimulatedPort`` implements them over an ADC0808 model with its
-own simulated clock; a real-hardware backend would implement them with
-port I/O instead.
+needs, over an ADC0808 model with its own simulated clock.
 
 Handshake wiring is fixed, as on the logger: control bit C0
 (``START_ALE_BIT``) drives START+ALE, C1 (``OUTPUT_ENABLE_BIT``) drives
@@ -28,7 +26,6 @@ undriven bus reads as the high-impedance sentinel 0xFF.
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from random import Random
 
@@ -47,6 +44,8 @@ START_ALE_BIT = 0  # control bit: START+ALE pulse
 OUTPUT_ENABLE_BIT = 1  # control bit: OUTPUT ENABLE level
 EOC_BIT = 3  # status bit: END OF CONVERSION
 EOC_MASK = 1 << EOC_BIT
+_ALE_MASK = 1 << START_ALE_BIT
+_OE_MASK = 1 << OUTPUT_ENABLE_BIT
 
 POLLS_PER_CONVERSION = 16  # EOC polls spread over one conversion time
 TIMEOUT_CONVERSIONS = 10  # conversion times to wait for EOC before giving up
@@ -90,43 +89,15 @@ def read_data(regs: PortRegisters) -> int:
     return regs.data
 
 
-class PortBackend(ABC):
-    """The three primitives any port backend must provide (software bytes),
-    plus the time source the polled handshake paces itself against.
-
-    A backend owns its clock: the simulated one counts in pure simulated
-    seconds, a real-hardware one would report wall time and sleep.
-    """
-
-    @abstractmethod
-    def read_data(self) -> int: ...
-
-    @abstractmethod
-    def read_status(self) -> int: ...
-
-    @abstractmethod
-    def write_control(self, value: int) -> None: ...
-
-    @property
-    @abstractmethod
-    def now_s(self) -> float: ...
-
-    @property
-    @abstractmethod
-    def latency_s(self) -> float: ...
-
-    @abstractmethod
-    def advance_to(self, t_s: float) -> None: ...
-
-
-class SimulatedPort(PortBackend):
-    """Port backend wired to the ADC0808 model.
+class SimulatedPort:
+    """The D25 port wired to the ADC0808 model.
 
     Owns the simulated clock (``now_s``): nothing here touches wall time,
     so handshake tests are deterministic. Analog channel inputs are plain
     settable levels (``set_input``); the converter samples the level at the
     ALE edge, which also gives the sample-and-hold behavior SAR conversion
-    requires.
+    requires. The START+ALE and OUTPUT ENABLE levels are the wire bits of
+    ``regs.control``; no other copy of them is kept.
 
     Single-owner object: not safe for concurrent mutation.
     """
@@ -144,8 +115,6 @@ class SimulatedPort(PortBackend):
         self._now = 0.0
         self._inputs = {ch: 0.0 for ch in range(8)}
         self._rng = rng or Random(0)
-        self._prev_ale = 0
-        self._oe = 0
         self._busy_until = math.inf  # no conversion started yet: EOC stays low
         self._latched: int | None = None  # output latch: the last code
 
@@ -173,15 +142,13 @@ class SimulatedPort(PortBackend):
     def latency_s(self) -> float:
         return self.adc.conversion_cycles / self.clock_hz
 
-    # -- backend primitives --------------------------------------------
+    # -- port primitives -----------------------------------------------
 
     def write_control(self, value: int) -> None:
+        prev = self.regs.control
         wire = write_control(self.regs, value).control
-        ale = (wire >> START_ALE_BIT) & 1
-        self._oe = (wire >> OUTPUT_ENABLE_BIT) & 1
-        if ale and not self._prev_ale:
+        if wire & _ALE_MASK and not prev & _ALE_MASK:
             self._start_conversion((wire >> ADDRESS_SHIFT) & 0x07)
-        self._prev_ale = ale
 
     def read_status(self) -> int:
         done = self.connected and self._now >= self._busy_until
@@ -189,7 +156,8 @@ class SimulatedPort(PortBackend):
         return read_status(self.regs)
 
     def read_data(self) -> int:
-        drives_bus = self.connected and self._oe and self._now >= self._busy_until
+        oe = self.regs.control & _OE_MASK
+        drives_bus = self.connected and oe and self._now >= self._busy_until
         self.regs.data = self._latched if drives_bus else HIGH_Z
         return read_data(self.regs)
 
@@ -213,7 +181,7 @@ def _software_byte_for_wire(wire: int) -> int:
     return wire ^ CONTROL_INVERT_MASK
 
 
-def acquire_byte(port: PortBackend, channel: int) -> int:
+def acquire_byte(port: SimulatedPort, channel: int) -> int:
     """Run one conversion handshake and return the byte read (the code).
 
     Sequence: drive the channel address, pulse START+ALE (``START_ALE_BIT``),
@@ -235,7 +203,7 @@ def acquire_byte(port: PortBackend, channel: int) -> int:
     # Address first, then the ALE rising edge latches it and starts conversion.
     write(idle)
     t_start = port.now_s
-    write(_software_byte_for_wire(addr | (1 << START_ALE_BIT)))
+    write(_software_byte_for_wire(addr | _ALE_MASK))
     write(idle)
 
     deadline = t_start + TIMEOUT_CONVERSIONS * latency
@@ -254,7 +222,7 @@ def acquire_byte(port: PortBackend, channel: int) -> int:
         if poll() & EOC_MASK:
             break
 
-    write(_software_byte_for_wire(addr | (1 << OUTPUT_ENABLE_BIT)))
+    write(_software_byte_for_wire(addr | _OE_MASK))
     code = port.read_data()
     write(idle)
     return code

@@ -22,6 +22,7 @@ from paraloq import (
     ClockRangeError,
     ClockWindowWarning,
     DeviceTimeoutError,
+    InvalidInputError,
     QueueSink,
     SimulatedPort,
     Sine,
@@ -289,6 +290,24 @@ def test_criterion_10_decode_within_one_lsb_for_every_aligned_chain(vref, temp):
     chain = ChainConfig(sensor_slope=vref / (10.0 * 50.0), clamp_volts=vref, vref=vref)
     code = quantize(chain_voltage(temp, chain), AdcConfig(vref=vref))
     assert abs(decode_temp(code) - temp) <= LSB_C + 1e-12
+
+
+maybe_floats = st.one_of(st.none(), st.floats())
+
+
+@settings(max_examples=300, deadline=None)
+@given(t_s=maybe_floats, dry=maybe_floats, wet=maybe_floats, rh=maybe_floats, dew=maybe_floats)
+def test_criterion_10_every_row_that_builds_round_trips(t_s, dry, wet, rh, dew, tmp_path_factory):
+    # no impossible value gets into a log: a row either refuses the value or
+    # survives write_csv/read_csv unchanged
+    try:
+        row = PsychroRow(t_s, "2026-08-10T12:00:00.000", 102, dry, 92, wet, rh, dew)
+    except InvalidInputError:
+        return
+    run = RunLog(meta=RunMeta(sample_rate_hz=2.0, channels={"dry": 0, "wet": 1}), rows=[row])
+    path = tmp_path_factory.mktemp("row") / "row.csv"
+    write_csv(run, path)
+    assert read_csv(path) == run
 
 
 @settings(max_examples=50, deadline=None)

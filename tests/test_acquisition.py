@@ -65,6 +65,15 @@ class TestSchedule:
         run = run_acquisition(cfg)
         assert len(run.rows) == math.floor(duration * rate) + 1
 
+    def test_timestamp_is_truncated_to_milliseconds_and_t_s_is_the_key(self):
+        # at 4,000 S/s four consecutive ticks share one millisecond stamp
+        run = run_acquisition(constant_run_config(duration_s=0.002, sample_rate_hz=4000.0))
+        assert [row.t_s for row in run.rows[:4]] == [0.0, 0.00025, 0.0005, 0.00075]
+        assert {row.timestamp for row in run.rows[:4]} == {"2026-08-10T12:00:00.000"}
+        assert run.rows[4].timestamp == "2026-08-10T12:00:00.001"
+        t_s = [row.t_s for row in run.rows]
+        assert t_s == sorted(set(t_s))
+
     def test_all_channel_samples_share_the_tick_timestamp(self):
         sink = QueueSink()
         run_acquisition(constant_run_config(duration_s=1.0), sinks=[sink])

@@ -160,11 +160,15 @@ def test_end_to_end_round_trip_within_one_lsb():
         temp += 0.01
 
 
-def test_adc_code_requires_consistent_trace():
+def test_sar_trace_is_the_code_bits_for_every_code():
+    # each code's lower step edge converts to that code, and the keep/drop
+    # decisions read back as its bits, MSB first
+    for code in range(256):
+        result = sar_convert(code * 5.0 / 256.0, 0, 640e3)
+        assert result.code == code
+        assert result.sar_trace == tuple(int(b) for b in format(code, "08b"))
     with pytest.raises(InvalidInputError):
-        AdcCode(code=128, sar_trace=(0, 0, 0, 0, 0, 0, 0, 0), latency_s=1e-4)
-    with pytest.raises(InvalidInputError):
-        AdcCode(code=1, sar_trace=(0, 0, 0, 1), latency_s=1e-4)
+        AdcCode(code=256, latency_s=1e-4)
 
 
 def test_adc_config_validation():

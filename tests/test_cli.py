@@ -58,6 +58,21 @@ class TestSimulate:
         assert "--rate" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()  # validate before create
 
+    def test_run_past_the_calendar_exits_2(self, tmp_path, capsys):
+        # the last tick, 10 s after the start, would fall after 9999-12-31
+        out = tmp_path / "x.csv"
+        code = main(
+            [
+                "simulate",
+                "--duration", "10",
+                "--start-time", "9999-12-31T23:59:55",
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_rate_exits_2(self, tmp_path, capsys):
         for flag, other in (("--rate", "--duration"), ("--duration", "--rate")):
             code = main(["simulate", flag, "inf", other, "1", "--out", str(tmp_path / "x.csv")])

@@ -137,6 +137,23 @@ class TestRead:
         with pytest.raises(CsvParseError):
             read_csv(path)
 
+    def test_out_of_range_humidity_names_the_line(self, tmp_path):
+        path = tmp_path / "rh.csv"
+        path.write_text(
+            HEADER + "\n0.0,t,102,20.0,92,18.0,80.0,16.0\n0.5,t,102,20.0,92,18.0,150.0,16.0\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(CsvParseError, match="rh_pct") as err:
+            read_csv(path)
+        assert err.value.line_no == 3
+
+    def test_non_finite_sample_rate_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "rate.csv"
+        path.write_text("# sample_rate_hz = nan\n" + HEADER + "\n", encoding="utf-8")
+        with pytest.raises(CsvParseError, match="sample_rate_hz must be finite") as err:
+            read_csv(path)
+        assert err.value.line_no == 1
+
     def test_non_increasing_time_rejected(self, tmp_path):
         path = tmp_path / "time.csv"
         path.write_text(
@@ -234,6 +251,26 @@ def test_row_rejects_a_bool_code(field):
     # read_csv then rejected as a bad code
     fields = dict(t_s=0.0, timestamp="t", dry_code=91, dry_temp_c=19.8, wet_code=91, wet_temp_c=17.9)
     fields[field] = True
+    with pytest.raises(InvalidInputError, match=field):
+        PsychroRow(**fields)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("t_s", None),
+        ("dry_temp_c", None),
+        ("wet_temp_c", float("nan")),
+        ("dry_temp_c", float("-inf")),
+        ("rh_pct", float("inf")),
+        ("rh_pct", 150.0),
+        ("rh_pct", -0.5),
+        ("dew_point_c", float("nan")),
+    ],
+)
+def test_row_rejects_an_impossible_value(field, value):
+    fields = dict(t_s=0.0, timestamp="t", dry_code=91, dry_temp_c=19.8, wet_code=91, wet_temp_c=17.9)
+    fields[field] = value
     with pytest.raises(InvalidInputError, match=field):
         PsychroRow(**fields)
 
