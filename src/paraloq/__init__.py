@@ -60,6 +60,7 @@ from .signal_chain import (
     amplify_and_clamp,
     chain_voltage,
     is_undersampled,
+    lowpass_alpha,
     lowpass_step,
     sensor_voltage,
 )

@@ -32,7 +32,7 @@ from .errors import (
     UndersamplingWarning,
 )
 from .pport import SimulatedPort, acquire_byte
-from .signal_chain import ChainConfig, chain_voltage, lowpass_step
+from .signal_chain import ChainConfig, chain_voltage, lowpass_alpha, lowpass_step
 
 
 class Channel(Enum):
@@ -285,6 +285,7 @@ class _FilteredChain:
         if substeps:
             self.t_prev = 0.0
             self.dt_sub = 1.0 / (rate_hz * substeps)
+            self.alpha = lowpass_alpha(self.dt_sub, chain)
             # circuit assumed settled at power-on
             self.state = chain_voltage(stimulus.temp_at(0.0), chain)
 
@@ -292,11 +293,12 @@ class _FilteredChain:
         if not self.substeps:
             return chain_voltage(self.stimulus.temp_at(t), self.chain)
         if t > self.t_prev:  # tick 0 reads the settled state
+            temp_at, chain, alpha = self.stimulus.temp_at, self.chain, self.alpha
+            t_prev, dt_sub, state = self.t_prev, self.dt_sub, self.state
             for j in range(1, self.substeps + 1):
-                x = chain_voltage(
-                    self.stimulus.temp_at(self.t_prev + j * self.dt_sub), self.chain
-                )
-                self.state = lowpass_step(self.state, x, self.dt_sub, self.chain)
+                x = chain_voltage(temp_at(t_prev + j * dt_sub), chain)
+                state = lowpass_step(state, x, alpha)
+            self.state = state
             self.t_prev = t
         return self.state
 

@@ -29,6 +29,9 @@ from .errors import CsvParseError, InvalidInputError, StorageError
 
 HEADER = "t_s,timestamp,dry_code,dry_temp_c,wet_code,wet_temp_c,rh_pct,dew_point_c"
 _META_KEYS = ("run_id", "start", "sample_rate_hz", "channels", "config")
+_NUMERIC_COLUMNS = tuple(
+    (i, name) for i, name in enumerate(HEADER.split(",")) if name != "timestamp"
+)
 
 
 def round6(x: float) -> float:
@@ -181,6 +184,27 @@ def write_csv(run: RunLog, path) -> None:
             writer.write_row(row)
 
 
+def _has_literal_marks(text: str) -> bool:
+    """True if text holds a non-ASCII character or an ASCII mark other than CR
+    that float()/int() take in a number: '_' or whitespace."""
+    return (
+        not text.isascii()
+        or " " in text
+        or "_" in text
+        or "\t" in text
+        or "\x0b" in text
+        or "\x0c" in text
+    )
+
+
+def _require_plain(text: str, line_no: int, name: str) -> None:
+    """Reject a number float()/int() take but write_csv never writes: one
+    holding '_', whitespace or a non-ASCII character (a digit such as U+0669
+    included). A file holding one would not rewrite byte for byte."""
+    if _has_literal_marks(text) or "\r" in text:
+        raise CsvParseError(line_no, f"bad {name} value {text!r}")
+
+
 # The parse helpers only convert text; PsychroRow and RunMeta check the values.
 def _parse_float(text: str, line_no: int, name: str) -> float:
     try:
@@ -216,6 +240,7 @@ def _parse_channels(text: str, line_no: int) -> dict:
         name, sep, idx = part.partition("=")
         if not sep:
             raise CsvParseError(line_no, f"bad channels entry {part!r}")
+        _require_plain(idx, line_no, "channel index")
         try:
             channels[name] = int(idx)
         except ValueError:
@@ -229,7 +254,8 @@ def read_csv(path) -> RunLog:
     Metadata lines may be absent (hand-written files); data rows are
     validated for column count, types and strictly increasing t_s, and a
     value PsychroRow or RunMeta rejects (non-finite floats, codes outside
-    0..255, RH outside 0..100) is a CsvParseError too. Lines end in LF or
+    0..255, RH outside 0..100) is a CsvParseError too, as is a number
+    holding '_', whitespace or a non-ASCII character. Lines end in LF or
     CRLF. Errors carry the offending 1-based line number, counting
     LF-separated lines; a file that cannot be read is a CsvParseError at
     line 0.
@@ -240,6 +266,10 @@ def read_csv(path) -> RunLog:
     except OSError as exc:
         raise CsvParseError(0, f"cannot read input: {path}: {exc}") from exc
 
+    # One scan of what follows the header clears a file write_csv wrote;
+    # otherwise every row gets the per-field check. A CR is looked for per row,
+    # after the line end is stripped, since a CRLF file holds one on each line.
+    literal_rows = _has_literal_marks(text.partition(HEADER)[2])
     meta_values: dict = {}
     meta_line_no = 0
     rows: list = []
@@ -263,6 +293,9 @@ def read_csv(path) -> RunLog:
         fields = line.split(",")
         if len(fields) != 8:
             raise CsvParseError(line_no, f"expected 8 columns, found {len(fields)}")
+        if literal_rows or "\r" in line:
+            for i, name in _NUMERIC_COLUMNS:
+                _require_plain(fields[i], line_no, name)
         try:
             row = PsychroRow(
                 t_s=_parse_float(fields[0], line_no, "t_s"),
@@ -283,13 +316,13 @@ def read_csv(path) -> RunLog:
     if not header_seen:
         raise CsvParseError(max(meta_line_no, 1), "missing header line")
 
+    rate_text = meta_values.get("sample_rate_hz", "0")
+    _require_plain(rate_text, meta_line_no, "sample_rate_hz")
     try:
         meta = RunMeta(
             run_id=meta_values.get("run_id", ""),
             start=meta_values.get("start", ""),
-            sample_rate_hz=_parse_float(
-                meta_values.get("sample_rate_hz", "0"), meta_line_no, "sample_rate_hz"
-            ),
+            sample_rate_hz=_parse_float(rate_text, meta_line_no, "sample_rate_hz"),
             channels=_parse_channels(meta_values.get("channels", ""), meta_line_no),
             config_fingerprint=meta_values.get("config", ""),
         )

@@ -4,7 +4,8 @@ The chain mirrors the acquisition hardware stage by stage:
 temperature -> sensor millivolts -> amplified volts -> zener-clamped volts
 -> first-order low-passed volts presented to the ADC input.
 
-All functions are pure; filter state is owned by the caller.
+All functions are pure; filter state is owned by the caller. The filter's
+alpha is computed once per run by lowpass_alpha, and lowpass_step takes it.
 """
 
 from __future__ import annotations
@@ -93,18 +94,24 @@ def chain_voltage(temp_c: float, cfg: ChainConfig = ChainConfig()) -> float:
     return amplify_and_clamp(sensor_voltage(temp_c, cfg), cfg)
 
 
-def lowpass_step(state: float, x: float, dt: float, cfg: ChainConfig = ChainConfig()) -> float:
+def lowpass_alpha(dt: float, cfg: ChainConfig = ChainConfig()) -> float:
+    """Smoothing factor of the first-order filter for a step of dt seconds.
+
+    alpha = dt / (dt + RC), RC = 1 / (2 pi f_c). Fixed for a run, so the
+    caller computes it once and passes it to every lowpass_step.
+    """
+    if not (0 < dt < math.inf):
+        raise InvalidInputError(f"dt must be finite and > 0, got {dt}")
+    rc = 1.0 / (2.0 * math.pi * cfg.filter_cutoff_hz)
+    return dt / (dt + rc)
+
+
+def lowpass_step(state: float, x: float, alpha: float) -> float:
     """Advance the first-order anti-alias filter by one time step.
 
-    state' = state + alpha * (x - state) with alpha = dt / (dt + RC),
-    RC = 1 / (2 pi f_c). Returns the new state; the caller keeps it.
+    state' = state + alpha * (x - state), alpha from lowpass_alpha, which
+    validates it once per run. Returns the new state; the caller keeps it.
     """
-    if not (dt > 0):
-        raise InvalidInputError(f"dt must be > 0, got {dt}")
-    _require_finite("x", x)
-    _require_finite("state", state)
-    rc = 1.0 / (2.0 * math.pi * cfg.filter_cutoff_hz)
-    alpha = dt / (dt + rc)
     return state + alpha * (x - state)
 
 

@@ -22,6 +22,7 @@ from paraloq import (
     Sine,
     UndersamplingWarning,
     build_port,
+    chain_voltage,
     decode_temp,
     decode_volts,
     humidity_summary,
@@ -280,6 +281,74 @@ class TestFilterPath:
 
         # a 0.9 Hz sine through the 0.5 Hz front-end filter loses amplitude
         assert peak_to_peak(32) < 0.75 * peak_to_peak(0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cutoffs=st.tuples(*[st.floats(min_value=1e-3, max_value=1e3)] * 2),
+        clamp=st.floats(min_value=0.5, max_value=5.0),
+        substeps=st.integers(min_value=1, max_value=64),
+        rate=st.floats(min_value=0.1, max_value=1000.0),
+        ticks=st.integers(min_value=1, max_value=40),
+        sines=st.tuples(
+            *[
+                st.tuples(
+                    st.floats(min_value=0.0, max_value=60.0),
+                    st.floats(min_value=0.0, max_value=0.5),  # times the rate
+                    st.floats(min_value=-20.0, max_value=80.0),
+                )
+            ]
+            * 2
+        ),
+    )
+    def test_lanes_match_a_per_step_alpha_reference(
+        self, cutoffs, clamp, substeps, rate, ticks, sines
+    ):
+        # the run computes alpha once per lane; the reference recomputes RC and
+        # alpha every substep, as the filter did before, at the same substep times
+        chains = {
+            ch: ChainConfig(filter_cutoff_hz=fc, clamp_volts=clamp)
+            for ch, fc in zip(Channel, cutoffs)
+        }
+        stimuli = {
+            ch: Sine(amplitude_c=amp, freq_hz=f * rate, offset_c=off)
+            for ch, (amp, f, off) in zip(Channel, sines)
+        }
+        cfg = constant_run_config(
+            duration_s=(ticks - 1) / rate,
+            sample_rate_hz=rate,
+            chains=chains,
+            stimuli=stimuli,
+            filter_substeps=substeps,
+        )
+        port = build_port(cfg)
+        seen = {ch.value: [] for ch in Channel}
+        set_input = port.set_input
+
+        def recording_set_input(mux, volts):
+            seen[mux].append(volts)
+            set_input(mux, volts)
+
+        port.set_input = recording_set_input
+        run_acquisition(cfg, port=port)
+
+        for ch in Channel:
+            chain, stimulus = chains[ch], stimuli[ch]
+            dt = 1.0 / (rate * substeps)
+            state = chain_voltage(stimulus.temp_at(0.0), chain)
+            t_prev = 0.0
+            expected = []
+            for k in range(cfg.tick_count()):
+                t = k / rate
+                if t > t_prev:
+                    for j in range(1, substeps + 1):
+                        x = chain_voltage(stimulus.temp_at(t_prev + j * dt), chain)
+                        rc = 1.0 / (2.0 * math.pi * chain.filter_cutoff_hz)
+                        alpha = dt / (dt + rc)
+                        state = state + alpha * (x - state)
+                        assert math.isfinite(state) and 0.0 <= state <= clamp
+                    t_prev = t
+                expected.append(state)
+            assert seen[ch.value] == expected
 
 
 class TestQueueSink:

@@ -137,6 +137,39 @@ class TestRead:
         with pytest.raises(CsvParseError):
             read_csv(path)
 
+    @pytest.mark.parametrize(
+        "row,field",
+        [
+            ("0.5,t,1_0,20.0,92,18.0,,", "dry_code"),
+            ("0.5,t,102,2_0.5,92,18.0,,", "dry_temp_c"),
+            ("0.5,t,102,20.0,92, 18.0,,", "wet_temp_c"),
+            ("0.5,t,102,20.0,92,18.0\t,,", "wet_temp_c"),
+            ("0.5,t,102,20.0,92,18.0\r,,", "wet_temp_c"),
+            ("0.5,t,102,20.0,92,18.0,50.0,\x0c12.0", "dew_point_c"),
+            ("0.5,t,102,20.0,\u0669\u0662,18.0,,", "wet_code"),
+            ("0.5,t,102,20.0,92,18.0,50.0,12.0\u00a0", "dew_point_c"),
+        ],
+    )
+    def test_python_literal_syntax_in_a_number_rejected(self, tmp_path, row, field):
+        # float() and int() take '_' separators, surrounding whitespace and
+        # non-ASCII digits; write_csv never writes them, so a rewrite would differ
+        path = tmp_path / "literal.csv"
+        path.write_text(HEADER + "\n0.0,t,102,20.0,92,18.0,,\n" + row + "\n", encoding="utf-8")
+        with pytest.raises(CsvParseError, match=field) as err:
+            read_csv(path)
+        assert err.value.line_no == 3
+
+    def test_python_literal_syntax_in_metadata_rejected(self, tmp_path):
+        path = tmp_path / "literal_meta.csv"
+        for meta, field in [
+            ("sample_rate_hz = 2_0", "sample_rate_hz"),
+            ("channels = dry= 0", "channel index"),
+        ]:
+            path.write_text(f"# {meta}\n" + HEADER + "\n", encoding="utf-8")
+            with pytest.raises(CsvParseError, match=field) as err:
+                read_csv(path)
+            assert err.value.line_no == 1
+
     def test_out_of_range_humidity_names_the_line(self, tmp_path):
         path = tmp_path / "rh.csv"
         path.write_text(

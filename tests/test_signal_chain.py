@@ -12,6 +12,7 @@ from paraloq import (
     amplify_and_clamp,
     chain_voltage,
     is_undersampled,
+    lowpass_alpha,
     lowpass_step,
     sensor_voltage,
 )
@@ -110,14 +111,14 @@ class TestLowpass:
         state = 0.0
         previous_gap = 1.0
         for _ in range(200):
-            state = lowpass_step(state, 1.0, 0.1)
+            state = lowpass_step(state, 1.0, lowpass_alpha(0.1))
             gap = abs(1.0 - state)
             assert gap <= previous_gap
             previous_gap = gap
         assert state == pytest.approx(1.0, abs=1e-6)
 
     def test_fixed_point(self):
-        assert lowpass_step(0.7, 0.7, 0.01) == 0.7
+        assert lowpass_step(0.7, 0.7, lowpass_alpha(0.01)) == 0.7
 
     def test_cutoff_attenuation_is_3db(self):
         # steady-state amplitude of a sinusoid at f_c drops to 1/sqrt(2)
@@ -128,7 +129,7 @@ class TestLowpass:
         n = int(20.0 / dt)
         for i in range(n):
             x = math.sin(2.0 * math.pi * cfg.filter_cutoff_hz * i * dt)
-            state = lowpass_step(state, x, dt, cfg)
+            state = lowpass_step(state, x, lowpass_alpha(dt, cfg))
             outputs.append(state)
         tail = outputs[-int(2.0 / (cfg.filter_cutoff_hz * dt)) :]  # last 2 periods
         amplitude = (max(tail) - min(tail)) / 2.0
@@ -137,7 +138,12 @@ class TestLowpass:
     @pytest.mark.parametrize("dt", [0.0, -1.0])
     def test_nonpositive_dt_rejected(self, dt):
         with pytest.raises(InvalidInputError):
-            lowpass_step(0.0, 1.0, dt)
+            lowpass_alpha(dt)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_non_finite_dt_rejected(self, dt):
+        with pytest.raises(InvalidInputError):
+            lowpass_alpha(dt)
 
     @given(
         state=st.floats(min_value=-10, max_value=10, allow_nan=False),
@@ -145,7 +151,7 @@ class TestLowpass:
         dt=st.floats(min_value=1e-6, max_value=10, allow_nan=False),
     )
     def test_contraction_toward_input(self, state, x, dt):
-        new = lowpass_step(state, x, dt)
+        new = lowpass_step(state, x, lowpass_alpha(dt))
         assert abs(new - x) <= abs(state - x) + 1e-12
 
 
