@@ -1,6 +1,6 @@
 """The application loop: schedule conversions, timestamp, decode, stream.
 
-Each tick acquires every configured channel through the port handshake,
+Each tick acquires both channels, DRY then WET, through the port handshake,
 decodes code -> volts -> degC, streams immutable Sample values to the
 attached sinks, and folds the dry/wet pair plus derived humidity into one
 log row. Tick times are computed as k / rate (never accumulated), so the
@@ -30,6 +30,8 @@ from .errors import (
     InvalidInputError,
     RunAbortedError,
     UndersamplingWarning,
+    require_above,
+    require_finite,
 )
 from .pport import SimulatedPort, acquire_byte
 from .signal_chain import ChainConfig, chain_voltage, lowpass_alpha, lowpass_step
@@ -51,6 +53,9 @@ class Constant:
 
     value_c: float
 
+    def __post_init__(self):
+        require_finite("value_c", self.value_c)
+
     def temp_at(self, t_s: float) -> float:
         return self.value_c
 
@@ -67,10 +72,9 @@ class Sine:
     offset_c: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.amplitude_c, self.freq_hz, self.offset_c))):
-            raise InvalidInputError(f"sine parameters must be finite, got {self!r}")
-        if not (self.freq_hz >= 0):
-            raise InvalidInputError(f"freq_hz must be >= 0, got {self.freq_hz}")
+        require_finite("amplitude_c", self.amplitude_c)
+        require_above("freq_hz", self.freq_hz, 0, inclusive=True)
+        require_finite("offset_c", self.offset_c)
 
     def temp_at(self, t_s: float) -> float:
         return self.offset_c + self.amplitude_c * math.sin(2.0 * math.pi * self.freq_hz * t_s)
@@ -132,7 +136,6 @@ class RunConfig:
 
     duration_s: float
     sample_rate_hz: float = 2.0
-    channels: tuple = (Channel.DRY, Channel.WET)
     clock: ClockConfig = DEFAULT_CLOCK
     chains: dict = field(default_factory=_default_chains)
     stimuli: dict = field(default_factory=_default_stimuli)
@@ -143,19 +146,10 @@ class RunConfig:
     start_time: datetime | None = None
 
     def __post_init__(self):
-        if not (self.sample_rate_hz > 0) or not math.isfinite(self.sample_rate_hz):
-            raise InvalidInputError(
-                f"sample_rate_hz must be finite and > 0, got {self.sample_rate_hz}"
-            )
-        if not (self.duration_s >= 0) or not math.isfinite(self.duration_s):
-            raise InvalidInputError(f"duration_s must be finite and >= 0, got {self.duration_s}")
-        if set(self.channels) != {Channel.DRY, Channel.WET} or len(self.channels) != 2:
-            raise InvalidInputError(
-                "channels must list DRY and WET exactly once (the log format is wide)"
-            )
-        if self.filter_substeps < 0:
-            raise InvalidInputError(f"filter_substeps must be >= 0, got {self.filter_substeps}")
-        for ch in self.channels:
+        require_above("sample_rate_hz", self.sample_rate_hz, 0)
+        require_above("duration_s", self.duration_s, 0, inclusive=True)
+        require_above("filter_substeps", self.filter_substeps, 0, inclusive=True)
+        for ch in Channel:
             if ch not in self.chains:
                 raise InvalidInputError(f"missing chain config for channel {ch.name}")
             if ch not in self.stimuli:
@@ -173,7 +167,7 @@ class RunConfig:
 
     def warn_if_undersampled(self) -> None:
         nyquist = self.sample_rate_hz / 2.0
-        for ch in self.channels:
+        for ch in Channel:
             f = self.stimuli[ch].max_freq_hz()
             if signal_chain.is_undersampled(f, self.sample_rate_hz):
                 warnings.warn(
@@ -188,7 +182,7 @@ class RunConfig:
             (
                 f"rate={self.sample_rate_hz!r}",
                 f"duration={self.duration_s!r}",
-                f"channels={[ch.name for ch in self.channels]!r}",
+                f"channels={[ch.name for ch in Channel]!r}",
                 f"clock={self.clock!r}",
                 f"chains={sorted((ch.name, repr(c)) for ch, c in self.chains.items())!r}",
                 f"stimuli={sorted((ch.name, repr(s)) for ch, s in self.stimuli.items())!r}",
@@ -266,7 +260,7 @@ def _derive_meta(cfg: RunConfig, start_dt: datetime) -> logstore.RunMeta:
         run_id=f"{start_dt:%Y%m%dT%H%M%S}_{cfg.seed & 0xFFFFFFFF:08x}",
         start=start_dt.isoformat(timespec="milliseconds"),
         sample_rate_hz=cfg.sample_rate_hz,
-        channels={ch.name.lower(): ch.value for ch in cfg.channels},
+        channels={ch.name.lower(): ch.value for ch in Channel},
         config_fingerprint=cfg.fingerprint(),
     )
 
@@ -333,7 +327,7 @@ def run_acquisition(cfg: RunConfig, sinks=(), port: SimulatedPort | None = None)
     """Execute one run and return its RunLog.
 
     Emits floor(duration * rate) + 1 ticks (t = 0 and t = duration are both
-    included); every configured channel is acquired per tick, in order, all
+    included); both channels are acquired per tick, DRY then WET, both
     stamped with the tick time. Sinks are called synchronously with each
     Sample; Samples are built only when there are sinks, and rows never
     depend on them. A rate at which one tick cannot hold a conversion per
@@ -344,9 +338,9 @@ def run_acquisition(cfg: RunConfig, sinks=(), port: SimulatedPort | None = None)
     cfg.warn_if_undersampled()
     if port is None:
         port = build_port(cfg)
-    if len(cfg.channels) * port.latency_s > 1.0 / cfg.sample_rate_hz:
+    if len(Channel) * port.latency_s > 1.0 / cfg.sample_rate_hz:
         raise InvalidInputError(
-            f"{len(cfg.channels)} conversions of {port.latency_s * 1e6:g} us do not fit "
+            f"{len(Channel)} conversions of {port.latency_s * 1e6:g} us do not fit "
             f"in one {1e6 / cfg.sample_rate_hz:g} us tick at {cfg.sample_rate_hz:g} S/s"
         )
     rate = cfg.sample_rate_hz
@@ -359,9 +353,8 @@ def run_acquisition(cfg: RunConfig, sinks=(), port: SimulatedPort | None = None)
         ) from None
     meta = _derive_meta(cfg, start_dt)
     vref = cfg.adc.vref
-    dry_mux, wet_mux = Channel.DRY.value, Channel.WET.value
-    lanes = []  # (channel, mux input, voltage at tick time)
-    for ch in cfg.channels:
+    lanes = []  # (channel, mux input, voltage at tick time), DRY then WET
+    for ch in Channel:
         path = _FilteredChain(cfg.chains[ch], cfg.stimuli[ch], cfg.filter_substeps, rate)
         lanes.append((ch, ch.value, path.voltage_at))
     rows: list = []
@@ -370,12 +363,12 @@ def run_acquisition(cfg: RunConfig, sinks=(), port: SimulatedPort | None = None)
         for k in range(cfg.tick_count()):
             t = k / rate
             timestamp = (start_dt + timedelta(seconds=t)).isoformat(timespec="milliseconds")
-            readings = {}  # mux input -> (code, temp_c)
+            readings = []  # (code, temp_c) per lane
             for ch, mux, voltage_at in lanes:
                 port.set_input(mux, voltage_at(t))
                 code = acquire_byte(port, mux)
                 temp_c = decode_temp(code)
-                readings[mux] = (code, temp_c)
+                readings.append((code, temp_c))
                 if sinks:
                     sample = Sample(
                         seq=seq,
@@ -389,7 +382,7 @@ def run_acquisition(cfg: RunConfig, sinks=(), port: SimulatedPort | None = None)
                     seq += 1
                     for sink in sinks:
                         sink(sample)
-            rows.append(_tick_row(t, timestamp, readings[dry_mux], readings[wet_mux], cfg))
+            rows.append(_tick_row(t, timestamp, *readings, cfg))
     except DeviceTimeoutError as exc:
         raise RunAbortedError(
             f"run aborted at tick {k}: {exc}", logstore.RunLog(meta=meta, rows=rows)

@@ -18,7 +18,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import ClockRangeError, ClockWindowWarning, InvalidInputError
+from .errors import ClockRangeError, ClockWindowWarning, InvalidInputError, require_above
 
 BITS = 8
 CODE_MAX = 255
@@ -38,10 +38,8 @@ class ClockConfig:
     c_farads: float
 
     def __post_init__(self):
-        if not (self.r_ohms > 0):
-            raise InvalidInputError(f"r_ohms must be > 0, got {self.r_ohms}")
-        if not (self.c_farads > 0):
-            raise InvalidInputError(f"c_farads must be > 0, got {self.c_farads}")
+        require_above("r_ohms", self.r_ohms, 0)
+        require_above("c_farads", self.c_farads, 0)
 
 
 @dataclass(frozen=True)
@@ -61,22 +59,12 @@ class AdcConfig:
     noise_sigma_lsb: float = 0.0
 
     def __post_init__(self):
-        if not (self.vref > 0):
-            raise InvalidInputError(f"vref must be > 0, got {self.vref}")
+        require_above("vref", self.vref, 0)
         if self.bits != BITS:
-            raise InvalidInputError(f"only {BITS}-bit conversion is modeled, got {self.bits}")
-        if not (self.conversion_cycles > 0):
-            raise InvalidInputError(
-                f"conversion_cycles must be > 0, got {self.conversion_cycles}"
-            )
-        if self.unadjusted_error_lsb < 0:
-            raise InvalidInputError(
-                f"unadjusted_error_lsb must be >= 0, got {self.unadjusted_error_lsb}"
-            )
-        if self.noise_sigma_lsb < 0:
-            raise InvalidInputError(
-                f"noise_sigma_lsb must be >= 0, got {self.noise_sigma_lsb}"
-            )
+            raise InvalidInputError(f"bits must be {BITS}, the only width modeled, got {self.bits}")
+        require_above("conversion_cycles", self.conversion_cycles, 0)
+        require_above("unadjusted_error_lsb", self.unadjusted_error_lsb, 0, inclusive=True)
+        require_above("noise_sigma_lsb", self.noise_sigma_lsb, 0, inclusive=True)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
-import math
 import os
 import sys
 from datetime import datetime
@@ -35,6 +34,7 @@ from .errors import (
     ParaloqError,
     RunAbortedError,
     StorageError,
+    require_above,
 )
 from .signal_chain import ChainConfig
 
@@ -183,11 +183,9 @@ def cmd_simulate(args) -> int:
     duration = run_kwargs.get("duration_s")
     if duration is None:
         raise ConfigError("--duration is required (or [run] duration_s in the config file)")
-    rate = run_kwargs.get("sample_rate_hz")
-    if rate is not None and not (0 < rate < math.inf):
-        raise ConfigError(f"--rate must be finite and > 0, got {rate}")
-    if not (0 <= duration < math.inf):
-        raise ConfigError(f"--duration must be finite and >= 0, got {duration}")
+    if "sample_rate_hz" in run_kwargs:  # checked here too, so the error names the flag
+        require_above("--rate", run_kwargs["sample_rate_hz"], 0)
+    require_above("--duration", duration, 0, inclusive=True)
 
     chain = ChainConfig(**_section(file_cfg, "chain"))
     clock = dataclasses.replace(acquisition.DEFAULT_CLOCK, **_section(file_cfg, "clock"))

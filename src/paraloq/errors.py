@@ -1,4 +1,7 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the range
+policy for a number where it enters."""
+
+import math
 
 
 class ParaloqError(Exception):
@@ -7,6 +10,24 @@ class ParaloqError(Exception):
 
 class InvalidInputError(ParaloqError, ValueError):
     """An argument violates a precondition (non-finite, out of range, ...)."""
+
+
+def require_finite(name: str, value) -> None:
+    """Raise InvalidInputError unless value is a finite number."""
+    if not math.isfinite(value):
+        raise InvalidInputError(f"{name} must be finite, got {value}")
+
+
+def require_above(name: str, value, low, *, inclusive: bool = False) -> None:
+    """Raise InvalidInputError unless value is finite and > low (>= low if inclusive).
+
+    With require_finite, the whole range check of a config field or stimulus
+    parameter; nan, inf and -inf all fail it.
+    """
+    if not (low <= value < math.inf if inclusive else low < value < math.inf):
+        raise InvalidInputError(
+            f"{name} must be {'>=' if inclusive else '>'} {low} and finite, got {value}"
+        )
 
 
 class ClockRangeError(ParaloqError):

@@ -34,13 +34,9 @@ _NUMERIC_COLUMNS = tuple(
 )
 
 
-def round6(x: float) -> float:
-    """Quantize to the file format's 6-decimal resolution."""
-    return round(x, 6)
-
-
 def _finite6(name: str, value) -> float:
-    """round6 of a value that must be a finite number (not None, nan or inf)."""
+    """A value that must be a finite number (not None, nan or inf), rounded to
+    the file format's 6 decimals."""
     if value is None or not math.isfinite(value):
         raise InvalidInputError(f"{name} must be finite, got {value!r}")
     return round(value, 6)

@@ -30,16 +30,20 @@ def _axis_label(value: float) -> str:
     return text.rjust(_GUTTER)
 
 
+def _require_series(t_values, values) -> None:
+    if len(values) == 0:
+        raise EmptyRunError("nothing to plot")
+    if len(t_values) != len(values):
+        raise InvalidInputError("t_values and values must have the same length")
+
+
 def ascii_chart(t_values, values, label: str) -> str:
     """Render values against time as an 80x24 character chart.
 
     Rows 1..23 are the plot area with max/min labels on the first and last
     plot rows; the final line shows the time extent and column label.
     """
-    if len(values) == 0:
-        raise EmptyRunError("nothing to plot")
-    if len(t_values) != len(values):
-        raise InvalidInputError("t_values and values must have the same length")
+    _require_series(t_values, values)
     vmin, vmax = min(values), max(values)
     span = vmax - vmin
     n = len(values)
@@ -70,10 +74,7 @@ def ascii_chart(t_values, values, label: str) -> str:
 
 def svg_chart(t_values, values, label: str) -> str:
     """Render values against time as a 640x480 SVG polyline chart."""
-    if len(values) == 0:
-        raise EmptyRunError("nothing to plot")
-    if len(t_values) != len(values):
-        raise InvalidInputError("t_values and values must have the same length")
+    _require_series(t_values, values)
     vmin, vmax = min(values), max(values)
     tmin, tmax = t_values[0], t_values[-1]
     vspan = vmax - vmin

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InconsistentReadingError, InvalidInputError
+from .errors import InconsistentReadingError, InvalidInputError, require_above
 
 
 @dataclass(frozen=True)
@@ -32,15 +32,8 @@ class PsychroConfig:
     magnus_c: float = 243.12  # degC
 
     def __post_init__(self):
-        for name in (
-            "psychrometer_coeff",
-            "pressure_hpa",
-            "magnus_a",
-            "magnus_b",
-            "magnus_c",
-        ):
-            if not (getattr(self, name) > 0):
-                raise InvalidInputError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("psychrometer_coeff", "pressure_hpa", "magnus_a", "magnus_b", "magnus_c"):
+            require_above(name, getattr(self, name), 0)
 
 
 @dataclass(frozen=True)
@@ -53,10 +46,8 @@ class PsychroReading:
     dew_point_c: float
 
     def __post_init__(self):
-        if self.wet_c > self.dry_c:
-            raise InvalidInputError(f"wet {self.wet_c} exceeds dry {self.dry_c}")
-        if not (0.0 <= self.rh_pct <= 100.0):
-            raise InvalidInputError(f"rh_pct must be 0..100, got {self.rh_pct}")
+        # wet <= dry is _vapor_pressure's check and 0..100 is _rh_from's clamp;
+        # Magnus rounding can still put the dew point a hair above the dry bulb
         if self.dew_point_c > self.dry_c + 1e-9:
             raise InvalidInputError(
                 f"dew point {self.dew_point_c} exceeds dry bulb {self.dry_c}"

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .adc0808 import TEMP_FULL_SCALE_C
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_above, require_finite
 
 
 @dataclass(frozen=True)
@@ -38,17 +38,11 @@ class ChainConfig:
     allow_misaligned: bool = False
 
     def __post_init__(self):
-        if not (self.sensor_slope > 0):
-            raise InvalidInputError(f"sensor_slope must be > 0, got {self.sensor_slope}")
-        if not (self.amp_gain > 0):
-            raise InvalidInputError(f"amp_gain must be > 0, got {self.amp_gain}")
-        if not (0 < self.clamp_volts <= self.vref):
+        for name in ("sensor_slope", "amp_gain", "clamp_volts", "filter_cutoff_hz", "vref"):
+            require_above(name, getattr(self, name), 0)
+        if self.clamp_volts > self.vref:
             raise InvalidInputError(
                 f"clamp_volts must be in (0, vref={self.vref}], got {self.clamp_volts}"
-            )
-        if not (self.filter_cutoff_hz > 0):
-            raise InvalidInputError(
-                f"filter_cutoff_hz must be > 0, got {self.filter_cutoff_hz}"
             )
         if not self.allow_misaligned:
             require_aligned(self)
@@ -68,14 +62,9 @@ def require_aligned(cfg: ChainConfig) -> None:
         )
 
 
-def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise InvalidInputError(f"{name} must be finite, got {value}")
-
-
 def sensor_voltage(temp_c: float, cfg: ChainConfig = ChainConfig()) -> float:
     """Sensor output in volts for a temperature in degC (linear, pre-calibrated)."""
-    _require_finite("temp_c", temp_c)
+    require_finite("temp_c", temp_c)
     return cfg.sensor_slope * temp_c
 
 
@@ -85,7 +74,7 @@ def amplify_and_clamp(v_in: float, cfg: ChainConfig = ChainConfig()) -> float:
     Gains the input, then hard-limits to [0, clamp_volts]: the shunt zeners
     clip over-range positive swings and negative excursions alike.
     """
-    _require_finite("v_in", v_in)
+    require_finite("v_in", v_in)
     return min(max(cfg.amp_gain * v_in, 0.0), cfg.clamp_volts)
 
 

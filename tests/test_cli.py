@@ -390,6 +390,23 @@ class TestConfigFile:
             assert abs(row.dry_temp_c - 25.0) <= 50 / 255
             assert abs(row.wet_temp_c - 20.0) <= 50 / 255
 
+    def test_non_finite_magnus_constant_exits_2(self, tmp_path, capsys):
+        # printed dew_point_c=-inf with exit 0
+        cfg = tmp_path / "inf.ini"
+        cfg.write_text("[psychro]\nmagnus_c = inf\n", encoding="utf-8")
+        assert main(["--config", str(cfg), "compute", "--dry", "20", "--wet", "18"]) == 2
+        assert "magnus_c must be > 0 and finite" in capsys.readouterr().err
+
+    def test_non_finite_pressure_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # ran to exit 0 with every humidity field empty
+        cfg = tmp_path / "inf.ini"
+        cfg.write_text("[psychro]\npressure_hpa = inf\n", encoding="utf-8")
+        out = tmp_path / "x.csv"
+        code = main(["--config", str(cfg), "simulate", "--duration", "1", "--out", str(out)])
+        assert code == 2
+        assert "pressure_hpa must be > 0 and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_chain_section_must_stay_aligned(self, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[chain]\namp_gain = 3\n", encoding="utf-8")

@@ -10,7 +10,6 @@ from paraloq.logstore import (
     RunLog,
     RunMeta,
     fingerprint,
-    round6,
 )
 
 META = RunMeta(
@@ -308,9 +307,19 @@ def test_row_rejects_an_impossible_value(field, value):
         PsychroRow(**fields)
 
 
-def test_round6_quantization():
-    assert round6(19.80392156862745) == 19.803922
-    assert round6(0.5) == 0.5
+def test_row_rounds_floats_to_six_decimals():
+    row = PsychroRow(
+        t_s=0.5,
+        timestamp="t",
+        dry_code=101,
+        dry_temp_c=19.80392156862745,
+        wet_code=101,
+        wet_temp_c=19.80392156862745,
+        rh_pct=19.80392156862745,
+        dew_point_c=0.5,
+    )
+    assert row.dry_temp_c == row.wet_temp_c == row.rh_pct == 19.803922
+    assert row.t_s == row.dew_point_c == 0.5
 
 
 def test_fingerprint_is_stable_and_short():

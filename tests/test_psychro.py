@@ -128,11 +128,10 @@ class TestConfigAndReading:
 
     def test_reading_invariants_enforced(self):
         with pytest.raises(InvalidInputError):
-            PsychroReading(dry_c=20.0, wet_c=21.0, rh_pct=50.0, dew_point_c=10.0)
-        with pytest.raises(InvalidInputError):
-            PsychroReading(dry_c=20.0, wet_c=19.0, rh_pct=101.0, dew_point_c=10.0)
-        with pytest.raises(InvalidInputError):
             PsychroReading(dry_c=20.0, wet_c=19.0, rh_pct=50.0, dew_point_c=25.0)
+        # Magnus rounding puts this saturated pair's dew point 2.4e-9 above the dry bulb
+        with pytest.raises(InvalidInputError, match="dew point"):
+            reading(1e5, 1e5)
 
     def test_custom_pressure_changes_result(self):
         sea_level = relative_humidity(DRY_REF, WET_REF)
@@ -154,3 +153,19 @@ def test_reading_matches_the_single_value_functions_bit_for_bit(dry, depression)
         return
     assert result.rh_pct == relative_humidity(dry, wet)
     assert result.dew_point_c == dew_point(dry, wet)
+
+
+@given(
+    dry=st.floats(min_value=0.0, max_value=50.0),
+    wet_share=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_reading_keeps_humidity_in_range_and_dew_at_or_below_dry(dry, wet_share):
+    # the invariants PsychroReading no longer re-checks: _rh_from clamps RH,
+    # and _vapor_pressure has already rejected wet > dry
+    wet = dry * wet_share
+    try:
+        result = reading(dry, wet)
+    except InconsistentReadingError:
+        return  # vapor pressure <= 0: no reading to check
+    assert 0.0 <= result.rh_pct <= 100.0
+    assert result.dew_point_c <= dry + 1e-9
