@@ -21,7 +21,7 @@ from enum import Enum
 from random import Random
 from statistics import fmean
 
-from . import logstore, psychro, signal_chain
+from . import adc0808, logstore, psychro, signal_chain
 from .adc0808 import CODE_MAX, AdcConfig, ClockConfig, clock_frequency, decode_temp, decode_volts
 from .errors import (
     DeviceTimeoutError,
@@ -32,6 +32,7 @@ from .errors import (
     UndersamplingWarning,
     require_above,
     require_finite,
+    require_int,
 )
 from .pport import SimulatedPort, acquire_byte
 from .signal_chain import ChainConfig, chain_voltage, lowpass_alpha, lowpass_step
@@ -116,6 +117,11 @@ class Replay:
 
 DEFAULT_CLOCK = ClockConfig(r_ohms=1420.5, c_farads=1e-9)  # ~640 kHz
 
+# A full-scale step through the default 0.5 Hz filter at 1,024 substeps already
+# follows 1 - exp(-t/RC) within 0.07 LSB at 2 S/s and 0.29 LSB at 0.5 S/s, so
+# more change no code; the bound stops a config asking for a loop without end.
+MAX_FILTER_SUBSTEPS = 1024
+
 
 def _default_chains():
     return {Channel.DRY: ChainConfig(), Channel.WET: ChainConfig()}
@@ -148,7 +154,12 @@ class RunConfig:
     def __post_init__(self):
         require_above("sample_rate_hz", self.sample_rate_hz, 0)
         require_above("duration_s", self.duration_s, 0, inclusive=True)
-        require_above("filter_substeps", self.filter_substeps, 0, inclusive=True)
+        substeps = self.filter_substeps
+        require_int("filter_substeps", substeps)
+        if not 0 <= substeps <= MAX_FILTER_SUBSTEPS:
+            raise InvalidInputError(f"filter_substeps must be 0..{MAX_FILTER_SUBSTEPS}, got {substeps}")
+        require_int("seed", self.seed)
+        adc0808.require_clock_in_window(self.clock.frequency_hz)  # or every conversion fails
         for ch in Channel:
             if ch not in self.chains:
                 raise InvalidInputError(f"missing chain config for channel {ch.name}")

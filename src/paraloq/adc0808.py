@@ -18,7 +18,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import ClockRangeError, ClockWindowWarning, InvalidInputError, require_above
+from .errors import ClockRangeError, ClockWindowWarning, InvalidInputError, require_above, require_int
 
 BITS = 8
 CODE_MAX = 255
@@ -40,6 +40,13 @@ class ClockConfig:
     def __post_init__(self):
         require_above("r_ohms", self.r_ohms, 0)
         require_above("c_farads", self.c_farads, 0)
+        require_above("clock frequency 1/(1.1 r_ohms c_farads)", self.frequency_hz, 0)
+
+    @property
+    def frequency_hz(self) -> float:
+        """f = 1 / (1.1 R C); inf when R C is too small for its inverse to be a float."""
+        rc = 1.1 * self.r_ohms * self.c_farads
+        return 1.0 / rc if rc else math.inf
 
 
 @dataclass(frozen=True)
@@ -62,6 +69,7 @@ class AdcConfig:
         require_above("vref", self.vref, 0)
         if self.bits != BITS:
             raise InvalidInputError(f"bits must be {BITS}, the only width modeled, got {self.bits}")
+        require_int("conversion_cycles", self.conversion_cycles)
         require_above("conversion_cycles", self.conversion_cycles, 0)
         require_above("unadjusted_error_lsb", self.unadjusted_error_lsb, 0, inclusive=True)
         require_above("noise_sigma_lsb", self.noise_sigma_lsb, 0, inclusive=True)
@@ -89,8 +97,12 @@ class AdcCode:
         return tuple(1 if self.code & bit else 0 for bit in _BIT_WEIGHTS)
 
 
-def clock_in_window(freq_hz: float) -> bool:
-    return CLOCK_MIN_HZ <= freq_hz <= CLOCK_MAX_HZ
+def require_clock_in_window(freq_hz: float) -> None:
+    """Raise ClockRangeError unless freq_hz can legally clock the converter."""
+    if not CLOCK_MIN_HZ <= freq_hz <= CLOCK_MAX_HZ:
+        raise ClockRangeError(
+            f"clock {freq_hz:.6g} Hz outside [{CLOCK_MIN_HZ:.0f}, {CLOCK_MAX_HZ:.0f}] Hz"
+        )
 
 
 def clock_frequency(cfg: ClockConfig) -> float:
@@ -99,8 +111,8 @@ def clock_frequency(cfg: ClockConfig) -> float:
     Emits ClockWindowWarning when the result cannot legally clock the
     converter; the value is still returned.
     """
-    freq = 1.0 / (1.1 * cfg.r_ohms * cfg.c_farads)
-    if not clock_in_window(freq):
+    freq = cfg.frequency_hz
+    if not CLOCK_MIN_HZ <= freq <= CLOCK_MAX_HZ:
         warnings.warn(
             f"clock {freq:.6g} Hz is outside the converter window "
             f"[{CLOCK_MIN_HZ:.0f}, {CLOCK_MAX_HZ:.0f}] Hz",
@@ -135,10 +147,7 @@ def sar_convert(
         raise InvalidInputError(f"v_in must be finite, got {v_in}")
     if not (0 <= channel <= 7):
         raise InvalidInputError(f"channel must be 0..7, got {channel}")
-    if not clock_in_window(clock_hz):
-        raise ClockRangeError(
-            f"clock {clock_hz:.6g} Hz outside [{CLOCK_MIN_HZ:.0f}, {CLOCK_MAX_HZ:.0f}] Hz"
-        )
+    require_clock_in_window(clock_hz)
     vref = cfg.vref
     code = 0
     for bit in _BIT_WEIGHTS:

@@ -24,7 +24,7 @@ from datetime import datetime
 
 from . import acquisition, logstore, plotting, psychro
 from .acquisition import Channel, Constant, Replay, RunConfig, Sine
-from .adc0808 import AdcConfig
+from .adc0808 import AdcConfig, ClockConfig
 from .errors import (
     ConfigError,
     CsvParseError,
@@ -53,38 +53,24 @@ _EXIT_CODES = (
     (StorageError, EXIT_STORAGE),
 )
 
+# [section] -> the config class it sets; each float or int field is a key
+_SECTIONS = {"run": RunConfig, "chain": ChainConfig, "clock": ClockConfig, "psychro": psychro.PsychroConfig}
+_PARSERS = {"float": float, "int": int}  # field annotation -> value parser
 # (section, key) -> parser; the whole schema the config file may use
 _CONFIG_SCHEMA = {
-    ("run", "sample_rate_hz"): float,
-    ("run", "duration_s"): float,
-    ("run", "filter_substeps"): int,
-    ("run", "seed"): int,
-    ("chain", "sensor_slope"): float,
-    ("chain", "amp_gain"): float,
-    ("chain", "clamp_volts"): float,
-    ("chain", "filter_cutoff_hz"): float,
-    ("chain", "vref"): float,
-    ("clock", "r_ohms"): float,
-    ("clock", "c_farads"): float,
-    ("psychro", "psychrometer_coeff"): float,
-    ("psychro", "pressure_hpa"): float,
-    ("psychro", "magnus_a"): float,
-    ("psychro", "magnus_b"): float,
-    ("psychro", "magnus_c"): float,
+    (section, f.name): _PARSERS[f.type]
+    for section, cls in _SECTIONS.items()
+    for f in dataclasses.fields(cls)
+    if f.type in _PARSERS
 }
 
-PLOTTABLE_COLUMNS = (
-    "dry_code",
-    "dry_temp_c",
-    "wet_code",
-    "wet_temp_c",
-    "rh_pct",
-    "dew_point_c",
-)
+# every log column after the timestamp
+PLOTTABLE_COLUMNS = tuple(logstore.HEADER.partition(",timestamp,")[2].split(","))
 
 
 def load_config_file(path) -> dict:
-    """Parse and validate a config file into {(section, key): value}."""
+    """Parse and validate a config file into {section: {key: value}}, one
+    entry per section of the schema."""
     parser = configparser.ConfigParser()
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -93,36 +79,28 @@ def load_config_file(path) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
-    values = {}
+    values = {section: {} for section in _SECTIONS}
     for section in parser.sections():
         for key, raw in parser.items(section):
             convert = _CONFIG_SCHEMA.get((section, key))
             if convert is None:
                 raise ConfigError(f"unknown config key [{section}] {key}")
             try:
-                values[(section, key)] = convert(raw)
+                values[section][key] = convert(raw)
             except ValueError:
-                raise ConfigError(
-                    f"bad value for [{section}] {key}: {raw!r}"
-                ) from None
+                raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from None
     return values
 
 
 def _effective_config(args) -> dict:
+    """{section: {key: value}} from the config file, with each flag whose dest
+    is a key taking precedence; the config classes own the defaults."""
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
-    return load_config_file(path) if path else {}
-
-
-def _section(file_cfg: dict, section: str) -> dict:
-    """The file's values for one section, keyed as the matching config fields."""
-    return {key: value for (sec, key), value in file_cfg.items() if sec == section}
-
-
-def _psychro_from(file_cfg: dict, pressure_flag=None) -> psychro.PsychroConfig:
-    kwargs = _section(file_cfg, "psychro")
-    if pressure_flag is not None:
-        kwargs["pressure_hpa"] = pressure_flag
-    return psychro.PsychroConfig(**kwargs)
+    values = load_config_file(path) if path else {section: {} for section in _SECTIONS}
+    for section, key in _CONFIG_SCHEMA:
+        if getattr(args, key, None) is not None:
+            values[section][key] = getattr(args, key)
+    return values
 
 
 def parse_stimulus(spec: str, flag: str, channel: Channel):
@@ -168,18 +146,8 @@ def _print_table(stats: dict, humidity) -> None:
 
 
 def cmd_simulate(args) -> int:
-    file_cfg = _effective_config(args)
-
-    # only what a flag or the config file supplies; RunConfig owns the defaults
-    run_kwargs = _section(file_cfg, "run")
-    for key, flag_value in (
-        ("duration_s", args.duration),
-        ("sample_rate_hz", args.rate),
-        ("filter_substeps", args.filter_substeps),
-        ("seed", args.seed),
-    ):
-        if flag_value is not None:
-            run_kwargs[key] = flag_value
+    config = _effective_config(args)
+    run_kwargs = config["run"]
     duration = run_kwargs.get("duration_s")
     if duration is None:
         raise ConfigError("--duration is required (or [run] duration_s in the config file)")
@@ -187,8 +155,8 @@ def cmd_simulate(args) -> int:
         require_above("--rate", run_kwargs["sample_rate_hz"], 0)
     require_above("--duration", duration, 0, inclusive=True)
 
-    chain = ChainConfig(**_section(file_cfg, "chain"))
-    clock = dataclasses.replace(acquisition.DEFAULT_CLOCK, **_section(file_cfg, "clock"))
+    chain = ChainConfig(**config["chain"])
+    clock = dataclasses.replace(acquisition.DEFAULT_CLOCK, **config["clock"])
 
     stimuli = {}
     for channel, temp_flag, stim_flag, name in (
@@ -211,7 +179,7 @@ def cmd_simulate(args) -> int:
         clock=clock,
         chains={Channel.DRY: chain, Channel.WET: chain},
         adc=AdcConfig(vref=chain.vref),  # the converter reference the chain is scaled to
-        psychro=_psychro_from(file_cfg),
+        psychro=psychro.PsychroConfig(**config["psychro"]),
         start_time=start_time,
         **run_kwargs,
     )
@@ -226,8 +194,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compute(args) -> int:
-    file_cfg = _effective_config(args)
-    cfg = _psychro_from(file_cfg, pressure_flag=args.pressure)
+    cfg = psychro.PsychroConfig(**_effective_config(args)["psychro"])
     result = psychro.reading(args.dry, args.wet, cfg)
     print(f"rh_pct={result.rh_pct:.6f}, dew_point_c={result.dew_point_c:.6f}")
     return EXIT_OK
@@ -286,8 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run a simulated acquisition and write a CSV log")
-    sim.add_argument("--rate", type=float, default=None, help="sample rate in S/s (default 2)")
-    sim.add_argument("--duration", type=float, default=None, help="run length in seconds")
+    # a flag whose dest is a config key overrides that key of the config file
+    sim.add_argument("--rate", dest="sample_rate_hz", type=float, help="sample rate in S/s (default 2)")
+    sim.add_argument("--duration", dest="duration_s", type=float, help="run length in seconds")
     dry = sim.add_mutually_exclusive_group()
     dry.add_argument("--dry-temp", type=float, default=None, help="constant dry-bulb degC")
     dry.add_argument("--dry-stimulus", default=None, help="dry stimulus spec (constant:|sine:|replay:)")
@@ -303,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     comp = sub.add_parser("compute", help="one psychrometric computation")
     comp.add_argument("--dry", type=float, required=True, help="dry-bulb degC")
     comp.add_argument("--wet", type=float, required=True, help="wet-bulb degC")
-    comp.add_argument("--pressure", type=float, default=None, help="station pressure hPa")
+    comp.add_argument("--pressure", dest="pressure_hpa", type=float, help="station pressure hPa")
     comp.set_defaults(func=cmd_compute)
 
     plot = sub.add_parser("plot", help="chart one column of a CSV log")

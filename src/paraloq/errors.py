@@ -21,13 +21,20 @@ def require_finite(name: str, value) -> None:
 def require_above(name: str, value, low, *, inclusive: bool = False) -> None:
     """Raise InvalidInputError unless value is finite and > low (>= low if inclusive).
 
-    With require_finite, the whole range check of a config field or stimulus
-    parameter; nan, inf and -inf all fail it.
+    With require_finite and require_int, the whole check of a config field or
+    stimulus parameter; nan, inf and -inf all fail it.
     """
     if not (low <= value < math.inf if inclusive else low < value < math.inf):
         raise InvalidInputError(
             f"{name} must be {'>=' if inclusive else '>'} {low} and finite, got {value}"
         )
+
+
+def require_int(name: str, value) -> None:
+    """Raise InvalidInputError unless value is an int: a float (1.5, nan) or a
+    bool (an int subclass, but not a count or a seed) fails."""
+    if type(value) is not int:
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
 
 
 class ClockRangeError(ParaloqError):

@@ -23,15 +23,11 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import CsvParseError, InvalidInputError, StorageError
 
-HEADER = "t_s,timestamp,dry_code,dry_temp_c,wet_code,wet_temp_c,rh_pct,dew_point_c"
 _META_KEYS = ("run_id", "start", "sample_rate_hz", "channels", "config")
-_NUMERIC_COLUMNS = tuple(
-    (i, name) for i, name in enumerate(HEADER.split(",")) if name != "timestamp"
-)
 
 
 def _finite6(name: str, value) -> float:
@@ -96,6 +92,12 @@ class PsychroRow:
             object.__setattr__(self, "rh_pct", round(self.rh_pct, 6))
         if self.dew_point_c is not None:
             object.__setattr__(self, "dew_point_c", _finite6("dew_point_c", self.dew_point_c))
+
+
+# the row's fields are the log's columns, in file order
+_COLUMNS = tuple(f.name for f in fields(PsychroRow))
+HEADER = ",".join(_COLUMNS)
+_NUMERIC_COLUMNS = tuple((i, name) for i, name in enumerate(_COLUMNS) if name != "timestamp")
 
 
 @dataclass
@@ -286,22 +288,22 @@ def read_csv(path) -> RunLog:
                 raise CsvParseError(line_no, f"expected header {HEADER!r}, found {line!r}")
             header_seen = True
             continue
-        fields = line.split(",")
-        if len(fields) != 8:
-            raise CsvParseError(line_no, f"expected 8 columns, found {len(fields)}")
+        cells = line.split(",")
+        if len(cells) != len(_COLUMNS):
+            raise CsvParseError(line_no, f"expected {len(_COLUMNS)} columns, found {len(cells)}")
         if literal_rows or "\r" in line:
             for i, name in _NUMERIC_COLUMNS:
-                _require_plain(fields[i], line_no, name)
+                _require_plain(cells[i], line_no, name)
         try:
             row = PsychroRow(
-                t_s=_parse_float(fields[0], line_no, "t_s"),
-                timestamp=fields[1],
-                dry_code=_parse_code(fields[2], line_no, "dry_code"),
-                dry_temp_c=_parse_float(fields[3], line_no, "dry_temp_c"),
-                wet_code=_parse_code(fields[4], line_no, "wet_code"),
-                wet_temp_c=_parse_float(fields[5], line_no, "wet_temp_c"),
-                rh_pct=_parse_optional(fields[6], line_no, "rh_pct"),
-                dew_point_c=_parse_optional(fields[7], line_no, "dew_point_c"),
+                t_s=_parse_float(cells[0], line_no, "t_s"),
+                timestamp=cells[1],
+                dry_code=_parse_code(cells[2], line_no, "dry_code"),
+                dry_temp_c=_parse_float(cells[3], line_no, "dry_temp_c"),
+                wet_code=_parse_code(cells[4], line_no, "wet_code"),
+                wet_temp_c=_parse_float(cells[5], line_no, "wet_temp_c"),
+                rh_pct=_parse_optional(cells[6], line_no, "rh_pct"),
+                dew_point_c=_parse_optional(cells[7], line_no, "dew_point_c"),
             )
         except InvalidInputError as exc:
             raise CsvParseError(line_no, str(exc)) from None

@@ -12,6 +12,7 @@ from paraloq import (
     ChainConfig,
     Channel,
     ClockConfig,
+    ClockRangeError,
     Constant,
     EmptyRunError,
     InvalidInputError,
@@ -415,6 +416,24 @@ class TestConfigValidation:
             RunConfig(duration_s=1.0, chains=chains)
         RunConfig(duration_s=1.0, chains=chains, adc=AdcConfig(vref=3.3))
 
+    def test_filter_substeps_are_bounded_before_any_tick(self, monkeypatch):
+        from paraloq import acquisition
+
+        assert acquisition.MAX_FILTER_SUBSTEPS == 1024
+        RunConfig(duration_s=1.0, filter_substeps=1024)
+        # 1e300 substeps passed every check and ran the loop without end; with
+        # the filter path gone, a run that got past construction fails, not hangs
+        monkeypatch.setattr(acquisition, "_FilteredChain", None)
+        for substeps in (1025, 10**300):
+            with pytest.raises(InvalidInputError, match="filter_substeps must be 0..1024"):
+                run_acquisition(RunConfig(duration_s=1.0, filter_substeps=substeps))
+
+    @pytest.mark.parametrize("r,c", [(1e6, 1e-6), (100.0, 1e-9)], ids=["0.9 Hz", "9.1 MHz"])
+    def test_clock_outside_the_window_is_rejected_before_any_tick(self, r, c):
+        # 0.9 Hz only warned, then failed as "2 conversions of 7.04e+07 us do not fit"
+        with pytest.raises(ClockRangeError, match="outside"):
+            RunConfig(duration_s=1.0, clock=ClockConfig(r_ohms=r, c_farads=c))
+
     def test_misaligned_chain_rejected_even_when_allowed(self):
         # decode_temp assumes vref at 50 degC; this half-gain chain logged 25 degC as 12.5
         chain = ChainConfig(amp_gain=5.0, allow_misaligned=True)
@@ -450,17 +469,22 @@ ENTRY_KWARGS = {
     RunConfig: dict(duration_s=1.0),
 }
 NUMERIC_FIELDS = [
-    (cls, f.name)
+    (cls, f.name, f.type)
     for cls in ENTRY_KWARGS
     for f in dataclasses.fields(cls)
-    # the seed is a run identifier: every integer is a valid one
-    if f.type in ("float", "int") and f.name != "seed"
+    if f.type in ("float", "int")
+]
+# (class, field, bad value, id); an int field also rejects a finite float and a
+# bool (a nan seed used to build, then fail mid-run with a bare TypeError)
+BAD_VALUES = [
+    (cls, name, bad, f"{cls.__name__}.{name}-{bad!r}")
+    for cls, name, kind in NUMERIC_FIELDS
+    for bad in [math.nan, math.inf, -math.inf] + ([1.5, True] if kind == "int" else [])
 ]
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize(
-    "cls, name", NUMERIC_FIELDS, ids=[f"{cls.__name__}.{name}" for cls, name in NUMERIC_FIELDS]
+    "cls, name, bad", [case[:3] for case in BAD_VALUES], ids=[case[3] for case in BAD_VALUES]
 )
 def test_every_numeric_config_field_rejects_a_non_finite_value(cls, name, bad):
     cls(**ENTRY_KWARGS[cls])  # builds with every field in range

@@ -51,7 +51,11 @@ class TestClock:
         assert freqs_r == sorted(freqs_r, reverse=True)
         assert freqs_c == sorted(freqs_c, reverse=True)
 
-    @pytest.mark.parametrize("r,c", [(0.0, 1e-9), (-1.0, 1e-9), (1e3, 0.0)])
+    # an R C that underflows to 0 or to a subnormal leaves 1/(1.1 R C) no finite
+    # value; it used to build, and the run died with a ZeroDivisionError
+    @pytest.mark.parametrize(
+        "r,c", [(0.0, 1e-9), (-1.0, 1e-9), (1e3, 0.0), (1e-300, 1e-300), (1e-160, 1e-160)]
+    )
     def test_rejects_nonpositive_rc(self, r, c):
         with pytest.raises(InvalidInputError):
             ClockConfig(r_ohms=r, c_farads=c)

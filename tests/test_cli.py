@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from paraloq import cli
 from paraloq.cli import main
 from paraloq.logstore import HEADER, read_csv
 
@@ -414,6 +415,54 @@ class TestConfigFile:
             ["--config", str(cfg), "simulate", "--duration", "1", "--out", str(tmp_path / "x.csv")]
         )
         assert code == 2  # misaligned full scale is rejected at config time
+
+    def test_schema_is_the_float_and_int_fields_of_the_section_classes(self):
+        assert cli._CONFIG_SCHEMA == {
+            ("run", "duration_s"): float,
+            ("run", "sample_rate_hz"): float,
+            ("run", "filter_substeps"): int,
+            ("run", "seed"): int,
+            ("chain", "sensor_slope"): float,
+            ("chain", "amp_gain"): float,
+            ("chain", "clamp_volts"): float,
+            ("chain", "filter_cutoff_hz"): float,
+            ("chain", "vref"): float,
+            ("clock", "r_ohms"): float,
+            ("clock", "c_farads"): float,
+            ("psychro", "psychrometer_coeff"): float,
+            ("psychro", "pressure_hpa"): float,
+            ("psychro", "magnus_a"): float,
+            ("psychro", "magnus_b"): float,
+            ("psychro", "magnus_c"): float,
+        }
+        assert cli.PLOTTABLE_COLUMNS == (
+            "dry_code", "dry_temp_c", "wet_code", "wet_temp_c", "rh_pct", "dew_point_c"
+        )
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # a field that is not a float or an int is not a key
+            ("[chain]\nallow_misaligned = true\n", "unknown config key [chain] allow_misaligned"),
+            ("[run]\nstart_time = 2026-08-10T12:00:00\n", "unknown config key [run] start_time"),
+            # R C underflowed: a ZeroDivisionError traceback, exit 1
+            ("[clock]\nr_ohms = 1e-300\nc_farads = 1e-300\n", "clock frequency"),
+            # 0.9 Hz: a ClockWindowWarning, then "2 conversions ... do not fit"
+            ("[clock]\nr_ohms = 1e6\nc_farads = 1e-6\n", "clock 0.909091 Hz outside"),
+            ("[run]\nfilter_substeps = 1025\n", "filter_substeps must be 0..1024"),
+        ],
+        ids=[
+            "allow_misaligned", "start_time", "underflowing clock", "clock below the window",
+            "too many substeps",
+        ],
+    )
+    def test_a_config_no_run_can_use_exits_2_up_front(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text, encoding="utf-8")
+        out = tmp_path / "x.csv"
+        assert main(["--config", str(cfg), "simulate", "--duration", "1", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_usage_error_from_argparse_exits_2(capsys):

@@ -49,6 +49,7 @@ class TestWrite:
             "# config = abc123def456",
         ]
         assert body[5] == HEADER
+        assert HEADER == "t_s,timestamp,dry_code,dry_temp_c,wet_code,wet_temp_c,rh_pct,dew_point_c"
         assert len(body) == 6
 
     def test_single_row_formatting(self, tmp_path):
