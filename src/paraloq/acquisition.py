@@ -230,6 +230,7 @@ class QueueSink:
     """
 
     def __init__(self, capacity: int = 1024):
+        require_int("capacity", capacity)
         if capacity < 1:
             raise InvalidInputError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
@@ -322,16 +323,7 @@ def _tick_row(
             rh, dew = result.rh_pct, result.dew_point_c
         except (InvalidInputError, InconsistentReadingError):
             pass  # row keeps empty humidity fields
-    return logstore.PsychroRow(
-        t_s=t,
-        timestamp=timestamp,
-        dry_code=dry_code,
-        dry_temp_c=dry_temp,
-        wet_code=wet_code,
-        wet_temp_c=wet_temp,
-        rh_pct=rh,
-        dew_point_c=dew,
-    )
+    return logstore.PsychroRow(t, timestamp, dry_code, dry_temp, wet_code, wet_temp, rh, dew)
 
 
 def run_acquisition(cfg: RunConfig, sinks=(), port: SimulatedPort | None = None) -> logstore.RunLog:

@@ -67,6 +67,7 @@ class AdcConfig:
 
     def __post_init__(self):
         require_above("vref", self.vref, 0)
+        require_int("bits", self.bits)
         if self.bits != BITS:
             raise InvalidInputError(f"bits must be {BITS}, the only width modeled, got {self.bits}")
         require_int("conversion_cycles", self.conversion_cycles)

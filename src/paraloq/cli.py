@@ -148,12 +148,13 @@ def _print_table(stats: dict, humidity) -> None:
 def cmd_simulate(args) -> int:
     config = _effective_config(args)
     run_kwargs = config["run"]
-    duration = run_kwargs.get("duration_s")
-    if duration is None:
+    if "duration_s" not in run_kwargs:
         raise ConfigError("--duration is required (or [run] duration_s in the config file)")
-    if "sample_rate_hz" in run_kwargs:  # checked here too, so the error names the flag
-        require_above("--rate", run_kwargs["sample_rate_hz"], 0)
-    require_above("--duration", duration, 0, inclusive=True)
+    # checked here too, so the error names the flag or file key that set the value
+    for key, flag, inclusive in (("sample_rate_hz", "--rate", False), ("duration_s", "--duration", True)):
+        if key in run_kwargs:
+            source = flag if getattr(args, key) is not None else f"[run] {key}"
+            require_above(source, run_kwargs[key], 0, inclusive=inclusive)
 
     chain = ChainConfig(**config["chain"])
     clock = dataclasses.replace(acquisition.DEFAULT_CLOCK, **config["clock"])

@@ -58,7 +58,10 @@ class RunMeta:
         object.__setattr__(self, "sample_rate_hz", rate)
 
 
-@dataclass(frozen=True, slots=True)
+_setattr = object.__setattr__  # the one way to set a field of a frozen row
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class PsychroRow:
     """One logged tick: both channel readings plus derived humidity.
 
@@ -77,21 +80,40 @@ class PsychroRow:
     rh_pct: float | None = None
     dew_point_c: float | None = None
 
-    def __post_init__(self):
-        for name, code in (("dry_code", self.dry_code), ("wet_code", self.wet_code)):
-            # bool is an int subclass, but True is not a code the file can carry
-            if type(code) is not int or not (0 <= code <= 255):
-                raise InvalidInputError(f"{name} must be an integer 0..255, got {code}")
-        object.__setattr__(self, "t_s", _finite6("t_s", self.t_s))
-        object.__setattr__(self, "dry_temp_c", _finite6("dry_temp_c", self.dry_temp_c))
-        object.__setattr__(self, "wet_temp_c", _finite6("wet_temp_c", self.wet_temp_c))
-        if self.rh_pct is not None:
+    def __init__(
+        self, t_s, timestamp, dry_code, dry_temp_c, wet_code, wet_temp_c, rh_pct=None, dew_point_c=None
+    ):
+        # bool is an int subclass, but True is not a code the file can carry
+        if type(dry_code) is not int or not (0 <= dry_code <= 255):
+            raise InvalidInputError(f"dry_code must be an integer 0..255, got {dry_code}")
+        if type(wet_code) is not int or not (0 <= wet_code <= 255):
+            raise InvalidInputError(f"wet_code must be an integer 0..255, got {wet_code}")
+        # round(nan) is nan and round(inf) is inf; round(None) raises TypeError
+        isfinite = math.isfinite
+        try:
+            t6, dry6, wet6 = round(t_s, 6), round(dry_temp_c, 6), round(wet_temp_c, 6)
+            finite = isfinite(t6) and isfinite(dry6) and isfinite(wet6)
+        except TypeError:
+            finite = False
+        if not finite:  # name the first bad field, as _finite6 words it
+            t6 = _finite6("t_s", t_s)
+            dry6 = _finite6("dry_temp_c", dry_temp_c)
+            wet6 = _finite6("wet_temp_c", wet_temp_c)
+        if rh_pct is not None:
             # the comparison also fails for nan
-            if not (0.0 <= self.rh_pct <= 100.0):
-                raise InvalidInputError(f"rh_pct must be finite and 0..100, got {self.rh_pct!r}")
-            object.__setattr__(self, "rh_pct", round(self.rh_pct, 6))
-        if self.dew_point_c is not None:
-            object.__setattr__(self, "dew_point_c", _finite6("dew_point_c", self.dew_point_c))
+            if not (0.0 <= rh_pct <= 100.0):
+                raise InvalidInputError(f"rh_pct must be finite and 0..100, got {rh_pct!r}")
+            rh_pct = round(rh_pct, 6)
+        if dew_point_c is not None:
+            dew_point_c = _finite6("dew_point_c", dew_point_c)
+        _setattr(self, "t_s", t6)
+        _setattr(self, "timestamp", timestamp)
+        _setattr(self, "dry_code", dry_code)
+        _setattr(self, "dry_temp_c", dry6)
+        _setattr(self, "wet_code", wet_code)
+        _setattr(self, "wet_temp_c", wet6)
+        _setattr(self, "rh_pct", rh_pct)
+        _setattr(self, "dew_point_c", dew_point_c)
 
 
 # the row's fields are the log's columns, in file order
@@ -211,15 +233,21 @@ def _parse_float(text: str, line_no: int, name: str) -> float:
         raise CsvParseError(line_no, f"bad {name} value {text!r}") from None
 
 
-def _parse_code(text: str, line_no: int, name: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise CsvParseError(line_no, f"bad {name} value {text!r}") from None
-
-
-def _parse_optional(text: str, line_no: int, name: str) -> float | None:
-    return None if text == "" else _parse_float(text, line_no, name)
+def _bad_number(cells: list, line_no: int) -> CsvParseError:
+    """The error for a data row whose one-pass parse raised ValueError: it
+    names the first numeric cell, in column order, that int() (a code) or
+    float() (any other number; an empty humidity cell is a missing value)
+    rejects."""
+    for i, name in _NUMERIC_COLUMNS:
+        text = cells[i]
+        try:
+            if name.endswith("_code"):
+                int(text)
+            elif text or name not in ("rh_pct", "dew_point_c"):
+                float(text)
+        except ValueError:
+            break
+    return CsvParseError(line_no, f"bad {name} value {text!r}")
 
 
 def _parse_meta_line(line: str, meta_values: dict) -> None:
@@ -294,17 +322,23 @@ def read_csv(path) -> RunLog:
         if literal_rows or "\r" in line:
             for i, name in _NUMERIC_COLUMNS:
                 _require_plain(cells[i], line_no, name)
+        t_s, timestamp, dry_code, dry_temp, wet_code, wet_temp, rh, dew = cells
         try:
-            row = PsychroRow(
-                t_s=_parse_float(cells[0], line_no, "t_s"),
-                timestamp=cells[1],
-                dry_code=_parse_code(cells[2], line_no, "dry_code"),
-                dry_temp_c=_parse_float(cells[3], line_no, "dry_temp_c"),
-                wet_code=_parse_code(cells[4], line_no, "wet_code"),
-                wet_temp_c=_parse_float(cells[5], line_no, "wet_temp_c"),
-                rh_pct=_parse_optional(cells[6], line_no, "rh_pct"),
-                dew_point_c=_parse_optional(cells[7], line_no, "dew_point_c"),
+            values = (
+                float(t_s),
+                timestamp,
+                int(dry_code),
+                float(dry_temp),
+                int(wet_code),
+                float(wet_temp),
+                float(rh) if rh else None,
+                float(dew) if dew else None,
             )
+        except ValueError:
+            raise _bad_number(cells, line_no) from None
+        # outside the parse's try: InvalidInputError is a ValueError too
+        try:
+            row = PsychroRow(*values)
         except InvalidInputError as exc:
             raise CsvParseError(line_no, str(exc)) from None
         if last_t is not None and row.t_s <= last_t:

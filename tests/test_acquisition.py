@@ -369,6 +369,8 @@ class TestQueueSink:
     def test_capacity_validated(self):
         with pytest.raises(InvalidInputError):
             QueueSink(capacity=0)
+        with pytest.raises(InvalidInputError, match="capacity must be an integer, got 1.5"):
+            QueueSink(capacity=1.5)
 
     def test_a_sink_changes_nothing(self):
         def config():

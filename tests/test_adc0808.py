@@ -180,6 +180,9 @@ def test_adc_config_validation():
         AdcConfig(vref=0.0)
     with pytest.raises(InvalidInputError):
         AdcConfig(bits=10)
+    # 8.0 == 8, but its repr is hashed into the run's # config line
+    with pytest.raises(InvalidInputError, match="bits must be an integer, got 8.0"):
+        AdcConfig(bits=8.0)
     with pytest.raises(InvalidInputError):
         AdcConfig(conversion_cycles=0)
     with pytest.raises(InvalidInputError):

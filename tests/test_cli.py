@@ -464,6 +464,29 @@ class TestConfigFile:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, text, message",
+        [
+            (["--rate", "0", "--duration", "1"], "", "--rate must be > 0 and finite, got 0.0"),
+            (
+                ["--duration", "1"],
+                "[run]\nsample_rate_hz = 0\n",
+                "[run] sample_rate_hz must be > 0 and finite, got 0.0",
+            ),
+            (["--duration", "-1"], "", "--duration must be >= 0 and finite, got -1.0"),
+            ([], "[run]\nduration_s = -1\n", "[run] duration_s must be >= 0 and finite, got -1.0"),
+        ],
+        ids=["rate flag", "rate file key", "duration flag", "duration file key"],
+    )
+    def test_a_bad_run_value_names_its_source(self, tmp_path, capsys, flags, text, message):
+        # a file value was reported under the flag's name, though no flag was given
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(text, encoding="utf-8")
+        out = tmp_path / "x.csv"
+        assert main(["--config", str(cfg), "simulate", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 def test_usage_error_from_argparse_exits_2(capsys):
     with pytest.raises(SystemExit) as err:

@@ -1,3 +1,6 @@
+import math
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -135,6 +138,41 @@ class TestRead:
             read_csv(path)
         path.write_text(HEADER + "\n0.0,t,xx,20.0,92,18.0,,\n", encoding="utf-8")
         with pytest.raises(CsvParseError):
+            read_csv(path)
+
+    @pytest.mark.parametrize(
+        "column, cell",
+        [
+            ("t_s", "x"),
+            ("dry_code", "x"),
+            ("dry_code", "1e"),
+            ("dry_code", "1.5"),
+            ("dry_temp_c", "x"),
+            ("wet_code", "x"),
+            ("wet_code", "1e"),
+            ("wet_temp_c", "x"),
+            ("wet_temp_c", ""),
+            ("rh_pct", "x"),
+            ("dew_point_c", "x"),
+        ],
+    )
+    def test_a_non_number_names_its_column_and_line(self, tmp_path, column, cell):
+        cells = dict(zip(HEADER.split(","), "0.5,t,102,20.0,92,18.0,50.0,12.0".split(",")))
+        cells[column] = cell
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            HEADER + "\n0.0,t,102,20.0,92,18.0,,\n" + ",".join(cells.values()) + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(CsvParseError) as err:
+            read_csv(path)
+        assert str(err.value) == f"line 3: bad {column} value {cell!r}"
+        assert err.value.line_no == 3
+
+    def test_the_first_non_number_is_named(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(HEADER + "\n0.0,t,102,x,1e,y,z,\n", encoding="utf-8")
+        with pytest.raises(CsvParseError, match="line 2: bad dry_temp_c value 'x'"):
             read_csv(path)
 
     @pytest.mark.parametrize(
@@ -306,6 +344,66 @@ def test_row_rejects_an_impossible_value(field, value):
     fields[field] = value
     with pytest.raises(InvalidInputError, match=field):
         PsychroRow(**fields)
+
+
+def _finite6_reference(name, value):
+    if value is None or not math.isfinite(value):
+        raise InvalidInputError(f"{name} must be finite, got {value!r}")
+    return round(value, 6)
+
+
+def reference_row(t_s, timestamp, dry_code, dry_temp_c, wet_code, wet_temp_c, rh_pct, dew_point_c):
+    """PsychroRow's rules written one field at a time, in field order: the
+    field values it must hold, or the InvalidInputError it must raise."""
+    for name, code in (("dry_code", dry_code), ("wet_code", wet_code)):
+        if type(code) is not int or not (0 <= code <= 255):
+            raise InvalidInputError(f"{name} must be an integer 0..255, got {code}")
+    t_s = _finite6_reference("t_s", t_s)
+    dry_temp_c = _finite6_reference("dry_temp_c", dry_temp_c)
+    wet_temp_c = _finite6_reference("wet_temp_c", wet_temp_c)
+    if rh_pct is not None:
+        if not (0.0 <= rh_pct <= 100.0):
+            raise InvalidInputError(f"rh_pct must be finite and 0..100, got {rh_pct!r}")
+        rh_pct = round(rh_pct, 6)
+    if dew_point_c is not None:
+        dew_point_c = _finite6_reference("dew_point_c", dew_point_c)
+    return (t_s, timestamp, dry_code, dry_temp_c, wet_code, wet_temp_c, rh_pct, dew_point_c)
+
+
+def _bits(values):
+    # repr tells -0.0 from 0.0 and shows nan; type tells 1 from 1.0 and True
+    return [(type(v), repr(v)) for v in values]
+
+
+# each value a row can be given: mostly ones it takes, so the later checks are reached too
+finite = st.one_of(
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-7, 4.9999995e-7, -4.9999995e-7, 1e308]),
+)
+not_finite = st.sampled_from([None, float("nan"), float("inf"), float("-inf")])
+temp = st.one_of(finite, finite, finite, not_finite)
+code = st.one_of(*[st.integers(min_value=0, max_value=255)] * 3, st.sampled_from([-1, 256, True, False, 91.0]))
+rh = st.one_of(
+    st.none(),
+    st.floats(min_value=0.0, max_value=100.0),
+    st.floats(min_value=-1.0, max_value=101.0),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 100.0, 100.0000001, -1e-9]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(values=st.tuples(temp, st.just("t"), code, temp, code, temp, rh, st.one_of(st.none(), temp)))
+def test_row_matches_its_field_by_field_reference(values):
+    try:
+        expected = reference_row(*values)
+    except InvalidInputError as exc:
+        with pytest.raises(InvalidInputError) as err:
+            PsychroRow(*values)
+        assert str(err.value) == str(exc)
+        return
+    row = PsychroRow(*values)
+    assert _bits(getattr(row, f.name) for f in fields(PsychroRow)) == _bits(expected)
 
 
 def test_row_rounds_floats_to_six_decimals():
