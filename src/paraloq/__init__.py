@@ -21,10 +21,10 @@ from .acquisition import (
     summarize,
 )
 from .adc0808 import (
-    AdcCode,
     AdcConfig,
     ClockConfig,
     clock_frequency,
+    conversion_time_s,
     decode_temp,
     decode_volts,
     quantize,

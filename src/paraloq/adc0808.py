@@ -76,28 +76,6 @@ class AdcConfig:
         require_above("noise_sigma_lsb", self.noise_sigma_lsb, 0, inclusive=True)
 
 
-@dataclass(frozen=True)
-class AdcCode:
-    """One conversion result and its timing."""
-
-    code: int
-    latency_s: float
-    channel: int = 0
-
-    def __post_init__(self):
-        if not (0 <= self.code <= CODE_MAX):
-            raise InvalidInputError(f"code must be 0..{CODE_MAX}, got {self.code}")
-        if not (self.latency_s > 0):
-            raise InvalidInputError(f"latency_s must be > 0, got {self.latency_s}")
-        if not (0 <= self.channel <= 7):
-            raise InvalidInputError(f"channel must be 0..7, got {self.channel}")
-
-    @property
-    def sar_trace(self) -> tuple:
-        """The SAR's per-bit keep decisions, MSB first: the bits of the code."""
-        return tuple(1 if self.code & bit else 0 for bit in _BIT_WEIGHTS)
-
-
 def require_clock_in_window(freq_hz: float) -> None:
     """Raise ClockRangeError unless freq_hz can legally clock the converter."""
     if not CLOCK_MIN_HZ <= freq_hz <= CLOCK_MAX_HZ:
@@ -131,18 +109,23 @@ def quantize(v_in: float, cfg: AdcConfig = AdcConfig()) -> int:
     return min(max(code, 0), CODE_MAX)
 
 
+def conversion_time_s(clock_hz: float, cfg: AdcConfig = AdcConfig()) -> float:
+    """Time one conversion takes: conversion_cycles / clock_hz (100 us at 640 kHz)."""
+    return cfg.conversion_cycles / clock_hz
+
+
 def sar_convert(
     v_in: float,
     channel: int,
     clock_hz: float,
     cfg: AdcConfig = AdcConfig(),
-) -> AdcCode:
-    """Run the 8-step successive-approximation loop.
+) -> int:
+    """Run the 8-step successive-approximation loop and return the code.
 
     Each step sets the next bit in a trial code and keeps it iff the input
     is at or above the trial threshold (trial * vref / 256), so the kept
-    bits are the code's bits. The result is identical to quantize().
-    Latency is conversion_cycles / clock_hz (100 us at 640 kHz).
+    bits are the code's bits. The result is identical to quantize(). The
+    conversion takes conversion_time_s(clock_hz, cfg).
     """
     if not math.isfinite(v_in):
         raise InvalidInputError(f"v_in must be finite, got {v_in}")
@@ -155,27 +138,27 @@ def sar_convert(
         trial = code | bit
         if v_in >= trial * vref / 256.0:
             code = trial
-    return AdcCode(code=code, latency_s=cfg.conversion_cycles / clock_hz, channel=channel)
+    return code
 
 
-def dump_sar_trace(v_in: float, channel: int, clock_hz: float, cfg: AdcConfig, path) -> AdcCode:
-    """Convert once and write one line per SAR step to a debug text file.
+def dump_sar_trace(v_in: float, channel: int, clock_hz: float, cfg: AdcConfig, path) -> int:
+    """Convert once, write one line per SAR step to a debug text file, and
+    return the code.
 
     Line format: `step=<k> trial=<code> threshold=<volts> keep=<0|1>`,
-    rebuilt from the conversion's own bit decisions.
+    read back from the returned code, whose bits are the kept trial bits.
     """
-    result = sar_convert(v_in, channel, clock_hz, cfg)
+    code = sar_convert(v_in, channel, clock_hz, cfg)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# v_in={v_in!r} channel={channel} clock_hz={clock_hz!r}\n")
-        code = 0
-        for step, (bit, keep) in enumerate(zip(_BIT_WEIGHTS, result.sar_trace)):
-            trial = code | bit
-            if keep:
-                code = trial
+        kept = 0
+        for step, bit in enumerate(_BIT_WEIGHTS):
+            trial = kept | bit
+            kept |= code & bit
             threshold = trial * cfg.vref / 256.0
-            fh.write(f"step={step} trial={trial} threshold={threshold:.6f} keep={keep}\n")
-        fh.write(f"# code={result.code} latency_s={result.latency_s!r}\n")
-    return result
+            fh.write(f"step={step} trial={trial} threshold={threshold:.6f} keep={1 if code & bit else 0}\n")
+        fh.write(f"# code={code} latency_s={conversion_time_s(clock_hz, cfg)!r}\n")
+    return code
 
 
 def decode_volts(code: int, vref: float = 5.0) -> float:

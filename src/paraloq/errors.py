@@ -2,6 +2,7 @@
 policy for a number where it enters."""
 
 import math
+import sys
 
 
 class ParaloqError(Exception):
@@ -13,8 +14,13 @@ class InvalidInputError(ParaloqError, ValueError):
 
 
 def require_finite(name: str, value) -> None:
-    """Raise InvalidInputError unless value is a finite number."""
-    if not math.isfinite(value):
+    """Raise InvalidInputError unless value is a finite number; an int beyond
+    the float range is not one."""
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
         raise InvalidInputError(f"{name} must be finite, got {value}")
 
 
@@ -22,9 +28,11 @@ def require_above(name: str, value, low, *, inclusive: bool = False) -> None:
     """Raise InvalidInputError unless value is finite and > low (>= low if inclusive).
 
     With require_finite and require_int, the whole check of a config field or
-    stimulus parameter; nan, inf and -inf all fail it.
+    stimulus parameter; nan, inf, -inf and an int beyond the float range all
+    fail it.
     """
-    if not (low <= value < math.inf if inclusive else low < value < math.inf):
+    top = sys.float_info.max
+    if not (low <= value <= top if inclusive else low < value <= top):
         raise InvalidInputError(
             f"{name} must be {'>=' if inclusive else '>'} {low} and finite, got {value}"
         )

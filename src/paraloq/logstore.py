@@ -32,8 +32,12 @@ _META_KEYS = ("run_id", "start", "sample_rate_hz", "channels", "config")
 
 def _finite6(name: str, value) -> float:
     """A value that must be a finite number (not None, nan or inf), rounded to
-    the file format's 6 decimals."""
-    if value is None or not math.isfinite(value):
+    the file format's 6 decimals; an int beyond the float range is not one."""
+    try:
+        finite = value is not None and math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
         raise InvalidInputError(f"{name} must be finite, got {value!r}")
     return round(value, 6)
 
@@ -88,12 +92,13 @@ class PsychroRow:
             raise InvalidInputError(f"dry_code must be an integer 0..255, got {dry_code}")
         if type(wet_code) is not int or not (0 <= wet_code <= 255):
             raise InvalidInputError(f"wet_code must be an integer 0..255, got {wet_code}")
-        # round(nan) is nan and round(inf) is inf; round(None) raises TypeError
+        # round(nan) is nan and round(inf) is inf; round(None) raises TypeError,
+        # and isfinite raises OverflowError for an int beyond the float range
         isfinite = math.isfinite
         try:
             t6, dry6, wet6 = round(t_s, 6), round(dry_temp_c, 6), round(wet_temp_c, 6)
             finite = isfinite(t6) and isfinite(dry6) and isfinite(wet6)
-        except TypeError:
+        except (TypeError, OverflowError):
             finite = False
         if not finite:  # name the first bad field, as _finite6 words it
             t6 = _finite6("t_s", t_s)

@@ -140,7 +140,7 @@ class SimulatedPort:
 
     @property
     def latency_s(self) -> float:
-        return self.adc.conversion_cycles / self.clock_hz
+        return adc0808.conversion_time_s(self.clock_hz, self.adc)
 
     # -- port primitives -----------------------------------------------
 
@@ -166,9 +166,7 @@ class SimulatedPort:
     def _start_conversion(self, channel: int) -> None:
         if not self.connected:
             return
-        code = adc0808.sar_convert(
-            self._inputs[channel], channel, self.clock_hz, self.adc
-        ).code
+        code = adc0808.sar_convert(self._inputs[channel], channel, self.clock_hz, self.adc)
         if self.adc.noise_sigma_lsb > 0:
             code += round(self._rng.gauss(0.0, self.adc.noise_sigma_lsb))
             code = min(max(code, 0), adc0808.CODE_MAX)

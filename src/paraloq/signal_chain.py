@@ -79,8 +79,11 @@ def amplify_and_clamp(v_in: float, cfg: ChainConfig = ChainConfig()) -> float:
 
 
 def chain_voltage(temp_c: float, cfg: ChainConfig = ChainConfig()) -> float:
-    """DC voltage the ADC sees for a steady temperature (no filter dynamics)."""
-    return amplify_and_clamp(sensor_voltage(temp_c, cfg), cfg)
+    """DC voltage the ADC sees for a steady temperature (no filter dynamics):
+    sensor_voltage then amplify_and_clamp, operation for operation, with one
+    check, as the clamp saturates even a slope * temp_c that overflows."""
+    require_finite("temp_c", temp_c)
+    return min(max(cfg.amp_gain * (cfg.sensor_slope * temp_c), 0.0), cfg.clamp_volts)
 
 
 def lowpass_alpha(dt: float, cfg: ChainConfig = ChainConfig()) -> float:

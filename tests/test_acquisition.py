@@ -477,11 +477,13 @@ NUMERIC_FIELDS = [
     if f.type in ("float", "int")
 ]
 # (class, field, bad value, id); an int field also rejects a finite float and a
-# bool (a nan seed used to build, then fail mid-run with a bare TypeError)
+# bool (a nan seed used to build, then fail mid-run with a bare TypeError), and
+# a float field an int beyond the float range (it used to build, or to raise a
+# bare OverflowError)
 BAD_VALUES = [
-    (cls, name, bad, f"{cls.__name__}.{name}-{bad!r}")
+    (cls, name, bad, f"{cls.__name__}.{name}-{'10**400' if bad == 10**400 else repr(bad)}")
     for cls, name, kind in NUMERIC_FIELDS
-    for bad in [math.nan, math.inf, -math.inf] + ([1.5, True] if kind == "int" else [])
+    for bad in [math.nan, math.inf, -math.inf] + ([1.5, True] if kind == "int" else [10**400])
 ]
 
 

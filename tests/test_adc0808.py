@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from paraloq import (
-    AdcCode,
     AdcConfig,
     ChainConfig,
     ClockConfig,
@@ -15,6 +14,7 @@ from paraloq import (
     InvalidInputError,
     chain_voltage,
     clock_frequency,
+    conversion_time_s,
     decode_temp,
     decode_volts,
     quantize,
@@ -23,6 +23,15 @@ from paraloq import (
 from paraloq.adc0808 import dump_sar_trace
 
 adc_inputs = st.floats(min_value=-1.0, max_value=6.0, allow_nan=False)
+
+
+def _dump(tmp_path, v_in, channel, clock_hz):
+    """dump_sar_trace's returned code, its header line and its keep= column, MSB first."""
+    path = tmp_path / "trace.txt"
+    code = dump_sar_trace(v_in, channel, clock_hz, AdcConfig(), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    keeps = "".join(line.rsplit("keep=", 1)[1] for line in lines if line.startswith("step="))
+    return code, lines[0], keeps
 
 
 class TestClock:
@@ -94,22 +103,18 @@ class TestQuantize:
 
 
 class TestSarConvert:
-    def test_midscale_trace_and_timing(self):
-        result = sar_convert(2.5, 0, 640e3)
-        assert result.code == 128
-        assert result.sar_trace == (1, 0, 0, 0, 0, 0, 0, 0)
-        assert result.latency_s == pytest.approx(100e-6, rel=1e-12)
+    def test_midscale_trace_and_timing(self, tmp_path):
+        assert sar_convert(2.5, 0, 640e3) == 128
+        assert _dump(tmp_path, 2.5, 0, 640e3) == (128, "# v_in=2.5 channel=0 clock_hz=640000.0", "10000000")
+        assert conversion_time_s(640e3) == pytest.approx(100e-6, rel=1e-12)
 
-    def test_zero_input_gives_all_zero_trace(self):
-        result = sar_convert(0.0, 3, 640e3)
-        assert result.code == 0
-        assert result.sar_trace == (0,) * 8
-        assert result.channel == 3
+    def test_zero_input_gives_all_zero_trace(self, tmp_path):
+        assert sar_convert(0.0, 3, 640e3) == 0
+        assert _dump(tmp_path, 0.0, 3, 640e3) == (0, "# v_in=0.0 channel=3 clock_hz=640000.0", "0" * 8)
 
     def test_near_full_scale_at_max_clock(self):
-        result = sar_convert(4.98, 0, 1280e3)
-        assert result.code == 254
-        assert result.latency_s == pytest.approx(50e-6, rel=1e-12)
+        assert sar_convert(4.98, 0, 1280e3) == 254
+        assert conversion_time_s(1280e3) == pytest.approx(50e-6, rel=1e-12)
 
     @pytest.mark.parametrize("clock", [9e3, 1281e3, 0.0])
     def test_clock_window_enforced(self, clock):
@@ -117,7 +122,7 @@ class TestSarConvert:
             sar_convert(1.0, 0, clock)
 
     def test_window_endpoints_are_valid(self):
-        assert sar_convert(1.0, 0, 10e3).code == sar_convert(1.0, 0, 1280e3).code
+        assert sar_convert(1.0, 0, 10e3) == sar_convert(1.0, 0, 1280e3)
 
     def test_bad_channel(self):
         with pytest.raises(InvalidInputError):
@@ -125,12 +130,12 @@ class TestSarConvert:
 
     @given(v=adc_inputs)
     def test_equals_direct_quantizer(self, v):
-        assert sar_convert(v, 0, 640e3).code == quantize(v)
+        assert sar_convert(v, 0, 640e3) == quantize(v)
 
     @pytest.mark.parametrize("clock", [10e3, 100e3, 320e3, 640e3, 1280e3])
     def test_latency_times_clock_is_cycle_count(self, clock):
-        result = sar_convert(1.0, 0, clock)
-        assert result.latency_s * clock == 64.0
+        sar_convert(1.0, 0, clock)  # a clock the converter accepts
+        assert conversion_time_s(clock) * clock == 64.0
 
 
 class TestDecode:
@@ -164,15 +169,17 @@ def test_end_to_end_round_trip_within_one_lsb():
         temp += 0.01
 
 
-def test_sar_trace_is_the_code_bits_for_every_code():
+def test_sar_trace_is_the_code_bits_for_every_code(tmp_path):
     # each code's lower step edge converts to that code, and the keep/drop
     # decisions read back as its bits, MSB first
     for code in range(256):
+        assert _dump(tmp_path, code * 5.0 / 256.0, 0, 640e3)[::2] == (code, format(code, "08b"))
+
+
+def test_a_conversion_is_a_plain_int_code():
+    for code in range(256):
         result = sar_convert(code * 5.0 / 256.0, 0, 640e3)
-        assert result.code == code
-        assert result.sar_trace == tuple(int(b) for b in format(code, "08b"))
-    with pytest.raises(InvalidInputError):
-        AdcCode(code=256, latency_s=1e-4)
+        assert type(result) is int and result == code
 
 
 def test_adc_config_validation():
@@ -191,8 +198,7 @@ def test_adc_config_validation():
 
 def test_sar_trace_dump(tmp_path):
     path = tmp_path / "trace.txt"
-    result = dump_sar_trace(2.5, 0, 640e3, AdcConfig(), path)
-    assert result.code == 128
+    assert dump_sar_trace(2.5, 0, 640e3, AdcConfig(), path) == 128
     lines = path.read_text(encoding="utf-8").splitlines()
     step_lines = [line for line in lines if line.startswith("step=")]
     assert len(step_lines) == 8

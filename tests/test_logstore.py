@@ -346,6 +346,15 @@ def test_row_rejects_an_impossible_value(field, value):
         PsychroRow(**fields)
 
 
+@pytest.mark.parametrize("field", ["t_s", "dry_temp_c", "wet_temp_c", "dew_point_c"])
+def test_row_rejects_an_int_beyond_the_float_range(field):
+    # round() keeps an int an int, and isfinite used to raise a bare OverflowError
+    fields = dict(t_s=0.0, timestamp="t", dry_code=91, dry_temp_c=19.8, wet_code=91, wet_temp_c=17.9)
+    fields[field] = 10**400
+    with pytest.raises(InvalidInputError, match=f"{field} must be finite"):
+        PsychroRow(**fields)
+
+
 def _finite6_reference(name, value):
     if value is None or not math.isfinite(value):
         raise InvalidInputError(f"{name} must be finite, got {value!r}")

@@ -9,6 +9,7 @@ from paraloq import (
     PortRegisters,
     SimulatedPort,
     acquire_byte,
+    conversion_time_s,
     quantize,
 )
 from paraloq.pport import (
@@ -86,6 +87,10 @@ class TestAcquireByte:
         acquire_byte(port, 0)
         observed = port.now_s - t0
         assert port.latency_s <= observed < 2 * port.latency_s
+
+    def test_latency_is_the_converter_conversion_time(self):
+        adc = AdcConfig(conversion_cycles=72)
+        assert SimulatedPort(adc, clock_hz=320e3).latency_s == conversion_time_s(320e3, adc) == 72 / 320e3
 
     def test_repeated_acquisitions_are_identical(self):
         port = SimulatedPort()

@@ -106,6 +106,23 @@ def test_chain_composition_matches_ideal_scaling():
         assert out <= cfg.clamp_volts
 
 
+@given(temp=st.floats(allow_nan=False, allow_infinity=False))
+def test_chain_is_sensor_then_clamp_bit_for_bit(temp):
+    cfg = ChainConfig()
+    assert repr(chain_voltage(temp, cfg)) == repr(amplify_and_clamp(sensor_voltage(temp, cfg), cfg))
+
+
+def test_chain_saturates_where_the_sensor_product_overflows():
+    # slope * temp_c is inf for a finite temperature here; the chain clamps it
+    # like any over-range input (it used to raise "v_in must be finite, got inf")
+    cfg = ChainConfig(sensor_slope=1e10, amp_gain=1e-11)
+    assert chain_voltage(1e300, cfg) == cfg.clamp_volts
+    assert chain_voltage(-1e300, cfg) == 0.0
+    for bad in (math.inf, math.nan, 10**400):
+        with pytest.raises(InvalidInputError, match="temp_c must be finite"):
+            chain_voltage(bad, cfg)
+
+
 class TestLowpass:
     def test_dc_convergence_is_monotone(self):
         state = 0.0
