@@ -33,6 +33,7 @@ from .errors import (
     require_above,
     require_finite,
     require_int,
+    shown,
 )
 from .pport import SimulatedPort, acquire_byte
 from .signal_chain import ChainConfig, chain_voltage, lowpass_alpha, lowpass_step
@@ -157,7 +158,7 @@ class RunConfig:
         substeps = self.filter_substeps
         require_int("filter_substeps", substeps)
         if not 0 <= substeps <= MAX_FILTER_SUBSTEPS:
-            raise InvalidInputError(f"filter_substeps must be 0..{MAX_FILTER_SUBSTEPS}, got {substeps}")
+            raise InvalidInputError(f"filter_substeps must be 0..{MAX_FILTER_SUBSTEPS}, got {shown(substeps)}")
         require_int("seed", self.seed)
         adc0808.require_clock_in_window(self.clock.frequency_hz)  # or every conversion fails
         for ch in Channel:
@@ -232,7 +233,7 @@ class QueueSink:
     def __init__(self, capacity: int = 1024):
         require_int("capacity", capacity)
         if capacity < 1:
-            raise InvalidInputError(f"capacity must be >= 1, got {capacity}")
+            raise InvalidInputError(f"capacity must be >= 1, got {shown(capacity)}")
         self.capacity = capacity
         self.dropped = 0
         self._lock = threading.Lock()

@@ -18,7 +18,14 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import ClockRangeError, ClockWindowWarning, InvalidInputError, require_above, require_int
+from .errors import (
+    ClockRangeError,
+    ClockWindowWarning,
+    InvalidInputError,
+    require_above,
+    require_int,
+    shown,
+)
 
 BITS = 8
 CODE_MAX = 255
@@ -130,7 +137,7 @@ def sar_convert(
     if not math.isfinite(v_in):
         raise InvalidInputError(f"v_in must be finite, got {v_in}")
     if not (0 <= channel <= 7):
-        raise InvalidInputError(f"channel must be 0..7, got {channel}")
+        raise InvalidInputError(f"channel must be 0..7, got {shown(channel)}")
     require_clock_in_window(clock_hz)
     vref = cfg.vref
     code = 0
@@ -164,7 +171,7 @@ def dump_sar_trace(v_in: float, channel: int, clock_hz: float, cfg: AdcConfig, p
 def decode_volts(code: int, vref: float = 5.0) -> float:
     """Code back to volts over the 0..vref span: code * vref / 255."""
     if not (0 <= code <= CODE_MAX) or code != int(code):
-        raise InvalidInputError(f"code must be an integer 0..{CODE_MAX}, got {code}")
+        raise InvalidInputError(f"code must be an integer 0..{CODE_MAX}, got {shown(code)}")
     return code * vref / 255.0
 
 
@@ -174,5 +181,5 @@ def decode_temp(code: int) -> float:
     Step size 50/255 = 0.196 degC; top code reads exactly 50.0 degC.
     """
     if not (0 <= code <= CODE_MAX) or code != int(code):
-        raise InvalidInputError(f"code must be an integer 0..{CODE_MAX}, got {code}")
+        raise InvalidInputError(f"code must be an integer 0..{CODE_MAX}, got {shown(code)}")
     return code * TEMP_FULL_SCALE_C / 255.0

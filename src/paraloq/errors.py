@@ -13,6 +13,21 @@ class InvalidInputError(ParaloqError, ValueError):
     """An argument violates a precondition (non-finite, out of range, ...)."""
 
 
+def shown(value) -> str:
+    """value as an error message writes it: its str, or "an int of N digits"
+    for an int too long for str (past the interpreter's digit limit)."""
+    try:
+        return str(value)
+    except ValueError:
+        if not isinstance(value, int):
+            raise
+        n = abs(value)
+        # a bit-length estimate, then the comparisons that make it exact
+        digits = int((n.bit_length() - 1) * math.log10(2)) + 1
+        digits += (n >= 10**digits) - (n < 10 ** (digits - 1))
+        return f"{'a negative' if value < 0 else 'an'} int of {digits} digits"
+
+
 def require_finite(name: str, value) -> None:
     """Raise InvalidInputError unless value is a finite number; an int beyond
     the float range is not one."""
@@ -21,7 +36,7 @@ def require_finite(name: str, value) -> None:
     except OverflowError:
         finite = False
     if not finite:
-        raise InvalidInputError(f"{name} must be finite, got {value}")
+        raise InvalidInputError(f"{name} must be finite, got {shown(value)}")
 
 
 def require_above(name: str, value, low, *, inclusive: bool = False) -> None:
@@ -34,7 +49,7 @@ def require_above(name: str, value, low, *, inclusive: bool = False) -> None:
     top = sys.float_info.max
     if not (low <= value <= top if inclusive else low < value <= top):
         raise InvalidInputError(
-            f"{name} must be {'>=' if inclusive else '>'} {low} and finite, got {value}"
+            f"{name} must be {'>=' if inclusive else '>'} {low} and finite, got {shown(value)}"
         )
 
 

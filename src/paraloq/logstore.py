@@ -25,7 +25,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field, fields
 
-from .errors import CsvParseError, InvalidInputError, StorageError
+from .errors import CsvParseError, InvalidInputError, StorageError, shown
 
 _META_KEYS = ("run_id", "start", "sample_rate_hz", "channels", "config")
 
@@ -38,7 +38,7 @@ def _finite6(name: str, value) -> float:
     except OverflowError:
         finite = False
     if not finite:
-        raise InvalidInputError(f"{name} must be finite, got {value!r}")
+        raise InvalidInputError(f"{name} must be finite, got {shown(value)}")
     return round(value, 6)
 
 
@@ -89,9 +89,9 @@ class PsychroRow:
     ):
         # bool is an int subclass, but True is not a code the file can carry
         if type(dry_code) is not int or not (0 <= dry_code <= 255):
-            raise InvalidInputError(f"dry_code must be an integer 0..255, got {dry_code}")
+            raise InvalidInputError(f"dry_code must be an integer 0..255, got {shown(dry_code)}")
         if type(wet_code) is not int or not (0 <= wet_code <= 255):
-            raise InvalidInputError(f"wet_code must be an integer 0..255, got {wet_code}")
+            raise InvalidInputError(f"wet_code must be an integer 0..255, got {shown(wet_code)}")
         # round(nan) is nan and round(inf) is inf; round(None) raises TypeError,
         # and isfinite raises OverflowError for an int beyond the float range
         isfinite = math.isfinite
@@ -107,7 +107,7 @@ class PsychroRow:
         if rh_pct is not None:
             # the comparison also fails for nan
             if not (0.0 <= rh_pct <= 100.0):
-                raise InvalidInputError(f"rh_pct must be finite and 0..100, got {rh_pct!r}")
+                raise InvalidInputError(f"rh_pct must be finite and 0..100, got {shown(rh_pct)}")
             rh_pct = round(rh_pct, 6)
         if dew_point_c is not None:
             dew_point_c = _finite6("dew_point_c", dew_point_c)

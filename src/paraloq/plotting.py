@@ -73,7 +73,13 @@ def ascii_chart(t_values, values, label: str) -> str:
 
 
 def svg_chart(t_values, values, label: str) -> str:
-    """Render values against time as a 640x480 SVG polyline chart."""
+    """Render values against time as a 640x480 SVG polyline chart.
+
+    One "x,y" point per sample, in sample order, two decimals each. x spans
+    the first to the last time value and y the smallest to the largest
+    value; an axis whose span is not positive puts every point at its
+    centre. The label is XML-escaped (&, <, >), so any label parses.
+    """
     _require_series(t_values, values)
     vmin, vmax = min(values), max(values)
     tmin, tmax = t_values[0], t_values[-1]
@@ -82,23 +88,26 @@ def svg_chart(t_values, values, label: str) -> str:
     plot_w = SVG_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = SVG_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
-    def x_of(t):
-        frac = (t - tmin) / tspan if tspan > 0 else 0.5
-        return _MARGIN_LEFT + frac * plot_w
-
-    def y_of(v):
-        frac = (v - vmin) / vspan if vspan > 0 else 0.5
-        return _MARGIN_TOP + (1.0 - frac) * plot_h
-
-    points = " ".join(f"{x_of(t):.2f},{y_of(v):.2f}" for t, v in zip(t_values, values))
+    t_ok, v_ok = tspan > 0, vspan > 0
+    points = " ".join(
+        [
+            "%.2f,%.2f"
+            % (
+                _MARGIN_LEFT + ((t - tmin) / tspan if t_ok else 0.5) * plot_w,
+                _MARGIN_TOP + (1.0 - ((v - vmin) / vspan if v_ok else 0.5)) * plot_h,
+            )
+            for t, v in zip(t_values, values)
+        ]
+    )
     x0, y0 = _MARGIN_LEFT, _MARGIN_TOP + plot_h
     x1, y1 = _MARGIN_LEFT + plot_w, _MARGIN_TOP
+    title = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     return "\n".join(
         (
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" '
             f'height="{SVG_HEIGHT}" viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
             f'  <text x="{SVG_WIDTH / 2:.0f}" y="24" text-anchor="middle" '
-            f'font-family="monospace" font-size="16">{label}</text>',
+            f'font-family="monospace" font-size="16">{title}</text>',
             f'  <line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>',
             f'  <line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>',
             f'  <text x="{x0 - 6:.0f}" y="{y1 + 4:.0f}" text-anchor="end" '

@@ -31,9 +31,11 @@ from paraloq import (
     decode_volts,
     humidity_summary,
     run_acquisition,
+    sar_convert,
     summarize,
     write_csv,
 )
+from paraloq.errors import shown
 from paraloq.logstore import PsychroRow
 
 from conftest import constant_run_config
@@ -494,3 +496,56 @@ def test_every_numeric_config_field_rejects_a_non_finite_value(cls, name, bad):
     cls(**ENTRY_KWARGS[cls])  # builds with every field in range
     with pytest.raises(InvalidInputError, match=name):
         cls(**{**ENTRY_KWARGS[cls], name: bad})
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: RunConfig(duration_s=10**5000), "duration_s must be >= 0 and finite, got an int of 5001 digits"),
+        (lambda: Constant(10**5000), "value_c must be finite, got an int of 5001 digits"),
+        (lambda: Constant(-(10**5000)), "value_c must be finite, got a negative int of 5001 digits"),
+        (
+            lambda: RunConfig(duration_s=1.0, filter_substeps=10**5000),
+            "filter_substeps must be 0..1024, got an int of 5001 digits",
+        ),
+        (lambda: QueueSink(-(10**5000)), "capacity must be >= 1, got a negative int of 5001 digits"),
+        (lambda: decode_temp(10**5000), "code must be an integer 0..255, got an int of 5001 digits"),
+        (lambda: decode_volts(10**5000), "code must be an integer 0..255, got an int of 5001 digits"),
+        (lambda: sar_convert(1.0, 10**5000, 640e3), "channel must be 0..7, got an int of 5001 digits"),
+    ],
+    ids=[
+        "RunConfig.duration_s",
+        "Constant",
+        "Constant-negative",
+        "RunConfig.filter_substeps",
+        "QueueSink",
+        "decode_temp",
+        "decode_volts",
+        "sar_convert.channel",
+    ],
+)
+def test_an_int_too_long_for_str_is_rejected_by_its_digit_count(build, message):
+    # past Python's 4,300-digit str limit the message used to fail to format,
+    # raising a bare ValueError in place of InvalidInputError
+    with pytest.raises(InvalidInputError) as err:
+        build()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (10**4300 - 1, "9" * 4300),  # at the limit, str still works
+        (10**4300, "an int of 4301 digits"),
+        (-(10**4300), "a negative int of 4301 digits"),
+        (2**20000, "an int of 6021 digits"),
+        (10**20000 - 1, "an int of 20000 digits"),
+        (10**20000, "an int of 20001 digits"),
+        (-1.5, "-1.5"),
+        (None, "None"),
+        (10**400, str(10**400)),
+    ],
+    ids=["10**4300-1", "10**4300", "-10**4300", "2**20000", "10**20000-1", "10**20000", "float", "None", "10**400"],
+)
+def test_shown_writes_a_value_as_str_or_by_its_digit_count(value, text):
+    assert shown(value) == text

@@ -1,4 +1,4 @@
-"""Golden logs of the benchmark workloads, rebuilt in-process byte for byte.
+"""Golden logs and charts of the benchmark workloads, rebuilt in-process byte for byte.
 
 The configs come from ``perfbench/workloads.py`` and the digests from
 ``perfbench/golden.json``, so both have one source of truth. Together they
@@ -30,15 +30,36 @@ def _load_workloads():
 workloads = _load_workloads()
 
 
+@pytest.fixture(scope="module")
+def acquired():
+    """The seed-0 run of a workload, acquired once per module (postprocess is 7,201 rows)."""
+    runs = {}
+
+    def run(name):
+        if name not in runs:
+            runs[name] = run_acquisition(workloads.CONFIGS[name](0))
+        return runs[name]
+
+    return run
+
+
 @pytest.mark.parametrize(
-    "config, digest",
+    "name, digest",
     [
-        (workloads.filtered_sine_config, GOLDEN["filtered_sine"]["csv_sha256"]),
-        (workloads.postprocess_source_config, GOLDEN["postprocess"]["source"]["csv_sha256"]),
+        ("filtered_sine", GOLDEN["filtered_sine"]["csv_sha256"]),
+        ("postprocess", GOLDEN["postprocess"]["source"]["csv_sha256"]),
     ],
     ids=["filtered_sine", "postprocess_source"],
 )
-def test_seed_0_workload_log_is_byte_identical(tmp_path, config, digest):
+def test_seed_0_workload_log_is_byte_identical(tmp_path, acquired, name, digest):
     path = tmp_path / "run.csv"
-    write_csv(run_acquisition(config(0)), path)
+    write_csv(acquired(name), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", ["steady", "filtered_sine", "postprocess"])
+def test_seed_0_workload_charts_are_byte_identical(acquired, name):
+    # the charts `paraloq plot` draws of the logged dry_temp_c column
+    ascii_text, svg_text, _ = workloads.render_charts(*workloads.plot_series(acquired(name)))
+    assert workloads.sha256_text(ascii_text) == GOLDEN[name]["ascii_sha256"]
+    assert workloads.sha256_text(svg_text) == GOLDEN[name]["svg_sha256"]

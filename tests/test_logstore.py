@@ -355,6 +355,23 @@ def test_row_rejects_an_int_beyond_the_float_range(field):
         PsychroRow(**fields)
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((10**5000, "x", 1, 1.0, 1, 1.0), "t_s must be finite, got an int of 5001 digits"),
+        ((0.0, "x", 10**5000, 1.0, 1, 1.0), "dry_code must be an integer 0..255, got an int of 5001 digits"),
+        ((0.0, "x", 1, 1.0, 1, 1.0, -(10**5000)), "rh_pct must be finite and 0..100, got a negative int of 5001 digits"),
+    ],
+    ids=["t_s", "dry_code", "rh_pct"],
+)
+def test_row_rejects_an_int_too_long_for_str(fields, message):
+    # past Python's 4,300-digit str limit the message used to fail to format,
+    # raising a bare ValueError in place of InvalidInputError
+    with pytest.raises(InvalidInputError) as err:
+        PsychroRow(*fields)
+    assert str(err.value) == message
+
+
 def _finite6_reference(name, value):
     if value is None or not math.isfinite(value):
         raise InvalidInputError(f"{name} must be finite, got {value!r}")

@@ -1,4 +1,8 @@
+import xml.etree.ElementTree as ET
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paraloq.errors import EmptyRunError, InvalidInputError
 from paraloq.plotting import ASCII_COLS, ASCII_ROWS, ascii_chart, svg_chart
@@ -79,3 +83,63 @@ class TestSvgChart:
     def test_empty_rejected(self):
         with pytest.raises(EmptyRunError):
             svg_chart([], [], "x")
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(InvalidInputError):
+            svg_chart([0.0], [1.0, 2.0], "x")
+
+    def test_label_is_xml_escaped(self):
+        # the label used to be written bare, and "a<b & c" made the SVG ill-formed
+        root = ET.fromstring(svg_chart([0.0, 1.0], [1.0, 2.0], "a<b & c"))
+        assert "a<b & c" in [text.text for text in root.iter("{http://www.w3.org/2000/svg}text")]
+
+
+def _points_oracle(t_values, values):
+    """The polyline points as svg_chart wrote them with one closure per axis
+    and one f-string per point: the bytes its one-pass form must keep."""
+    vmin, vmax = min(values), max(values)
+    tmin, tmax = t_values[0], t_values[-1]
+    vspan, tspan = vmax - vmin, tmax - tmin
+    plot_w, plot_h = 640 - 60.0 - 20.0, 480 - 40.0 - 40.0
+
+    def x_of(t):
+        frac = (t - tmin) / tspan if tspan > 0 else 0.5
+        return 60.0 + frac * plot_w
+
+    def y_of(v):
+        frac = (v - vmin) / vspan if vspan > 0 else 0.5
+        return 40.0 + (1.0 - frac) * plot_h
+
+    return " ".join(f"{x_of(t):.2f},{y_of(v):.2f}" for t, v in zip(t_values, values))
+
+
+number = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.integers(min_value=-(10**6), max_value=10**6),
+)
+
+
+@st.composite
+def series(draw):
+    """(t values, values) of 1..200 samples: t in any order, sorted or constant,
+    values constant or not, ints and floats."""
+    pairs = draw(st.lists(st.tuples(number, number), min_size=1, max_size=200))
+    t_values, values = (list(column) for column in zip(*pairs))
+    shape = draw(st.sampled_from(["as drawn", "sorted t", "constant t", "constant values"]))
+    if shape == "sorted t":
+        t_values.sort()
+    elif shape == "constant t":
+        t_values = [t_values[0]] * len(t_values)
+    elif shape == "constant values":
+        values = [values[0]] * len(values)
+    return t_values, values
+
+
+@settings(max_examples=200, deadline=None)
+@given(series())
+def test_svg_points_match_the_per_point_formula(drawn):
+    t_values, values = drawn
+    root = ET.fromstring(svg_chart(t_values, values, "x"))
+    (polyline,) = root.iter("{http://www.w3.org/2000/svg}polyline")
+    assert polyline.get("points") == _points_oracle(t_values, values)
