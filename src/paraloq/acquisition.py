@@ -65,6 +65,9 @@ class Constant:
         return 0.0
 
 
+_TWO_PI = 2.0 * math.pi  # 2.0 * math.pi * f * t multiplies as (2.0 * math.pi) * f * t: same bits
+
+
 @dataclass(frozen=True)
 class Sine:
     """offset + amplitude * sin(2 pi f t), all in degC."""
@@ -79,7 +82,7 @@ class Sine:
         require_finite("offset_c", self.offset_c)
 
     def temp_at(self, t_s: float) -> float:
-        return self.offset_c + self.amplitude_c * math.sin(2.0 * math.pi * self.freq_hz * t_s)
+        return self.offset_c + self.amplitude_c * math.sin(_TWO_PI * self.freq_hz * t_s)
 
     def max_freq_hz(self) -> float:
         return self.freq_hz

@@ -23,6 +23,7 @@ from .errors import (
     ClockWindowWarning,
     InvalidInputError,
     require_above,
+    require_finite,
     require_int,
     shown,
 )
@@ -110,8 +111,7 @@ def clock_frequency(cfg: ClockConfig) -> float:
 
 def quantize(v_in: float, cfg: AdcConfig = AdcConfig()) -> int:
     """Ideal transfer function: floor(v * 256 / vref) clamped to 0..255."""
-    if not math.isfinite(v_in):
-        raise InvalidInputError(f"v_in must be finite, got {v_in}")
+    require_finite("v_in", v_in)
     code = math.floor(v_in * 256.0 / cfg.vref)
     return min(max(code, 0), CODE_MAX)
 
@@ -134,8 +134,12 @@ def sar_convert(
     bits are the code's bits. The result is identical to quantize(). The
     conversion takes conversion_time_s(clock_hz, cfg).
     """
-    if not math.isfinite(v_in):
-        raise InvalidInputError(f"v_in must be finite, got {v_in}")
+    try:
+        finite = math.isfinite(v_in)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        require_finite("v_in", v_in)
     if not (0 <= channel <= 7):
         raise InvalidInputError(f"channel must be 0..7, got {shown(channel)}")
     require_clock_in_window(clock_hz)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from random import Random
 
 from . import adc0808
-from .errors import DeviceTimeoutError, InvalidInputError
+from .errors import DeviceTimeoutError, InvalidInputError, require_finite
 
 CONTROL_INVERT_MASK = 0x0B  # C0, C1, C3
 STATUS_INVERT_MASK = 0x80  # S7
@@ -124,8 +124,12 @@ class SimulatedPort:
         """Drive the analog level on one mux input."""
         if not (0 <= channel <= 7):
             raise InvalidInputError(f"channel must be 0..7, got {channel}")
-        if not math.isfinite(volts):
-            raise InvalidInputError(f"volts must be finite, got {volts}")
+        try:
+            finite = math.isfinite(volts)
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
+            require_finite("volts", volts)
         self._inputs[channel] = volts
 
     def advance_to(self, t_s: float) -> None:
@@ -151,9 +155,10 @@ class SimulatedPort:
             self._start_conversion((wire >> ADDRESS_SHIFT) & 0x07)
 
     def read_status(self) -> int:
-        done = self.connected and self._now >= self._busy_until
-        self.regs.status = EOC_MASK if done else 0
-        return read_status(self.regs)
+        # read_status(self.regs) without the call: acquire_byte polls this 16 times per conversion
+        status = EOC_MASK if self.connected and self._now >= self._busy_until else 0
+        self.regs.status = status
+        return (status ^ STATUS_INVERT_MASK) & STATUS_READ_MASK
 
     def read_data(self) -> int:
         oe = self.regs.control & _OE_MASK
@@ -169,7 +174,10 @@ class SimulatedPort:
         code = adc0808.sar_convert(self._inputs[channel], channel, self.clock_hz, self.adc)
         if self.adc.noise_sigma_lsb > 0:
             code += round(self._rng.gauss(0.0, self.adc.noise_sigma_lsb))
-            code = min(max(code, 0), adc0808.CODE_MAX)
+            if code < 0:
+                code = 0
+            elif code > adc0808.CODE_MAX:
+                code = adc0808.CODE_MAX
         self._latched = code
         self._busy_until = self._now + self.latency_s
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InconsistentReadingError, InvalidInputError, require_above
+from .errors import InconsistentReadingError, InvalidInputError, require_above, require_finite, shown
 
 
 @dataclass(frozen=True)
@@ -56,16 +56,24 @@ class PsychroReading:
 
 def saturation_vapor_pressure(t_c: float, cfg: PsychroConfig = PsychroConfig()) -> float:
     """Saturation vapor pressure in hPa at t_c degC (Magnus form)."""
-    if not math.isfinite(t_c) or t_c <= -cfg.magnus_c:
-        raise InvalidInputError(f"temperature must be finite and > {-cfg.magnus_c} degC")
+    try:
+        finite = math.isfinite(t_c)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite or t_c <= -cfg.magnus_c:
+        raise InvalidInputError(f"t_c must be finite and > {-cfg.magnus_c} degC, got {shown(t_c)}")
     return cfg.magnus_a * math.exp(cfg.magnus_b * t_c / (cfg.magnus_c + t_c))
 
 
 def _vapor_pressure(dry_c: float, wet_c: float, cfg: PsychroConfig) -> float:
     """Actual vapor pressure from the psychrometer equation; validates the pair."""
     for name, value in (("dry_c", dry_c), ("wet_c", wet_c)):
-        if not math.isfinite(value):
-            raise InvalidInputError(f"{name} must be finite, got {value}")
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
+            require_finite(name, value)
         if value < 0.0:
             raise InvalidInputError(f"{name} below the 0..50 degC range: {value}")
     if wet_c > dry_c:
@@ -82,7 +90,9 @@ def _vapor_pressure(dry_c: float, wet_c: float, cfg: PsychroConfig) -> float:
 
 def _rh_from(e_hpa: float, dry_c: float, cfg: PsychroConfig) -> float:
     rh = 100.0 * e_hpa / saturation_vapor_pressure(dry_c, cfg)
-    return min(max(rh, 0.0), 100.0)
+    if rh < 0.0:
+        return 0.0
+    return 100.0 if rh > 100.0 else rh
 
 
 def relative_humidity(dry_c: float, wet_c: float, cfg: PsychroConfig = PsychroConfig()) -> float:
@@ -97,8 +107,12 @@ def dew_point(dry_c: float, wet_c: float, cfg: PsychroConfig = PsychroConfig()) 
 
 def dew_point_from_vapor_pressure(e_hpa: float, cfg: PsychroConfig = PsychroConfig()) -> float:
     """Temperature at which e_hpa would be the saturation pressure."""
-    if not (e_hpa > 0) or not math.isfinite(e_hpa):
-        raise InvalidInputError(f"vapor pressure must be > 0, got {e_hpa}")
+    try:
+        finite = math.isfinite(e_hpa)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not (e_hpa > 0) or not finite:
+        raise InvalidInputError(f"e_hpa must be finite and > 0, got {shown(e_hpa)}")
     ratio = math.log(e_hpa / cfg.magnus_a)
     if ratio >= cfg.magnus_b:
         raise InvalidInputError(f"vapor pressure {e_hpa} hPa beyond the Magnus domain")

@@ -72,18 +72,39 @@ def amplify_and_clamp(v_in: float, cfg: ChainConfig = ChainConfig()) -> float:
     """Amplifier plus ideal protection clamp.
 
     Gains the input, then hard-limits to [0, clamp_volts]: the shunt zeners
-    clip over-range positive swings and negative excursions alike.
+    clip over-range positive swings and negative excursions alike. The
+    result is the value min(max(v, 0.0), clamp_volts) gives, -0.0 kept;
+    a nan, an inf or an int beyond the float range is rejected.
     """
     require_finite("v_in", v_in)
-    return min(max(cfg.amp_gain * v_in, 0.0), cfg.clamp_volts)
+    v = cfg.amp_gain * v_in
+    if v < 0.0:
+        return 0.0
+    clamp = cfg.clamp_volts
+    return clamp if v > clamp else v
 
 
 def chain_voltage(temp_c: float, cfg: ChainConfig = ChainConfig()) -> float:
-    """DC voltage the ADC sees for a steady temperature (no filter dynamics):
+    """DC voltage the ADC sees for a steady temperature (no filter dynamics).
+
     sensor_voltage then amplify_and_clamp, operation for operation, with one
-    check, as the clamp saturates even a slope * temp_c that overflows."""
-    require_finite("temp_c", temp_c)
-    return min(max(cfg.amp_gain * (cfg.sensor_slope * temp_c), 0.0), cfg.clamp_volts)
+    check: the value min(max(v, 0.0), clamp_volts) gives, -0.0 kept. A nan,
+    an inf or an int beyond the float range is rejected; a finite
+    temperature whose slope * temp_c overflows saturates at a rail, as the
+    zeners do. It runs once per filter substep, so the check and the clamp
+    are comparisons, with no call on the passing path.
+    """
+    try:
+        finite = math.isfinite(temp_c)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        require_finite("temp_c", temp_c)
+    v = cfg.amp_gain * (cfg.sensor_slope * temp_c)
+    if v < 0.0:
+        return 0.0
+    clamp = cfg.clamp_volts
+    return clamp if v > clamp else v
 
 
 def lowpass_alpha(dt: float, cfg: ChainConfig = ChainConfig()) -> float:

@@ -23,20 +23,27 @@ from paraloq import (
     RunConfig,
     RunLog,
     RunMeta,
+    SimulatedPort,
     Sine,
     UndersamplingWarning,
     build_port,
     chain_voltage,
     decode_temp,
     decode_volts,
+    dew_point,
     humidity_summary,
+    quantize,
+    reading,
+    relative_humidity,
     run_acquisition,
     sar_convert,
+    saturation_vapor_pressure,
     summarize,
     write_csv,
 )
 from paraloq.errors import shown
 from paraloq.logstore import PsychroRow
+from paraloq.psychro import dew_point_from_vapor_pressure
 
 from conftest import constant_run_config
 
@@ -288,6 +295,40 @@ class TestFilterPath:
         # a 0.9 Hz sine through the 0.5 Hz front-end filter loses amplitude
         assert peak_to_peak(32) < 0.75 * peak_to_peak(0)
 
+    @pytest.mark.parametrize("substeps", [1, 3, 32])
+    def test_each_substep_and_poll_goes_through_its_named_call(self, monkeypatch, substeps):
+        # the call counts perfbench pins, per lane and per conversion: a second
+        # path round these names would change them
+        from paraloq import acquisition, pport
+
+        counts = dict.fromkeys(("chain", "step", "polls", "writes"), 0)
+
+        def counting(key, fn):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for owner, name, key in (
+            (acquisition, "chain_voltage", "chain"),
+            (acquisition, "lowpass_step", "step"),
+            (pport.SimulatedPort, "read_status", "polls"),
+            (pport.SimulatedPort, "write_control", "writes"),
+        ):
+            monkeypatch.setattr(owner, name, counting(key, getattr(owner, name)))
+        seen = []  # the counts after each lane's conversion, DRY then WET per tick
+        cfg = constant_run_config(duration_s=3.0, filter_substeps=substeps)
+        cfg.stimuli[Channel.DRY] = Sine(amplitude_c=10.0, freq_hz=0.2, offset_c=25.0)
+        run = run_acquisition(cfg, sinks=[lambda sample: seen.append(dict(counts))])
+        assert len(seen) == 2 * len(run.rows) == 14
+        # one settled chain voltage per lane at setup, which tick 0 reads
+        assert seen[0] == {"chain": 2, "step": 0, "polls": 16, "writes": 5}
+        per_lane = [{key: after[key] - before[key] for key in counts} for before, after in zip(seen, seen[1:])]
+        assert per_lane[0] == {"chain": 0, "step": 0, "polls": 16, "writes": 5}  # tick 0, WET
+        filtered = {"chain": substeps, "step": substeps, "polls": 16, "writes": 5}
+        assert all(lane == filtered for lane in per_lane[1:])
+
     @settings(max_examples=60, deadline=None)
     @given(
         cutoffs=st.tuples(*[st.floats(min_value=1e-3, max_value=1e3)] * 2),
@@ -530,6 +571,38 @@ def test_an_int_too_long_for_str_is_rejected_by_its_digit_count(build, message):
     with pytest.raises(InvalidInputError) as err:
         build()
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("value", [10**400, -(10**400), 10**5000], ids=["10**400", "-10**400", "10**5000"])
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda v: sar_convert(v, 1, 640e3), "v_in"),
+        (quantize, "v_in"),
+        (lambda v: SimulatedPort().set_input(0, v), "volts"),
+        (saturation_vapor_pressure, "t_c"),
+        (lambda v: relative_humidity(v, 18.0), "dry_c"),
+        (lambda v: relative_humidity(20.0, v), "wet_c"),
+        (lambda v: dew_point(v, 18.0), "dry_c"),
+        (lambda v: reading(20.0, v), "wet_c"),
+        (dew_point_from_vapor_pressure, "e_hpa"),
+    ],
+    ids=[
+        "sar_convert",
+        "quantize",
+        "set_input",
+        "saturation_vapor_pressure",
+        "relative_humidity.dry_c",
+        "relative_humidity.wet_c",
+        "dew_point",
+        "reading",
+        "dew_point_from_vapor_pressure",
+    ],
+)
+def test_an_int_beyond_the_float_range_is_invalid_input(call, name, value):
+    # each used to raise a bare OverflowError ("int too large to convert to float")
+    with pytest.raises(InvalidInputError, match=rf"^{name} must be finite"):
+        call(value)
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from paraloq import (
     acquire_byte,
     conversion_time_s,
     quantize,
+    sar_convert,
 )
 from paraloq.pport import (
     CONTROL_INVERT_MASK,
@@ -216,6 +217,31 @@ class TestPortPrimitives:
             assert port.read_status() == read_status(
                 PortRegisters(status=EOC_MASK if done else 0)
             )
+            assert port.regs.status == (EOC_MASK if done else 0)  # the wire level it set
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        sigma=st.floats(min_value=0.1, max_value=300.0),
+        levels=st.lists(
+            st.one_of(
+                st.floats(min_value=0.0, max_value=5.0),
+                st.sampled_from([0.0, -0.0, 0.01, 4.99, 5.0]),  # codes at or next to a rail
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_noisy_code_is_the_min_max_clamp_of_code_plus_noise(self, seed, sigma, levels):
+        from random import Random
+
+        adc = AdcConfig(noise_sigma_lsb=sigma)
+        port = SimulatedPort(adc=adc, rng=Random(seed))
+        rng = Random(seed)
+        for volts in levels:
+            port.set_input(2, volts)
+            code = sar_convert(volts, 2, port.clock_hz, adc) + round(rng.gauss(0.0, sigma))
+            assert acquire_byte(port, 2) == min(max(code, 0), 255)
 
     @pytest.mark.parametrize("value", [256, -1])
     def test_port_rejects_a_control_value_that_is_not_a_byte(self, value):

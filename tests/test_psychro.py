@@ -12,6 +12,7 @@ from paraloq import (
     relative_humidity,
     saturation_vapor_pressure,
 )
+from paraloq.psychro import _rh_from
 
 # Reference dry/wet pair from the instrument's recorded table, and the
 # frozen oracle values this formula family produces for it (double-precision
@@ -169,3 +170,27 @@ def test_reading_keeps_humidity_in_range_and_dew_at_or_below_dry(dry, wet_share)
         return  # vapor pressure <= 0: no reading to check
     assert 0.0 <= result.rh_pct <= 100.0
     assert result.dew_point_c <= dry + 1e-9
+
+
+@given(
+    dry=st.floats(min_value=0.0, max_value=50.0),
+    wet_share=st.one_of(st.floats(min_value=0.0, max_value=1.0), st.just(1.0)),
+    cfg=st.sampled_from([PsychroConfig(), PsychroConfig(pressure_hpa=850.0)]),
+)
+def test_relative_humidity_clamps_as_min_max_does(dry, wet_share, cfg):
+    wet = dry * wet_share
+    # the psychrometer equation, operation for operation
+    e = saturation_vapor_pressure(wet, cfg) - cfg.psychrometer_coeff * cfg.pressure_hpa * (dry - wet)
+    if e <= 0.0:
+        with pytest.raises(InconsistentReadingError):
+            relative_humidity(dry, wet, cfg)
+        return
+    rh = 100.0 * e / saturation_vapor_pressure(dry, cfg)
+    assert repr(relative_humidity(dry, wet, cfg)) == repr(min(max(rh, 0.0), 100.0))
+
+
+@given(e=st.one_of(st.floats(), st.sampled_from([0.0, -0.0])), dry=st.floats(min_value=0.0, max_value=50.0))
+def test_the_humidity_clamp_is_min_max_for_any_vapor_pressure(e, dry):
+    # below 0 and above 100 only a vapor pressure relative_humidity never passes reaches
+    rh = 100.0 * e / saturation_vapor_pressure(dry)
+    assert repr(_rh_from(e, dry, PsychroConfig())) == repr(min(max(rh, 0.0), 100.0))

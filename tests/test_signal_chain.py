@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paraloq import (
@@ -121,6 +121,65 @@ def test_chain_saturates_where_the_sensor_product_overflows():
     for bad in (math.inf, math.nan, 10**400):
         with pytest.raises(InvalidInputError, match="temp_c must be finite"):
             chain_voltage(bad, cfg)
+
+
+# the overflow-saturation config above: slope * temp_c is inf for |temp_c| > 1.8e298
+OVERFLOW_CHAIN = ChainConfig(sensor_slope=1e10, amp_gain=1e-11)
+
+
+@st.composite
+def aligned_chains(draw):
+    """A chain that reaches vref at 50 degC, its clamp at or below vref."""
+    vref = draw(st.floats(min_value=0.5, max_value=10.0))
+    slope = draw(st.floats(min_value=1e-3, max_value=0.1))
+    clamp = vref * draw(st.floats(min_value=0.01, max_value=1.0))
+    return ChainConfig(sensor_slope=slope, amp_gain=vref / (slope * 50.0), clamp_volts=clamp, vref=vref)
+
+
+@st.composite
+def chains_and_temps(draw):
+    cfg = draw(st.one_of(aligned_chains(), st.just(ChainConfig()), st.just(OVERFLOW_CHAIN)))
+    # a temperature whose chain voltage is the clamp, or a few ulps either side of it
+    near_clamp = cfg.clamp_volts / (cfg.amp_gain * cfg.sensor_slope)
+    ulps = draw(st.integers(min_value=-3, max_value=3))
+    for _ in range(abs(ulps)):
+        near_clamp = math.nextafter(near_clamp, math.copysign(math.inf, ulps))
+    temp = draw(
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(min_value=-100.0, max_value=100.0),
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, near_clamp]),
+        )
+    )
+    return cfg, temp
+
+
+def min_max_clamp(v, cfg):
+    return min(max(v, 0.0), cfg.clamp_volts)
+
+
+@settings(max_examples=300)
+@given(chains_and_temps())
+def test_chain_and_amplifier_clamp_as_min_max_does(case):
+    cfg, temp = case
+    assert repr(chain_voltage(temp, cfg)) == repr(min_max_clamp(cfg.amp_gain * (cfg.sensor_slope * temp), cfg))
+    v_in = cfg.sensor_slope * temp
+    if math.isfinite(v_in):
+        assert repr(amplify_and_clamp(v_in, cfg)) == repr(min_max_clamp(cfg.amp_gain * v_in, cfg))
+
+
+@pytest.mark.parametrize("v_in", [0.0, -0.0, 0.5, math.nextafter(0.5, 1.0), math.nextafter(0.5, 0.0), -1e300, 1e300])
+def test_amplifier_clamp_at_the_rails(v_in):
+    # 10 * 0.5 is the 5 V clamp exactly; -0.0 stays -0.0, as max(-0.0, 0.0) keeps it
+    cfg = ChainConfig()
+    assert repr(amplify_and_clamp(v_in, cfg)) == repr(min_max_clamp(cfg.amp_gain * v_in, cfg))
+
+
+def test_chain_lands_on_the_clamp_at_full_scale_and_keeps_negative_zero():
+    cfg = ChainConfig()
+    assert cfg.amp_gain * (cfg.sensor_slope * 50.0) == cfg.clamp_volts  # exactly on the rail
+    assert chain_voltage(50.0, cfg) == cfg.clamp_volts
+    assert repr(chain_voltage(-0.0, cfg)) == "-0.0"
 
 
 class TestLowpass:
