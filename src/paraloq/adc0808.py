@@ -87,9 +87,11 @@ class AdcConfig:
 def require_clock_in_window(freq_hz: float) -> None:
     """Raise ClockRangeError unless freq_hz can legally clock the converter."""
     if not CLOCK_MIN_HZ <= freq_hz <= CLOCK_MAX_HZ:
-        raise ClockRangeError(
-            f"clock {freq_hz:.6g} Hz outside [{CLOCK_MIN_HZ:.0f}, {CLOCK_MAX_HZ:.0f}] Hz"
-        )
+        try:
+            hz = f"{freq_hz:.6g}"
+        except OverflowError:  # an int beyond the float range
+            hz = shown(freq_hz)
+        raise ClockRangeError(f"clock {hz} Hz outside [{CLOCK_MIN_HZ:.0f}, {CLOCK_MAX_HZ:.0f}] Hz")
 
 
 def clock_frequency(cfg: ClockConfig) -> float:
@@ -176,6 +178,7 @@ def decode_volts(code: int, vref: float = 5.0) -> float:
     """Code back to volts over the 0..vref span: code * vref / 255."""
     if not (0 <= code <= CODE_MAX) or code != int(code):
         raise InvalidInputError(f"code must be an integer 0..{CODE_MAX}, got {shown(code)}")
+    require_above("vref", vref, 0)
     return code * vref / 255.0
 
 

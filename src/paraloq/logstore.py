@@ -12,18 +12,22 @@ side, like the instrument's own dry/wet presentation):
     t_s,timestamp,dry_code,dry_temp_c,wet_code,wet_temp_c,rh_pct,dew_point_c
     0.000000,2026-08-10T17:30:00.000,102,20.000000,92,18.039216,82.872516,16.998432
 
-Floats are written with 6 decimal places; every float field is rounded to
-6 decimals when a row or meta object is constructed, so reading a written
-file back reproduces the run exactly and re-serialization is byte-stable.
-Fields never contain commas, so no quoting is ever needed and the files
-open directly in any spreadsheet application.
+A row is a PsychroRow: an immutable named tuple of the eight columns, equal
+to the plain tuple of its fields, and built only through its constructor,
+which checks every field. Floats are written with 6 decimal places; every
+float field is rounded to 6 decimals when a row or meta object is
+constructed, so reading a written file back reproduces the run exactly and
+re-serialization is byte-stable. Fields never contain commas (the
+constructor rejects a timestamp holding one, or a CR or LF), so no quoting is
+ever needed and the files open directly in any spreadsheet application.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
+from dataclasses import dataclass, field
 
 from .errors import CsvParseError, InvalidInputError, StorageError, shown
 
@@ -62,36 +66,44 @@ class RunMeta:
         object.__setattr__(self, "sample_rate_hz", rate)
 
 
-_setattr = object.__setattr__  # the one way to set a field of a frozen row
+_tuple_new = tuple.__new__
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class PsychroRow:
+class PsychroRow(
+    namedtuple(
+        "PsychroRow",
+        ("t_s", "timestamp", "dry_code", "dry_temp_c", "wet_code", "wet_temp_c", "rh_pct", "dew_point_c"),
+        defaults=(None, None),
+    )
+):
     """One logged tick: both channel readings plus derived humidity.
 
-    rh_pct / dew_point_c are None when the psychrometric computation
-    errored for that tick (they serialize as empty fields). A value the
-    file cannot carry back (None or non-finite t_s or temperature, a
-    non-finite dew point, RH outside 0..100) raises InvalidInputError.
+    An immutable named tuple (t_s: float, timestamp: str, dry_code: int,
+    dry_temp_c: float, wet_code: int, wet_temp_c: float, rh_pct: float |
+    None, dew_point_c: float | None), equal to the plain tuple of its fields.
+    rh_pct / dew_point_c are None when the psychrometric computation errored
+    for that tick (they serialize as empty fields). A value the file cannot
+    carry back (None or non-finite t_s or temperature, a timestamp that is
+    not a str or holds ',', CR or LF, a non-finite dew point, RH outside
+    0..100) raises InvalidInputError. The constructor is the only way to make
+    a row: _make and _replace build through it.
     """
 
-    t_s: float
-    timestamp: str
-    dry_code: int
-    dry_temp_c: float
-    wet_code: int
-    wet_temp_c: float
-    rh_pct: float | None = None
-    dew_point_c: float | None = None
+    __slots__ = ()
 
-    def __init__(
-        self, t_s, timestamp, dry_code, dry_temp_c, wet_code, wet_temp_c, rh_pct=None, dew_point_c=None
+    def __new__(
+        cls, t_s, timestamp, dry_code, dry_temp_c, wet_code, wet_temp_c, rh_pct=None, dew_point_c=None
     ):
         # bool is an int subclass, but True is not a code the file can carry
         if type(dry_code) is not int or not (0 <= dry_code <= 255):
             raise InvalidInputError(f"dry_code must be an integer 0..255, got {shown(dry_code)}")
         if type(wet_code) is not int or not (0 <= wet_code <= 255):
             raise InvalidInputError(f"wet_code must be an integer 0..255, got {shown(wet_code)}")
+        # a ',' would add a column and a CR or LF end the line
+        if type(timestamp) is not str:
+            raise InvalidInputError(f"timestamp must be a str, got {shown(timestamp)}")
+        if "," in timestamp or "\r" in timestamp or "\n" in timestamp:
+            raise InvalidInputError(f"timestamp must not hold ',', CR or LF, got {timestamp!r}")
         # round(nan) is nan and round(inf) is inf; round(None) raises TypeError,
         # and isfinite raises OverflowError for an int beyond the float range
         isfinite = math.isfinite
@@ -111,18 +123,17 @@ class PsychroRow:
             rh_pct = round(rh_pct, 6)
         if dew_point_c is not None:
             dew_point_c = _finite6("dew_point_c", dew_point_c)
-        _setattr(self, "t_s", t6)
-        _setattr(self, "timestamp", timestamp)
-        _setattr(self, "dry_code", dry_code)
-        _setattr(self, "dry_temp_c", dry6)
-        _setattr(self, "wet_code", wet_code)
-        _setattr(self, "wet_temp_c", wet6)
-        _setattr(self, "rh_pct", rh_pct)
-        _setattr(self, "dew_point_c", dew_point_c)
+        return _tuple_new(cls, (t6, timestamp, dry_code, dry6, wet_code, wet6, rh_pct, dew_point_c))
+
+    @classmethod
+    def _make(cls, iterable):
+        """The row of a sequence of field values, checked as the constructor
+        checks them; _replace builds its row through this."""
+        return cls(*iterable)
 
 
 # the row's fields are the log's columns, in file order
-_COLUMNS = tuple(f.name for f in fields(PsychroRow))
+_COLUMNS = PsychroRow._fields
 HEADER = ",".join(_COLUMNS)
 _NUMERIC_COLUMNS = tuple((i, name) for i, name in enumerate(_COLUMNS) if name != "timestamp")
 
@@ -135,22 +146,20 @@ class RunLog:
     rows: list = field(default_factory=list)
 
 
-def _format_float(value: float | None) -> str:
-    return "" if value is None else f"{value:.6f}"
+# a row as one log line; %.6f writes a float as f"{x:.6f}" does
+_ROW_FORMAT = "%.6f,%s,%d,%.6f,%d,%.6f,%.6f,%.6f"
+# the same line with the humidity fields as text: a missing value is empty
+_ROW_FORMAT_TEXT_HUMIDITY = "%.6f,%s,%d,%.6f,%d,%.6f,%s,%s"
 
 
 def _format_row(row: PsychroRow) -> str:
-    return ",".join(
-        (
-            f"{row.t_s:.6f}",
-            row.timestamp,
-            str(row.dry_code),
-            f"{row.dry_temp_c:.6f}",
-            str(row.wet_code),
-            f"{row.wet_temp_c:.6f}",
-            _format_float(row.rh_pct),
-            _format_float(row.dew_point_c),
-        )
+    rh_pct, dew_point_c = row.rh_pct, row.dew_point_c
+    if rh_pct is not None and dew_point_c is not None:
+        return _ROW_FORMAT % row
+    return _ROW_FORMAT_TEXT_HUMIDITY % (
+        *row[:6],
+        "" if rh_pct is None else "%.6f" % rh_pct,
+        "" if dew_point_c is None else "%.6f" % dew_point_c,
     )
 
 
@@ -184,11 +193,10 @@ class CsvWriter:
             raise StorageError(self.path, str(exc)) from exc
 
     def write_row(self, row: PsychroRow) -> None:
-        if self._last_t is not None and row.t_s <= self._last_t:
-            raise InvalidInputError(
-                f"rows must have strictly increasing t_s: {row.t_s} after {self._last_t}"
-            )
-        self._last_t = row.t_s
+        t = row.t_s
+        if self._last_t is not None and t <= self._last_t:
+            raise InvalidInputError(f"rows must have strictly increasing t_s: {t} after {self._last_t}")
+        self._last_t = t
         self._emit(_format_row(row))
         self._fh.flush()
 
@@ -307,7 +315,9 @@ def read_csv(path) -> RunLog:
     header_seen = False
     last_t = None
     # split on LF only: a CR, form feed or U+2028 inside a line is not a line break
-    for line_no, line in enumerate(text.split("\n"), start=1):
+    lines = text.split("\n")
+    del text  # the lines hold it now, and the rows need not share memory with it
+    for line_no, line in enumerate(lines, start=1):
         if line.endswith("\r"):
             line = line[:-1]
         if line == "":
@@ -329,7 +339,7 @@ def read_csv(path) -> RunLog:
                 _require_plain(cells[i], line_no, name)
         t_s, timestamp, dry_code, dry_temp, wet_code, wet_temp, rh, dew = cells
         try:
-            values = (
+            row = PsychroRow(
                 float(t_s),
                 timestamp,
                 int(dry_code),
@@ -339,16 +349,15 @@ def read_csv(path) -> RunLog:
                 float(rh) if rh else None,
                 float(dew) if dew else None,
             )
-        except ValueError:
-            raise _bad_number(cells, line_no) from None
-        # outside the parse's try: InvalidInputError is a ValueError too
-        try:
-            row = PsychroRow(*values)
+        # InvalidInputError is a ValueError too, so it is caught first
         except InvalidInputError as exc:
             raise CsvParseError(line_no, str(exc)) from None
-        if last_t is not None and row.t_s <= last_t:
-            raise CsvParseError(line_no, f"t_s not increasing: {row.t_s} after {last_t}")
-        last_t = row.t_s
+        except ValueError:
+            raise _bad_number(cells, line_no) from None
+        t = row.t_s
+        if last_t is not None and t <= last_t:
+            raise CsvParseError(line_no, f"t_s not increasing: {t} after {last_t}")
+        last_t = t
         rows.append(row)
     if not header_seen:
         raise CsvParseError(max(meta_line_no, 1), "missing header line")

@@ -113,8 +113,7 @@ def lowpass_alpha(dt: float, cfg: ChainConfig = ChainConfig()) -> float:
     alpha = dt / (dt + RC), RC = 1 / (2 pi f_c). Fixed for a run, so the
     caller computes it once and passes it to every lowpass_step.
     """
-    if not (0 < dt < math.inf):
-        raise InvalidInputError(f"dt must be finite and > 0, got {dt}")
+    require_above("dt", dt, 0)
     rc = 1.0 / (2.0 * math.pi * cfg.filter_cutoff_hz)
     return dt / (dt + rc)
 
@@ -133,15 +132,12 @@ def alias_frequency(f_signal: float, f_sample: float) -> float:
 
     Folds any input frequency into the first Nyquist zone [0, fs/2].
     """
-    if not (f_sample > 0):
-        raise InvalidInputError(f"f_sample must be > 0, got {f_sample}")
-    if not (f_signal >= 0) or not math.isfinite(f_signal):
-        raise InvalidInputError(f"f_signal must be finite and >= 0, got {f_signal}")
+    require_above("f_sample", f_sample, 0)
+    require_above("f_signal", f_signal, 0, inclusive=True)
     return abs(f_signal - f_sample * round(f_signal / f_sample))
 
 
 def is_undersampled(f_signal: float, f_sample: float) -> bool:
     """True when the signal violates the sampling theorem (f > fs/2)."""
-    if not (f_sample > 0):
-        raise InvalidInputError(f"f_sample must be > 0, got {f_sample}")
+    require_above("f_sample", f_sample, 0)
     return f_signal > f_sample / 2.0

@@ -26,12 +26,15 @@ from paraloq import (
     SimulatedPort,
     Sine,
     UndersamplingWarning,
+    alias_frequency,
     build_port,
     chain_voltage,
     decode_temp,
     decode_volts,
     dew_point,
     humidity_summary,
+    is_undersampled,
+    lowpass_alpha,
     quantize,
     reading,
     relative_humidity,
@@ -602,6 +605,33 @@ def test_an_int_too_long_for_str_is_rejected_by_its_digit_count(build, message):
 def test_an_int_beyond_the_float_range_is_invalid_input(call, name, value):
     # each used to raise a bare OverflowError ("int too large to convert to float")
     with pytest.raises(InvalidInputError, match=rf"^{name} must be finite"):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [10**400, -(10**400), 10**5000], ids=["10**400", "-10**400", "10**5000"])
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda v: alias_frequency(v, 2.0), InvalidInputError, "f_signal must be >= 0 and finite"),
+        (lambda v: alias_frequency(1.0, v), InvalidInputError, "f_sample must be > 0 and finite"),
+        (lambda v: is_undersampled(1.0, v), InvalidInputError, "f_sample must be > 0 and finite"),
+        (lowpass_alpha, InvalidInputError, "dt must be > 0 and finite"),
+        (lambda v: decode_volts(1, v), InvalidInputError, "vref must be > 0 and finite"),
+        (lambda v: sar_convert(1.0, 1, v), ClockRangeError, "clock .+ Hz outside"),
+    ],
+    ids=[
+        "alias_frequency.f_signal",
+        "alias_frequency.f_sample",
+        "is_undersampled",
+        "lowpass_alpha",
+        "decode_volts",
+        "sar_convert.clock_hz",
+    ],
+)
+def test_a_helper_argument_beyond_the_float_range_is_named(call, error, message, value):
+    # each used to raise a bare OverflowError ("int too large to convert to float"),
+    # the clock from formatting its error message
+    with pytest.raises(error, match=rf"^{message}"):
         call(value)
 
 

@@ -1,5 +1,6 @@
+import copy
 import math
-from dataclasses import fields
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from paraloq.logstore import (
     PsychroRow,
     RunLog,
     RunMeta,
+    _format_row,
     fingerprint,
 )
 
@@ -218,6 +220,14 @@ class TestRead:
             read_csv(path)
         assert err.value.line_no == 3
 
+    def test_a_cr_in_a_timestamp_names_the_line(self, tmp_path):
+        # in a file a LF or ',' splits the cell, so of the three only a CR reaches the row
+        path = tmp_path / "cr.csv"
+        path.write_bytes((HEADER + "\r\n0.0,t,102,20.0,92,18.0,,\r\n0.5,t\rx,102,20.0,92,18.0,,\r\n").encode())
+        with pytest.raises(CsvParseError, match="timestamp must not hold") as err:
+            read_csv(path)
+        assert err.value.line_no == 3
+
     def test_non_finite_sample_rate_is_a_parse_error(self, tmp_path):
         path = tmp_path / "rate.csv"
         path.write_text("# sample_rate_hz = nan\n" + HEADER + "\n", encoding="utf-8")
@@ -327,6 +337,24 @@ def test_row_rejects_a_bool_code(field):
 
 
 @pytest.mark.parametrize(
+    "timestamp, message",
+    [
+        ("2026-08-10T12:00:00.000,x", "must not hold"),
+        ("2026-08-10T12:00:00.000\nx", "must not hold"),
+        ("2026-08-10T12:00:00.000\r", "must not hold"),
+        (None, "must be a str, got None"),
+        (1.5, "must be a str, got 1.5"),
+    ],
+    ids=["comma", "LF", "CR", "None", "float"],
+)
+def test_row_rejects_a_timestamp_the_log_cannot_carry(timestamp, message):
+    # a ',' wrote a 9-column line and a CR or LF broke the line, which read_csv
+    # then rejected; None failed only in write_csv, with a bare TypeError
+    with pytest.raises(InvalidInputError, match=f"^timestamp {message}"):
+        PsychroRow(0.0, timestamp, 102, 20.0, 92, 18.0)
+
+
+@pytest.mark.parametrize(
     "field, value",
     [
         ("t_s", None),
@@ -429,7 +457,115 @@ def test_row_matches_its_field_by_field_reference(values):
         assert str(err.value) == str(exc)
         return
     row = PsychroRow(*values)
-    assert _bits(getattr(row, f.name) for f in fields(PsychroRow)) == _bits(expected)
+    assert _bits(getattr(row, name) for name in PsychroRow._fields) == _bits(expected)
+
+
+BASE_ROW = PsychroRow(0.5, "2026-08-10T12:00:00.500", 102, 20.0, 92, 18.039216, 82.872516, 16.998432)
+timestamp = st.one_of(
+    st.just("2026-08-10T12:00:00.000"),
+    st.text(max_size=4),
+    st.sampled_from([None, 1.5, b"t", "a,b", "a\rb", "a\nb"]),
+)
+row_values = st.tuples(temp, timestamp, code, temp, code, temp, rh, st.one_of(st.none(), temp))
+
+
+def _every_copy(row):
+    """row rebuilt each way the language offers: pickle at every protocol, copy and deepcopy."""
+    pickled = [pickle.loads(pickle.dumps(row, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    return pickled + [copy.copy(row), copy.deepcopy(row)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(values=row_values)
+def test_every_way_to_make_a_row_checks_it(values):
+    # _make and _replace of collections.namedtuple call tuple.__new__ directly;
+    # a row's go through the constructor, so none of them can skip a check
+    makers = [
+        lambda: PsychroRow._make(values),
+        lambda: PsychroRow._make(iter(values)),
+        lambda: BASE_ROW._replace(**dict(zip(PsychroRow._fields, values))),
+    ]
+    try:
+        row = PsychroRow(*values)
+    except InvalidInputError as exc:
+        for make in makers:
+            with pytest.raises(InvalidInputError) as err:
+                make()
+            assert str(err.value) == str(exc)
+        return
+    for other in [make() for make in makers] + _every_copy(row):
+        assert type(other) is PsychroRow
+        assert _bits(other) == _bits(row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=row_values, index=st.integers(min_value=0, max_value=7))
+def test_replacing_one_field_checks_it(values, index):
+    name, value = PsychroRow._fields[index], values[index]
+    fields = list(BASE_ROW)
+    fields[index] = value
+    try:
+        expected = PsychroRow(*fields)
+    except InvalidInputError as exc:
+        with pytest.raises(InvalidInputError) as err:
+            BASE_ROW._replace(**{name: value})
+        assert str(err.value) == str(exc)
+        return
+    assert _bits(BASE_ROW._replace(**{name: value})) == _bits(expected)
+
+
+def _format_row_reference(row):
+    """The row formatter of the slots-dataclass row: one f-string per float."""
+
+    def text(value):
+        return "" if value is None else f"{value:.6f}"
+
+    return ",".join(
+        (
+            f"{row.t_s:.6f}",
+            row.timestamp,
+            str(row.dry_code),
+            f"{row.dry_temp_c:.6f}",
+            str(row.wet_code),
+            f"{row.wet_temp_c:.6f}",
+            text(row.rh_pct),
+            text(row.dew_point_c),
+        )
+    )
+
+
+# up to 1e15, with -0.0, halfway cases and ints, which round() keeps ints
+magnitude = st.one_of(
+    st.floats(min_value=-1e15, max_value=1e15),
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.sampled_from([0.0, -0.0, 5e-7, -5e-7, 4.9999995e-7, -4.9999995e-7, 1e15, -1e15]),
+    st.integers(min_value=-(10**15), max_value=10**15),
+)
+pct = st.one_of(st.floats(min_value=0.0, max_value=100.0), st.sampled_from([-0.0, 0.0, 100.0]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    row=st.builds(
+        PsychroRow,
+        magnitude,
+        st.text(alphabet=st.characters(blacklist_characters=",\r\n"), max_size=24),
+        st.integers(min_value=0, max_value=255),
+        magnitude,
+        st.integers(min_value=0, max_value=255),
+        magnitude,
+        st.one_of(st.none(), pct),
+        st.one_of(st.none(), magnitude),
+    )
+)
+def test_format_row_matches_the_per_field_formatter(row):
+    assert _format_row(row) == _format_row_reference(row)
+
+
+def test_a_row_equals_the_plain_tuple_of_its_fields():
+    assert BASE_ROW == (0.5, "2026-08-10T12:00:00.500", 102, 20.0, 92, 18.039216, 82.872516, 16.998432)
+    assert hash(BASE_ROW) == hash(tuple(BASE_ROW))
+    assert repr(BASE_ROW).startswith("PsychroRow(t_s=0.5, timestamp='2026-08-10T12:00:00.500', dry_code=102,")
 
 
 def test_row_rounds_floats_to_six_decimals():
