@@ -23,7 +23,6 @@ from .acquisition import (
 from .adc0808 import (
     AdcConfig,
     ClockConfig,
-    clock_frequency,
     conversion_time_s,
     decode_temp,
     decode_volts,
@@ -32,7 +31,6 @@ from .adc0808 import (
 )
 from .errors import (
     ClockRangeError,
-    ClockWindowWarning,
     ConfigError,
     CsvParseError,
     DeviceTimeoutError,

@@ -22,7 +22,7 @@ from random import Random
 from statistics import fmean
 
 from . import adc0808, logstore, psychro, signal_chain
-from .adc0808 import CODE_MAX, AdcConfig, ClockConfig, clock_frequency, decode_temp, decode_volts
+from .adc0808 import CODE_MAX, AdcConfig, ClockConfig, decode_temp, decode_volts
 from .errors import (
     DeviceTimeoutError,
     EmptyRunError,
@@ -163,7 +163,7 @@ class RunConfig:
         if not 0 <= substeps <= MAX_FILTER_SUBSTEPS:
             raise InvalidInputError(f"filter_substeps must be 0..{MAX_FILTER_SUBSTEPS}, got {shown(substeps)}")
         require_int("seed", self.seed)
-        adc0808.require_clock_in_window(self.clock.frequency_hz)  # or every conversion fails
+        adc0808.require_clock_in_window(self.clock.frequency_hz)  # or build_port fails
         for ch in Channel:
             if ch not in self.chains:
                 raise InvalidInputError(f"missing chain config for channel {ch.name}")
@@ -266,7 +266,7 @@ def build_port(cfg: RunConfig) -> SimulatedPort:
     """Simulated port for a run: ADC + clock + noise RNG."""
     return SimulatedPort(
         adc=cfg.adc,
-        clock_hz=clock_frequency(cfg.clock),
+        clock_hz=cfg.clock.frequency_hz,
         rng=Random(cfg.seed),
     )
 

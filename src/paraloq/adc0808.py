@@ -15,12 +15,10 @@ the ~19.6 mV step size and the exact 50.0 degC top reading both hold):
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from .errors import (
     ClockRangeError,
-    ClockWindowWarning,
     InvalidInputError,
     require_above,
     require_finite,
@@ -94,23 +92,6 @@ def require_clock_in_window(freq_hz: float) -> None:
         raise ClockRangeError(f"clock {hz} Hz outside [{CLOCK_MIN_HZ:.0f}, {CLOCK_MAX_HZ:.0f}] Hz")
 
 
-def clock_frequency(cfg: ClockConfig) -> float:
-    """Oscillator output frequency, f = 1 / (1.1 R C).
-
-    Emits ClockWindowWarning when the result cannot legally clock the
-    converter; the value is still returned.
-    """
-    freq = cfg.frequency_hz
-    if not CLOCK_MIN_HZ <= freq <= CLOCK_MAX_HZ:
-        warnings.warn(
-            f"clock {freq:.6g} Hz is outside the converter window "
-            f"[{CLOCK_MIN_HZ:.0f}, {CLOCK_MAX_HZ:.0f}] Hz",
-            ClockWindowWarning,
-            stacklevel=2,
-        )
-    return freq
-
-
 def quantize(v_in: float, cfg: AdcConfig = AdcConfig()) -> int:
     """Ideal transfer function: floor(v * 256 / vref) clamped to 0..255."""
     require_finite("v_in", v_in)
@@ -123,18 +104,14 @@ def conversion_time_s(clock_hz: float, cfg: AdcConfig = AdcConfig()) -> float:
     return cfg.conversion_cycles / clock_hz
 
 
-def sar_convert(
-    v_in: float,
-    channel: int,
-    clock_hz: float,
-    cfg: AdcConfig = AdcConfig(),
-) -> int:
+def sar_convert(v_in: float, cfg: AdcConfig = AdcConfig()) -> int:
     """Run the 8-step successive-approximation loop and return the code.
 
     Each step sets the next bit in a trial code and keeps it iff the input
     is at or above the trial threshold (trial * vref / 256), so the kept
     bits are the code's bits. The result is identical to quantize(). The
-    conversion takes conversion_time_s(clock_hz, cfg).
+    mux channel and the clock pick the held input and the conversion time
+    (conversion_time_s); the port checks both where they enter.
     """
     try:
         finite = math.isfinite(v_in)
@@ -142,9 +119,6 @@ def sar_convert(
         finite = False
     if not finite:
         require_finite("v_in", v_in)
-    if not (0 <= channel <= 7):
-        raise InvalidInputError(f"channel must be 0..7, got {shown(channel)}")
-    require_clock_in_window(clock_hz)
     vref = cfg.vref
     code = 0
     for bit in _BIT_WEIGHTS:
@@ -156,12 +130,16 @@ def sar_convert(
 
 def dump_sar_trace(v_in: float, channel: int, clock_hz: float, cfg: AdcConfig, path) -> int:
     """Convert once, write one line per SAR step to a debug text file, and
-    return the code.
+    return the code. The header records channel and clock_hz, so both are
+    checked here, as SimulatedPort checks them.
 
     Line format: `step=<k> trial=<code> threshold=<volts> keep=<0|1>`,
     read back from the returned code, whose bits are the kept trial bits.
     """
-    code = sar_convert(v_in, channel, clock_hz, cfg)
+    if not (0 <= channel <= 7):
+        raise InvalidInputError(f"channel must be 0..7, got {shown(channel)}")
+    require_clock_in_window(clock_hz)
+    code = sar_convert(v_in, cfg)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# v_in={v_in!r} channel={channel} clock_hz={clock_hz!r}\n")
         kept = 0

@@ -105,9 +105,5 @@ class ConfigError(ParaloqError):
     """Config file or flag set failed schema validation."""
 
 
-class ClockWindowWarning(UserWarning):
-    """Clock generator output falls outside the ADC's 10 kHz..1280 kHz window."""
-
-
 class UndersamplingWarning(UserWarning):
     """A stimulus contains frequency content above half the sample rate."""

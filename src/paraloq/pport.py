@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from random import Random
 
 from . import adc0808
-from .errors import DeviceTimeoutError, InvalidInputError, require_finite
+from .errors import DeviceTimeoutError, InvalidInputError, require_finite, shown
 
 CONTROL_INVERT_MASK = 0x0B  # C0, C1, C3
 STATUS_INVERT_MASK = 0x80  # S7
@@ -63,13 +63,13 @@ class PortRegisters:
         for name in ("data", "status", "control"):
             value = getattr(self, name)
             if not (0 <= value <= 255):
-                raise InvalidInputError(f"{name} register must be a byte, got {value}")
+                raise InvalidInputError(f"{name} register must be a byte, got {shown(value)}")
 
 
 def write_control(regs: PortRegisters, value: int) -> PortRegisters:
     """Write a software byte to the control register; wire gets it inverted."""
     if not (0 <= value <= 255):
-        raise InvalidInputError(f"control value must be a byte, got {value}")
+        raise InvalidInputError(f"control value must be a byte, got {shown(value)}")
     regs.control = value ^ CONTROL_INVERT_MASK
     return regs
 
@@ -97,7 +97,8 @@ class SimulatedPort:
     settable levels (``set_input``); the converter samples the level at the
     ALE edge, which also gives the sample-and-hold behavior SAR conversion
     requires. The START+ALE and OUTPUT ENABLE levels are the wire bits of
-    ``regs.control``; no other copy of them is kept.
+    ``regs.control``; no other copy of them is kept. A ``clock_hz`` outside
+    the converter's window raises ClockRangeError here, when the port is built.
 
     Single-owner object: not safe for concurrent mutation.
     """
@@ -108,6 +109,7 @@ class SimulatedPort:
         clock_hz: float = 640e3,
         rng: Random | None = None,
     ):
+        adc0808.require_clock_in_window(clock_hz)
         self.adc = adc
         self.clock_hz = clock_hz
         self.regs = PortRegisters()
@@ -123,7 +125,7 @@ class SimulatedPort:
     def set_input(self, channel: int, volts: float) -> None:
         """Drive the analog level on one mux input."""
         if not (0 <= channel <= 7):
-            raise InvalidInputError(f"channel must be 0..7, got {channel}")
+            raise InvalidInputError(f"channel must be 0..7, got {shown(channel)}")
         try:
             finite = math.isfinite(volts)
         except OverflowError:  # an int beyond the float range
@@ -171,7 +173,7 @@ class SimulatedPort:
     def _start_conversion(self, channel: int) -> None:
         if not self.connected:
             return
-        code = adc0808.sar_convert(self._inputs[channel], channel, self.clock_hz, self.adc)
+        code = adc0808.sar_convert(self._inputs[channel], self.adc)
         if self.adc.noise_sigma_lsb > 0:
             code += round(self._rng.gauss(0.0, self.adc.noise_sigma_lsb))
             if code < 0:
@@ -198,7 +200,7 @@ def acquire_byte(port: SimulatedPort, channel: int) -> int:
     EOC.
     """
     if not (0 <= channel <= 7):
-        raise InvalidInputError(f"channel must be 0..7, got {channel}")
+        raise InvalidInputError(f"channel must be 0..7, got {shown(channel)}")
 
     latency = port.latency_s
     poll_dt = latency / POLLS_PER_CONVERSION

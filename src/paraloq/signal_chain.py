@@ -73,10 +73,12 @@ def amplify_and_clamp(v_in: float, cfg: ChainConfig = ChainConfig()) -> float:
 
     Gains the input, then hard-limits to [0, clamp_volts]: the shunt zeners
     clip over-range positive swings and negative excursions alike. The
-    result is the value min(max(v, 0.0), clamp_volts) gives, -0.0 kept;
-    a nan, an inf or an int beyond the float range is rejected.
+    result is the value min(max(v, 0.0), clamp_volts) gives, -0.0 kept; an
+    inf goes to its rail, so this composed with sensor_voltage is
+    chain_voltage. A nan or an int beyond the float range is rejected.
     """
-    require_finite("v_in", v_in)
+    if v_in not in (math.inf, -math.inf):
+        require_finite("v_in", v_in)
     v = cfg.amp_gain * v_in
     if v < 0.0:
         return 0.0
@@ -131,13 +133,15 @@ def alias_frequency(f_signal: float, f_sample: float) -> float:
     """Apparent frequency after sampling: |f - fs * round(f / fs)|.
 
     Folds any input frequency into the first Nyquist zone [0, fs/2].
+    math.remainder computes the fold exactly, with no quotient to overflow.
     """
     require_above("f_sample", f_sample, 0)
     require_above("f_signal", f_signal, 0, inclusive=True)
-    return abs(f_signal - f_sample * round(f_signal / f_sample))
+    return abs(math.remainder(f_signal, f_sample))
 
 
 def is_undersampled(f_signal: float, f_sample: float) -> bool:
     """True when the signal violates the sampling theorem (f > fs/2)."""
     require_above("f_sample", f_sample, 0)
+    require_above("f_signal", f_signal, 0, inclusive=True)
     return f_signal > f_sample / 2.0

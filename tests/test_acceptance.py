@@ -20,7 +20,6 @@ from paraloq import (
     Channel,
     ClockConfig,
     ClockRangeError,
-    ClockWindowWarning,
     DeviceTimeoutError,
     InvalidInputError,
     QueueSink,
@@ -31,7 +30,6 @@ from paraloq import (
     alias_frequency,
     amplify_and_clamp,
     chain_voltage,
-    clock_frequency,
     conversion_time_s,
     decode_temp,
     decode_volts,
@@ -99,25 +97,23 @@ def test_criterion_03_conversion_timing():
     assert conversion_time_s(640e3) == pytest.approx(100e-6, rel=1e-12)
     assert conversion_time_s(640e3) * 640e3 == 64.0
     assert conversion_time_s(1280e3) == pytest.approx(50e-6, rel=1e-12)
-    # window edges valid, outside raises
-    sar_convert(1.0, 0, 10e3)
-    sar_convert(1.0, 0, 1280e3)
-    with pytest.raises(ClockRangeError):
-        sar_convert(1.0, 0, 9.999e3)
-    with pytest.raises(ClockRangeError):
-        sar_convert(1.0, 0, 1280.001e3)
-    report(3, "100 us at 640 kHz, 50 us at 1280 kHz, window [10, 1280] kHz enforced")
+    # window edges valid, outside raises when the port is built
+    assert SimulatedPort(clock_hz=10e3).latency_s == pytest.approx(6.4e-3, rel=1e-12)
+    assert SimulatedPort(clock_hz=1280e3).latency_s == pytest.approx(50e-6, rel=1e-12)
+    for clock in (9.999e3, 1280.001e3, 10**400):
+        with pytest.raises(ClockRangeError):
+            SimulatedPort(clock_hz=clock)
+    report(3, "100 us at 640 kHz, 50 us at 1280 kHz, window [10, 1280] kHz enforced at the port")
 
 
 def test_criterion_04_clock_formula():
-    with pytest.warns(ClockWindowWarning):  # 0.909 Hz is far below the window
-        unit = clock_frequency(ClockConfig(r_ohms=1e6, c_farads=1e-6))
+    unit = ClockConfig(r_ohms=1e6, c_farads=1e-6).frequency_hz
     assert unit == pytest.approx(1.0 / 1.1, rel=1e-12)
+    with pytest.raises(ClockRangeError):  # 0.909 Hz is far below the window
+        SimulatedPort(clock_hz=unit)
     rc_for_640k = 1.0 / (1.1 * 640e3)
     assert abs(rc_for_640k - 1.4205e-6) / 1.4205e-6 <= 1e-4
-    assert clock_frequency(ClockConfig(r_ohms=1420.5, c_farads=1e-9)) == pytest.approx(
-        640e3, rel=1e-4
-    )
+    assert ClockConfig(r_ohms=1420.5, c_farads=1e-9).frequency_hz == pytest.approx(640e3, rel=1e-4)
     report(4, "f = 1/(1.1 R C); inverse solve gives RC = 1.4205 us for 640 kHz")
 
 
@@ -127,7 +123,7 @@ def test_criterion_05_sar_oracle_equivalence():
     mismatches = sum(
         1
         for _ in range(10_000)
-        if sar_convert((v := rng.uniform(-1.0, 6.0)), 0, 640e3) != quantize(v)
+        if sar_convert((v := rng.uniform(-1.0, 6.0))) != quantize(v)
     )
     assert mismatches == 0
     elapsed = time.perf_counter() - started

@@ -16,6 +16,7 @@ from paraloq import (
     Constant,
     EmptyRunError,
     InvalidInputError,
+    PortRegisters,
     PsychroConfig,
     QueueSink,
     Replay,
@@ -26,7 +27,9 @@ from paraloq import (
     SimulatedPort,
     Sine,
     UndersamplingWarning,
+    acquire_byte,
     alias_frequency,
+    amplify_and_clamp,
     build_port,
     chain_voltage,
     decode_temp,
@@ -555,7 +558,10 @@ def test_every_numeric_config_field_rejects_a_non_finite_value(cls, name, bad):
         (lambda: QueueSink(-(10**5000)), "capacity must be >= 1, got a negative int of 5001 digits"),
         (lambda: decode_temp(10**5000), "code must be an integer 0..255, got an int of 5001 digits"),
         (lambda: decode_volts(10**5000), "code must be an integer 0..255, got an int of 5001 digits"),
-        (lambda: sar_convert(1.0, 10**5000, 640e3), "channel must be 0..7, got an int of 5001 digits"),
+        (lambda: acquire_byte(SimulatedPort(), 10**5000), "channel must be 0..7, got an int of 5001 digits"),
+        (lambda: SimulatedPort().set_input(10**5000, 1.0), "channel must be 0..7, got an int of 5001 digits"),
+        (lambda: SimulatedPort().write_control(10**5000), "control value must be a byte, got an int of 5001 digits"),
+        (lambda: PortRegisters(data=10**5000), "data register must be a byte, got an int of 5001 digits"),
     ],
     ids=[
         "RunConfig.duration_s",
@@ -565,7 +571,10 @@ def test_every_numeric_config_field_rejects_a_non_finite_value(cls, name, bad):
         "QueueSink",
         "decode_temp",
         "decode_volts",
-        "sar_convert.channel",
+        "acquire_byte.channel",
+        "set_input.channel",
+        "write_control",
+        "PortRegisters",
     ],
 )
 def test_an_int_too_long_for_str_is_rejected_by_its_digit_count(build, message):
@@ -580,8 +589,9 @@ def test_an_int_too_long_for_str_is_rejected_by_its_digit_count(build, message):
 @pytest.mark.parametrize(
     "call, name",
     [
-        (lambda v: sar_convert(v, 1, 640e3), "v_in"),
+        (sar_convert, "v_in"),
         (quantize, "v_in"),
+        (amplify_and_clamp, "v_in"),
         (lambda v: SimulatedPort().set_input(0, v), "volts"),
         (saturation_vapor_pressure, "t_c"),
         (lambda v: relative_humidity(v, 18.0), "dry_c"),
@@ -593,6 +603,7 @@ def test_an_int_too_long_for_str_is_rejected_by_its_digit_count(build, message):
     ids=[
         "sar_convert",
         "quantize",
+        "amplify_and_clamp",
         "set_input",
         "saturation_vapor_pressure",
         "relative_humidity.dry_c",
@@ -615,17 +626,19 @@ def test_an_int_beyond_the_float_range_is_invalid_input(call, name, value):
         (lambda v: alias_frequency(v, 2.0), InvalidInputError, "f_signal must be >= 0 and finite"),
         (lambda v: alias_frequency(1.0, v), InvalidInputError, "f_sample must be > 0 and finite"),
         (lambda v: is_undersampled(1.0, v), InvalidInputError, "f_sample must be > 0 and finite"),
+        (lambda v: is_undersampled(v, 2.0), InvalidInputError, "f_signal must be >= 0 and finite"),
         (lowpass_alpha, InvalidInputError, "dt must be > 0 and finite"),
         (lambda v: decode_volts(1, v), InvalidInputError, "vref must be > 0 and finite"),
-        (lambda v: sar_convert(1.0, 1, v), ClockRangeError, "clock .+ Hz outside"),
+        (lambda v: SimulatedPort(clock_hz=v), ClockRangeError, "clock .+ Hz outside"),
     ],
     ids=[
         "alias_frequency.f_signal",
         "alias_frequency.f_sample",
         "is_undersampled",
+        "is_undersampled.f_signal",
         "lowpass_alpha",
         "decode_volts",
-        "sar_convert.clock_hz",
+        "SimulatedPort.clock_hz",
     ],
 )
 def test_a_helper_argument_beyond_the_float_range_is_named(call, error, message, value):

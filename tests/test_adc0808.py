@@ -10,10 +10,10 @@ from paraloq import (
     ChainConfig,
     ClockConfig,
     ClockRangeError,
-    ClockWindowWarning,
     InvalidInputError,
+    SimulatedPort,
+    acquire_byte,
     chain_voltage,
-    clock_frequency,
     conversion_time_s,
     decode_temp,
     decode_volts,
@@ -37,26 +37,25 @@ def _dump(tmp_path, v_in, channel, clock_hz):
 class TestClock:
     def test_unit_rc(self):
         # RC = 1 s is a convenient sanity point, far below the ADC window
-        with pytest.warns(ClockWindowWarning):
-            freq = clock_frequency(ClockConfig(r_ohms=1e6, c_farads=1e-6))
+        freq = ClockConfig(r_ohms=1e6, c_farads=1e-6).frequency_hz
         assert freq == pytest.approx(1.0 / 1.1, rel=1e-12)
+        with pytest.raises(ClockRangeError):
+            SimulatedPort(clock_hz=freq)
 
     def test_operating_point(self):
-        freq = clock_frequency(ClockConfig(r_ohms=1420.5, c_farads=1e-9))
+        freq = ClockConfig(r_ohms=1420.5, c_farads=1e-9).frequency_hz
         assert freq == pytest.approx(640e3, rel=1e-4)
+        assert SimulatedPort(clock_hz=freq).clock_hz == freq
 
-    def test_below_window_warns(self):
-        with pytest.warns(ClockWindowWarning):
-            freq = clock_frequency(ClockConfig(r_ohms=100e3, c_farads=1e-9))
+    def test_below_window_rejected_by_the_port(self):
+        freq = ClockConfig(r_ohms=100e3, c_farads=1e-9).frequency_hz
         assert freq == pytest.approx(9.091e3, rel=1e-3)
+        with pytest.raises(ClockRangeError, match="clock 9090.91 Hz outside"):
+            SimulatedPort(clock_hz=freq)
 
     def test_strictly_decreasing_in_r_and_c(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ClockWindowWarning)
-            freqs_r = [clock_frequency(ClockConfig(r, 1e-9)) for r in (1e3, 2e3, 5e3, 1e4)]
-            freqs_c = [clock_frequency(ClockConfig(1e3, c)) for c in (1e-9, 2e-9, 5e-9)]
+        freqs_r = [ClockConfig(r, 1e-9).frequency_hz for r in (1e3, 2e3, 5e3, 1e4)]
+        freqs_c = [ClockConfig(1e3, c).frequency_hz for c in (1e-9, 2e-9, 5e-9)]
         assert freqs_r == sorted(freqs_r, reverse=True)
         assert freqs_c == sorted(freqs_c, reverse=True)
 
@@ -104,38 +103,44 @@ class TestQuantize:
 
 class TestSarConvert:
     def test_midscale_trace_and_timing(self, tmp_path):
-        assert sar_convert(2.5, 0, 640e3) == 128
+        assert sar_convert(2.5) == 128
         assert _dump(tmp_path, 2.5, 0, 640e3) == (128, "# v_in=2.5 channel=0 clock_hz=640000.0", "10000000")
         assert conversion_time_s(640e3) == pytest.approx(100e-6, rel=1e-12)
 
     def test_zero_input_gives_all_zero_trace(self, tmp_path):
-        assert sar_convert(0.0, 3, 640e3) == 0
+        assert sar_convert(0.0) == 0
         assert _dump(tmp_path, 0.0, 3, 640e3) == (0, "# v_in=0.0 channel=3 clock_hz=640000.0", "0" * 8)
 
     def test_near_full_scale_at_max_clock(self):
-        assert sar_convert(4.98, 0, 1280e3) == 254
+        assert sar_convert(4.98) == 254
         assert conversion_time_s(1280e3) == pytest.approx(50e-6, rel=1e-12)
 
     @pytest.mark.parametrize("clock", [9e3, 1281e3, 0.0])
-    def test_clock_window_enforced(self, clock):
+    def test_clock_window_enforced(self, clock, tmp_path):
         with pytest.raises(ClockRangeError):
-            sar_convert(1.0, 0, clock)
+            SimulatedPort(clock_hz=clock)
+        with pytest.raises(ClockRangeError):
+            dump_sar_trace(1.0, 0, clock, AdcConfig(), tmp_path / "trace.txt")
 
     def test_window_endpoints_are_valid(self):
-        assert sar_convert(1.0, 0, 10e3) == sar_convert(1.0, 0, 1280e3)
+        codes = []
+        for clock in (10e3, 1280e3):
+            port = SimulatedPort(clock_hz=clock)
+            port.set_input(0, 1.0)
+            codes.append(acquire_byte(port, 0))
+        assert codes == [sar_convert(1.0)] * 2
 
-    def test_bad_channel(self):
+    def test_bad_channel(self, tmp_path):
         with pytest.raises(InvalidInputError):
-            sar_convert(1.0, 8, 640e3)
+            dump_sar_trace(1.0, 8, 640e3, AdcConfig(), tmp_path / "trace.txt")
 
     @given(v=adc_inputs)
     def test_equals_direct_quantizer(self, v):
-        assert sar_convert(v, 0, 640e3) == quantize(v)
+        assert sar_convert(v) == quantize(v)
 
     @pytest.mark.parametrize("clock", [10e3, 100e3, 320e3, 640e3, 1280e3])
     def test_latency_times_clock_is_cycle_count(self, clock):
-        sar_convert(1.0, 0, clock)  # a clock the converter accepts
-        assert conversion_time_s(clock) * clock == 64.0
+        assert SimulatedPort(clock_hz=clock).latency_s * clock == 64.0  # a clock the port accepts
 
 
 class TestDecode:
@@ -178,7 +183,7 @@ def test_sar_trace_is_the_code_bits_for_every_code(tmp_path):
 
 def test_a_conversion_is_a_plain_int_code():
     for code in range(256):
-        result = sar_convert(code * 5.0 / 256.0, 0, 640e3)
+        result = sar_convert(code * 5.0 / 256.0)
         assert type(result) is int and result == code
 
 

@@ -447,7 +447,7 @@ class TestConfigFile:
             ("[run]\nstart_time = 2026-08-10T12:00:00\n", "unknown config key [run] start_time"),
             # R C underflowed: a ZeroDivisionError traceback, exit 1
             ("[clock]\nr_ohms = 1e-300\nc_farads = 1e-300\n", "clock frequency"),
-            # 0.9 Hz: a ClockWindowWarning, then "2 conversions ... do not fit"
+            # 0.9 Hz: a clock warning, then "2 conversions ... do not fit"
             ("[clock]\nr_ohms = 1e6\nc_farads = 1e-6\n", "clock 0.909091 Hz outside"),
             ("[run]\nfilter_substeps = 1025\n", "filter_substeps must be 0..1024"),
         ],

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paraloq import (
@@ -88,6 +88,10 @@ class TestAmplifyAndClamp:
     def test_negative_excursion_clamps_to_ground(self):
         assert amplify_and_clamp(-0.3) == 0.0
 
+    def test_nan_rejected(self):
+        with pytest.raises(InvalidInputError, match="^v_in must be finite, got nan$"):
+            amplify_and_clamp(math.nan)
+
     @given(v=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
     def test_output_always_within_clamp_rails(self, v):
         out = amplify_and_clamp(v)
@@ -104,12 +108,6 @@ def test_chain_composition_matches_ideal_scaling():
         ideal = temp / 10.0
         assert abs(out - ideal) <= math.ulp(max(out, ideal, 1e-300))
         assert out <= cfg.clamp_volts
-
-
-@given(temp=st.floats(allow_nan=False, allow_infinity=False))
-def test_chain_is_sensor_then_clamp_bit_for_bit(temp):
-    cfg = ChainConfig()
-    assert repr(chain_voltage(temp, cfg)) == repr(amplify_and_clamp(sensor_voltage(temp, cfg), cfg))
 
 
 def test_chain_saturates_where_the_sensor_product_overflows():
@@ -154,6 +152,16 @@ def chains_and_temps(draw):
     return cfg, temp
 
 
+@settings(max_examples=300)
+@given(chains_and_temps())
+@example((OVERFLOW_CHAIN, 1e300))
+def test_chain_is_sensor_then_clamp_bit_for_bit(case):
+    # with OVERFLOW_CHAIN, sensor_voltage is inf where chain_voltage saturates;
+    # the composition used to raise "v_in must be finite, got inf" there
+    cfg, temp = case
+    assert repr(chain_voltage(temp, cfg)) == repr(amplify_and_clamp(sensor_voltage(temp, cfg), cfg))
+
+
 def min_max_clamp(v, cfg):
     return min(max(v, 0.0), cfg.clamp_volts)
 
@@ -164,11 +172,12 @@ def test_chain_and_amplifier_clamp_as_min_max_does(case):
     cfg, temp = case
     assert repr(chain_voltage(temp, cfg)) == repr(min_max_clamp(cfg.amp_gain * (cfg.sensor_slope * temp), cfg))
     v_in = cfg.sensor_slope * temp
-    if math.isfinite(v_in):
-        assert repr(amplify_and_clamp(v_in, cfg)) == repr(min_max_clamp(cfg.amp_gain * v_in, cfg))
+    assert repr(amplify_and_clamp(v_in, cfg)) == repr(min_max_clamp(cfg.amp_gain * v_in, cfg))
 
 
-@pytest.mark.parametrize("v_in", [0.0, -0.0, 0.5, math.nextafter(0.5, 1.0), math.nextafter(0.5, 0.0), -1e300, 1e300])
+@pytest.mark.parametrize(
+    "v_in", [0.0, -0.0, 0.5, math.nextafter(0.5, 1.0), math.nextafter(0.5, 0.0), -1e300, 1e300, -math.inf, math.inf]
+)
 def test_amplifier_clamp_at_the_rails(v_in):
     # 10 * 0.5 is the 5 V clamp exactly; -0.0 stays -0.0, as max(-0.0, 0.0) keeps it
     cfg = ChainConfig()
@@ -266,6 +275,15 @@ class TestAliasFrequency:
             alias_frequency(1.0, 0.0)
         with pytest.raises(InvalidInputError):
             alias_frequency(-1.0, 2.0)
+        # is_undersampled checks f_signal as alias_frequency does; both used to return False
+        for f in (math.nan, -5.0):
+            with pytest.raises(InvalidInputError, match="^f_signal must be >= 0 and finite"):
+                is_undersampled(f, 2.0)
+
+    @pytest.mark.parametrize("f,fs", [(1e300, 1e-10), (1e308, 0.5)])
+    def test_fold_of_an_overflowing_quotient(self, f, fs):
+        # f / fs is inf, and round(inf) used to raise a bare OverflowError
+        assert 0.0 <= alias_frequency(f, fs) <= fs / 2.0
 
     def test_undersampling_predicate(self):
         assert is_undersampled(1.5, 2.0)
