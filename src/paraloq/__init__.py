@@ -13,7 +13,6 @@ from .acquisition import (
     QueueSink,
     Replay,
     RunConfig,
-    Sample,
     Sine,
     build_port,
     humidity_summary,

@@ -1,9 +1,9 @@
-"""The application loop: schedule conversions, timestamp, decode, stream.
+"""The application loop: schedule conversions, timestamp, decode, log.
 
 Each tick acquires both channels, DRY then WET, through the port handshake,
-decodes code -> volts -> degC, streams immutable Sample values to the
-attached sinks, and folds the dry/wet pair plus derived humidity into one
-log row. Tick times are computed as k / rate (never accumulated), so the
+decodes each code to degC, and folds the dry/wet pair plus derived humidity
+into one log row, which joins the run's log and then goes to each attached
+sink. Tick times are computed as k / rate (never accumulated), so the
 schedule has zero floating drift, and that tick time is the run's only
 time base: runs are instantaneous and deterministic.
 """
@@ -22,6 +22,7 @@ from random import Random
 from statistics import fmean
 
 from . import adc0808, logstore, psychro, signal_chain
+# decode_volts is not called here, but perfbench/layers.py SPAN_TARGETS looks it up on this module
 from .adc0808 import CODE_MAX, AdcConfig, ClockConfig, decode_temp, decode_volts
 from .errors import (
     DeviceTimeoutError,
@@ -210,26 +211,13 @@ class RunConfig:
         return logstore.fingerprint(text)
 
 
-# -- samples and sinks -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One decoded conversion, immutable and safe to hand between threads."""
-
-    seq: int
-    t: float
-    timestamp: str
-    channel: Channel
-    code: int
-    volts: float
-    temp_c: float
+# -- sinks -------------------------------------------------------------------
 
 
 class QueueSink:
-    """Bounded FIFO sample sink.
+    """Bounded FIFO row sink.
 
-    When full, the oldest sample is dropped and `dropped` incremented:
+    When full, the oldest row is dropped and `dropped` incremented:
     logging must never stall acquisition.
     """
 
@@ -242,12 +230,12 @@ class QueueSink:
         self._lock = threading.Lock()
         self._queue: deque = deque()
 
-    def __call__(self, sample: Sample) -> None:
+    def __call__(self, row: logstore.PsychroRow) -> None:
         with self._lock:
             if len(self._queue) >= self.capacity:
                 self._queue.popleft()
                 self.dropped += 1
-            self._queue.append(sample)
+            self._queue.append(row)
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -334,13 +322,15 @@ def run_acquisition(cfg: RunConfig, sinks=(), port: SimulatedPort | None = None)
     """Execute one run and return its RunLog.
 
     Emits floor(duration * rate) + 1 ticks (t = 0 and t = duration are both
-    included); both channels are acquired per tick, DRY then WET, both
-    stamped with the tick time. Sinks are called synchronously with each
-    Sample; Samples are built only when there are sinks, and rows never
-    depend on them. A rate at which one tick cannot hold a conversion per
-    channel, or a run whose last tick falls after the last representable
-    date, raises InvalidInputError before the first tick. A device timeout
-    aborts the run and raises RunAbortedError carrying the partial RunLog.
+    included); both channels are acquired per tick, DRY then WET, and one
+    row stamped with the tick time is made from them. Each row joins the
+    log and then goes to each sink, in order, synchronously; rows never
+    depend on sinks. A sink's exception propagates as it is. A rate at
+    which one tick cannot hold a conversion per channel, or a run whose
+    last tick falls after the last representable date, raises
+    InvalidInputError before the first tick. Only a device timeout becomes
+    RunAbortedError, which carries the partial RunLog: every row made
+    before the failed tick.
     """
     cfg.warn_if_undersampled()
     if port is None:
@@ -359,37 +349,24 @@ def run_acquisition(cfg: RunConfig, sinks=(), port: SimulatedPort | None = None)
             f"a {cfg.duration_s:g} s run from {start_dt.isoformat()} ends past {datetime.max}"
         ) from None
     meta = _derive_meta(cfg, start_dt)
-    vref = cfg.adc.vref
-    lanes = []  # (channel, mux input, voltage at tick time), DRY then WET
+    lanes = []  # (mux input, voltage at tick time), DRY then WET
     for ch in Channel:
         path = _FilteredChain(cfg.chains[ch], cfg.stimuli[ch], cfg.filter_substeps, rate)
-        lanes.append((ch, ch.value, path.voltage_at))
+        lanes.append((ch.value, path.voltage_at))
     rows: list = []
-    seq = 0
     try:
         for k in range(cfg.tick_count()):
             t = k / rate
             timestamp = (start_dt + timedelta(seconds=t)).isoformat(timespec="milliseconds")
             readings = []  # (code, temp_c) per lane
-            for ch, mux, voltage_at in lanes:
+            for mux, voltage_at in lanes:
                 port.set_input(mux, voltage_at(t))
                 code = acquire_byte(port, mux)
-                temp_c = decode_temp(code)
-                readings.append((code, temp_c))
-                if sinks:
-                    sample = Sample(
-                        seq=seq,
-                        t=t,
-                        timestamp=timestamp,
-                        channel=ch,
-                        code=code,
-                        volts=decode_volts(code, vref),
-                        temp_c=temp_c,
-                    )
-                    seq += 1
-                    for sink in sinks:
-                        sink(sample)
-            rows.append(_tick_row(t, timestamp, *readings, cfg))
+                readings.append((code, decode_temp(code)))
+            row = _tick_row(t, timestamp, *readings, cfg)
+            rows.append(row)
+            for sink in sinks:
+                sink(row)
     except DeviceTimeoutError as exc:
         raise RunAbortedError(
             f"run aborted at tick {k}: {exc}", logstore.RunLog(meta=meta, rows=rows)

@@ -62,13 +62,13 @@ class PortRegisters:
     def __post_init__(self):
         for name in ("data", "status", "control"):
             value = getattr(self, name)
-            if not (0 <= value <= 255):
+            if type(value) is not int or not (0 <= value <= 255):
                 raise InvalidInputError(f"{name} register must be a byte, got {shown(value)}")
 
 
 def write_control(regs: PortRegisters, value: int) -> PortRegisters:
     """Write a software byte to the control register; wire gets it inverted."""
-    if not (0 <= value <= 255):
+    if type(value) is not int or not (0 <= value <= 255):
         raise InvalidInputError(f"control value must be a byte, got {shown(value)}")
     regs.control = value ^ CONTROL_INVERT_MASK
     return regs
@@ -124,7 +124,7 @@ class SimulatedPort:
 
     def set_input(self, channel: int, volts: float) -> None:
         """Drive the analog level on one mux input."""
-        if not (0 <= channel <= 7):
+        if type(channel) is not int or not (0 <= channel <= 7):
             raise InvalidInputError(f"channel must be 0..7, got {shown(channel)}")
         try:
             finite = math.isfinite(volts)
@@ -199,7 +199,7 @@ def acquire_byte(port: SimulatedPort, channel: int) -> int:
     the data register, release the bus. Never returns without having seen
     EOC.
     """
-    if not (0 <= channel <= 7):
+    if type(channel) is not int or not (0 <= channel <= 7):
         raise InvalidInputError(f"channel must be 0..7, got {shown(channel)}")
 
     latency = port.latency_s

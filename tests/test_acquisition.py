@@ -71,9 +71,7 @@ class TestSchedule:
     def test_no_drift_at_tick_1000(self):
         sink = QueueSink(capacity=10000)
         run_acquisition(constant_run_config(duration_s=500.0), sinks=[sink])
-        samples = sink.drain()
-        dry = [s for s in samples if s.channel is Channel.DRY]
-        assert dry[1000].t - 500.0 == 0.0
+        assert sink.drain()[1000].t_s - 500.0 == 0.0
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -94,21 +92,6 @@ class TestSchedule:
         t_s = [row.t_s for row in run.rows]
         assert t_s == sorted(set(t_s))
 
-    def test_all_channel_samples_share_the_tick_timestamp(self):
-        sink = QueueSink()
-        run_acquisition(constant_run_config(duration_s=1.0), sinks=[sink])
-        samples = sink.drain()
-        for k in range(0, len(samples), 2):
-            assert samples[k].timestamp == samples[k + 1].timestamp
-            assert samples[k].channel is Channel.DRY
-            assert samples[k + 1].channel is Channel.WET
-
-    def test_sequence_is_strictly_increasing(self):
-        sink = QueueSink()
-        run_acquisition(constant_run_config(duration_s=2.0), sinks=[sink])
-        seqs = [s.seq for s in sink.drain()]
-        assert seqs == sorted(set(seqs))
-
 
 class TestDecodeConsistency:
     def test_constant_20c_stays_within_one_lsb(self):
@@ -121,9 +104,9 @@ class TestDecodeConsistency:
     def test_sample_volts_and_temp_decode_from_code(self):
         sink = QueueSink()
         run_acquisition(constant_run_config(duration_s=1.0), sinks=[sink])
-        for sample in sink.drain():
-            assert abs(sample.volts - decode_volts(sample.code)) <= 1e-9
-            assert abs(sample.temp_c - decode_temp(sample.code)) <= 1e-9
+        for row in sink.drain():
+            assert row.dry_temp_c == round(decode_temp(row.dry_code), 6)  # the log keeps 6 decimals
+            assert row.wet_temp_c == round(decode_temp(row.wet_code), 6)
 
 
 class TestAliasing:
@@ -231,8 +214,8 @@ class TestFailurePaths:
         cfg = constant_run_config(duration_s=10.0)
         port = build_port(cfg)
 
-        def saboteur(sample):
-            if sample.seq >= 5:  # after three full ticks
+        def saboteur(row):
+            if row.t_s == 1.0:  # the row of tick 2: tick 3 times out
                 port.connected = False
 
         with pytest.raises(RunAbortedError) as err:
@@ -240,6 +223,16 @@ class TestFailurePaths:
         partial = err.value.partial_run
         assert len(partial.rows) == 3
         assert partial.meta.sample_rate_hz == 2.0
+
+    def test_a_sink_error_propagates_as_it_is(self):
+        class Stop(Exception):
+            pass
+
+        def failing(row):
+            raise Stop
+
+        with pytest.raises(Stop):  # not wrapped in RunAbortedError
+            run_acquisition(constant_run_config(duration_s=1.0), sinks=[failing])
 
     @pytest.mark.parametrize(
         "dry_c, wet_c",
@@ -324,9 +317,17 @@ class TestFilterPath:
         ):
             monkeypatch.setattr(owner, name, counting(key, getattr(owner, name)))
         seen = []  # the counts after each lane's conversion, DRY then WET per tick
+        acquire = acquisition.acquire_byte
+
+        def acquire_and_record(port, channel):
+            code = acquire(port, channel)
+            seen.append(dict(counts))
+            return code
+
+        monkeypatch.setattr(acquisition, "acquire_byte", acquire_and_record)
         cfg = constant_run_config(duration_s=3.0, filter_substeps=substeps)
         cfg.stimuli[Channel.DRY] = Sine(amplitude_c=10.0, freq_hz=0.2, offset_c=25.0)
-        run = run_acquisition(cfg, sinks=[lambda sample: seen.append(dict(counts))])
+        run = run_acquisition(cfg)
         assert len(seen) == 2 * len(run.rows) == 14
         # one settled chain voltage per lane at setup, which tick 0 reads
         assert seen[0] == {"chain": 2, "step": 0, "polls": 16, "writes": 5}
@@ -407,12 +408,12 @@ class TestFilterPath:
 class TestQueueSink:
     def test_bounded_fifo_drops_oldest(self):
         sink = QueueSink(capacity=3)
-        cfg = constant_run_config(duration_s=2.0)  # 5 ticks, 10 samples
-        run_acquisition(cfg, sinks=[sink])
-        assert sink.dropped == 7
+        cfg = constant_run_config(duration_s=2.0)  # 5 ticks, 5 rows
+        run = run_acquisition(cfg, sinks=[sink])
+        assert sink.dropped == 2
         kept = sink.drain()
         assert len(kept) == 3
-        assert [s.seq for s in kept] == [7, 8, 9]  # newest survive
+        assert kept == run.rows[2:]  # newest survive
         assert len(sink) == 0
 
     def test_capacity_validated(self):
@@ -421,26 +422,33 @@ class TestQueueSink:
         with pytest.raises(InvalidInputError, match="capacity must be an integer, got 1.5"):
             QueueSink(capacity=1.5)
 
-    def test_a_sink_changes_nothing(self):
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        noise=st.floats(min_value=0.0, max_value=2.0),
+        substeps=st.integers(min_value=0, max_value=8),
+        amplitude=st.floats(min_value=0.0, max_value=20.0),
+        freq=st.floats(min_value=0.0, max_value=1.0),
+        offset=st.floats(min_value=0.0, max_value=50.0),
+    )
+    def test_a_sink_changes_nothing(self, seed, noise, substeps, amplitude, freq, offset):
         def config():
             cfg = constant_run_config(
-                duration_s=5.0, adc=AdcConfig(noise_sigma_lsb=1.5), filter_substeps=4, seed=3
+                duration_s=5.0, adc=AdcConfig(noise_sigma_lsb=noise), filter_substeps=substeps, seed=seed
             )
-            cfg.stimuli[Channel.DRY] = Sine(amplitude_c=4.0, freq_hz=0.1, offset_c=22.0)
+            cfg.stimuli[Channel.DRY] = Sine(amplitude_c=amplitude, freq_hz=freq, offset_c=offset)
             return cfg
 
         plain = run_acquisition(config())
         sink = QueueSink(capacity=10000)
-        watched = run_acquisition(config(), sinks=[sink])
+        appended = []
+        watched = run_acquisition(config(), sinks=[sink, appended.append])
         assert watched == plain
-        samples = sink.drain()
-        assert [s.seq for s in samples] == list(range(2 * len(plain.rows)))
-        for sample in samples:
-            assert sample.volts == decode_volts(sample.code, 5.0)
-            assert sample.temp_c == decode_temp(sample.code)
-        assert [s.code for s in samples] == [
-            code for row in plain.rows for code in (row.dry_code, row.wet_code)
-        ]
+        assert sink.drain() == appended == plain.rows
+        assert sink.dropped == 0
+        for row in plain.rows:
+            assert row.dry_temp_c == round(decode_temp(row.dry_code), 6)  # the log keeps 6 decimals
+            assert row.wet_temp_c == round(decode_temp(row.wet_code), 6)
 
 
 class TestConfigValidation:

@@ -67,11 +67,15 @@ class TestRegisterInversion:
     def test_data_lines_uninverted(self):
         assert read_data(PortRegisters(data=0x5A)) == 0x5A
 
-    def test_register_bytes_validated(self):
-        with pytest.raises(InvalidInputError):
-            PortRegisters(data=300)
-        with pytest.raises(InvalidInputError):
-            write_control(PortRegisters(), 256)
+    @pytest.mark.parametrize("value", [256, 1.5, True], ids=["256", "1.5", "True"])
+    def test_register_bytes_validated(self, value):
+        # a float or a bool is not a byte, in range or not
+        with pytest.raises(InvalidInputError, match=f"^data register must be a byte, got {value}$"):
+            PortRegisters(data=value)
+        with pytest.raises(InvalidInputError, match=f"^control value must be a byte, got {value}$"):
+            write_control(PortRegisters(), value)
+        with pytest.raises(InvalidInputError, match=f"^control value must be a byte, got {value}$"):
+            SimulatedPort().write_control(value)
 
 
 class TestAcquireByte:
@@ -122,9 +126,13 @@ class TestAcquireByte:
             acquire_byte(port, 0)
         assert port.now_s - t0 <= 10 * port.latency_s
 
-    def test_bad_channel_rejected(self):
-        with pytest.raises(InvalidInputError):
-            acquire_byte(SimulatedPort(), 8)
+    @pytest.mark.parametrize("channel", [8, 1.5, True], ids=["8", "1.5", "True"])
+    def test_bad_channel_rejected(self, channel):
+        # a float or a bool is not a mux address, in range or not
+        with pytest.raises(InvalidInputError, match=f"^channel must be 0..7, got {channel}$"):
+            acquire_byte(SimulatedPort(), channel)
+        with pytest.raises(InvalidInputError, match=f"^channel must be 0..7, got {channel}$"):
+            SimulatedPort().set_input(channel, 2.0)
 
     def test_out_of_window_clock_propagates(self):
         from paraloq import ClockRangeError
