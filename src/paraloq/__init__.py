@@ -17,6 +17,7 @@ from .acquisition import (
     build_port,
     humidity_summary,
     run_acquisition,
+    run_meta,
     summarize,
 )
 from .adc0808 import (
@@ -37,7 +38,6 @@ from .errors import (
     InconsistentReadingError,
     InvalidInputError,
     ParaloqError,
-    RunAbortedError,
     StorageError,
     UndersamplingWarning,
 )

@@ -15,7 +15,7 @@ import threading
 import warnings
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 from enum import Enum
 from random import Random
@@ -25,11 +25,9 @@ from . import adc0808, logstore, psychro, signal_chain
 # decode_volts is not called here, but perfbench/layers.py SPAN_TARGETS looks it up on this module
 from .adc0808 import CODE_MAX, AdcConfig, ClockConfig, decode_temp, decode_volts
 from .errors import (
-    DeviceTimeoutError,
     EmptyRunError,
     InconsistentReadingError,
     InvalidInputError,
-    RunAbortedError,
     UndersamplingWarning,
     require_above,
     require_finite,
@@ -177,6 +175,19 @@ class RunConfig:
                 )
             # decode_temp is right only for an aligned chain, whatever allow_misaligned says
             signal_chain.require_aligned(self.chains[ch])
+        latency_s = adc0808.conversion_time_s(self.clock.frequency_hz, self.adc)
+        if len(Channel) * latency_s > 1.0 / self.sample_rate_hz:
+            raise InvalidInputError(
+                f"{len(Channel)} conversions of {latency_s * 1e6:g} us do not fit "
+                f"in one {1e6 / self.sample_rate_hz:g} us tick at {self.sample_rate_hz:g} S/s"
+            )
+        if self.start_time is not None:
+            try:  # the last tick's stamp
+                self.start_time + timedelta(seconds=(self.tick_count() - 1) / self.sample_rate_hz)
+            except OverflowError:
+                raise InvalidInputError(
+                    f"a {self.duration_s:g} s run from {self.start_time.isoformat()} ends past {datetime.max}"
+                ) from None
 
     def tick_count(self) -> int:
         return math.floor(self.duration_s * self.sample_rate_hz) + 1
@@ -259,10 +270,11 @@ def build_port(cfg: RunConfig) -> SimulatedPort:
     )
 
 
-def _derive_meta(cfg: RunConfig, start_dt: datetime) -> logstore.RunMeta:
+def run_meta(cfg: RunConfig) -> logstore.RunMeta:
+    """The log metadata of a run of cfg, which must have a start_time."""
     return logstore.RunMeta(
-        run_id=f"{start_dt:%Y%m%dT%H%M%S}_{cfg.seed & 0xFFFFFFFF:08x}",
-        start=start_dt.isoformat(timespec="milliseconds"),
+        run_id=f"{cfg.start_time:%Y%m%dT%H%M%S}_{cfg.seed & 0xFFFFFFFF:08x}",
+        start=cfg.start_time.isoformat(timespec="milliseconds"),
         sample_rate_hz=cfg.sample_rate_hz,
         channels={ch.name.lower(): ch.value for ch in Channel},
         config_fingerprint=cfg.fingerprint(),
@@ -325,53 +337,35 @@ def run_acquisition(cfg: RunConfig, sinks=(), port: SimulatedPort | None = None)
     included); both channels are acquired per tick, DRY then WET, and one
     row stamped with the tick time is made from them. Each row joins the
     log and then goes to each sink, in order, synchronously; rows never
-    depend on sinks. A sink's exception propagates as it is. A rate at
-    which one tick cannot hold a conversion per channel, or a run whose
-    last tick falls after the last representable date, raises
-    InvalidInputError before the first tick. Only a device timeout becomes
-    RunAbortedError, which carries the partial RunLog: every row made
-    before the failed tick.
+    depend on sinks. A config without a start_time starts now. Every
+    exception, a device timeout or a sink's own, propagates as it is, and
+    the sinks then hold every row made before it.
     """
     cfg.warn_if_undersampled()
+    if cfg.start_time is None:
+        cfg = replace(cfg, start_time=datetime.now())
     if port is None:
         port = build_port(cfg)
-    if len(Channel) * port.latency_s > 1.0 / cfg.sample_rate_hz:
-        raise InvalidInputError(
-            f"{len(Channel)} conversions of {port.latency_s * 1e6:g} us do not fit "
-            f"in one {1e6 / cfg.sample_rate_hz:g} us tick at {cfg.sample_rate_hz:g} S/s"
-        )
     rate = cfg.sample_rate_hz
-    start_dt = cfg.start_time or datetime.now()
-    try:
-        start_dt + timedelta(seconds=(cfg.tick_count() - 1) / rate)  # the last tick's stamp
-    except OverflowError:
-        raise InvalidInputError(
-            f"a {cfg.duration_s:g} s run from {start_dt.isoformat()} ends past {datetime.max}"
-        ) from None
-    meta = _derive_meta(cfg, start_dt)
+    start_dt = cfg.start_time
     lanes = []  # (mux input, voltage at tick time), DRY then WET
     for ch in Channel:
         path = _FilteredChain(cfg.chains[ch], cfg.stimuli[ch], cfg.filter_substeps, rate)
         lanes.append((ch.value, path.voltage_at))
     rows: list = []
-    try:
-        for k in range(cfg.tick_count()):
-            t = k / rate
-            timestamp = (start_dt + timedelta(seconds=t)).isoformat(timespec="milliseconds")
-            readings = []  # (code, temp_c) per lane
-            for mux, voltage_at in lanes:
-                port.set_input(mux, voltage_at(t))
-                code = acquire_byte(port, mux)
-                readings.append((code, decode_temp(code)))
-            row = _tick_row(t, timestamp, *readings, cfg)
-            rows.append(row)
-            for sink in sinks:
-                sink(row)
-    except DeviceTimeoutError as exc:
-        raise RunAbortedError(
-            f"run aborted at tick {k}: {exc}", logstore.RunLog(meta=meta, rows=rows)
-        ) from exc
-    return logstore.RunLog(meta=meta, rows=rows)
+    sinks = (rows.append, *sinks)  # the log is the first sink
+    for k in range(cfg.tick_count()):
+        t = k / rate
+        timestamp = (start_dt + timedelta(seconds=t)).isoformat(timespec="milliseconds")
+        readings = []  # (code, temp_c) per lane
+        for mux, voltage_at in lanes:
+            port.set_input(mux, voltage_at(t))
+            code = acquire_byte(port, mux)
+            readings.append((code, decode_temp(code)))
+        row = _tick_row(t, timestamp, *readings, cfg)
+        for sink in sinks:
+            sink(row)
+    return logstore.RunLog(meta=run_meta(cfg), rows=rows)
 
 
 # -- summaries ---------------------------------------------------------------

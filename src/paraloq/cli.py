@@ -3,9 +3,11 @@
 Exit codes:
     0  success
     2  invalid flags or config
-    3  device timeout during acquisition
+    3  device timeout during acquisition (the log keeps its k rows and ends
+       in `# aborted = tick <k>: <reason>`; so does an interrupted one)
     4  storage (output write) failure
     5  input log unreadable, malformed or empty
+    130  interrupted (Ctrl-C)
 
 Defaults can come from a `key = value` config file with [section] headers
 (sections: run, chain, clock, psychro). Precedence is flags > file >
@@ -32,7 +34,6 @@ from .errors import (
     EmptyRunError,
     InvalidInputError,
     ParaloqError,
-    RunAbortedError,
     StorageError,
     require_above,
 )
@@ -45,10 +46,11 @@ EXIT_USAGE = 2
 EXIT_TIMEOUT = 3
 EXIT_STORAGE = 4
 EXIT_PARSE = 5
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a process Ctrl-C ended
 
 # error type -> exit code, first match wins; any other ParaloqError is a usage error
 _EXIT_CODES = (
-    ((DeviceTimeoutError, RunAbortedError), EXIT_TIMEOUT),
+    (DeviceTimeoutError, EXIT_TIMEOUT),
     ((CsvParseError, EmptyRunError), EXIT_PARSE),
     (StorageError, EXIT_STORAGE),
 )
@@ -169,7 +171,7 @@ def cmd_simulate(args) -> int:
         elif temp_flag is not None:
             stimuli[channel] = Constant(temp_flag)
 
-    start_time = None
+    start_time = datetime.now()  # the header names the run's start before its first tick
     if args.start_time is not None:
         try:
             start_time = datetime.fromisoformat(args.start_time)
@@ -186,8 +188,13 @@ def cmd_simulate(args) -> int:
     )
     cfg.stimuli.update(stimuli)  # a channel without a flag keeps its default stimulus
 
-    run = acquisition.run_acquisition(cfg)
-    logstore.write_csv(run, args.out)
+    with logstore.CsvWriter(args.out, acquisition.run_meta(cfg)) as writer:
+        try:
+            run = acquisition.run_acquisition(cfg, sinks=[writer.write_row])
+        except (DeviceTimeoutError, KeyboardInterrupt) as exc:
+            writer.comment(f"aborted = tick {writer.rows}: {str(exc) or 'interrupted'}")  # Ctrl-C has no text
+            print(f"kept {writer.rows} rows in {args.out}", file=sys.stderr)
+            raise
     n_rows = len(run.rows)
     print(f"wrote {args.out}: {n_rows} ticks, {2 * n_rows} samples, rate {cfg.sample_rate_hz:g} S/s")
     _print_table(acquisition.summarize(run), acquisition.humidity_summary(run))
@@ -297,6 +304,8 @@ def main(argv=None) -> int:
     except ParaloqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next((code for types, code in _EXIT_CODES if isinstance(exc, types)), EXIT_USAGE)
+    except KeyboardInterrupt:
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -93,14 +93,6 @@ class CsvParseError(ParaloqError):
         self.line_no = line_no
 
 
-class RunAbortedError(ParaloqError):
-    """Acquisition stopped early; `partial_run` holds everything acquired."""
-
-    def __init__(self, message, partial_run):
-        super().__init__(message)
-        self.partial_run = partial_run
-
-
 class ConfigError(ParaloqError):
     """Config file or flag set failed schema validation."""
 

@@ -84,9 +84,10 @@ class PsychroRow(
     rh_pct / dew_point_c are None when the psychrometric computation errored
     for that tick (they serialize as empty fields). A value the file cannot
     carry back (None or non-finite t_s or temperature, a timestamp that is
-    not a str or holds ',', CR or LF, a non-finite dew point, RH outside
-    0..100) raises InvalidInputError. The constructor is the only way to make
-    a row: _make and _replace build through it.
+    not a str or holds ',', CR or LF, a non-finite dew point or one above
+    the dry bulb, RH outside 0..100) raises InvalidInputError. The
+    constructor is the only way to make a row: _make and _replace build
+    through it.
     """
 
     __slots__ = ()
@@ -123,6 +124,8 @@ class PsychroRow(
             rh_pct = round(rh_pct, 6)
         if dew_point_c is not None:
             dew_point_c = _finite6("dew_point_c", dew_point_c)
+            if dew_point_c > dry6:  # no air saturates above its own temperature
+                raise InvalidInputError(f"dew_point_c {dew_point_c} is above dry_temp_c {dry6}")
         return _tuple_new(cls, (t6, timestamp, dry_code, dry6, wet_code, wet6, rh_pct, dew_point_c))
 
     @classmethod
@@ -166,12 +169,13 @@ def _format_row(row: PsychroRow) -> str:
 class CsvWriter:
     """Streaming writer: metadata and header up front, then row by row.
 
-    Flushes after every row so a crash loses at most the in-flight row.
-    Single-owner, append-only while a run is live.
+    Flushes after every row so a crash loses at most the in-flight row, and
+    counts the rows written in `rows`. Single-owner, append-only while a run is live.
     """
 
     def __init__(self, path, meta: RunMeta):
         self.path = path
+        self.rows = 0
         self._last_t = None
         try:
             self._fh = open(path, "w", encoding="utf-8", newline="")
@@ -197,8 +201,17 @@ class CsvWriter:
         if self._last_t is not None and t <= self._last_t:
             raise InvalidInputError(f"rows must have strictly increasing t_s: {t} after {self._last_t}")
         self._last_t = t
-        self._emit(_format_row(row))
+        line = _format_row(row) + "\r\n"
+        self.rows += 1  # no call between count and write: an interrupt lands before or after both
+        try:
+            self._fh.write(line)
+        except OSError as exc:
+            raise StorageError(self.path, str(exc)) from exc
         self._fh.flush()
+
+    def comment(self, text: str) -> None:
+        """Append the line `# text`, such as an aborted run's trailer; read_csv skips it."""
+        self._emit(f"# {text}")
 
     def close(self) -> None:
         self._fh.close()

@@ -180,16 +180,17 @@ def _random_run(rng):
     rows = []
     for k in range(rng.randrange(0, 8)):
         failed = rng.random() < 0.2
+        dry = rng.uniform(0, 50)
         rows.append(
             PsychroRow(
                 t_s=k / rate,
                 timestamp=f"2026-08-10T12:{k // 60:02d}:{k % 60:02d}.000",
                 dry_code=rng.randrange(256),
-                dry_temp_c=rng.uniform(0, 50),
+                dry_temp_c=dry,
                 wet_code=rng.randrange(256),
                 wet_temp_c=rng.uniform(0, 50),
                 rh_pct=None if failed else rng.uniform(0, 100),
-                dew_point_c=None if failed else rng.uniform(0, 50),
+                dew_point_c=None if failed else rng.uniform(0, dry),  # a row rejects dew above dry
             )
         )
     meta = RunMeta(

@@ -14,13 +14,13 @@ from paraloq import (
     ClockConfig,
     ClockRangeError,
     Constant,
+    DeviceTimeoutError,
     EmptyRunError,
     InvalidInputError,
     PortRegisters,
     PsychroConfig,
     QueueSink,
     Replay,
-    RunAbortedError,
     RunConfig,
     RunLog,
     RunMeta,
@@ -213,16 +213,15 @@ class TestFailurePaths:
     def test_timeout_aborts_with_partial_log(self):
         cfg = constant_run_config(duration_s=10.0)
         port = build_port(cfg)
+        rows = []
 
         def saboteur(row):
             if row.t_s == 1.0:  # the row of tick 2: tick 3 times out
                 port.connected = False
 
-        with pytest.raises(RunAbortedError) as err:
-            run_acquisition(cfg, sinks=[saboteur], port=port)
-        partial = err.value.partial_run
-        assert len(partial.rows) == 3
-        assert partial.meta.sample_rate_hz == 2.0
+        with pytest.raises(DeviceTimeoutError):
+            run_acquisition(cfg, sinks=[rows.append, saboteur], port=port)
+        assert len(rows) == 3
 
     def test_a_sink_error_propagates_as_it_is(self):
         class Stop(Exception):
@@ -231,7 +230,7 @@ class TestFailurePaths:
         def failing(row):
             raise Stop
 
-        with pytest.raises(Stop):  # not wrapped in RunAbortedError
+        with pytest.raises(Stop):  # as it is, like a device timeout
             run_acquisition(constant_run_config(duration_s=1.0), sinks=[failing])
 
     @pytest.mark.parametrize(
@@ -246,12 +245,32 @@ class TestFailurePaths:
 
     def test_rate_beyond_the_handshake_rejected_before_the_first_tick(self):
         sink = QueueSink()
-        cfg = constant_run_config(duration_s=0.01, sample_rate_hz=20000.0)
         with pytest.raises(InvalidInputError):
+            cfg = constant_run_config(duration_s=0.01, sample_rate_hz=20000.0)
             run_acquisition(cfg, sinks=[sink])
         assert len(sink) == 0
         # two conversions of about 100 us fit in a 250 us tick
         run_acquisition(constant_run_config(duration_s=0.001, sample_rate_hz=4000.0))
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"sample_rate_hz": 20000.0}, r"2 conversions of .* us do not fit in one 50 us tick"),
+            ({"start_time": datetime(9999, 12, 31, 23, 59, 55)}, r"ends past 9999-12-31 23:59:59.999999"),
+        ],
+        ids=["rate beyond the handshake", "last stamp past the calendar"],
+    )
+    def test_a_run_no_tick_can_hold_is_rejected_by_its_config(self, kwargs, message):
+        # both were found only when the run started, after the config was accepted
+        with pytest.raises(InvalidInputError, match=message):
+            RunConfig(duration_s=10.0, **kwargs)
+
+    def test_a_run_without_start_time_is_checked_when_it_starts_now(self):
+        def ticked(row):
+            raise AssertionError("a tick ran")
+
+        with pytest.raises(InvalidInputError, match="ends past"):
+            run_acquisition(RunConfig(duration_s=1e12), sinks=[ticked])
 
     def test_humidity_fields_empty_when_wet_exceeds_dry(self):
         cfg = constant_run_config(dry_c=18.0, wet_c=22.0, duration_s=1.0)

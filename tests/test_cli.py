@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from paraloq import cli
+from paraloq import acquisition, cli
 from paraloq.cli import main
 from paraloq.logstore import HEADER, read_csv
 
@@ -201,6 +201,72 @@ class TestSimulate:
         assert not out.exists()
 
 
+def _fail_at_tick(monkeypatch, k, fail):
+    """Call fail(port) before the first conversion of tick k: call 2k + 1 of acquire_byte."""
+    real = acquisition.acquire_byte
+    calls = 0
+
+    def acquire_byte(port, channel):
+        nonlocal calls
+        calls += 1
+        if calls == 2 * k + 1:
+            fail(port)
+        return real(port, channel)
+
+    monkeypatch.setattr(acquisition, "acquire_byte", acquire_byte)
+
+
+def _disconnect(port):
+    port.connected = False  # EOC never comes: the handshake times out
+
+
+def _interrupt(port):
+    raise KeyboardInterrupt
+
+
+class TestStoppedRun:
+    # the log used to be written only once the run had finished, so a stopped run kept nothing
+
+    def test_a_device_timeout_keeps_the_rows_made_before_it(self, tmp_path, monkeypatch, capsys):
+        code, whole = simulate(tmp_path, name="whole.csv")
+        assert code == 0
+        _fail_at_tick(monkeypatch, 3, _disconnect)
+        code, out = simulate(tmp_path)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"kept 3 rows in {out}" in err and "error: EOC not asserted" in err
+        lines = out.read_bytes().decode("utf-8").split("\r\n")
+        assert lines[-2].startswith("# aborted = tick 3: EOC not asserted on channel 0") and lines[-1] == ""
+        assert lines[:-2] == whole.read_bytes().decode("utf-8").split("\r\n")[: len(lines) - 2]
+        assert read_csv(out).rows == read_csv(whole).rows[:3]
+        assert main(["summarize", "--input", str(out)]) == 0
+
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_an_interrupt_exits_130_and_keeps_the_rows_made_before_it(self, tmp_path, monkeypatch, capsys, k):
+        _fail_at_tick(monkeypatch, k, _interrupt)
+        code, out = simulate(tmp_path)
+        assert code == 130
+        assert capsys.readouterr().err == f"kept {k} rows in {out}\n"
+        assert out.read_bytes().decode("utf-8").endswith(f"\r\n# aborted = tick {k}: interrupted\r\n")
+        assert len(read_csv(out).rows) == k
+
+    def test_an_unwritable_out_exits_4_before_the_first_tick(self, tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("run_acquisition called")
+
+        monkeypatch.setattr(acquisition, "run_acquisition", never)
+        code, out = simulate(tmp_path, name="no-such-dir/run.csv")
+        assert code == 4
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_the_start_of_a_run_without_start_time_is_its_first_stamp(self, tmp_path):
+        out = tmp_path / "now.csv"
+        assert main(["simulate", "--duration", "1", "--out", str(out)]) == 0
+        run = read_csv(out)
+        assert run.meta.start == run.rows[0].timestamp
+
+
 class TestCompute:
     def test_reference_pair(self, capsys):
         assert main(["compute", "--dry", "19.92858", "--wet", "18.02167"]) == 0
@@ -325,6 +391,16 @@ class TestSummarize:
         assert main(["summarize", "--input", str(path)]) == 5
         err = capsys.readouterr().err
         assert "line 3" in err and "finite" in err
+
+    def test_dew_point_above_dry_bulb_exits_5_and_names_the_line(self, tmp_path, capsys):
+        # a hand-edited dew point of 20.5 degC in 20 degC air was summarized with exit 0
+        path = tmp_path / "dew.csv"
+        path.write_text(
+            HEADER + "\n0.0,t,102,20.0,92,18.0,82.0,16.9\n0.5,t,102,20.0,92,18.0,82.0,20.5\n",
+            encoding="utf-8",
+        )
+        assert main(["summarize", "--input", str(path)]) == 5
+        assert "line 3: dew_point_c 20.5 is above dry_temp_c 20.0" in capsys.readouterr().err
 
     def test_empty_log_exits_5(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"

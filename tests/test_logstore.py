@@ -296,16 +296,18 @@ def run_logs(draw):
     n = draw(st.integers(min_value=0, max_value=6))
     rows = []
     for k in range(n):
+        dry = draw(temps)
         rows.append(
             PsychroRow(
                 t_s=k / rate,
                 timestamp=f"2026-08-10T12:00:{k:02d}.000",
                 dry_code=draw(codes),
-                dry_temp_c=draw(temps),
+                dry_temp_c=dry,
                 wet_code=draw(codes),
                 wet_temp_c=draw(temps),
                 rh_pct=draw(optional_pct),
-                dew_point_c=draw(st.one_of(st.none(), temps)),
+                # a row rejects dew above dry; test_row_rejects_dew_above_dry draws the rest
+                dew_point_c=draw(st.one_of(st.none(), st.floats(min_value=0.0, max_value=dry))),
             )
         )
     meta = RunMeta(
@@ -374,6 +376,16 @@ def test_row_rejects_an_impossible_value(field, value):
         PsychroRow(**fields)
 
 
+@settings(max_examples=300, deadline=None)
+@given(dry=temps, above=st.floats(min_value=1e-6, max_value=50.0))
+def test_row_rejects_dew_above_dry(dry, above):
+    # the rounded dew point above the rounded dry bulb: no air is saturated above its own temperature
+    dew = round(dry, 6) + above
+    with pytest.raises(InvalidInputError, match="dew_point_c .* is above dry_temp_c"):
+        PsychroRow(0.0, "t", 91, dry, 91, 17.9, None, dew)
+    PsychroRow(0.0, "t", 91, dry, 91, 17.9, None, dry)  # saturated air: dew equals dry
+
+
 @pytest.mark.parametrize("field", ["t_s", "dry_temp_c", "wet_temp_c", "dew_point_c"])
 def test_row_rejects_an_int_beyond_the_float_range(field):
     # round() keeps an int an int, and isfinite used to raise a bare OverflowError
@@ -421,6 +433,8 @@ def reference_row(t_s, timestamp, dry_code, dry_temp_c, wet_code, wet_temp_c, rh
         rh_pct = round(rh_pct, 6)
     if dew_point_c is not None:
         dew_point_c = _finite6_reference("dew_point_c", dew_point_c)
+        if dew_point_c > dry_temp_c:
+            raise InvalidInputError(f"dew_point_c {dew_point_c} is above dry_temp_c {dry_temp_c}")
     return (t_s, timestamp, dry_code, dry_temp_c, wet_code, wet_temp_c, rh_pct, dew_point_c)
 
 
@@ -544,10 +558,15 @@ magnitude = st.one_of(
 pct = st.one_of(st.floats(min_value=0.0, max_value=100.0), st.sampled_from([-0.0, 0.0, 100.0]))
 
 
+def _dew_not_above_dry(values):
+    """True for row values a row takes: a dew point that rounds to at most the dry bulb."""
+    dew = values[7]
+    return dew is None or round(dew, 6) <= round(values[3], 6)
+
+
 @settings(max_examples=500, deadline=None)
 @given(
-    row=st.builds(
-        PsychroRow,
+    row=st.tuples(
         magnitude,
         st.text(alphabet=st.characters(blacklist_characters=",\r\n"), max_size=24),
         st.integers(min_value=0, max_value=255),
@@ -557,6 +576,8 @@ pct = st.one_of(st.floats(min_value=0.0, max_value=100.0), st.sampled_from([-0.0
         st.one_of(st.none(), pct),
         st.one_of(st.none(), magnitude),
     )
+    .filter(_dew_not_above_dry)
+    .map(PsychroRow._make)
 )
 def test_format_row_matches_the_per_field_formatter(row):
     assert _format_row(row) == _format_row_reference(row)
