@@ -2,10 +2,10 @@
 
 Each tick acquires both channels, DRY then WET, through the port handshake,
 decodes each code to degC, and folds the dry/wet pair plus derived humidity
-into one log row, which joins the run's log and then goes to each attached
-sink. Tick times are computed as k / rate (never accumulated), so the
-schedule has zero floating drift, and that tick time is the run's only
-time base: runs are instantaneous and deterministic.
+into one log row, which goes to each attached sink; run_acquisition's first
+sink collects the run's log. Tick times are computed as k / rate (never
+accumulated), so the schedule has zero floating drift, and that tick time
+is the run's only time base: runs are instantaneous and deterministic.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import threading
 import warnings
+from array import array
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -91,7 +92,8 @@ class Sine:
 class Replay:
     """Temperature replayed from a recorded log column (zero-order hold).
 
-    The source log is read once, when the Replay is made.
+    The source log is read once, when the Replay is made, and only its t_s
+    and replayed columns are kept.
     """
 
     path: str
@@ -100,11 +102,9 @@ class Replay:
     def __post_init__(self):
         if self.column not in ("dry_temp_c", "wet_temp_c"):
             raise InvalidInputError(f"column must be a temp column, got {self.column!r}")
-        run = logstore.read_csv(self.path)
-        if not run.rows:
+        self._times, self._temps = logstore.read_series(self.path, self.column)
+        if not self._times:
             raise EmptyRunError(f"replay source {self.path} has no rows")
-        self._times = [row.t_s for row in run.rows]
-        self._temps = [getattr(row, self.column) for row in run.rows]
 
     def temp_at(self, t_s: float) -> float:
         # small guard: logged t_s is rounded to 6 decimals and may sit just
@@ -330,14 +330,14 @@ def _tick_row(
     return logstore.PsychroRow(t, timestamp, dry_code, dry_temp, wet_code, wet_temp, rh, dew)
 
 
-def run_acquisition(cfg: RunConfig, sinks=(), port: SimulatedPort | None = None) -> logstore.RunLog:
-    """Execute one run and return its RunLog.
+def acquire_rows(cfg: RunConfig, sinks, port: SimulatedPort | None = None) -> logstore.RunMeta:
+    """Execute one run, hand each row to each sink, and return the run's RunMeta.
 
     Emits floor(duration * rate) + 1 ticks (t = 0 and t = duration are both
     included); both channels are acquired per tick, DRY then WET, and one
-    row stamped with the tick time is made from them. Each row joins the
-    log and then goes to each sink, in order, synchronously; rows never
-    depend on sinks. A config without a start_time starts now. Every
+    row stamped with the tick time is made from them. Each row goes to each
+    sink, in order, synchronously, and is kept by none but the sinks; rows
+    never depend on sinks. A config without a start_time starts now. Every
     exception, a device timeout or a sink's own, propagates as it is, and
     the sinks then hold every row made before it.
     """
@@ -352,8 +352,6 @@ def run_acquisition(cfg: RunConfig, sinks=(), port: SimulatedPort | None = None)
     for ch in Channel:
         path = _FilteredChain(cfg.chains[ch], cfg.stimuli[ch], cfg.filter_substeps, rate)
         lanes.append((ch.value, path.voltage_at))
-    rows: list = []
-    sinks = (rows.append, *sinks)  # the log is the first sink
     for k in range(cfg.tick_count()):
         t = k / rate
         timestamp = (start_dt + timedelta(seconds=t)).isoformat(timespec="milliseconds")
@@ -365,7 +363,15 @@ def run_acquisition(cfg: RunConfig, sinks=(), port: SimulatedPort | None = None)
         row = _tick_row(t, timestamp, *readings, cfg)
         for sink in sinks:
             sink(row)
-    return logstore.RunLog(meta=run_meta(cfg), rows=rows)
+    return run_meta(cfg)
+
+
+def run_acquisition(cfg: RunConfig, sinks=(), port: SimulatedPort | None = None) -> logstore.RunLog:
+    """Execute one run and return its RunLog: acquire_rows, with each row
+    joining the log before it goes to the sinks."""
+    rows: list = []
+    meta = acquire_rows(cfg, (rows.append, *sinks), port)
+    return logstore.RunLog(meta=meta, rows=rows)
 
 
 # -- summaries ---------------------------------------------------------------
@@ -378,15 +384,21 @@ class ChannelStats:
     max: float
 
 
+def _channel_stats(values) -> ChannelStats:
+    return ChannelStats(fmean(values), min(values), max(values))
+
+
+def _humidity(rh, dew):
+    return (fmean(rh), fmean(dew)) if rh and dew else None
+
+
 def summarize(run: logstore.RunLog) -> dict:
     """Per-channel mean/min/max temperature over a run."""
     if not run.rows:
         raise EmptyRunError("run has no samples to summarize")
-    dry = [row.dry_temp_c for row in run.rows]
-    wet = [row.wet_temp_c for row in run.rows]
     return {
-        Channel.DRY: ChannelStats(fmean(dry), min(dry), max(dry)),
-        Channel.WET: ChannelStats(fmean(wet), min(wet), max(wet)),
+        Channel.DRY: _channel_stats([row.dry_temp_c for row in run.rows]),
+        Channel.WET: _channel_stats([row.wet_temp_c for row in run.rows]),
     }
 
 
@@ -395,8 +407,36 @@ def humidity_summary(run: logstore.RunLog):
 
     Returns None when no row has humidity values.
     """
-    rh = [row.rh_pct for row in run.rows if row.rh_pct is not None]
-    dew = [row.dew_point_c for row in run.rows if row.dew_point_c is not None]
-    if not rh or not dew:
-        return None
-    return fmean(rh), fmean(dew)
+    return _humidity(
+        [row.rh_pct for row in run.rows if row.rh_pct is not None],
+        [row.dew_point_c for row in run.rows if row.dew_point_c is not None],
+    )
+
+
+class RunSummary:
+    """Row sink that keeps the columns summarize and humidity_summary read,
+    and no rows; `stats()` and `humidity()` give what they give for a run
+    of the rows it was handed."""
+
+    def __init__(self):
+        self.dry, self.wet = array("d"), array("d")
+        self.rh, self.dew = array("d"), array("d")  # the values that are not None
+
+    def __call__(self, row: logstore.PsychroRow) -> None:
+        self.dry.append(row.dry_temp_c)
+        self.wet.append(row.wet_temp_c)
+        if row.rh_pct is not None:
+            self.rh.append(row.rh_pct)
+        if row.dew_point_c is not None:
+            self.dew.append(row.dew_point_c)
+
+    def __len__(self) -> int:
+        return len(self.dry)
+
+    def stats(self) -> dict:
+        if not self.dry:
+            raise EmptyRunError("run has no samples to summarize")
+        return {Channel.DRY: _channel_stats(self.dry), Channel.WET: _channel_stats(self.wet)}
+
+    def humidity(self):
+        return _humidity(self.rh, self.dew)

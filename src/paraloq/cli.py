@@ -188,16 +188,17 @@ def cmd_simulate(args) -> int:
     )
     cfg.stimuli.update(stimuli)  # a channel without a flag keeps its default stimulus
 
+    summary = acquisition.RunSummary()  # the run's rows go to the file; the summary keeps columns
     with logstore.CsvWriter(args.out, acquisition.run_meta(cfg)) as writer:
         try:
-            run = acquisition.run_acquisition(cfg, sinks=[writer.write_row])
+            acquisition.acquire_rows(cfg, (writer.write_row, summary))
         except (DeviceTimeoutError, KeyboardInterrupt) as exc:
             writer.comment(f"aborted = tick {writer.rows}: {str(exc) or 'interrupted'}")  # Ctrl-C has no text
             print(f"kept {writer.rows} rows in {args.out}", file=sys.stderr)
             raise
-    n_rows = len(run.rows)
+    n_rows = len(summary)
     print(f"wrote {args.out}: {n_rows} ticks, {2 * n_rows} samples, rate {cfg.sample_rate_hz:g} S/s")
-    _print_table(acquisition.summarize(run), acquisition.humidity_summary(run))
+    _print_table(summary.stats(), summary.humidity())
     return EXIT_OK
 
 
@@ -208,24 +209,14 @@ def cmd_compute(args) -> int:
     return EXIT_OK
 
 
-def _plot_series(run, column: str):
-    pairs = [
-        (row.t_s, getattr(row, column))
-        for row in run.rows
-        if getattr(row, column) is not None
-    ]
-    if not pairs:
-        raise EmptyRunError(f"no values to plot in column {column!r}")
-    return [t for t, _ in pairs], [v for _, v in pairs]
-
-
 def cmd_plot(args) -> int:
     if args.column not in PLOTTABLE_COLUMNS:
         raise ConfigError(
             f"--column must be one of {', '.join(PLOTTABLE_COLUMNS)}; got {args.column!r}"
         )
-    run = logstore.read_csv(args.input)
-    t_values, values = _plot_series(run, args.column)
+    t_values, values = logstore.read_series(args.input, args.column)
+    if not values:
+        raise EmptyRunError(f"no values to plot in column {args.column!r}")
     if args.format == "ascii":
         body = plotting.ascii_chart(t_values, values, args.column)
     else:
@@ -242,9 +233,9 @@ def cmd_plot(args) -> int:
 
 
 def cmd_summarize(args) -> int:
-    run = logstore.read_csv(args.input)
-    stats = acquisition.summarize(run)
-    _print_table(stats, acquisition.humidity_summary(run))
+    summary = acquisition.RunSummary()
+    logstore.read_rows(args.input, summary)
+    _print_table(summary.stats(), summary.humidity())
     return EXIT_OK
 
 

@@ -20,18 +20,29 @@ constructed, so reading a written file back reproduces the run exactly and
 re-serialization is byte-stable. Fields never contain commas (the
 constructor rejects a timestamp holding one, or a CR or LF), so no quoting is
 ever needed and the files open directly in any spreadsheet application.
+
+Rows stream both ways: CsvWriter writes one row at a time, and read_rows
+reads a log a fixed block of bytes at a time and hands each row to a sink
+as it is parsed, so neither holds a whole log. read_csv is read_rows with a
+sink that collects the rows into a RunLog, and read_series one that keeps
+t_s and one other column.
 """
 
 from __future__ import annotations
 
+import codecs
+import contextlib
 import hashlib
 import math
+from array import array
 from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .errors import CsvParseError, InvalidInputError, StorageError, shown
 
 _META_KEYS = ("run_id", "start", "sample_rate_hz", "channels", "config")
+# read_rows reads a log this many bytes at a time
+_BLOCK_BYTES = 8192
 
 
 def _finite6(name: str, value) -> float:
@@ -171,6 +182,7 @@ class CsvWriter:
 
     Flushes after every row so a crash loses at most the in-flight row, and
     counts the rows written in `rows`. Single-owner, append-only while a run is live.
+    A write, flush or close that fails (a full disk included) raises StorageError.
     """
 
     def __init__(self, path, meta: RunMeta):
@@ -181,20 +193,22 @@ class CsvWriter:
             self._fh = open(path, "w", encoding="utf-8", newline="")
         except OSError as exc:
             raise StorageError(path, str(exc)) from exc
-        self._emit(f"# run_id = {meta.run_id}")
-        self._emit(f"# start = {meta.start}")
-        self._emit(f"# sample_rate_hz = {meta.sample_rate_hz:.6f}")
         channels = ",".join(f"{name}={idx}" for name, idx in meta.channels.items())
-        self._emit(f"# channels = {channels}")
-        self._emit(f"# config = {meta.config_fingerprint}")
-        self._emit(HEADER)
-        self._fh.flush()
-
-    def _emit(self, line: str) -> None:
         try:
-            self._fh.write(line + "\r\n")
+            for line in (
+                f"# run_id = {meta.run_id}",
+                f"# start = {meta.start}",
+                f"# sample_rate_hz = {meta.sample_rate_hz:.6f}",
+                f"# channels = {channels}",
+                f"# config = {meta.config_fingerprint}",
+                HEADER,
+            ):
+                self._fh.write(line + "\r\n")
+            self._fh.flush()  # a full disk shows here, where the lines reach the file
         except OSError as exc:
-            raise StorageError(self.path, str(exc)) from exc
+            with contextlib.suppress(OSError):
+                self._fh.close()  # the file is closed even when this flush fails too
+            raise StorageError(path, str(exc)) from exc
 
     def write_row(self, row: PsychroRow) -> None:
         t = row.t_s
@@ -205,16 +219,23 @@ class CsvWriter:
         self.rows += 1  # no call between count and write: an interrupt lands before or after both
         try:
             self._fh.write(line)
+            self._fh.flush()
         except OSError as exc:
             raise StorageError(self.path, str(exc)) from exc
-        self._fh.flush()
 
     def comment(self, text: str) -> None:
         """Append the line `# text`, such as an aborted run's trailer; read_csv skips it."""
-        self._emit(f"# {text}")
+        try:
+            self._fh.write(f"# {text}\r\n")
+        except OSError as exc:
+            raise StorageError(self.path, str(exc)) from exc
 
     def close(self) -> None:
-        self._fh.close()
+        """Close the file, flushing what it still buffers (a comment line)."""
+        try:
+            self._fh.close()
+        except OSError as exc:
+            raise StorageError(self.path, str(exc)) from exc
 
     def __enter__(self):
         return self
@@ -300,85 +321,112 @@ def _parse_channels(text: str, line_no: int) -> dict:
     return channels
 
 
-def read_csv(path) -> RunLog:
-    """Read a file produced by write_csv (exact inverse).
-
-    Metadata lines may be absent (hand-written files); data rows are
-    validated for column count, types and strictly increasing t_s, and a
-    value PsychroRow or RunMeta rejects (non-finite floats, codes outside
-    0..255, RH outside 0..100) is a CsvParseError too, as is a number
-    holding '_', whitespace or a non-ASCII character. Lines end in LF or
-    CRLF. Errors carry the offending 1-based line number, counting
-    LF-separated lines; a file that cannot be read is a CsvParseError at
-    line 0.
-    """
+def _read_block(fh, path) -> bytes:
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
+        return fh.read(_BLOCK_BYTES)
     except OSError as exc:
         raise CsvParseError(0, f"cannot read input: {path}: {exc}") from exc
 
-    # One scan of what follows the header clears a file write_csv wrote;
-    # otherwise every row gets the per-field check. A CR is looked for per row,
-    # after the line end is stripped, since a CRLF file holds one on each line.
-    literal_rows = _has_literal_marks(text.partition(HEADER)[2])
+
+def read_rows(path, sink) -> RunMeta:
+    """Read a file produced by write_csv, hand each row to sink in file order,
+    and return the file's RunMeta.
+
+    The file is read _BLOCK_BYTES at a time and never held whole: a line
+    that a block ends inside waits for the next one. Metadata lines may be
+    absent (hand-written files); data rows are validated for column count,
+    types and strictly increasing t_s, and a value PsychroRow or RunMeta
+    rejects (non-finite floats, codes outside 0..255, RH outside 0..100) is
+    a CsvParseError too, as is a number holding '_', whitespace or a
+    non-ASCII character, and a byte that is not UTF-8. Lines end in LF or
+    CRLF. Errors carry the offending 1-based line number, counting
+    LF-separated lines, and sink has then had every row before that line; a
+    file that cannot be read is a CsvParseError at line 0.
+    """
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise CsvParseError(0, f"cannot read input: {path}: {exc}") from exc
+    decode = codecs.getincrementaldecoder("utf-8")().decode
     meta_values: dict = {}
     meta_line_no = 0
-    rows: list = []
+    line_no = 0
     header_seen = False
     last_t = None
-    # split on LF only: a CR, form feed or U+2028 inside a line is not a line break
-    lines = text.split("\n")
-    del text  # the lines hold it now, and the rows need not share memory with it
-    for line_no, line in enumerate(lines, start=1):
-        if line.endswith("\r"):
-            line = line[:-1]
-        if line == "":
-            continue
-        if line.startswith("#"):
-            meta_line_no = line_no
-            _parse_meta_line(line, meta_values)
-            continue
-        if not header_seen:
-            if line != HEADER:
-                raise CsvParseError(line_no, f"expected header {HEADER!r}, found {line!r}")
-            header_seen = True
-            continue
-        cells = line.split(",")
-        if len(cells) != len(_COLUMNS):
-            raise CsvParseError(line_no, f"expected {len(_COLUMNS)} columns, found {len(cells)}")
-        if literal_rows or "\r" in line:
-            for i, name in _NUMERIC_COLUMNS:
-                _require_plain(cells[i], line_no, name)
-        t_s, timestamp, dry_code, dry_temp, wet_code, wet_temp, rh, dew = cells
-        try:
-            row = PsychroRow(
-                float(t_s),
-                timestamp,
-                int(dry_code),
-                float(dry_temp),
-                int(wet_code),
-                float(wet_temp),
-                float(rh) if rh else None,
-                float(dew) if dew else None,
-            )
-        # InvalidInputError is a ValueError too, so it is caught first
-        except InvalidInputError as exc:
-            raise CsvParseError(line_no, str(exc)) from None
-        except ValueError:
-            raise _bad_number(cells, line_no) from None
-        t = row.t_s
-        if last_t is not None and t <= last_t:
-            raise CsvParseError(line_no, f"t_s not increasing: {t} after {last_t}")
-        last_t = t
-        rows.append(row)
+    tail = ""  # the block's unfinished last line
+    with fh:
+        while True:
+            data = _read_block(fh, path)
+            bad = None
+            try:
+                text = tail + decode(data, not data)
+            except UnicodeDecodeError as exc:
+                bad = exc  # the lines before the bad byte's are read first
+                text = tail + exc.object[: exc.start].decode("utf-8")
+            # One scan of a block's text after the header clears rows write_csv
+            # wrote; otherwise each of its rows gets the per-field check. A CR is
+            # looked for per row, after the line end is stripped, since a CRLF
+            # file holds one on each line.
+            literal_rows = _has_literal_marks(text if header_seen else text.partition(HEADER)[2])
+            # split on LF only: a CR, form feed or U+2028 inside a line is not a line break
+            lines = text.split("\n")
+            del text  # the lines hold it now, and the rows need not share memory with it
+            tail = lines.pop() if data or bad else ""
+            for line_no, line in enumerate(lines, start=line_no + 1):
+                if line.endswith("\r"):
+                    line = line[:-1]
+                if line == "":
+                    continue
+                if line.startswith("#"):
+                    meta_line_no = line_no
+                    _parse_meta_line(line, meta_values)
+                    continue
+                if not header_seen:
+                    if line != HEADER:
+                        raise CsvParseError(line_no, f"expected header {HEADER!r}, found {line!r}")
+                    header_seen = True
+                    continue
+                cells = line.split(",")
+                if len(cells) != len(_COLUMNS):
+                    raise CsvParseError(line_no, f"expected {len(_COLUMNS)} columns, found {len(cells)}")
+                if literal_rows or "\r" in line:
+                    for i, name in _NUMERIC_COLUMNS:
+                        _require_plain(cells[i], line_no, name)
+                t_s, timestamp, dry_code, dry_temp, wet_code, wet_temp, rh, dew = cells
+                try:
+                    row = PsychroRow(
+                        float(t_s),
+                        timestamp,
+                        int(dry_code),
+                        float(dry_temp),
+                        int(wet_code),
+                        float(wet_temp),
+                        float(rh) if rh else None,
+                        float(dew) if dew else None,
+                    )
+                # InvalidInputError is a ValueError too, so it is caught first
+                except InvalidInputError as exc:
+                    raise CsvParseError(line_no, str(exc)) from None
+                except ValueError:
+                    raise _bad_number(cells, line_no) from None
+                t = row.t_s
+                if last_t is not None and t <= last_t:
+                    raise CsvParseError(line_no, f"t_s not increasing: {t} after {last_t}")
+                last_t = t
+                sink(row)
+            if bad is not None:  # the bad byte sits in the tail, on the next line
+                raise CsvParseError(
+                    line_no + 1, f"not UTF-8: byte 0x{bad.object[bad.start]:02x} ({bad.reason})"
+                )
+            if not data:
+                break
     if not header_seen:
         raise CsvParseError(max(meta_line_no, 1), "missing header line")
 
     rate_text = meta_values.get("sample_rate_hz", "0")
     _require_plain(rate_text, meta_line_no, "sample_rate_hz")
     try:
-        meta = RunMeta(
+        return RunMeta(
             run_id=meta_values.get("run_id", ""),
             start=meta_values.get("start", ""),
             sample_rate_hz=_parse_float(rate_text, meta_line_no, "sample_rate_hz"),
@@ -387,4 +435,27 @@ def read_csv(path) -> RunLog:
         )
     except InvalidInputError as exc:
         raise CsvParseError(meta_line_no, str(exc)) from None
+
+
+def read_csv(path) -> RunLog:
+    """Read a file produced by write_csv (exact inverse): read_rows, with the
+    rows collected into the returned RunLog."""
+    rows: list = []
+    meta = read_rows(path, rows.append)
     return RunLog(meta=meta, rows=rows)
+
+
+def read_series(path, column: str):
+    """(t_s values, column values) of the rows whose column has a value, as
+    two array("d"): read_rows keeping two columns, not the rows."""
+    index = _COLUMNS.index(column)
+    t_values, values = array("d"), array("d")
+
+    def keep(row):
+        value = row[index]
+        if value is not None:
+            t_values.append(row.t_s)
+            values.append(value)
+
+    read_rows(path, keep)
+    return t_values, values

@@ -252,13 +252,19 @@ class TestStoppedRun:
 
     def test_an_unwritable_out_exits_4_before_the_first_tick(self, tmp_path, monkeypatch, capsys):
         def never(*args, **kwargs):
-            raise AssertionError("run_acquisition called")
+            raise AssertionError("acquire_rows called")
 
-        monkeypatch.setattr(acquisition, "run_acquisition", never)
+        monkeypatch.setattr(acquisition, "acquire_rows", never)
         code, out = simulate(tmp_path, name="no-such-dir/run.csv")
         assert code == 4
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full to fill")
+    def test_a_full_disk_exits_4(self, capsys):
+        # the header's flush raised a bare OSError, and the run exited 1 with a traceback
+        assert main(["simulate", "--duration", "1", "--out", "/dev/full"]) == 4
+        assert "No space left on device" in capsys.readouterr().err
 
     def test_the_start_of_a_run_without_start_time_is_its_first_stamp(self, tmp_path):
         out = tmp_path / "now.csv"
@@ -350,6 +356,12 @@ class TestPlot:
         missing = tmp_path / "nope.csv"
         assert main(["plot", "--input", str(missing), "--column", "dry_temp_c"]) == 5
 
+    def test_a_log_that_is_not_utf8_exits_5_and_names_the_line(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(HEADER.encode() + b"\n0.0,t,102,20.0,92,18.0,,\n0.5,t\xff,102,20.0,92,18.0,,\n")
+        assert main(["plot", "--input", str(path), "--column", "dry_temp_c"]) == 5
+        assert "line 3: not UTF-8: byte 0xff" in capsys.readouterr().err
+
 
 class TestSummarize:
     def test_recorded_table_layout(self, tmp_path, capsys):
@@ -407,6 +419,22 @@ class TestSummarize:
         path.write_text(HEADER + "\n", encoding="utf-8")
         assert main(["summarize", "--input", str(path)]) == 5
         assert "no samples" in capsys.readouterr().err
+
+    def test_a_log_that_is_not_utf8_exits_5_and_names_the_line(self, tmp_path, capsys):
+        # the whole file was decoded at once, and a bad byte exited 1 with a UnicodeDecodeError traceback
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"# run_id = x\n" + HEADER.encode() + b"\n0.0,2026-08-10T12:00:00.000\xff,102,20.0,92,18.0,,\n")
+        assert main(["summarize", "--input", str(path)]) == 5
+        assert capsys.readouterr().err == "error: line 3: not UTF-8: byte 0xff (invalid start byte)\n"
+
+    def test_the_table_is_the_one_simulate_printed(self, tmp_path, capsys):
+        out = tmp_path / "sine.csv"
+        # wet above dry for part of the run, so some rows have no humidity
+        sines = ["--dry-stimulus", "sine:amp=6,freq=0.05,offset=20", "--wet-stimulus", "sine:amp=2,freq=0.1,offset=18"]
+        assert main(["simulate", "--duration", "60", *sines, "--start-time", START, "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert main(["summarize", "--input", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == printed[1:]
 
 
 class TestConfigFile:

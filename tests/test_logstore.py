@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paraloq import CsvParseError, InvalidInputError, StorageError, read_csv, write_csv
+from paraloq import CsvParseError, InvalidInputError, StorageError, logstore, read_csv, write_csv
 from paraloq.logstore import (
     HEADER,
     CsvWriter,
@@ -15,6 +15,7 @@ from paraloq.logstore import (
     RunMeta,
     _format_row,
     fingerprint,
+    read_rows,
 )
 
 META = RunMeta(
@@ -86,6 +87,30 @@ class TestWrite:
             assert path.read_text(encoding="utf-8").strip().endswith("12.000000")
             writer.write_row(make_row(1))
         assert len(read_csv(path).rows) == 2
+
+    def test_a_failed_flush_or_close_is_a_storage_error(self, tmp_path):
+        # a full disk shows at flush, which raised a bare OSError
+        class FullDisk:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, text):
+                return self.fh.write(text)
+
+            def flush(self):
+                raise OSError(28, "No space left on device")
+
+            def close(self):
+                self.fh.close()
+                self.flush()
+
+        path = tmp_path / "full.csv"
+        writer = CsvWriter(path, META)
+        writer._fh = FullDisk(writer._fh)
+        with pytest.raises(StorageError, match="No space left"):
+            writer.write_row(make_row(0))
+        with pytest.raises(StorageError, match="No space left"):
+            writer.close()
 
 
 class TestRead:
@@ -275,6 +300,27 @@ class TestRead:
         assert err.value.line_no == 5  # LF-separated lines, comment included
         assert "t_s not increasing" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "data, line_no, message",
+        [
+            (b"0.5,t\xff,102,20.0,92,18.0,,\n", 4, "byte 0xff (invalid start byte)"),
+            (b"0.5,t\xe2\x82,102,20.0,92,18.0,,\n", 4, "byte 0xe2 (invalid continuation byte)"),
+            (b"# note \xc0\xaf\n", 4, "byte 0xc0 (invalid start byte)"),
+            (b"0.5,t,102,20.0,92,18.0,,\n\n0.0,t\xc3", 6, "byte 0xc3 (unexpected end of data)"),
+        ],
+        ids=["invalid-start", "cut-sequence", "in-a-comment", "cut-at-end"],
+    )
+    def test_a_byte_that_is_not_utf8_names_its_line(self, tmp_path, data, line_no, message):
+        # the whole file was decoded at once, and a bad byte raised a bare UnicodeDecodeError
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"# run_id = x\r\n" + HEADER.encode() + b"\r\n0.0,t,102,20.0,92,18.0,,\r\n" + data)
+        rows = []
+        with pytest.raises(CsvParseError) as err:
+            read_rows(path, rows.append)
+        assert err.value.line_no == line_no
+        assert str(err.value) == f"line {line_no}: not UTF-8: {message}"
+        assert [row.t_s for row in rows] == [0.0, 0.5][: line_no - 3]  # every row before that line
+
     @pytest.mark.parametrize("eol", ["\n", "\r\n"])
     def test_lf_and_crlf_files_read_alike(self, tmp_path, eol):
         path = tmp_path / "eol.csv"
@@ -326,6 +372,93 @@ def test_round_trip_property(run, tmp_path_factory):
     path = tmp_path_factory.mktemp("rt") / "run.csv"
     write_csv(run, path)
     assert read_csv(path) == run
+
+
+# -- block seams ---------------------------------------------------------------
+
+# a log is read logstore._BLOCK_BYTES at a time; these sizes put a seam inside
+# every CRLF, every multi-byte character and every field of a small log
+SEAM_BLOCK_SIZES = (1, 2, 7, logstore._BLOCK_BYTES)
+
+
+def _read_at_every_block_size(path) -> list:
+    """What read_rows gives at each of SEAM_BLOCK_SIZES: the rows handed to
+    the sink, then the RunMeta or the CsvParseError's line and message."""
+    outcomes = []
+    for size in SEAM_BLOCK_SIZES:
+        rows = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(logstore, "_BLOCK_BYTES", size)
+            try:
+                end = read_rows(path, rows.append)
+            except CsvParseError as exc:
+                end = (exc.line_no, str(exc))
+        outcomes.append((rows, end))
+    return outcomes
+
+
+def _assert_seams_change_nothing(path):
+    first, *others = _read_at_every_block_size(path)
+    for size, outcome in zip(SEAM_BLOCK_SIZES[1:], others):
+        assert outcome == first, f"block size {size} reads otherwise than block size 1"
+
+
+# a timestamp may hold any text but ',', CR and LF: non-ASCII (multi-byte
+# UTF-8), '_' and spaces included, which send a block's rows to the per-field check
+stamps = st.text(
+    alphabet=st.characters(blacklist_characters=",\r\n", blacklist_categories=("Cs",)), max_size=4
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    run=run_logs(),
+    stamp=stamps,
+    trailer=st.booleans(),
+    edit=st.one_of(st.none(), st.tuples(st.integers(min_value=0), st.integers(min_value=0, max_value=255))),
+)
+def test_block_seams_change_nothing(run, stamp, trailer, edit, tmp_path_factory):
+    # a log write_csv wrote, perhaps with an aborted run's trailer, perhaps with one byte changed
+    path = tmp_path_factory.mktemp("seams") / "run.csv"
+    run.rows[:1] = [row._replace(timestamp=stamp) for row in run.rows[:1]]
+    write_csv(run, path)
+    data = path.read_bytes()
+    if trailer:
+        data += f"# aborted = tick {len(run.rows)}: interrupted\r\n".encode()
+    if edit is not None:
+        at, byte = edit[0] % len(data), edit[1]
+        data = data[:at] + bytes([byte]) + data[at + 1 :]
+    path.write_bytes(data)
+    _assert_seams_change_nothing(path)
+    if edit is None:
+        assert read_csv(path) == run
+
+
+ROWS = [_format_row(make_row(k)) for k in range(3)]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # write_csv's own log: a seam falls inside each CRLF and inside the header
+        "\r\n".join(["# run_id = x", "# sample_rate_hz = 2.000000", HEADER, *ROWS, ""]),
+        # an aborted run's trailer, whose spaces and '_' send its block to the per-field check
+        "\r\n".join([HEADER, *ROWS, "# aborted = tick 3: interrupted", ""]),
+        # a literal mark carried over in an unfinished last line
+        "\r\n".join([HEADER, ROWS[0], ROWS[1].replace(",102,", ",1_02,"), ""]),
+        "\r\n".join([HEADER, ROWS[0], ROWS[1].replace(",20.000000,", ", 20.000000,"), ""]),
+        "\r\n".join([HEADER, ROWS[0], ROWS[1].replace(",92,", ",\u0669\u0662,"), ""]),
+        "\r\n".join([HEADER, ROWS[0].replace("T12", "T\u00e912"), *ROWS[1:], ""]),
+        # a CR inside a row, and a last line with no line end
+        "\r\n".join([HEADER, ROWS[0], ROWS[1].replace(",92,", ",92\r,")]),
+        "\n".join([HEADER, *ROWS]),
+    ],
+    ids=["crlf-header", "aborted-trailer", "underscore", "space", "arabic-digits", "accented-stamp", "cr", "no-eol"],
+)
+def test_block_seams_change_nothing_on_these_logs(tmp_path, text):
+    path = tmp_path / "seams.csv"
+    path.write_bytes(text.encode("utf-8"))
+    _assert_seams_change_nothing(path)
 
 
 @pytest.mark.parametrize("field", ["dry_code", "wet_code"])
