@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import (
+    FLOAT_MAX,
     ClockRangeError,
     InvalidInputError,
     require_above,
@@ -85,18 +86,15 @@ class AdcConfig:
 def require_clock_in_window(freq_hz: float) -> None:
     """Raise ClockRangeError unless freq_hz can legally clock the converter."""
     if not CLOCK_MIN_HZ <= freq_hz <= CLOCK_MAX_HZ:
-        try:
-            hz = f"{freq_hz:.6g}"
-        except OverflowError:  # an int beyond the float range
-            hz = shown(freq_hz)
+        hz = f"{freq_hz:.6g}" if -FLOAT_MAX <= freq_hz <= FLOAT_MAX else shown(freq_hz)
         raise ClockRangeError(f"clock {hz} Hz outside [{CLOCK_MIN_HZ:.0f}, {CLOCK_MAX_HZ:.0f}] Hz")
 
 
 def quantize(v_in: float, cfg: AdcConfig = AdcConfig()) -> int:
     """Ideal transfer function: floor(v * 256 / vref) clamped to 0..255."""
     require_finite("v_in", v_in)
-    code = math.floor(v_in * 256.0 / cfg.vref)
-    return min(max(code, 0), CODE_MAX)
+    # clamped before the floor, which raises for the inf an overflowing v * 256 / vref gives
+    return math.floor(min(max(v_in * 256.0 / cfg.vref, 0.0), float(CODE_MAX)))
 
 
 def conversion_time_s(clock_hz: float, cfg: AdcConfig = AdcConfig()) -> float:
@@ -113,11 +111,7 @@ def sar_convert(v_in: float, cfg: AdcConfig = AdcConfig()) -> int:
     mux channel and the clock pick the held input and the conversion time
     (conversion_time_s); the port checks both where they enter.
     """
-    try:
-        finite = math.isfinite(v_in)
-    except OverflowError:  # an int beyond the float range
-        finite = False
-    if not finite:
+    if not -FLOAT_MAX <= v_in <= FLOAT_MAX:
         require_finite("v_in", v_in)
     vref = cfg.vref
     code = 0
@@ -136,7 +130,7 @@ def dump_sar_trace(v_in: float, channel: int, clock_hz: float, cfg: AdcConfig, p
     Line format: `step=<k> trial=<code> threshold=<volts> keep=<0|1>`,
     read back from the returned code, whose bits are the kept trial bits.
     """
-    if not (0 <= channel <= 7):
+    if type(channel) is not int or not (0 <= channel <= 7):
         raise InvalidInputError(f"channel must be 0..7, got {shown(channel)}")
     require_clock_in_window(clock_hz)
     code = sar_convert(v_in, cfg)
@@ -154,7 +148,7 @@ def dump_sar_trace(v_in: float, channel: int, clock_hz: float, cfg: AdcConfig, p
 
 def decode_volts(code: int, vref: float = 5.0) -> float:
     """Code back to volts over the 0..vref span: code * vref / 255."""
-    if not (0 <= code <= CODE_MAX) or code != int(code):
+    if type(code) is not int or not 0 <= code <= CODE_MAX:
         raise InvalidInputError(f"code must be an integer 0..{CODE_MAX}, got {shown(code)}")
     require_above("vref", vref, 0)
     return code * vref / 255.0
@@ -165,6 +159,6 @@ def decode_temp(code: int) -> float:
 
     Step size 50/255 = 0.196 degC; top code reads exactly 50.0 degC.
     """
-    if not (0 <= code <= CODE_MAX) or code != int(code):
+    if type(code) is not int or not 0 <= code <= CODE_MAX:
         raise InvalidInputError(f"code must be an integer 0..{CODE_MAX}, got {shown(code)}")
     return code * TEMP_FULL_SCALE_C / 255.0

@@ -8,6 +8,7 @@ Exit codes:
     4  storage (output write) failure
     5  input log unreadable, malformed or empty
     130  interrupted (Ctrl-C)
+    141  standard output closed by its reader (`| head`)
 
 Defaults can come from a `key = value` config file with [section] headers
 (sections: run, chain, clock, psychro). Precedence is flags > file >
@@ -47,6 +48,7 @@ EXIT_TIMEOUT = 3
 EXIT_STORAGE = 4
 EXIT_PARSE = 5
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a process Ctrl-C ended
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer its reader left
 
 # error type -> exit code, first match wins; any other ParaloqError is a usage error
 _EXIT_CODES = (
@@ -291,12 +293,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that left shows here, not in the flush at exit
+        return code
     except ParaloqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next((code for types, code in _EXIT_CODES if isinstance(exc, types)), EXIT_USAGE)
     except KeyboardInterrupt:
         return EXIT_INTERRUPTED
+    except BrokenPipeError:  # log and --out writes raise StorageError, so this is stdout
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the exit flush goes nowhere
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

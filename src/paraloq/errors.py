@@ -4,6 +4,10 @@ policy for a number where it enters."""
 import math
 import sys
 
+# A number is finite iff -FLOAT_MAX <= x <= FLOAT_MAX: the comparison is false
+# for nan, inf, -inf and an int beyond the float range, and raises nothing for a number.
+FLOAT_MAX = sys.float_info.max
+
 
 class ParaloqError(Exception):
     """Base class for all errors raised by this package."""
@@ -31,11 +35,7 @@ def shown(value) -> str:
 def require_finite(name: str, value) -> None:
     """Raise InvalidInputError unless value is a finite number; an int beyond
     the float range is not one."""
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:
-        finite = False
-    if not finite:
+    if not -FLOAT_MAX <= value <= FLOAT_MAX:
         raise InvalidInputError(f"{name} must be finite, got {shown(value)}")
 
 
@@ -46,8 +46,7 @@ def require_above(name: str, value, low, *, inclusive: bool = False) -> None:
     stimulus parameter; nan, inf, -inf and an int beyond the float range all
     fail it.
     """
-    top = sys.float_info.max
-    if not (low <= value <= top if inclusive else low < value <= top):
+    if not (low <= value <= FLOAT_MAX if inclusive else low < value <= FLOAT_MAX):
         raise InvalidInputError(
             f"{name} must be {'>=' if inclusive else '>'} {low} and finite, got {shown(value)}"
         )

@@ -33,12 +33,11 @@ from __future__ import annotations
 import codecs
 import contextlib
 import hashlib
-import math
 from array import array
 from collections import namedtuple
 from dataclasses import dataclass, field
 
-from .errors import CsvParseError, InvalidInputError, StorageError, shown
+from .errors import FLOAT_MAX, CsvParseError, InvalidInputError, StorageError, shown
 
 _META_KEYS = ("run_id", "start", "sample_rate_hz", "channels", "config")
 # read_rows reads a log this many bytes at a time
@@ -48,11 +47,7 @@ _BLOCK_BYTES = 8192
 def _finite6(name: str, value) -> float:
     """A value that must be a finite number (not None, nan or inf), rounded to
     the file format's 6 decimals; an int beyond the float range is not one."""
-    try:
-        finite = value is not None and math.isfinite(value)
-    except OverflowError:
-        finite = False
-    if not finite:
+    if value is None or not -FLOAT_MAX <= value <= FLOAT_MAX:
         raise InvalidInputError(f"{name} must be finite, got {shown(value)}")
     return round(value, 6)
 
@@ -116,15 +111,14 @@ class PsychroRow(
             raise InvalidInputError(f"timestamp must be a str, got {shown(timestamp)}")
         if "," in timestamp or "\r" in timestamp or "\n" in timestamp:
             raise InvalidInputError(f"timestamp must not hold ',', CR or LF, got {timestamp!r}")
-        # round(nan) is nan and round(inf) is inf; round(None) raises TypeError,
-        # and isfinite raises OverflowError for an int beyond the float range
-        isfinite = math.isfinite
+        # round(nan) is nan, round(inf) is inf and round(10**400) is 10**400
+        top = FLOAT_MAX
         try:
             t6, dry6, wet6 = round(t_s, 6), round(dry_temp_c, 6), round(wet_temp_c, 6)
-            finite = isfinite(t6) and isfinite(dry6) and isfinite(wet6)
-        except (TypeError, OverflowError):
-            finite = False
-        if not finite:  # name the first bad field, as _finite6 words it
+        except TypeError:  # round(None)
+            t6 = None
+        if t6 is None or not (-top <= t6 <= top and -top <= dry6 <= top and -top <= wet6 <= top):
+            # name the first bad field, as _finite6 words it
             t6 = _finite6("t_s", t_s)
             dry6 = _finite6("dry_temp_c", dry_temp_c)
             wet6 = _finite6("wet_temp_c", wet_temp_c)
@@ -347,7 +341,7 @@ def read_rows(path, sink) -> RunMeta:
         fh = open(path, "rb")
     except OSError as exc:
         raise CsvParseError(0, f"cannot read input: {path}: {exc}") from exc
-    decode = codecs.getincrementaldecoder("utf-8")().decode
+    decode = codecs.getincrementaldecoder("utf-8-sig")().decode  # a leading BOM is skipped
     meta_values: dict = {}
     meta_line_no = 0
     line_no = 0

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from random import Random
 
 from . import adc0808
-from .errors import DeviceTimeoutError, InvalidInputError, require_finite, shown
+from .errors import FLOAT_MAX, DeviceTimeoutError, InvalidInputError, require_finite, shown
 
 CONTROL_INVERT_MASK = 0x0B  # C0, C1, C3
 STATUS_INVERT_MASK = 0x80  # S7
@@ -126,11 +126,7 @@ class SimulatedPort:
         """Drive the analog level on one mux input."""
         if type(channel) is not int or not (0 <= channel <= 7):
             raise InvalidInputError(f"channel must be 0..7, got {shown(channel)}")
-        try:
-            finite = math.isfinite(volts)
-        except OverflowError:  # an int beyond the float range
-            finite = False
-        if not finite:
+        if not -FLOAT_MAX <= volts <= FLOAT_MAX:
             require_finite("volts", volts)
         self._inputs[channel] = volts
 

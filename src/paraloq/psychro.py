@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InconsistentReadingError, InvalidInputError, require_above, require_finite, shown
+from .errors import FLOAT_MAX, InconsistentReadingError, InvalidInputError, require_above, require_finite, shown
 
 
 @dataclass(frozen=True)
@@ -56,11 +56,7 @@ class PsychroReading:
 
 def saturation_vapor_pressure(t_c: float, cfg: PsychroConfig = PsychroConfig()) -> float:
     """Saturation vapor pressure in hPa at t_c degC (Magnus form)."""
-    try:
-        finite = math.isfinite(t_c)
-    except OverflowError:  # an int beyond the float range
-        finite = False
-    if not finite or t_c <= -cfg.magnus_c:
+    if not -cfg.magnus_c < t_c <= FLOAT_MAX:
         raise InvalidInputError(f"t_c must be finite and > {-cfg.magnus_c} degC, got {shown(t_c)}")
     return cfg.magnus_a * math.exp(cfg.magnus_b * t_c / (cfg.magnus_c + t_c))
 
@@ -68,13 +64,8 @@ def saturation_vapor_pressure(t_c: float, cfg: PsychroConfig = PsychroConfig()) 
 def _vapor_pressure(dry_c: float, wet_c: float, cfg: PsychroConfig) -> float:
     """Actual vapor pressure from the psychrometer equation; validates the pair."""
     for name, value in (("dry_c", dry_c), ("wet_c", wet_c)):
-        try:
-            finite = math.isfinite(value)
-        except OverflowError:  # an int beyond the float range
-            finite = False
-        if not finite:
-            require_finite(name, value)
-        if value < 0.0:
+        if not 0.0 <= value <= FLOAT_MAX:
+            require_finite(name, value)  # a finite value that fails is below 0
             raise InvalidInputError(f"{name} below the 0..50 degC range: {value}")
     if wet_c > dry_c:
         raise InvalidInputError(f"wet bulb {wet_c} exceeds dry bulb {dry_c}")
@@ -107,11 +98,7 @@ def dew_point(dry_c: float, wet_c: float, cfg: PsychroConfig = PsychroConfig()) 
 
 def dew_point_from_vapor_pressure(e_hpa: float, cfg: PsychroConfig = PsychroConfig()) -> float:
     """Temperature at which e_hpa would be the saturation pressure."""
-    try:
-        finite = math.isfinite(e_hpa)
-    except OverflowError:  # an int beyond the float range
-        finite = False
-    if not (e_hpa > 0) or not finite:
+    if not 0 < e_hpa <= FLOAT_MAX:
         raise InvalidInputError(f"e_hpa must be finite and > 0, got {shown(e_hpa)}")
     ratio = math.log(e_hpa / cfg.magnus_a)
     if ratio >= cfg.magnus_b:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .adc0808 import TEMP_FULL_SCALE_C
-from .errors import InvalidInputError, require_above, require_finite
+from .errors import FLOAT_MAX, InvalidInputError, require_above, require_finite
 
 
 @dataclass(frozen=True)
@@ -96,11 +96,7 @@ def chain_voltage(temp_c: float, cfg: ChainConfig = ChainConfig()) -> float:
     zeners do. It runs once per filter substep, so the check and the clamp
     are comparisons, with no call on the passing path.
     """
-    try:
-        finite = math.isfinite(temp_c)
-    except OverflowError:  # an int beyond the float range
-        finite = False
-    if not finite:
+    if not -FLOAT_MAX <= temp_c <= FLOAT_MAX:
         require_finite("temp_c", temp_c)
     v = cfg.amp_gain * (cfg.sensor_slope * temp_c)
     if v < 0.0:

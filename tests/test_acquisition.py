@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 from datetime import datetime
 
 import numpy as np
@@ -17,6 +18,7 @@ from paraloq import (
     DeviceTimeoutError,
     EmptyRunError,
     InvalidInputError,
+    ParaloqError,
     PortRegisters,
     PsychroConfig,
     QueueSink,
@@ -612,8 +614,8 @@ def test_an_int_too_long_for_str_is_rejected_by_its_digit_count(build, message):
     assert str(err.value) == message
 
 
-@pytest.mark.parametrize("value", [10**400, -(10**400), 10**5000], ids=["10**400", "-10**400", "10**5000"])
-@pytest.mark.parametrize(
+# a public helper that checks a float argument as finite, and the name its error gives it
+FINITE_CHECKED_CALLS = pytest.mark.parametrize(
     "call, name",
     [
         (sar_convert, "v_in"),
@@ -640,10 +642,30 @@ def test_an_int_too_long_for_str_is_rejected_by_its_digit_count(build, message):
         "dew_point_from_vapor_pressure",
     ],
 )
+
+
+@pytest.mark.parametrize("value", [10**400, -(10**400), 10**5000], ids=["10**400", "-10**400", "10**5000"])
+@FINITE_CHECKED_CALLS
 def test_an_int_beyond_the_float_range_is_invalid_input(call, name, value):
     # each used to raise a bare OverflowError ("int too large to convert to float")
     with pytest.raises(InvalidInputError, match=rf"^{name} must be finite"):
         call(value)
+
+
+@FINITE_CHECKED_CALLS
+def test_the_ends_of_the_float_range_are_finite(call, name):
+    # one rule, -max <= x <= max: the largest floats pass it, the ints past them fail it
+    top = sys.float_info.max
+    for value in (top, -top):
+        try:
+            call(value)
+        except ParaloqError as err:
+            # a lower bound may refuse -max ("t_c must be finite and > -243.12 degC, got ...")
+            message = str(err)
+            assert not message.startswith(f"{name} must be finite") or (value < 0 and " and > " in message)
+    for value in (10**309, int(top) + 1):
+        with pytest.raises(InvalidInputError, match=rf"^{name} must be finite"):
+            call(value)
 
 
 @pytest.mark.parametrize("value", [10**400, -(10**400), 10**5000], ids=["10**400", "-10**400", "10**5000"])

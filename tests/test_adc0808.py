@@ -133,6 +133,9 @@ class TestSarConvert:
     def test_bad_channel(self, tmp_path):
         with pytest.raises(InvalidInputError):
             dump_sar_trace(1.0, 8, 640e3, AdcConfig(), tmp_path / "trace.txt")
+        # a channel is an int object, as SimulatedPort checks it; 1.5 was written to the header
+        with pytest.raises(InvalidInputError, match=r"^channel must be 0\.\.7, got 1\.5$"):
+            dump_sar_trace(1.0, 1.5, 640e3, AdcConfig(), tmp_path / "trace.txt")
 
     @given(v=adc_inputs)
     def test_equals_direct_quantizer(self, v):
@@ -153,10 +156,13 @@ class TestDecode:
     def test_interior_exact_point(self):
         assert decode_temp(102) == 20.0
 
-    @pytest.mark.parametrize("code", [-1, 256, 300])
+    # 3.0 and True equal a code, but a code is an int object, as a row checks it
+    @pytest.mark.parametrize("code", [-1, 256, 300, 3.0, True])
     def test_out_of_range_rejected(self, code):
         with pytest.raises(InvalidInputError):
             decode_temp(code)
+        with pytest.raises(InvalidInputError):
+            decode_volts(code)
 
     def test_volt_step_span(self):
         assert decode_volts(1) - decode_volts(0) == pytest.approx(5.0 / 255.0, abs=1e-15)

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -362,6 +365,21 @@ class TestPlot:
         assert main(["plot", "--input", str(path), "--column", "dry_temp_c"]) == 5
         assert "line 3: not UTF-8: byte 0xff" in capsys.readouterr().err
 
+    def test_a_reader_that_leaves_exits_141_without_a_traceback(self, tmp_path):
+        # print(body) into a pipe whose reader had left exited 1 with a BrokenPipeError
+        # traceback; this chart is larger than a pipe holds, so the reader leaves first
+        log = tmp_path / "hour.csv"
+        assert main(["simulate", "--duration", "3600", "--seed", "0", "--start-time", START, "--out", str(log)]) == 0
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        plot = [sys.executable, "-m", "paraloq.cli", "plot", "--input", str(log), "--column", "dry_temp_c", "--format", "svg"]
+        with open(tmp_path / "stderr.txt", "wb") as err:
+            child = subprocess.Popen(plot, stdout=subprocess.PIPE, stderr=err, env=env)
+            head = child.stdout.read(10)
+            child.stdout.close()  # as `| head -c 10` does
+            code = child.wait(timeout=120)
+        assert (head, code) == (b"<svg xmlns", 141)
+        assert (tmp_path / "stderr.txt").read_bytes() == b""
+
 
 class TestSummarize:
     def test_recorded_table_layout(self, tmp_path, capsys):
@@ -435,6 +453,19 @@ class TestSummarize:
         printed = capsys.readouterr().out.splitlines()
         assert main(["summarize", "--input", str(out)]) == 0
         assert capsys.readouterr().out.splitlines() == printed[1:]
+
+    def test_a_log_with_a_bom_reads_as_the_log_itself(self, tmp_path, capsys):
+        # a spreadsheet's "CSV UTF-8" save starts with EF BB BF, whose first line
+        # then read as '\ufeff# run_id = ...' and exited 5
+        _, out = simulate(tmp_path)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + out.read_bytes())
+        assert read_csv(bom) == read_csv(out)
+        capsys.readouterr()
+        assert main(["summarize", "--input", str(out)]) == 0
+        table = capsys.readouterr().out
+        assert main(["summarize", "--input", str(bom)]) == 0
+        assert capsys.readouterr().out == table
 
 
 class TestConfigFile:

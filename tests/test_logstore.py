@@ -1,3 +1,4 @@
+import codecs
 import copy
 import math
 import pickle
@@ -321,6 +322,15 @@ class TestRead:
         assert str(err.value) == f"line {line_no}: not UTF-8: {message}"
         assert [row.t_s for row in rows] == [0.0, 0.5][: line_no - 3]  # every row before that line
 
+    def test_a_byte_that_is_not_utf8_after_a_bom_names_its_line(self, tmp_path):
+        # the BOM a spreadsheet writes is skipped, and counts as no line
+        path = tmp_path / "bom.csv"
+        path.write_bytes(codecs.BOM_UTF8 + HEADER.encode() + b"\r\n0.0,t,102,20.0,92,18.0,,\r\n0.5,t\xff,1")
+        rows = []
+        with pytest.raises(CsvParseError, match=r"^line 3: not UTF-8: byte 0xff \(invalid start byte\)$"):
+            read_rows(path, rows.append)
+        assert [row.t_s for row in rows] == [0.0]
+
     @pytest.mark.parametrize("eol", ["\n", "\r\n"])
     def test_lf_and_crlf_files_read_alike(self, tmp_path, eol):
         path = tmp_path / "eol.csv"
@@ -415,16 +425,20 @@ stamps = st.text(
     run=run_logs(),
     stamp=stamps,
     trailer=st.booleans(),
+    bom=st.booleans(),
     edit=st.one_of(st.none(), st.tuples(st.integers(min_value=0), st.integers(min_value=0, max_value=255))),
 )
-def test_block_seams_change_nothing(run, stamp, trailer, edit, tmp_path_factory):
-    # a log write_csv wrote, perhaps with an aborted run's trailer, perhaps with one byte changed
+def test_block_seams_change_nothing(run, stamp, trailer, bom, edit, tmp_path_factory):
+    # a log write_csv wrote, perhaps with an aborted run's trailer, perhaps
+    # saved by a spreadsheet with a leading BOM, perhaps with one byte changed
     path = tmp_path_factory.mktemp("seams") / "run.csv"
     run.rows[:1] = [row._replace(timestamp=stamp) for row in run.rows[:1]]
     write_csv(run, path)
     data = path.read_bytes()
     if trailer:
         data += f"# aborted = tick {len(run.rows)}: interrupted\r\n".encode()
+    if bom:  # blocks of 1 and 2 bytes split it
+        data = codecs.BOM_UTF8 + data
     if edit is not None:
         at, byte = edit[0] % len(data), edit[1]
         data = data[:at] + bytes([byte]) + data[at + 1 :]
