@@ -34,6 +34,7 @@ from .errors import (
     require_finite,
     require_int,
     shown,
+    store_floats,
 )
 from .pport import SimulatedPort, acquire_byte
 from .signal_chain import ChainConfig, chain_voltage, lowpass_alpha, lowpass_step
@@ -57,6 +58,7 @@ class Constant:
 
     def __post_init__(self):
         require_finite("value_c", self.value_c)
+        store_floats(self, "value_c")
 
     def temp_at(self, t_s: float) -> float:
         return self.value_c
@@ -80,6 +82,7 @@ class Sine:
         require_finite("amplitude_c", self.amplitude_c)
         require_above("freq_hz", self.freq_hz, 0, inclusive=True)
         require_finite("offset_c", self.offset_c)
+        store_floats(self, "amplitude_c", "freq_hz", "offset_c")
 
     def temp_at(self, t_s: float) -> float:
         return self.offset_c + self.amplitude_c * math.sin(_TWO_PI * self.freq_hz * t_s)
@@ -157,6 +160,7 @@ class RunConfig:
     def __post_init__(self):
         require_above("sample_rate_hz", self.sample_rate_hz, 0)
         require_above("duration_s", self.duration_s, 0, inclusive=True)
+        store_floats(self, "sample_rate_hz", "duration_s")
         substeps = self.filter_substeps
         require_int("filter_substeps", substeps)
         if not 0 <= substeps <= MAX_FILTER_SUBSTEPS:
@@ -323,8 +327,7 @@ def _tick_row(
     # a rail code only bounds the temperature, so humidity from it would be wrong
     if 0 < dry_code < CODE_MAX and 0 < wet_code < CODE_MAX:
         try:
-            result = psychro.reading(dry_temp, wet_temp, cfg.psychro)
-            rh, dew = result.rh_pct, result.dew_point_c
+            _, _, rh, dew = psychro.reading(dry_temp, wet_temp, cfg.psychro)
         except (InvalidInputError, InconsistentReadingError):
             pass  # row keeps empty humidity fields
     return logstore.PsychroRow(t, timestamp, dry_code, dry_temp, wet_code, wet_temp, rh, dew)

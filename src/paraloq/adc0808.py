@@ -25,6 +25,7 @@ from .errors import (
     require_finite,
     require_int,
     shown,
+    store_floats,
 )
 
 BITS = 8
@@ -48,6 +49,7 @@ class ClockConfig:
         require_above("r_ohms", self.r_ohms, 0)
         require_above("c_farads", self.c_farads, 0)
         require_above("clock frequency 1/(1.1 r_ohms c_farads)", self.frequency_hz, 0)
+        store_floats(self, "r_ohms", "c_farads")
 
     @property
     def frequency_hz(self) -> float:
@@ -81,6 +83,7 @@ class AdcConfig:
         require_above("conversion_cycles", self.conversion_cycles, 0)
         require_above("unadjusted_error_lsb", self.unadjusted_error_lsb, 0, inclusive=True)
         require_above("noise_sigma_lsb", self.noise_sigma_lsb, 0, inclusive=True)
+        store_floats(self, "vref", "unadjusted_error_lsb", "noise_sigma_lsb")
 
 
 def require_clock_in_window(freq_hz: float) -> None:

@@ -52,6 +52,13 @@ def require_above(name: str, value, low, *, inclusive: bool = False) -> None:
         )
 
 
+def store_floats(obj, *names) -> None:
+    """Store each named field of obj as a float, once its checks have passed:
+    a config spelt with 5 is then the config spelt with 5.0, repr included."""
+    for name in names:
+        object.__setattr__(obj, name, float(getattr(obj, name)))
+
+
 def require_int(name: str, value) -> None:
     """Raise InvalidInputError unless value is an int: a float (1.5, nan) or a
     bool (an int subclass, but not a count or a seed) fails."""

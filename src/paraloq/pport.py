@@ -147,8 +147,11 @@ class SimulatedPort:
     # -- port primitives -----------------------------------------------
 
     def write_control(self, value: int) -> None:
+        # write_control(self.regs, value) without the call: acquire_byte writes 5 times per conversion
+        if type(value) is not int or not (0 <= value <= 255):
+            raise InvalidInputError(f"control value must be a byte, got {shown(value)}")
         prev = self.regs.control
-        wire = write_control(self.regs, value).control
+        self.regs.control = wire = value ^ CONTROL_INVERT_MASK
         if wire & _ALE_MASK and not prev & _ALE_MASK:
             self._start_conversion((wire >> ADDRESS_SHIFT) & 0x07)
 
@@ -161,8 +164,9 @@ class SimulatedPort:
     def read_data(self) -> int:
         oe = self.regs.control & _OE_MASK
         drives_bus = self.connected and oe and self._now >= self._busy_until
-        self.regs.data = self._latched if drives_bus else HIGH_Z
-        return read_data(self.regs)
+        # read_data(self.regs) without the call: the data lines are not inverted
+        self.regs.data = data = self._latched if drives_bus else HIGH_Z
+        return data
 
     # -- device model ---------------------------------------------------
 
@@ -180,11 +184,6 @@ class SimulatedPort:
         self._busy_until = self._now + self.latency_s
 
 
-def _software_byte_for_wire(wire: int) -> int:
-    """Control byte to write so the wire shows the wanted levels."""
-    return wire ^ CONTROL_INVERT_MASK
-
-
 def acquire_byte(port: SimulatedPort, channel: int) -> int:
     """Run one conversion handshake and return the byte read (the code).
 
@@ -200,18 +199,18 @@ def acquire_byte(port: SimulatedPort, channel: int) -> int:
 
     latency = port.latency_s
     poll_dt = latency / POLLS_PER_CONVERSION
-    addr = channel << ADDRESS_SHIFT
-    idle = _software_byte_for_wire(addr)
+    # the software bytes that put the address alone, with START+ALE, and with OE on the wire
+    idle = (channel << ADDRESS_SHIFT) ^ CONTROL_INVERT_MASK
+    ale, oe = idle ^ _ALE_MASK, idle ^ _OE_MASK
     write = port.write_control
 
     # Address first, then the ALE rising edge latches it and starts conversion.
     write(idle)
     t_start = port.now_s
-    write(_software_byte_for_wire(addr | _ALE_MASK))
+    write(ale)
     write(idle)
 
     deadline = t_start + TIMEOUT_CONVERSIONS * latency
-    advance = port.advance_to
     poll = port.read_status
     polls = 0
     while True:
@@ -222,11 +221,11 @@ def acquire_byte(port: SimulatedPort, channel: int) -> int:
                 f"EOC not asserted on channel {channel} within "
                 f"{TIMEOUT_CONVERSIONS} conversion times ({deadline - t_start:.6g} s)"
             )
-        advance(t_poll)
+        port._now = t_poll  # advance_to(t_poll) without the call: t_poll only grows
         if poll() & EOC_MASK:
             break
 
-    write(_software_byte_for_wire(addr | _OE_MASK))
+    write(oe)
     code = port.read_data()
     write(idle)
     return code

@@ -16,9 +16,18 @@ operating range, which also sidesteps the ice-surface constant switch.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
-from .errors import FLOAT_MAX, InconsistentReadingError, InvalidInputError, require_above, require_finite, shown
+from .errors import (
+    FLOAT_MAX,
+    InconsistentReadingError,
+    InvalidInputError,
+    require_above,
+    require_finite,
+    shown,
+    store_floats,
+)
 
 
 @dataclass(frozen=True)
@@ -32,26 +41,37 @@ class PsychroConfig:
     magnus_c: float = 243.12  # degC
 
     def __post_init__(self):
-        for name in ("psychrometer_coeff", "pressure_hpa", "magnus_a", "magnus_b", "magnus_c"):
+        names = ("psychrometer_coeff", "pressure_hpa", "magnus_a", "magnus_b", "magnus_c")
+        for name in names:
             require_above(name, getattr(self, name), 0)
+        store_floats(self, *names)
 
 
-@dataclass(frozen=True)
-class PsychroReading:
-    """One computed humidity point."""
+_tuple_new = tuple.__new__
 
-    dry_c: float
-    wet_c: float
-    rh_pct: float
-    dew_point_c: float
 
-    def __post_init__(self):
+class PsychroReading(namedtuple("PsychroReading", ("dry_c", "wet_c", "rh_pct", "dew_point_c"))):
+    """One computed humidity point.
+
+    An immutable named tuple (dry_c, wet_c, rh_pct, dew_point_c), equal to
+    the plain tuple of its fields. A dew point above the dry bulb raises
+    InvalidInputError; _make and _replace build through the constructor.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, dry_c, wet_c, rh_pct, dew_point_c):
         # wet <= dry is _vapor_pressure's check and 0..100 is _rh_from's clamp;
         # Magnus rounding can still put the dew point a hair above the dry bulb
-        if self.dew_point_c > self.dry_c + 1e-9:
-            raise InvalidInputError(
-                f"dew point {self.dew_point_c} exceeds dry bulb {self.dry_c}"
-            )
+        if dew_point_c > dry_c + 1e-9:
+            raise InvalidInputError(f"dew point {dew_point_c} exceeds dry bulb {dry_c}")
+        return _tuple_new(cls, (dry_c, wet_c, rh_pct, dew_point_c))
+
+    @classmethod
+    def _make(cls, iterable):
+        """The reading of a sequence of field values, checked as the
+        constructor checks them; _replace builds its reading through this."""
+        return cls(*iterable)
 
 
 def saturation_vapor_pressure(t_c: float, cfg: PsychroConfig = PsychroConfig()) -> float:
@@ -109,9 +129,4 @@ def dew_point_from_vapor_pressure(e_hpa: float, cfg: PsychroConfig = PsychroConf
 def reading(dry_c: float, wet_c: float, cfg: PsychroConfig = PsychroConfig()) -> PsychroReading:
     """Compute a full PsychroReading for one dry/wet pair."""
     e = _vapor_pressure(dry_c, wet_c, cfg)
-    return PsychroReading(
-        dry_c=dry_c,
-        wet_c=wet_c,
-        rh_pct=_rh_from(e, dry_c, cfg),
-        dew_point_c=dew_point_from_vapor_pressure(e, cfg),
-    )
+    return PsychroReading(dry_c, wet_c, _rh_from(e, dry_c, cfg), dew_point_from_vapor_pressure(e, cfg))

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .adc0808 import TEMP_FULL_SCALE_C
-from .errors import FLOAT_MAX, InvalidInputError, require_above, require_finite
+from .errors import FLOAT_MAX, InvalidInputError, require_above, require_finite, store_floats
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,10 @@ class ChainConfig:
     allow_misaligned: bool = False
 
     def __post_init__(self):
-        for name in ("sensor_slope", "amp_gain", "clamp_volts", "filter_cutoff_hz", "vref"):
+        names = ("sensor_slope", "amp_gain", "clamp_volts", "filter_cutoff_hz", "vref")
+        for name in names:
             require_above(name, getattr(self, name), 0)
+        store_floats(self, *names)
         if self.clamp_volts > self.vref:
             raise InvalidInputError(
                 f"clamp_volts must be in (0, vref={self.vref}], got {self.clamp_volts}"

@@ -574,6 +574,28 @@ def test_every_numeric_config_field_rejects_a_non_finite_value(cls, name, bad):
         cls(**{**ENTRY_KWARGS[cls], name: bad})
 
 
+# every float field of the seven config entry points, spelt as an int in range
+INT_SPELT_KWARGS = {
+    ClockConfig: dict(r_ohms=1420, c_farads=1),
+    AdcConfig: dict(vref=5, unadjusted_error_lsb=1, noise_sigma_lsb=0),
+    ChainConfig: dict(sensor_slope=1, amp_gain=1, clamp_volts=50, filter_cutoff_hz=1, vref=50),
+    PsychroConfig: dict(psychrometer_coeff=1, pressure_hpa=1013, magnus_a=6, magnus_b=17, magnus_c=243),
+    Sine: dict(amplitude_c=1, freq_hz=0, offset_c=20),
+    Constant: dict(value_c=20),
+    RunConfig: dict(duration_s=5, sample_rate_hz=2),
+}
+
+
+@pytest.mark.parametrize("cls", list(INT_SPELT_KWARGS), ids=lambda cls: cls.__name__)
+def test_every_float_config_field_is_stored_as_a_float(cls):
+    kwargs = INT_SPELT_KWARGS[cls]
+    assert set(kwargs) == {name for c, name, kind in NUMERIC_FIELDS if c is cls and kind == "float"}
+    built = cls(**kwargs)
+    assert all(type(getattr(built, name)) is float for name in kwargs)
+    # 5 and 5.0 make one config, down to the repr that RunConfig.fingerprint hashes
+    assert repr(built) == repr(cls(**{name: float(value) for name, value in kwargs.items()}))
+
+
 @pytest.mark.parametrize(
     "build, message",
     [

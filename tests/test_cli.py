@@ -4,11 +4,12 @@ import os
 import re
 import subprocess
 import sys
+from datetime import datetime
 from pathlib import Path
 
 import pytest
 
-from paraloq import acquisition, cli
+from paraloq import Channel, Constant, RunConfig, acquisition, cli, run_acquisition, write_csv
 from paraloq.cli import main
 from paraloq.logstore import HEADER, read_csv
 
@@ -139,6 +140,20 @@ class TestSimulate:
         )
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == golden["steady"]["csv_sha256"]
+
+    def test_a_run_spelt_with_ints_writes_the_log_of_the_same_flags(self, tmp_path, monkeypatch):
+        # the CLI parses --duration 5 as 5.0, and a config stores 5 as 5.0 too,
+        # so the `# config` fingerprint does not depend on the spelling
+        monkeypatch.delenv("PARALOQ_CONFIG", raising=False)
+        out = tmp_path / "cli.csv"
+        flags = ["--duration", "5", "--dry-temp", "20", "--wet-temp", "18", "--start-time", START]
+        assert main(["simulate", *flags, "--out", str(out)]) == 0
+        start = datetime.fromisoformat(START)
+        for spelt, (duration, dry, wet) in {"ints": (5, 20, 18), "floats": (5.0, 20.0, 18.0)}.items():
+            stimuli = {Channel.DRY: Constant(dry), Channel.WET: Constant(wet)}
+            path = tmp_path / f"{spelt}.csv"
+            write_csv(run_acquisition(RunConfig(duration_s=duration, stimuli=stimuli, start_time=start)), path)
+            assert path.read_bytes() == out.read_bytes(), spelt
 
     def test_deterministic_given_flags_and_seed(self, tmp_path):
         _, first = simulate(tmp_path, name="a.csv")

@@ -1,3 +1,5 @@
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -78,7 +80,47 @@ class TestRegisterInversion:
             SimulatedPort().write_control(value)
 
 
+@contextmanager
+def counted_port_calls(*names):
+    """Count the calls of the named SimulatedPort methods, wrapped on the class
+    as the benchmark wraps them; yields the live name -> count dict."""
+    counts = dict.fromkeys(names, 0)
+    originals = {name: SimulatedPort.__dict__[name] for name in names}
+
+    def counting(name, method):
+        def wrapper(self, *args):
+            counts[name] += 1
+            return method(self, *args)
+
+        return wrapper
+
+    for name, method in originals.items():
+        setattr(SimulatedPort, name, counting(name, method))
+    try:
+        yield counts
+    finally:
+        for name, method in originals.items():
+            setattr(SimulatedPort, name, method)
+
+
 class TestAcquireByte:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        t0=st.floats(min_value=0.0, max_value=1e6),
+        channel=st.integers(min_value=0, max_value=7),
+        volts=st.floats(min_value=0.0, max_value=5.0),
+    )
+    def test_one_handshake_is_16_polls_5_writes_1_read_and_one_latency(self, t0, channel, volts):
+        port = SimulatedPort()
+        port.set_input(channel, volts)
+        port.advance_to(t0)
+        with counted_port_calls("read_status", "write_control", "read_data") as counts:
+            code = acquire_byte(port, channel)
+        assert code == quantize(volts)
+        assert counts == {"read_status": 16, "write_control": 5, "read_data": 1}
+        # the clock stands at the 16th poll, t0 + polls * poll_dt to the bit
+        assert port.now_s == t0 + 16 * (port.latency_s / 16)
+
     def test_conversion_through_the_full_handshake(self):
         port = SimulatedPort()
         port.set_input(0, 2.5)
