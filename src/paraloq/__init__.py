@@ -42,7 +42,7 @@ from .errors import (
     UndersamplingWarning,
 )
 from .logstore import PsychroRow, RunLog, RunMeta, read_csv, write_csv
-from .pport import PortRegisters, SimulatedPort, acquire_byte
+from .pport import SimulatedPort, acquire_byte
 from .psychro import (
     PsychroConfig,
     PsychroReading,

@@ -7,13 +7,11 @@ software register and the connector pins:
   * status bit S7 (BUSY) is inverted on read        -> mask 0x80
   * control bits C0, C1, C3 are inverted on write   -> mask 0x0B
 
-``PortRegisters`` stores *wire* levels (what the device sees); the
-read/write helpers translate between software bytes and wire levels, so
-applying a helper twice cancels the inversion.
-
 ``SimulatedPort`` exposes three primitives in software-byte space --
 read_data, read_status, write_control -- which is all the polled handshake
-needs, over an ADC0808 model with its own simulated clock.
+needs, over an ADC0808 model with its own simulated clock. Each applies the
+inversion of its register itself; the port keeps the control wire level and
+derives the status and data bytes when they are read.
 
 Handshake wiring is fixed, as on the logger: control bit C0
 (``START_ALE_BIT``) drives START+ALE, C1 (``OUTPUT_ENABLE_BIT``) drives
@@ -26,7 +24,6 @@ undriven bus reads as the high-impedance sentinel 0xFF.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from random import Random
 
 from . import adc0808
@@ -51,44 +48,6 @@ POLLS_PER_CONVERSION = 16  # EOC polls spread over one conversion time
 TIMEOUT_CONVERSIONS = 10  # conversion times to wait for EOC before giving up
 
 
-@dataclass
-class PortRegisters:
-    """Wire-level state of the three port registers."""
-
-    data: int = HIGH_Z
-    status: int = 0
-    control: int = 0
-
-    def __post_init__(self):
-        for name in ("data", "status", "control"):
-            value = getattr(self, name)
-            if type(value) is not int or not (0 <= value <= 255):
-                raise InvalidInputError(f"{name} register must be a byte, got {shown(value)}")
-
-
-def write_control(regs: PortRegisters, value: int) -> PortRegisters:
-    """Write a software byte to the control register; wire gets it inverted."""
-    if type(value) is not int or not (0 <= value <= 255):
-        raise InvalidInputError(f"control value must be a byte, got {shown(value)}")
-    regs.control = value ^ CONTROL_INVERT_MASK
-    return regs
-
-
-def read_control(regs: PortRegisters) -> int:
-    """Software readback of the control register (inversion cancels)."""
-    return regs.control ^ CONTROL_INVERT_MASK
-
-
-def read_status(regs: PortRegisters) -> int:
-    """Software view of the status register: S7 inverted, S0..S2 zero."""
-    return (regs.status ^ STATUS_INVERT_MASK) & STATUS_READ_MASK
-
-
-def read_data(regs: PortRegisters) -> int:
-    """Software view of the data register (no inversion on data lines)."""
-    return regs.data
-
-
 class SimulatedPort:
     """The D25 port wired to the ADC0808 model.
 
@@ -96,8 +55,8 @@ class SimulatedPort:
     so handshake tests are deterministic. Analog channel inputs are plain
     settable levels (``set_input``); the converter samples the level at the
     ALE edge, which also gives the sample-and-hold behavior SAR conversion
-    requires. The START+ALE and OUTPUT ENABLE levels are the wire bits of
-    ``regs.control``; no other copy of them is kept. A ``clock_hz`` outside
+    requires. The START+ALE and OUTPUT ENABLE levels are bits of the control
+    wire level, the one register state the port keeps. A ``clock_hz`` outside
     the converter's window raises ClockRangeError here, when the port is built.
 
     Single-owner object: not safe for concurrent mutation.
@@ -112,7 +71,7 @@ class SimulatedPort:
         adc0808.require_clock_in_window(clock_hz)
         self.adc = adc
         self.clock_hz = clock_hz
-        self.regs = PortRegisters()
+        self._control = 0  # control wire level: all lines low
         self.connected = True
         self._now = 0.0
         self._inputs = {ch: 0.0 for ch in range(8)}
@@ -132,8 +91,8 @@ class SimulatedPort:
 
     def advance_to(self, t_s: float) -> None:
         """Move simulated time forward; time never runs backwards."""
-        if t_s < self._now:
-            raise InvalidInputError(f"time must not decrease: {t_s} < {self._now}")
+        if not t_s >= self._now:  # nan included
+            raise InvalidInputError(f"time must be >= now_s ({self._now}), got {t_s}")
         self._now = t_s
 
     @property
@@ -147,26 +106,20 @@ class SimulatedPort:
     # -- port primitives -----------------------------------------------
 
     def write_control(self, value: int) -> None:
-        # write_control(self.regs, value) without the call: acquire_byte writes 5 times per conversion
         if type(value) is not int or not (0 <= value <= 255):
             raise InvalidInputError(f"control value must be a byte, got {shown(value)}")
-        prev = self.regs.control
-        self.regs.control = wire = value ^ CONTROL_INVERT_MASK
+        prev = self._control
+        self._control = wire = value ^ CONTROL_INVERT_MASK
         if wire & _ALE_MASK and not prev & _ALE_MASK:
             self._start_conversion((wire >> ADDRESS_SHIFT) & 0x07)
 
     def read_status(self) -> int:
-        # read_status(self.regs) without the call: acquire_byte polls this 16 times per conversion
         status = EOC_MASK if self.connected and self._now >= self._busy_until else 0
-        self.regs.status = status
         return (status ^ STATUS_INVERT_MASK) & STATUS_READ_MASK
 
     def read_data(self) -> int:
-        oe = self.regs.control & _OE_MASK
-        drives_bus = self.connected and oe and self._now >= self._busy_until
-        # read_data(self.regs) without the call: the data lines are not inverted
-        self.regs.data = data = self._latched if drives_bus else HIGH_Z
-        return data
+        drives_bus = self.connected and self._control & _OE_MASK and self._now >= self._busy_until
+        return self._latched if drives_bus else HIGH_Z  # the data lines are not inverted
 
     # -- device model ---------------------------------------------------
 
