@@ -54,12 +54,10 @@ from .psychro import (
 from .signal_chain import (
     ChainConfig,
     alias_frequency,
-    amplify_and_clamp,
     chain_voltage,
     is_undersampled,
     lowpass_alpha,
     lowpass_step,
-    sensor_voltage,
 )
 
 __version__ = "0.1.0"

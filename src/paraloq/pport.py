@@ -90,9 +90,11 @@ class SimulatedPort:
         self._inputs[channel] = volts
 
     def advance_to(self, t_s: float) -> None:
-        """Move simulated time forward; time never runs backwards."""
-        if not t_s >= self._now:  # nan included
-            raise InvalidInputError(f"time must be >= now_s ({self._now}), got {t_s}")
+        """Move simulated time forward to a finite time; it never runs backwards."""
+        if not self._now <= t_s <= FLOAT_MAX:  # false for nan, inf and an int beyond the float range
+            raise InvalidInputError(
+                f"time must be >= now_s ({self._now}) and finite, got {shown(t_s)}"
+            )
         self._now = t_s
 
     @property

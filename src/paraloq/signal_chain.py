@@ -2,7 +2,8 @@
 
 The chain mirrors the acquisition hardware stage by stage:
 temperature -> sensor millivolts -> amplified volts -> zener-clamped volts
--> first-order low-passed volts presented to the ADC input.
+-> first-order low-passed volts presented to the ADC input. chain_voltage
+is the one rule for the first three stages; lowpass_step is the filter.
 
 All functions are pure; filter state is owned by the caller. The filter's
 alpha is computed once per run by lowpass_alpha, and lowpass_step takes it.
@@ -64,35 +65,13 @@ def require_aligned(cfg: ChainConfig) -> None:
         )
 
 
-def sensor_voltage(temp_c: float, cfg: ChainConfig = ChainConfig()) -> float:
-    """Sensor output in volts for a temperature in degC (linear, pre-calibrated)."""
-    require_finite("temp_c", temp_c)
-    return cfg.sensor_slope * temp_c
-
-
-def amplify_and_clamp(v_in: float, cfg: ChainConfig = ChainConfig()) -> float:
-    """Amplifier plus ideal protection clamp.
-
-    Gains the input, then hard-limits to [0, clamp_volts]: the shunt zeners
-    clip over-range positive swings and negative excursions alike. The
-    result is the value min(max(v, 0.0), clamp_volts) gives, -0.0 kept; an
-    inf goes to its rail, so this composed with sensor_voltage is
-    chain_voltage. A nan or an int beyond the float range is rejected.
-    """
-    if v_in not in (math.inf, -math.inf):
-        require_finite("v_in", v_in)
-    v = cfg.amp_gain * v_in
-    if v < 0.0:
-        return 0.0
-    clamp = cfg.clamp_volts
-    return clamp if v > clamp else v
-
-
 def chain_voltage(temp_c: float, cfg: ChainConfig = ChainConfig()) -> float:
     """DC voltage the ADC sees for a steady temperature (no filter dynamics).
 
-    sensor_voltage then amplify_and_clamp, operation for operation, with one
-    check: the value min(max(v, 0.0), clamp_volts) gives, -0.0 kept. A nan,
+    The sensor gives sensor_slope * temp_c volts, the amplifier multiplies
+    that by amp_gain, and the shunt zeners hold the result to
+    [0, clamp_volts], clipping over-range swings and negative excursions
+    alike: the value min(max(v, 0.0), clamp_volts) gives, -0.0 kept. A nan,
     an inf or an int beyond the float range is rejected; a finite
     temperature whose slope * temp_c overflows saturates at a rail, as the
     zeners do. It runs once per filter substep, so the check and the clamp

@@ -33,7 +33,6 @@ from paraloq import (
     UndersamplingWarning,
     acquire_byte,
     alias_frequency,
-    amplify_and_clamp,
     build_port,
     chain_voltage,
     decode_temp,
@@ -721,7 +720,7 @@ FINITE_CHECKED_CALLS = pytest.mark.parametrize(
     [
         (sar_convert, "v_in"),
         (quantize, "v_in"),
-        (amplify_and_clamp, "v_in"),
+        (chain_voltage, "temp_c"),
         (lambda v: SimulatedPort().set_input(0, v), "volts"),
         (saturation_vapor_pressure, "t_c"),
         (lambda v: relative_humidity(v, 18.0), "dry_c"),
@@ -733,7 +732,7 @@ FINITE_CHECKED_CALLS = pytest.mark.parametrize(
     ids=[
         "sar_convert",
         "quantize",
-        "amplify_and_clamp",
+        "chain_voltage",
         "set_input",
         "saturation_vapor_pressure",
         "relative_humidity.dry_c",

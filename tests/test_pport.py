@@ -1,3 +1,5 @@
+import math
+import sys
 from contextlib import contextmanager
 
 import pytest
@@ -257,12 +259,29 @@ class TestHandshakeOrder:
         with pytest.raises(InvalidInputError):
             port.advance_to(0.5)
 
-    def test_a_nan_time_is_rejected(self):
-        # nan < now is false: a port clock at nan would leave acquire_byte polling forever
+    @pytest.mark.parametrize(
+        "t_s, shown",
+        [
+            (math.nan, "nan"),
+            (math.inf, "inf"),
+            (10**400, str(10**400)),
+            (-(10**5000), "a negative int of 5001 digits"),
+        ],
+        ids=["nan", "inf", "10**400", "-10**5000"],
+    )
+    def test_a_nan_time_is_rejected(self, t_s, shown):
+        # a clock at nan left acquire_byte polling forever, one at 10**400 made it
+        # raise a bare OverflowError, and -10**5000 failed to format its message
         port = SimulatedPort()
-        with pytest.raises(InvalidInputError, match=r"^time must be >= now_s \(0.0\), got nan$"):
-            port.advance_to(float("nan"))
+        with pytest.raises(InvalidInputError) as err:
+            port.advance_to(t_s)
+        assert str(err.value) == f"time must be >= now_s (0.0) and finite, got {shown}"
         assert acquire_byte(port, 0) == 0
+
+    def test_the_largest_float_time_is_accepted(self):
+        port = SimulatedPort()
+        port.advance_to(sys.float_info.max)
+        assert port.now_s == sys.float_info.max
 
 
 class TestPortPrimitives:

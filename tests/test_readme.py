@@ -1,5 +1,10 @@
-"""README's Python API list names what `import paraloq` exports, module by module."""
+"""README's Python API list names what `import paraloq` exports, module by
+module, and each call its code spans write names something that exists."""
 
+import builtins
+import importlib
+import math
+import pkgutil
 import re
 from pathlib import Path
 from types import ModuleType
@@ -49,3 +54,33 @@ def test_each_listed_error_gives_the_exit_code_the_cli_maps_it_to():
         cls = getattr(paraloq, name)
         code = next((code for types, code in cli._EXIT_CODES if issubclass(cls, types)), cli.EXIT_USAGE)
         assert stated.get(name) == str(code), name
+
+
+def unresolved_calls(text: str) -> list:
+    """Each `name(` or `a.b(` inside an inline code span of text that is not
+    an attribute of a paraloq submodule, a builtin or a math function; a
+    dotted name is looked up along its dots."""
+    submodules = {
+        info.name: importlib.import_module(f"paraloq.{info.name}") for info in pkgutil.iter_modules(paraloq.__path__)
+    }
+    scopes = [submodules, *map(vars, submodules.values()), vars(builtins), vars(math)]
+    prose = re.sub(r"^```.*?^```", "", text, flags=re.M | re.S)
+    missing = []
+    for span in re.findall(r"`([^`]+)`", prose):
+        for dotted in re.findall(r"([A-Za-z_][\w.]*)\(", span):
+            head, *rest = dotted.split(".")
+            if not any(_has_path(scope[head], rest) for scope in scopes if head in scope):
+                missing.append(dotted)
+    return missing
+
+
+def _has_path(obj, names) -> bool:
+    for name in names:
+        if not hasattr(obj, name):
+            return False
+        obj = getattr(obj, name)
+    return True
+
+
+def test_each_call_in_a_code_span_names_something_that_exists():
+    assert unresolved_calls(README.read_text(encoding="utf-8")) == []

@@ -9,16 +9,11 @@ from paraloq import (
     ChainConfig,
     InvalidInputError,
     alias_frequency,
-    amplify_and_clamp,
     chain_voltage,
     is_undersampled,
     lowpass_alpha,
     lowpass_step,
-    sensor_voltage,
 )
-
-finite_temps = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
-
 
 class TestChainConfig:
     def test_defaults_are_full_scale_aligned(self):
@@ -47,57 +42,6 @@ class TestChainConfig:
         assert cfg.amp_gain == 7.0
 
 
-class TestSensorVoltage:
-    def test_zero(self):
-        assert sensor_voltage(0.0) == 0.0
-
-    def test_room_temperature(self):
-        assert sensor_voltage(25.0) == pytest.approx(0.250, abs=1e-12)
-
-    def test_full_range_endpoint(self):
-        assert sensor_voltage(50.0) == pytest.approx(0.500, abs=1e-12)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_rejected(self, bad):
-        with pytest.raises(InvalidInputError):
-            sensor_voltage(bad)
-
-    @given(a=finite_temps, b=finite_temps)
-    def test_additive(self, a, b):
-        lhs = sensor_voltage(a + b)
-        rhs = sensor_voltage(a) + sensor_voltage(b)
-        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
-
-    @given(k=st.floats(min_value=-100, max_value=100, allow_nan=False), a=finite_temps)
-    def test_homogeneous(self, k, a):
-        lhs = sensor_voltage(k * a)
-        rhs = k * sensor_voltage(a)
-        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
-
-
-class TestAmplifyAndClamp:
-    def test_linear_region(self):
-        assert amplify_and_clamp(0.250) == pytest.approx(2.500, abs=1e-12)
-
-    def test_clamps_over_range_to_protection_voltage(self):
-        assert amplify_and_clamp(0.620) == 5.000
-
-    def test_zero(self):
-        assert amplify_and_clamp(0.0) == 0.0
-
-    def test_negative_excursion_clamps_to_ground(self):
-        assert amplify_and_clamp(-0.3) == 0.0
-
-    def test_nan_rejected(self):
-        with pytest.raises(InvalidInputError, match="^v_in must be finite, got nan$"):
-            amplify_and_clamp(math.nan)
-
-    @given(v=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
-    def test_output_always_within_clamp_rails(self, v):
-        out = amplify_and_clamp(v)
-        assert 0.0 <= out <= ChainConfig().clamp_volts
-
-
 def test_chain_composition_matches_ideal_scaling():
     # temp/10 V over the whole range; floating error at most 1 ulp and the
     # clamp never engages below full scale
@@ -112,11 +56,11 @@ def test_chain_composition_matches_ideal_scaling():
 
 def test_chain_saturates_where_the_sensor_product_overflows():
     # slope * temp_c is inf for a finite temperature here; the chain clamps it
-    # like any over-range input (it used to raise "v_in must be finite, got inf")
+    # like any over-range input
     cfg = ChainConfig(sensor_slope=1e10, amp_gain=1e-11)
     assert chain_voltage(1e300, cfg) == cfg.clamp_volts
     assert chain_voltage(-1e300, cfg) == 0.0
-    for bad in (math.inf, math.nan, 10**400):
+    for bad in (math.inf, -math.inf, math.nan, 10**400):
         with pytest.raises(InvalidInputError, match="temp_c must be finite"):
             chain_voltage(bad, cfg)
 
@@ -152,36 +96,31 @@ def chains_and_temps(draw):
     return cfg, temp
 
 
-@settings(max_examples=300)
-@given(chains_and_temps())
-@example((OVERFLOW_CHAIN, 1e300))
-def test_chain_is_sensor_then_clamp_bit_for_bit(case):
-    # with OVERFLOW_CHAIN, sensor_voltage is inf where chain_voltage saturates;
-    # the composition used to raise "v_in must be finite, got inf" there
-    cfg, temp = case
-    assert repr(chain_voltage(temp, cfg)) == repr(amplify_and_clamp(sensor_voltage(temp, cfg), cfg))
-
-
 def min_max_clamp(v, cfg):
     return min(max(v, 0.0), cfg.clamp_volts)
 
 
 @settings(max_examples=300)
 @given(chains_and_temps())
-def test_chain_and_amplifier_clamp_as_min_max_does(case):
+@example((OVERFLOW_CHAIN, 1e300))
+def test_chain_clamps_as_min_max_does(case):
+    # with OVERFLOW_CHAIN, slope * temp_c is inf where chain_voltage saturates
     cfg, temp = case
     assert repr(chain_voltage(temp, cfg)) == repr(min_max_clamp(cfg.amp_gain * (cfg.sensor_slope * temp), cfg))
-    v_in = cfg.sensor_slope * temp
-    assert repr(amplify_and_clamp(v_in, cfg)) == repr(min_max_clamp(cfg.amp_gain * v_in, cfg))
+
+
+RAIL_TEMPS = (0.0, -0.0, 50.0, math.nextafter(50.0, 100.0), math.nextafter(50.0, 0.0), -1e300, 1e300)
 
 
 @pytest.mark.parametrize(
-    "v_in", [0.0, -0.0, 0.5, math.nextafter(0.5, 1.0), math.nextafter(0.5, 0.0), -1e300, 1e300, -math.inf, math.inf]
+    "cfg, temp",
+    [(ChainConfig(), t) for t in RAIL_TEMPS] + [(OVERFLOW_CHAIN, -1e300), (OVERFLOW_CHAIN, 1e300)],
+    ids=[repr(t) for t in RAIL_TEMPS] + ["OVERFLOW_CHAIN--1e300", "OVERFLOW_CHAIN-1e300"],
 )
-def test_amplifier_clamp_at_the_rails(v_in):
-    # 10 * 0.5 is the 5 V clamp exactly; -0.0 stays -0.0, as max(-0.0, 0.0) keeps it
-    cfg = ChainConfig()
-    assert repr(amplify_and_clamp(v_in, cfg)) == repr(min_max_clamp(cfg.amp_gain * v_in, cfg))
+def test_chain_clamp_at_the_rails(cfg, temp):
+    # 10 * (0.01 * 50) is the 5 V clamp exactly; -0.0 stays -0.0, as max(-0.0, 0.0) keeps it;
+    # OVERFLOW_CHAIN's slope * temp_c is an inf, which goes to its rail
+    assert repr(chain_voltage(temp, cfg)) == repr(min_max_clamp(cfg.amp_gain * (cfg.sensor_slope * temp), cfg))
 
 
 def test_chain_lands_on_the_clamp_at_full_scale_and_keeps_negative_zero():
