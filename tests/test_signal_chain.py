@@ -42,6 +42,54 @@ class TestChainConfig:
         assert cfg.amp_gain == 7.0
 
 
+below_clamp_temps = st.floats(min_value=0.0, max_value=25.0)
+
+
+class TestChainVoltage:
+    # LM35 at 10 mV/degC, amplifier gain 10, zener clamp at 5 V
+    def test_zero(self):
+        assert chain_voltage(0.0) == 0.0
+
+    def test_room_temperature(self):
+        assert chain_voltage(25.0) == pytest.approx(2.500, abs=1e-12)
+
+    def test_full_range_endpoint(self):
+        assert chain_voltage(50.0) == pytest.approx(5.000, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(InvalidInputError, match=f"^temp_c must be finite, got {bad!r}$"):
+            chain_voltage(bad)
+
+    @given(a=below_clamp_temps, b=below_clamp_temps)
+    def test_additive_below_the_clamp(self, a, b):
+        lhs = chain_voltage(a + b)
+        rhs = chain_voltage(a) + chain_voltage(b)
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
+
+    @given(k=st.floats(min_value=0.0, max_value=1.0), a=st.floats(min_value=0.0, max_value=50.0))
+    def test_homogeneous_below_the_clamp(self, k, a):
+        lhs = chain_voltage(k * a)
+        rhs = k * chain_voltage(a)
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
+
+    def test_clamps_over_range_to_protection_voltage(self):
+        assert chain_voltage(62.0) == 5.000
+
+    def test_negative_excursion_clamps_to_ground(self):
+        assert chain_voltage(-30.0) == 0.0
+
+    @given(t=st.floats(min_value=-1e6, max_value=1e6))
+    def test_output_always_within_clamp_rails(self, t):
+        out = chain_voltage(t)
+        assert 0.0 <= out <= ChainConfig().clamp_volts
+
+    @given(a=st.floats(allow_nan=False, allow_infinity=False), b=st.floats(allow_nan=False, allow_infinity=False))
+    def test_monotone_in_temperature(self, a, b):
+        lo, hi = sorted((a, b))
+        assert chain_voltage(lo) <= chain_voltage(hi)
+
+
 def test_chain_composition_matches_ideal_scaling():
     # temp/10 V over the whole range; floating error at most 1 ulp and the
     # clamp never engages below full scale
