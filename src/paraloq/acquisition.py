@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 from enum import Enum
 from random import Random
-from statistics import fmean
 
 from . import adc0808, logstore, psychro, signal_chain
 # decode_volts is not called here, but perfbench/layers.py SPAN_TARGETS looks it up on this module
@@ -317,12 +316,9 @@ class _FilteredChain:
         return self.state
 
 
-def _tick_row(
-    t: float, timestamp: str, dry: tuple, wet: tuple, cfg: RunConfig
-) -> logstore.PsychroRow:
-    """One log row from the tick's (code, temp_c) reading of each channel."""
-    dry_code, dry_temp = dry
-    wet_code, wet_temp = wet
+def _tick_row(t: float, timestamp: str, dry_code: int, wet_code: int, cfg: RunConfig) -> logstore.PsychroRow:
+    """One log row from the tick's code on each channel."""
+    dry_temp, wet_temp = decode_temp(dry_code), decode_temp(wet_code)
     rh = dew = None
     # a rail code only bounds the temperature, so humidity from it would be wrong
     if 0 < dry_code < CODE_MAX and 0 < wet_code < CODE_MAX:
@@ -357,13 +353,13 @@ def acquire_rows(cfg: RunConfig, sinks, port: SimulatedPort | None = None) -> lo
         lanes.append((ch.value, path.voltage_at))
     for k in range(cfg.tick_count()):
         t = k / rate
-        timestamp = (start_dt + timedelta(seconds=t)).isoformat(timespec="milliseconds")
-        readings = []  # (code, temp_c) per lane
+        # timedelta(seconds=t) and isoformat(timespec=...), without the keyword parsing
+        timestamp = (start_dt + timedelta(0, t)).isoformat("T", "milliseconds")
+        codes = []  # DRY then WET
         for mux, voltage_at in lanes:
             port.set_input(mux, voltage_at(t))
-            code = acquire_byte(port, mux)
-            readings.append((code, decode_temp(code)))
-        row = _tick_row(t, timestamp, *readings, cfg)
+            codes.append(acquire_byte(port, mux))
+        row = _tick_row(t, timestamp, *codes, cfg)
         for sink in sinks:
             sink(row)
     return run_meta(cfg)
@@ -387,12 +383,16 @@ class ChannelStats:
     max: float
 
 
+def _mean(values) -> float:
+    return math.fsum(values) / len(values)  # statistics.fmean, without importing statistics
+
+
 def _channel_stats(values) -> ChannelStats:
-    return ChannelStats(fmean(values), min(values), max(values))
+    return ChannelStats(_mean(values), min(values), max(values))
 
 
 def _humidity(rh, dew):
-    return (fmean(rh), fmean(dew)) if rh and dew else None
+    return (_mean(rh), _mean(dew)) if rh and dew else None
 
 
 def summarize(run: logstore.RunLog) -> dict:

@@ -43,6 +43,9 @@ EOC_BIT = 3  # status bit: END OF CONVERSION
 EOC_MASK = 1 << EOC_BIT
 _ALE_MASK = 1 << START_ALE_BIT
 _OE_MASK = 1 << OUTPUT_ENABLE_BIT
+# the two bytes a status read can give: EOC high (0x88) or low (0x80)
+_STATUS_EOC_HIGH = (EOC_MASK ^ STATUS_INVERT_MASK) & STATUS_READ_MASK
+_STATUS_EOC_LOW = STATUS_INVERT_MASK & STATUS_READ_MASK
 
 POLLS_PER_CONVERSION = 16  # EOC polls spread over one conversion time
 TIMEOUT_CONVERSIONS = 10  # conversion times to wait for EOC before giving up
@@ -58,6 +61,8 @@ class SimulatedPort:
     requires. The START+ALE and OUTPUT ENABLE levels are bits of the control
     wire level, the one register state the port keeps. A ``clock_hz`` outside
     the converter's window raises ClockRangeError here, when the port is built.
+    ``adc`` and ``clock_hz`` are fixed for the port's life, so the conversion
+    time and the noise level are worked out once, here.
 
     Single-owner object: not safe for concurrent mutation.
     """
@@ -69,8 +74,10 @@ class SimulatedPort:
         rng: Random | None = None,
     ):
         adc0808.require_clock_in_window(clock_hz)
-        self.adc = adc
-        self.clock_hz = clock_hz
+        self._adc = adc
+        self._clock_hz = clock_hz
+        self._latency = adc0808.conversion_time_s(clock_hz, adc)
+        self._noise_sigma = adc.noise_sigma_lsb
         self._control = 0  # control wire level: all lines low
         self.connected = True
         self._now = 0.0
@@ -102,8 +109,16 @@ class SimulatedPort:
         return self._now
 
     @property
+    def adc(self) -> adc0808.AdcConfig:
+        return self._adc
+
+    @property
+    def clock_hz(self) -> float:
+        return self._clock_hz
+
+    @property
     def latency_s(self) -> float:
-        return adc0808.conversion_time_s(self.clock_hz, self.adc)
+        return self._latency
 
     # -- port primitives -----------------------------------------------
 
@@ -116,8 +131,7 @@ class SimulatedPort:
             self._start_conversion((wire >> ADDRESS_SHIFT) & 0x07)
 
     def read_status(self) -> int:
-        status = EOC_MASK if self.connected and self._now >= self._busy_until else 0
-        return (status ^ STATUS_INVERT_MASK) & STATUS_READ_MASK
+        return _STATUS_EOC_HIGH if self.connected and self._now >= self._busy_until else _STATUS_EOC_LOW
 
     def read_data(self) -> int:
         drives_bus = self.connected and self._control & _OE_MASK and self._now >= self._busy_until
@@ -128,15 +142,16 @@ class SimulatedPort:
     def _start_conversion(self, channel: int) -> None:
         if not self.connected:
             return
-        code = adc0808.sar_convert(self._inputs[channel], self.adc)
-        if self.adc.noise_sigma_lsb > 0:
-            code += round(self._rng.gauss(0.0, self.adc.noise_sigma_lsb))
+        code = adc0808.sar_convert(self._inputs[channel], self._adc)
+        sigma = self._noise_sigma
+        if sigma > 0:
+            code += round(self._rng.gauss(0.0, sigma))
             if code < 0:
                 code = 0
             elif code > adc0808.CODE_MAX:
                 code = adc0808.CODE_MAX
         self._latched = code
-        self._busy_until = self._now + self.latency_s
+        self._busy_until = self._now + self._latency
 
 
 def acquire_byte(port: SimulatedPort, channel: int) -> int:

@@ -83,11 +83,11 @@ def saturation_vapor_pressure(t_c: float, cfg: PsychroConfig = PsychroConfig()) 
 
 def _vapor_pressure(dry_c: float, wet_c: float, cfg: PsychroConfig) -> float:
     """Actual vapor pressure from the psychrometer equation; validates the pair."""
-    for name, value in (("dry_c", dry_c), ("wet_c", wet_c)):
-        if not 0.0 <= value <= FLOAT_MAX:
-            require_finite(name, value)  # a finite value that fails is below 0
-            raise InvalidInputError(f"{name} below the 0..50 degC range: {value}")
-    if wet_c > dry_c:
+    if not 0.0 <= wet_c <= dry_c <= FLOAT_MAX:  # both bulbs finite and >= 0, wet <= dry; false for nan
+        for name, value in (("dry_c", dry_c), ("wet_c", wet_c)):
+            if not 0.0 <= value <= FLOAT_MAX:
+                require_finite(name, value)  # a finite value that fails is below 0
+                raise InvalidInputError(f"{name} below the 0..50 degC range: {value}")
         raise InvalidInputError(f"wet bulb {wet_c} exceeds dry bulb {dry_c}")
     e = saturation_vapor_pressure(wet_c, cfg) - cfg.psychrometer_coeff * cfg.pressure_hpa * (
         dry_c - wet_c

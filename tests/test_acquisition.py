@@ -1,8 +1,12 @@
 import dataclasses
 import math
+import os
+import statistics
+import subprocess
 import sys
 import warnings
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
 from random import Random
 
 import numpy as np
@@ -10,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import paraloq
 from paraloq import (
     AdcConfig,
     ChainConfig,
@@ -210,6 +215,29 @@ class TestSummaries:
         assert 0.0 < rh <= 100.0
         assert dew <= run.rows[0].dry_temp_c
         assert humidity_summary(RunLog(meta=RunMeta(), rows=[])) is None
+
+    @given(
+        dry=st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=50),
+        rh=st.lists(st.floats(min_value=0.0, max_value=100.0), max_size=50),
+    )
+    def test_the_means_are_fmean_bit_for_bit(self, dry, rh):
+        # the first len(rh) rows have humidity, with the dew point at the dry bulb
+        rows = [
+            PsychroRow(0.5 * k, "t", 102, d, 92, 18.0, *((rh[k], d) if k < len(rh) else ()))
+            for k, d in enumerate(dry)
+        ]
+        run = RunLog(meta=RunMeta(), rows=rows)
+        fmean = statistics.fmean
+        assert summarize(run)[Channel.DRY].mean == fmean(row.dry_temp_c for row in rows)
+        wet = [row for row in rows if row.rh_pct is not None]
+        expected = (fmean(row.rh_pct for row in wet), fmean(row.dew_point_c for row in wet)) if wet else None
+        assert humidity_summary(run) == expected
+
+    def test_importing_paraloq_leaves_statistics_out(self):
+        probe = "import sys, paraloq; print('statistics' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(paraloq.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+        assert (done.stdout, done.stderr) == ("False\n", "")
 
 
 class TestFailurePaths:
@@ -504,6 +532,26 @@ def test_a_run_is_its_straight_line_reference(rate, duration, dry, wet, substeps
         warnings.simplefilter("ignore", UndersamplingWarning)  # an aliased sine is a run like any other
         rows = run_acquisition(cfg).rows
     assert rows == reference_rows(cfg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    start=st.datetimes(min_value=datetime(1990, 1, 1), max_value=datetime(2100, 1, 1)),
+    microsecond=st.one_of(st.sampled_from([0, 999, 999_999, 500_000]), st.integers(0, 999_999)),
+    tz=st.sampled_from(
+        [None, timezone.utc, timezone(timedelta(hours=5, minutes=45)), timezone(-timedelta(hours=9, minutes=30))]
+    ),
+    rate=st.floats(min_value=0.5, max_value=50.0),
+    duration=st.floats(min_value=0.0, max_value=5.0),
+)
+def test_each_stamp_is_the_start_plus_the_tick_time_to_the_millisecond(start, microsecond, tz, rate, duration):
+    # the straight-line reference starts on a whole second with no UTC offset
+    start = start.replace(microsecond=microsecond, tzinfo=tz)
+    cfg = constant_run_config(duration_s=duration, sample_rate_hz=rate, start_time=start)
+    stamps = [row.timestamp for row in run_acquisition(cfg).rows]
+    assert stamps == [
+        (start + timedelta(seconds=k / rate)).isoformat(timespec="milliseconds") for k in range(cfg.tick_count())
+    ]
 
 
 class TestQueueSink:

@@ -3,7 +3,7 @@ import sys
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paraloq import (
@@ -100,6 +100,16 @@ class TestRegisterInversion:
         port.advance_to(port.latency_s)
         assert port.read_data() == 0x5A
 
+    def test_status_reads_one_of_two_bytes(self):
+        port = SimulatedPort()
+        assert port.read_status() == status_read(0x00) == 0x80  # no conversion started yet
+        port.write_control(0x00)
+        assert port.read_status() == status_read(0x00)  # converting
+        port.advance_to(port.latency_s)
+        assert port.read_status() == status_read(0x08) == 0x88  # EOC high on S3
+        port.connected = False
+        assert port.read_status() == status_read(0x00)
+
     @pytest.mark.parametrize("value", [256, 1.5, True], ids=["256", "1.5", "True"])
     def test_register_bytes_validated(self, value):
         # a float or a bool is not a byte, in range or not
@@ -162,9 +172,18 @@ class TestAcquireByte:
         observed = port.now_s - t0
         assert port.latency_s <= observed < 2 * port.latency_s
 
-    def test_latency_is_the_converter_conversion_time(self):
-        adc = AdcConfig(conversion_cycles=72)
-        assert SimulatedPort(adc, clock_hz=320e3).latency_s == conversion_time_s(320e3, adc) == 72 / 320e3
+    @settings(max_examples=100, deadline=None)
+    @given(cycles=st.integers(min_value=1, max_value=10**6), clock=st.floats(min_value=10e3, max_value=1280e3))
+    @example(cycles=72, clock=320e3)
+    def test_latency_is_the_converter_conversion_time(self, cycles, clock):
+        adc = AdcConfig(conversion_cycles=cycles)
+        assert SimulatedPort(adc, clock_hz=clock).latency_s == conversion_time_s(clock, adc) == cycles / clock
+
+    @pytest.mark.parametrize("name", ["adc", "clock_hz", "latency_s"])
+    def test_the_converter_and_its_clock_are_fixed_when_the_port_is_built(self, name):
+        port = SimulatedPort()
+        with pytest.raises(AttributeError):
+            setattr(port, name, getattr(port, name))
 
     def test_repeated_acquisitions_are_identical(self):
         port = SimulatedPort()

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -66,6 +68,23 @@ class TestRelativeHumidity:
     def test_below_operating_range_rejected(self):
         with pytest.raises(InvalidInputError):
             relative_humidity(5.0, -1.0)
+
+    @pytest.mark.parametrize(
+        "dry, wet, message",
+        [
+            (-1, 5, "dry_c below the 0..50 degC range: -1"),
+            (5, -1, "wet_c below the 0..50 degC range: -1"),
+            (-1, -2, "dry_c below the 0..50 degC range: -1"),  # the dry bulb is named first
+            (math.nan, 5, "dry_c must be finite, got nan"),
+            (5, math.inf, "wet_c must be finite, got inf"),
+            (10**400, 5, f"dry_c must be finite, got {10**400}"),
+        ],
+        ids=["dry-below", "wet-below", "both-below", "dry-nan", "wet-inf", "dry-10**400"],
+    )
+    def test_a_bad_bulb_is_named_in_the_message(self, dry, wet, message):
+        with pytest.raises(InvalidInputError) as info:
+            relative_humidity(dry, wet)
+        assert str(info.value) == message
 
     def test_monotone_increasing_in_wet_bulb(self):
         values = [relative_humidity(25.0, wet) for wet in (15.0, 18.0, 21.0, 24.0, 25.0)]
