@@ -15,11 +15,13 @@ side, like the instrument's own dry/wet presentation):
 A row is a PsychroRow: an immutable named tuple of the eight columns, equal
 to the plain tuple of its fields, and built only through its constructor,
 which checks every field. Floats are written with 6 decimal places; every
-float field is rounded to 6 decimals when a row or meta object is
-constructed, so reading a written file back reproduces the run exactly and
-re-serialization is byte-stable. Fields never contain commas (the
-constructor rejects a timestamp holding one, or a CR or LF), so no quoting is
-ever needed and the files open directly in any spreadsheet application.
+float field is stored as round(x, 6) gives it, bit for bit, when a row or
+meta object is constructed. _round6 computes that by float arithmetic, and
+calls round itself near a tie and from 1e6 up. So reading a written file
+back reproduces the run exactly and re-serialization is byte-stable. Fields
+never contain commas (the constructor rejects a timestamp holding one, or a
+CR or LF), so no quoting is ever needed and the files open directly in any
+spreadsheet application.
 
 Rows stream both ways: CsvWriter writes one row at a time, and read_rows
 reads a log a fixed block of bytes at a time and hands each row to a sink
@@ -44,12 +46,27 @@ _META_KEYS = ("run_id", "start", "sample_rate_hz", "channels", "config")
 _BLOCK_BYTES = 8192
 
 
+def _round6(x):
+    """round(x, 6): the same type and the same bits, by float arithmetic where
+    that is exact. For a float below 1e6 in size, y = x * 1e6 is within 6.1e-5
+    of the exact x * 10**6, so when y is 1e-4 or more from a tie the integer n
+    nearest y is the one round() picks, and n / 1e6 (n below 2**53) is the
+    correctly rounded double that round() gives. Near a tie, from 1e6 up, and
+    for nan, inf or anything not exactly a float, round() itself runs."""
+    if type(x) is float and -1e6 < x < 1e6:
+        y = x * 1e6
+        n = y + 1.5 * 2.0**52 - 1.5 * 2.0**52  # y rounded to an integer, as a float
+        if -0.4999 < y - n < 0.4999:
+            return n / 1e6 if n else x * 0.0  # x * 0.0 is -0.0 when x is negative
+    return round(x, 6)
+
+
 def _finite6(name: str, value) -> float:
     """A value that must be a finite number (not None, nan or inf), rounded to
     the file format's 6 decimals; an int beyond the float range is not one."""
     if value is None or not -FLOAT_MAX <= value <= FLOAT_MAX:
         raise InvalidInputError(f"{name} must be finite, got {shown(value)}")
-    return round(value, 6)
+    return _round6(value)
 
 
 def fingerprint(text: str) -> str:
@@ -114,7 +131,7 @@ class PsychroRow(
         # round(nan) is nan, round(inf) is inf and round(10**400) is 10**400
         top = FLOAT_MAX
         try:
-            t6, dry6, wet6 = round(t_s, 6), round(dry_temp_c, 6), round(wet_temp_c, 6)
+            t6, dry6, wet6 = _round6(t_s), _round6(dry_temp_c), _round6(wet_temp_c)
         except TypeError:  # round(None)
             t6 = None
         if t6 is None or not (-top <= t6 <= top and -top <= dry6 <= top and -top <= wet6 <= top):
@@ -126,7 +143,7 @@ class PsychroRow(
             # the comparison also fails for nan
             if not (0.0 <= rh_pct <= 100.0):
                 raise InvalidInputError(f"rh_pct must be finite and 0..100, got {shown(rh_pct)}")
-            rh_pct = round(rh_pct, 6)
+            rh_pct = _round6(rh_pct)
         if dew_point_c is not None:
             dew_point_c = _finite6("dew_point_c", dew_point_c)
             if dew_point_c > dry6:  # no air saturates above its own temperature

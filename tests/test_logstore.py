@@ -2,9 +2,11 @@ import codecs
 import copy
 import math
 import pickle
+import random
+import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paraloq import CsvParseError, InvalidInputError, StorageError, logstore, read_csv, write_csv
@@ -15,6 +17,7 @@ from paraloq.logstore import (
     RunLog,
     RunMeta,
     _format_row,
+    _round6,
     fingerprint,
     read_rows,
 )
@@ -595,6 +598,8 @@ finite = st.one_of(
     st.floats(min_value=-1e3, max_value=1e3),
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([0.0, -0.0, 5e-7, 4.9999995e-7, -4.9999995e-7, 1e308]),
+    # ties and the 1e6 edge, where _round6 hands the value to round()
+    st.sampled_from([12.3456785, -2.5e-6, 999999.9999995, math.nextafter(1e6, 0)]),
 )
 not_finite = st.sampled_from([None, float("nan"), float("inf"), float("-inf")])
 temp = st.one_of(finite, finite, finite, not_finite)
@@ -749,6 +754,52 @@ def test_row_rounds_floats_to_six_decimals():
     )
     assert row.dry_temp_c == row.wet_temp_c == row.rh_pct == 19.803922
     assert row.t_s == row.dew_point_c == 0.5
+
+
+class _Float(float):
+    pass
+
+
+def _tie_or_neighbour(k, step):
+    """The tie (k + 0.5) / 1e6, or the double one step (ulp) to either side of it."""
+    tie = (k + 0.5) / 1e6
+    return math.nextafter(tie, step * math.inf) if step else tie
+
+
+def _in_decade(seed, exponent):
+    """A float in the decade of 10**exponent, either sign, its mantissa drawn
+    uniformly (hypothesis would draw mostly round numbers)."""
+    return random.Random(seed).uniform(-10.0, 10.0) * 10.0**exponent
+
+
+# the 1e6 edge, where _round6 stops its float arithmetic, and the doubles either side of it
+_EDGES = [edge for top in (1e6, -1e6) for edge in (top, math.nextafter(top, 0), math.nextafter(top, 2 * top))]
+# what _round6 can be given: every float (nan and inf too), ties, ints, bools and a subclass
+rounded = st.one_of(
+    st.floats(),
+    st.builds(_in_decade, st.integers(), st.integers(min_value=-6, max_value=15)),
+    st.floats(min_value=-1e-300, max_value=1e-300),  # both zeros and the subnormals
+    st.integers(min_value=0, max_value=2**64 - 1).map(  # 64-bit patterns
+        lambda bits: struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+    ),
+    st.builds(_tie_or_neighbour, st.integers(-(10**12) + 1, 10**12 - 1), st.sampled_from([-1, 0, 1])),
+    st.sampled_from(_EDGES),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.sampled_from([True, False]),
+    st.floats().map(_Float),
+)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(x=rounded)
+@example(x=19.80392156862745)  # float arithmetic
+@example(x=-1e-9)  # float arithmetic to -0.0
+@example(x=12.3456785)  # a tie: round()
+@example(x=1e6)  # from 1e6 up: round()
+@example(x=7)  # an int: round()
+@example(x=_Float(0.1))  # a float subclass: round()
+def test_round6_is_round_to_six_decimals_bit_for_bit(x):
+    assert _bits([_round6(x)]) == _bits([round(x, 6)])
 
 
 def test_fingerprint_is_stable_and_short():
