@@ -24,15 +24,14 @@ CR or LF), so no quoting is ever needed and the files open directly in any
 spreadsheet application.
 
 Rows stream both ways: CsvWriter writes one row at a time, and read_rows
-reads a log a fixed block of bytes at a time and hands each row to a sink
-as it is parsed, so neither holds a whole log. read_csv is read_rows with a
-sink that collects the rows into a RunLog, and read_series one that keeps
-t_s and one other column.
+reads a log a line at a time through the standard text reader and hands
+each row to a sink as it is parsed, so neither holds a whole log. read_csv
+is read_rows with a sink that collects the rows into a RunLog, and
+read_series one that keeps t_s and one other column.
 """
 
 from __future__ import annotations
 
-import codecs
 import contextlib
 import hashlib
 from array import array
@@ -42,8 +41,6 @@ from dataclasses import dataclass, field
 from .errors import FLOAT_MAX, CsvParseError, InvalidInputError, StorageError, shown
 
 _META_KEYS = ("run_id", "start", "sample_rate_hz", "channels", "config")
-# read_rows reads a log this many bytes at a time
-_BLOCK_BYTES = 8192
 
 
 def _round6(x):
@@ -263,13 +260,14 @@ def write_csv(run: RunLog, path) -> None:
 
 
 def _has_literal_marks(text: str) -> bool:
-    """True if text holds a non-ASCII character or an ASCII mark other than CR
-    that float()/int() take in a number: '_' or whitespace."""
+    """True if text holds a non-ASCII character or an ASCII mark that
+    float()/int() take in a number: '_' or whitespace, CR included."""
     return (
         not text.isascii()
         or " " in text
         or "_" in text
         or "\t" in text
+        or "\r" in text
         or "\x0b" in text
         or "\x0c" in text
     )
@@ -279,7 +277,7 @@ def _require_plain(text: str, line_no: int, name: str) -> None:
     """Reject a number float()/int() take but write_csv never writes: one
     holding '_', whitespace or a non-ASCII character (a digit such as U+0669
     included). A file holding one would not rewrite byte for byte."""
-    if _has_literal_marks(text) or "\r" in text:
+    if _has_literal_marks(text):
         raise CsvParseError(line_no, f"bad {name} value {text!r}")
 
 
@@ -308,14 +306,6 @@ def _bad_number(cells: list, line_no: int) -> CsvParseError:
     return CsvParseError(line_no, f"bad {name} value {text!r}")
 
 
-def _parse_meta_line(line: str, meta_values: dict) -> None:
-    body = line[1:].strip()
-    key, sep, value = body.partition(" = ")
-    if sep and key.strip() in _META_KEYS:
-        meta_values[key.strip()] = value
-    # anything else is a free-form comment; ignore it
-
-
 def _parse_channels(text: str, line_no: int) -> dict:
     channels = {}
     if not text:
@@ -332,9 +322,13 @@ def _parse_channels(text: str, line_no: int) -> dict:
     return channels
 
 
-def _read_block(fh, path) -> bytes:
+def _lines(fh, path):
+    """The lines of fh, where a failed read is a CsvParseError at line 0; an
+    error raised by the caller between two lines is left as it is. They come
+    from readline, so a wrapper that forwards fh's attributes but not its
+    iteration (a traced perfbench pass counts flushes with one) reads too."""
     try:
-        return fh.read(_BLOCK_BYTES)
+        yield from iter(fh.readline, "")
     except OSError as exc:
         raise CsvParseError(0, f"cannot read input: {path}: {exc}") from exc
 
@@ -343,109 +337,94 @@ def read_rows(path, sink) -> RunMeta:
     """Read a file produced by write_csv, hand each row to sink in file order,
     and return the file's RunMeta.
 
-    The file is read _BLOCK_BYTES at a time and never held whole: a line
-    that a block ends inside waits for the next one. Metadata lines may be
-    absent (hand-written files); data rows are validated for column count,
-    types and strictly increasing t_s, and a value PsychroRow or RunMeta
-    rejects (non-finite floats, codes outside 0..255, RH outside 0..100) is
-    a CsvParseError too, as is a number holding '_', whitespace or a
-    non-ASCII character, and a byte that is not UTF-8. Lines end in LF or
-    CRLF. Errors carry the offending 1-based line number, counting
-    LF-separated lines, and sink has then had every row before that line; a
-    file that cannot be read is a CsvParseError at line 0.
+    The file is read a line at a time and never held whole. Metadata lines
+    may be absent (hand-written files); data rows are validated for column
+    count, types and strictly increasing t_s, and a value PsychroRow or
+    RunMeta rejects (non-finite floats, codes outside 0..255, RH outside
+    0..100) is a CsvParseError too, as is a number holding '_', whitespace
+    or a non-ASCII character, and a byte that is not UTF-8. A leading BOM is
+    skipped. Lines end in LF or CRLF. Errors carry the offending 1-based line
+    number, counting LF-separated lines, and sink has then had every row
+    before that line; a file that cannot be read is a CsvParseError at line 0.
     """
     try:
-        fh = open(path, "rb")
+        # only LF ends a line, and a byte that is not UTF-8 reads as a lone surrogate
+        fh = open(path, encoding="utf-8-sig", errors="surrogateescape", newline="\n")
     except OSError as exc:
         raise CsvParseError(0, f"cannot read input: {path}: {exc}") from exc
-    decode = codecs.getincrementaldecoder("utf-8-sig")().decode  # a leading BOM is skipped
     meta_values: dict = {}
-    meta_line_no = 0
-    line_no = 0
+    meta_lines: dict = {}  # key -> the line its value was read from
+    comment_line_no = 0
     header_seen = False
     last_t = None
-    tail = ""  # the block's unfinished last line
     with fh:
-        while True:
-            data = _read_block(fh, path)
-            bad = None
+        for line_no, line in enumerate(_lines(fh, path), start=1):
+            if not line.isascii():
+                try:  # the line end included: a sequence cut by a CR is an invalid continuation
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    message = f"not UTF-8: byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
+                    raise CsvParseError(line_no, message) from None
+            line = line.removesuffix("\n").removesuffix("\r")
+            if line == "":
+                continue
+            if line.startswith("#"):
+                comment_line_no = line_no
+                key, sep, value = line[1:].strip().partition(" = ")
+                key = key.strip()
+                if sep and key in _META_KEYS:  # any other comment is free-form text
+                    meta_values[key] = value
+                    meta_lines[key] = line_no
+                continue
+            if not header_seen:
+                if line != HEADER:
+                    raise CsvParseError(line_no, f"expected header {HEADER!r}, found {line!r}")
+                header_seen = True
+                continue
+            cells = line.split(",")
+            if len(cells) != len(_COLUMNS):
+                raise CsvParseError(line_no, f"expected {len(_COLUMNS)} columns, found {len(cells)}")
+            if _has_literal_marks(line):  # rows write_csv wrote have none
+                for i, name in _NUMERIC_COLUMNS:
+                    _require_plain(cells[i], line_no, name)
+            t_s, timestamp, dry_code, dry_temp, wet_code, wet_temp, rh, dew = cells
             try:
-                text = tail + decode(data, not data)
-            except UnicodeDecodeError as exc:
-                bad = exc  # the lines before the bad byte's are read first
-                text = tail + exc.object[: exc.start].decode("utf-8")
-            # One scan of a block's text after the header clears rows write_csv
-            # wrote; otherwise each of its rows gets the per-field check. A CR is
-            # looked for per row, after the line end is stripped, since a CRLF
-            # file holds one on each line.
-            literal_rows = _has_literal_marks(text if header_seen else text.partition(HEADER)[2])
-            # split on LF only: a CR, form feed or U+2028 inside a line is not a line break
-            lines = text.split("\n")
-            del text  # the lines hold it now, and the rows need not share memory with it
-            tail = lines.pop() if data or bad else ""
-            for line_no, line in enumerate(lines, start=line_no + 1):
-                if line.endswith("\r"):
-                    line = line[:-1]
-                if line == "":
-                    continue
-                if line.startswith("#"):
-                    meta_line_no = line_no
-                    _parse_meta_line(line, meta_values)
-                    continue
-                if not header_seen:
-                    if line != HEADER:
-                        raise CsvParseError(line_no, f"expected header {HEADER!r}, found {line!r}")
-                    header_seen = True
-                    continue
-                cells = line.split(",")
-                if len(cells) != len(_COLUMNS):
-                    raise CsvParseError(line_no, f"expected {len(_COLUMNS)} columns, found {len(cells)}")
-                if literal_rows or "\r" in line:
-                    for i, name in _NUMERIC_COLUMNS:
-                        _require_plain(cells[i], line_no, name)
-                t_s, timestamp, dry_code, dry_temp, wet_code, wet_temp, rh, dew = cells
-                try:
-                    row = PsychroRow(
-                        float(t_s),
-                        timestamp,
-                        int(dry_code),
-                        float(dry_temp),
-                        int(wet_code),
-                        float(wet_temp),
-                        float(rh) if rh else None,
-                        float(dew) if dew else None,
-                    )
-                # InvalidInputError is a ValueError too, so it is caught first
-                except InvalidInputError as exc:
-                    raise CsvParseError(line_no, str(exc)) from None
-                except ValueError:
-                    raise _bad_number(cells, line_no) from None
-                t = row.t_s
-                if last_t is not None and t <= last_t:
-                    raise CsvParseError(line_no, f"t_s not increasing: {t} after {last_t}")
-                last_t = t
-                sink(row)
-            if bad is not None:  # the bad byte sits in the tail, on the next line
-                raise CsvParseError(
-                    line_no + 1, f"not UTF-8: byte 0x{bad.object[bad.start]:02x} ({bad.reason})"
+                row = PsychroRow(
+                    float(t_s),
+                    timestamp,
+                    int(dry_code),
+                    float(dry_temp),
+                    int(wet_code),
+                    float(wet_temp),
+                    float(rh) if rh else None,
+                    float(dew) if dew else None,
                 )
-            if not data:
-                break
+            # InvalidInputError is a ValueError too, so it is caught first
+            except InvalidInputError as exc:
+                raise CsvParseError(line_no, str(exc)) from None
+            except ValueError:
+                raise _bad_number(cells, line_no) from None
+            t = row.t_s
+            if last_t is not None and t <= last_t:
+                raise CsvParseError(line_no, f"t_s not increasing: {t} after {last_t}")
+            last_t = t
+            sink(row)
     if not header_seen:
-        raise CsvParseError(max(meta_line_no, 1), "missing header line")
+        raise CsvParseError(max(comment_line_no, 1), "missing header line")
 
     rate_text = meta_values.get("sample_rate_hz", "0")
-    _require_plain(rate_text, meta_line_no, "sample_rate_hz")
+    rate_line = meta_lines.get("sample_rate_hz", 0)
+    _require_plain(rate_text, rate_line, "sample_rate_hz")
     try:
         return RunMeta(
             run_id=meta_values.get("run_id", ""),
             start=meta_values.get("start", ""),
-            sample_rate_hz=_parse_float(rate_text, meta_line_no, "sample_rate_hz"),
-            channels=_parse_channels(meta_values.get("channels", ""), meta_line_no),
+            sample_rate_hz=_parse_float(rate_text, rate_line, "sample_rate_hz"),
+            channels=_parse_channels(meta_values.get("channels", ""), meta_lines.get("channels", 0)),
             config_fingerprint=meta_values.get("config", ""),
         )
-    except InvalidInputError as exc:
-        raise CsvParseError(meta_line_no, str(exc)) from None
+    except InvalidInputError as exc:  # a rate that is not finite
+        raise CsvParseError(rate_line, str(exc)) from None
 
 
 def read_csv(path) -> RunLog:

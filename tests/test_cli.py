@@ -460,6 +460,12 @@ class TestSummarize:
         assert main(["summarize", "--input", str(path)]) == 5
         assert capsys.readouterr().err == "error: line 3: not UTF-8: byte 0xff (invalid start byte)\n"
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs Linux's /proc")
+    def test_a_log_that_opens_but_cannot_be_read_exits_5(self, capsys):
+        # /proc/self/mem opens, and reading it from offset 0 fails with EIO
+        assert main(["summarize", "--input", "/proc/self/mem"]) == 5
+        assert capsys.readouterr().err == "error: line 0: cannot read input: /proc/self/mem: [Errno 5] Input/output error\n"
+
     def test_the_table_is_the_one_simulate_printed(self, tmp_path, capsys):
         out = tmp_path / "sine.csv"
         # wet above dry for part of the run, so some rows have no humidity

@@ -13,21 +13,22 @@ from pathlib import Path
 
 import pytest
 
-from paraloq import build_port, run_acquisition, write_csv
+from paraloq import build_port, logstore, read_csv, run_acquisition, write_csv
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 GOLDEN = json.loads((PERFBENCH / "golden.json").read_text(encoding="utf-8"))
 
 
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
 
-workloads = _load_workloads()
+workloads = _load_perfbench("workloads")
+spans = _load_perfbench("spans")
 
 
 @pytest.fixture(scope="module")
@@ -75,3 +76,15 @@ def test_seed_0_workload_charts_are_byte_identical(acquired, name):
     ascii_text, svg_text, _ = workloads.render_charts(*workloads.plot_series(acquired(name)[0]))
     assert workloads.sha256_text(ascii_text) == GOLDEN[name]["ascii_sha256"]
     assert workloads.sha256_text(svg_text) == GOLDEN[name]["svg_sha256"]
+
+
+def test_a_traced_pass_reads_a_log_through_its_flush_counting_open(tmp_path, monkeypatch, acquired):
+    # a traced pass puts perfbench's counting open in place of logstore.open; its
+    # files forward attribute lookups but not iteration, and reading flushes nothing
+    run = acquired("steady")[0]
+    path = tmp_path / "run.csv"
+    write_csv(run, path)
+    counter = spans.Counter()
+    monkeypatch.setattr(logstore, "open", counter.counting_open(), raising=False)
+    assert read_csv(path) == run
+    assert counter.counts == {"flush": 0}

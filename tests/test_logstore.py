@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 import struct
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -115,6 +116,10 @@ class TestWrite:
             writer.write_row(make_row(0))
         with pytest.raises(StorageError, match="No space left"):
             writer.close()
+
+
+# a log's first three lines: a comment, the header and the row at t_s 0.0
+_LOG_START = b"# run_id = x\r\n" + HEADER.encode() + b"\r\n0.0,t,102,20.0,92,18.0,,\r\n"
 
 
 class TestRead:
@@ -230,11 +235,14 @@ class TestRead:
 
     def test_python_literal_syntax_in_metadata_rejected(self, tmp_path):
         path = tmp_path / "literal_meta.csv"
-        for meta, field in [
-            ("sample_rate_hz = 2_0", "sample_rate_hz"),
-            ("channels = dry= 0", "channel index"),
+        for text, field in [
+            ("# sample_rate_hz = 2_0\n" + HEADER + "\n", "sample_rate_hz"),
+            ("# channels = dry= 0\n" + HEADER + "\n", "channel index"),
+            # the error names the key's own line, not the last comment line
+            ("# channels = dry=0,wet=x\n# note\n" + HEADER + "\n", "bad channel index 'x'"),
+            ("# sample_rate_hz = 2_0\n" + HEADER + "\n0.0,t,102,20.0,92,18.0,,\n# aborted = tick 1: x\n", "sample_rate_hz"),
         ]:
-            path.write_text(f"# {meta}\n" + HEADER + "\n", encoding="utf-8")
+            path.write_text(text, encoding="utf-8")
             with pytest.raises(CsvParseError, match=field) as err:
                 read_csv(path)
             assert err.value.line_no == 1
@@ -257,12 +265,25 @@ class TestRead:
             read_csv(path)
         assert err.value.line_no == 3
 
-    def test_non_finite_sample_rate_is_a_parse_error(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text, line_no",
+        [
+            ("# sample_rate_hz = nan\n" + HEADER + "\n", 1),
+            # an aborted run's trailer is the last comment line; the error names the rate's
+            (
+                "# run_id = x\r\n# sample_rate_hz = nan\r\n" + HEADER + "\r\n0.0,t,102,20.0,92,18.0,,\r\n"
+                "0.5,t,102,20.0,92,18.0,,\r\n# aborted = tick 1: interrupted\r\n",
+                2,
+            ),
+        ],
+        ids=["alone", "before-a-trailer"],
+    )
+    def test_non_finite_sample_rate_is_a_parse_error(self, tmp_path, text, line_no):
         path = tmp_path / "rate.csv"
-        path.write_text("# sample_rate_hz = nan\n" + HEADER + "\n", encoding="utf-8")
+        path.write_bytes(text.encode())
         with pytest.raises(CsvParseError, match="sample_rate_hz must be finite") as err:
             read_csv(path)
-        assert err.value.line_no == 1
+        assert err.value.line_no == line_no
 
     def test_non_increasing_time_rejected(self, tmp_path):
         path = tmp_path / "time.csv"
@@ -307,23 +328,38 @@ class TestRead:
     @pytest.mark.parametrize(
         "data, line_no, message",
         [
-            (b"0.5,t\xff,102,20.0,92,18.0,,\n", 4, "byte 0xff (invalid start byte)"),
-            (b"0.5,t\xe2\x82,102,20.0,92,18.0,,\n", 4, "byte 0xe2 (invalid continuation byte)"),
-            (b"# note \xc0\xaf\n", 4, "byte 0xc0 (invalid start byte)"),
-            (b"0.5,t,102,20.0,92,18.0,,\n\n0.0,t\xc3", 6, "byte 0xc3 (unexpected end of data)"),
+            (_LOG_START + b"0.5,t\xff,102,20.0,92,18.0,,\n", 4, "byte 0xff (invalid start byte)"),
+            (_LOG_START + b"0.5,t\xe2\x82,102,20.0,92,18.0,,\n", 4, "byte 0xe2 (invalid continuation byte)"),
+            (_LOG_START + b"# note \xc0\xaf\n", 4, "byte 0xc0 (invalid start byte)"),
+            (_LOG_START + b"0.5,t,102,20.0,92,18.0,,\n\n0.0,t\xc3", 6, "byte 0xc3 (unexpected end of data)"),
+            # a UTF-16 surrogate encoded as UTF-8, which UTF-8 forbids
+            (_LOG_START + b"0.5,t\xed\xb2\x80,102,20.0,92,18.0,,\n", 4, "byte 0xed (invalid continuation byte)"),
+            # a sequence cut by the CR of a CRLF: the CR is not a continuation byte
+            (_LOG_START + b"0.0,t\xc3\r\n", 4, "byte 0xc3 (invalid continuation byte)"),
+            (b"# run_id = x\r\nt_s,\xfftimestamp\r\n", 2, "byte 0xff (invalid start byte)"),
+            (codecs.BOM_UTF8 + b"\xff" + HEADER.encode() + b"\r\n", 1, "byte 0xff (invalid start byte)"),
         ],
-        ids=["invalid-start", "cut-sequence", "in-a-comment", "cut-at-end"],
+        ids=[
+            "invalid-start",
+            "cut-sequence",
+            "in-a-comment",
+            "cut-at-end",
+            "encoded-surrogate",
+            "cut-by-crlf",
+            "in-the-header",
+            "after-a-bom",
+        ],
     )
     def test_a_byte_that_is_not_utf8_names_its_line(self, tmp_path, data, line_no, message):
         # the whole file was decoded at once, and a bad byte raised a bare UnicodeDecodeError
         path = tmp_path / "latin1.csv"
-        path.write_bytes(b"# run_id = x\r\n" + HEADER.encode() + b"\r\n0.0,t,102,20.0,92,18.0,,\r\n" + data)
+        path.write_bytes(data)
         rows = []
         with pytest.raises(CsvParseError) as err:
             read_rows(path, rows.append)
         assert err.value.line_no == line_no
         assert str(err.value) == f"line {line_no}: not UTF-8: {message}"
-        assert [row.t_s for row in rows] == [0.0, 0.5][: line_no - 3]  # every row before that line
+        assert [row.t_s for row in rows] == [0.0, 0.5][: max(line_no - 3, 0)]  # every row before that line
 
     def test_a_byte_that_is_not_utf8_after_a_bom_names_its_line(self, tmp_path):
         # the BOM a spreadsheet writes is skipped, and counts as no line
@@ -333,6 +369,35 @@ class TestRead:
         with pytest.raises(CsvParseError, match=r"^line 3: not UTF-8: byte 0xff \(invalid start byte\)$"):
             read_rows(path, rows.append)
         assert [row.t_s for row in rows] == [0.0]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs Linux's /proc")
+    def test_a_file_that_opens_but_cannot_be_read_is_a_parse_error(self):
+        # /proc/self/mem opens, and reading it from offset 0 fails with EIO
+        with pytest.raises(CsvParseError) as err:
+            read_rows("/proc/self/mem", [].append)
+        assert err.value.line_no == 0
+        assert str(err.value) == "line 0: cannot read input: /proc/self/mem: [Errno 5] Input/output error"
+
+    def test_only_a_row_holding_a_mark_is_checked_field_by_field(self, tmp_path, monkeypatch):
+        # an aborted run's trailer holds spaces and '_', and once sent every row around it to the check
+        rows = [make_row(k) for k in range(50)]
+        rows[9] = rows[9]._replace(timestamp="2026-08-10 12:00:09.000")
+        path = tmp_path / "aborted.csv"
+        with CsvWriter(path, META) as writer:
+            for row in rows:
+                writer.write_row(row)
+            writer.comment("aborted = tick 50: interrupted")
+        checked = []
+        require_plain = logstore._require_plain
+
+        def counted(text, line_no, name):
+            checked.append((line_no, name))
+            require_plain(text, line_no, name)
+
+        monkeypatch.setattr(logstore, "_require_plain", counted)
+        assert read_csv(path) == RunLog(meta=META, rows=rows)
+        # row 10 is on line 16; the metadata's rate and channel indexes are checked under their own names
+        assert {line_no for line_no, name in checked if name in PsychroRow._fields} == {16}
 
     @pytest.mark.parametrize("eol", ["\n", "\r\n"])
     def test_lf_and_crlf_files_read_alike(self, tmp_path, eol):
@@ -389,9 +454,10 @@ def test_round_trip_property(run, tmp_path_factory):
 
 # -- block seams ---------------------------------------------------------------
 
-# a log is read logstore._BLOCK_BYTES at a time; these sizes put a seam inside
-# every CRLF, every multi-byte character and every field of a small log
-SEAM_BLOCK_SIZES = (1, 2, 7, logstore._BLOCK_BYTES)
+# the text reader read_rows opens decodes a log _CHUNK_SIZE bytes at a time
+# (8192 by default); these sizes put a seam inside every CRLF, every
+# multi-byte character and every field of a small log
+SEAM_BLOCK_SIZES = (1, 2, 7, 8192)
 
 
 def _read_at_every_block_size(path) -> list:
@@ -399,13 +465,21 @@ def _read_at_every_block_size(path) -> list:
     the sink, then the RunMeta or the CsvParseError's line and message."""
     outcomes = []
     for size in SEAM_BLOCK_SIZES:
-        rows = []
+
+        def open_in_chunks(*args, size=size, **kwargs):
+            fh = open(*args, **kwargs)
+            fh._CHUNK_SIZE = size
+            opened.append(fh)
+            return fh
+
+        rows, opened = [], []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(logstore, "_BLOCK_BYTES", size)
+            mp.setattr(logstore, "open", open_in_chunks, raising=False)
             try:
                 end = read_rows(path, rows.append)
             except CsvParseError as exc:
                 end = (exc.line_no, str(exc))
+        assert len(opened) == 1  # read_rows read through the patched open
         outcomes.append((rows, end))
     return outcomes
 
@@ -417,7 +491,7 @@ def _assert_seams_change_nothing(path):
 
 
 # a timestamp may hold any text but ',', CR and LF: non-ASCII (multi-byte
-# UTF-8), '_' and spaces included, which send a block's rows to the per-field check
+# UTF-8), '_' and spaces included, which send its row to the per-field check
 stamps = st.text(
     alphabet=st.characters(blacklist_characters=",\r\n", blacklist_categories=("Cs",)), max_size=4
 )
@@ -459,7 +533,7 @@ ROWS = [_format_row(make_row(k)) for k in range(3)]
     [
         # write_csv's own log: a seam falls inside each CRLF and inside the header
         "\r\n".join(["# run_id = x", "# sample_rate_hz = 2.000000", HEADER, *ROWS, ""]),
-        # an aborted run's trailer, whose spaces and '_' send its block to the per-field check
+        # an aborted run's trailer, whose spaces and '_' are no row's
         "\r\n".join([HEADER, *ROWS, "# aborted = tick 3: interrupted", ""]),
         # a literal mark carried over in an unfinished last line
         "\r\n".join([HEADER, ROWS[0], ROWS[1].replace(",102,", ",1_02,"), ""]),
