@@ -534,6 +534,27 @@ def test_a_run_is_its_straight_line_reference(rate, duration, dry, wet, substeps
     assert rows == reference_rows(cfg)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    rate=st.floats(min_value=0.5, max_value=50.0),
+    duration=st.floats(min_value=0.0, max_value=20.0),
+    dry=STIMULI,
+    wet=STIMULI,
+)
+def test_a_log_replayed_at_its_own_rate_gives_back_its_codes(rate, duration, dry, wet, tmp_path_factory):
+    # no noise and no filter: each tick's code is the quantized stimulus, and
+    # the replay holds the logged (decoded, 6-decimal) temperature of that tick
+    cfg = constant_run_config(duration_s=duration, sample_rate_hz=rate, stimuli={Channel.DRY: dry, Channel.WET: wet})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UndersamplingWarning)
+        original = run_acquisition(cfg)
+    path = tmp_path_factory.mktemp("replay") / "source.csv"
+    write_csv(original, path)
+    stimuli = {Channel.DRY: Replay(str(path), column="dry_temp_c"), Channel.WET: Replay(str(path), column="wet_temp_c")}
+    replayed = run_acquisition(constant_run_config(duration_s=duration, sample_rate_hz=rate, stimuli=stimuli))
+    assert [(r.dry_code, r.wet_code) for r in replayed.rows] == [(r.dry_code, r.wet_code) for r in original.rows]
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     start=st.datetimes(min_value=datetime(1990, 1, 1), max_value=datetime(2100, 1, 1)),

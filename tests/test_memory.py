@@ -2,6 +2,7 @@
 
 read_csv used to hold the whole file text and then a list of every line beside
 the rows it built, and `summarize`, `simulate` and `plot` each kept every row.
+svg_chart used to format one string per sample and join them all.
 """
 
 import tracemalloc
@@ -9,7 +10,8 @@ import tracemalloc
 import pytest
 
 from paraloq import cli
-from paraloq.logstore import PsychroRow, RunLog, RunMeta, read_csv, write_csv
+from paraloq.logstore import PsychroRow, RunLog, RunMeta, read_csv, read_series, write_csv
+from paraloq.plotting import svg_chart
 
 START = "2026-08-10T12:00:00"
 META = RunMeta(run_id="x", start=START + ".000", sample_rate_hz=2.0, channels={"dry": 0, "wet": 1})
@@ -74,3 +76,13 @@ def test_simulate_keeps_columns_not_rows(reads, tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().out.startswith(f"wrote {out}: 20000 ticks, ")
     assert peak < reads[20000][0] / 4
+
+
+def test_svg_chart_peaks_below_three_times_its_text(logs):
+    # a string per sample and the list joining them peaked at 6.1 times the
+    # chart; formatted in blocks and copied once into the chart, 2.0 times
+    t_values, values = read_series(logs[20000], "dry_temp_c")  # the arrays `plot` hands it
+    svg_chart(t_values, values, "dry_temp_c")  # first-call allocations are not the chart's
+    svg, _, peak = _traced(lambda: svg_chart(t_values, values, "dry_temp_c"))
+    assert len(values) == 20000
+    assert peak < 3 * len(svg), peak / len(svg)

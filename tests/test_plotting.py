@@ -1,11 +1,13 @@
 import xml.etree.ElementTree as ET
+from array import array
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paraloq.errors import EmptyRunError, InvalidInputError
-from paraloq.plotting import ASCII_COLS, ASCII_ROWS, ascii_chart, svg_chart
+from paraloq.plotting import _BLOCK, ASCII_COLS, ASCII_ROWS, ascii_chart, svg_chart
 
 
 class TestAsciiChart:
@@ -140,6 +142,32 @@ def series(draw):
 @given(series())
 def test_svg_points_match_the_per_point_formula(drawn):
     t_values, values = drawn
+    root = ET.fromstring(svg_chart(t_values, values, "x"))
+    (polyline,) = root.iter("{http://www.w3.org/2000/svg}polyline")
+    assert polyline.get("points") == _points_oracle(t_values, values)
+
+
+def _seam_series(n, shape):
+    """n seeded samples: sorted float t and float values, bar the one named shape."""
+    rng = Random(n)
+    t_values = sorted(rng.uniform(-1e3, 1e6) for _ in range(n))
+    values = [rng.uniform(-40.0, 120.0) for _ in range(n)]
+    if shape == "constant t":
+        t_values = [t_values[0]] * n
+    elif shape == "constant values":
+        values = [values[0]] * n
+    elif shape == "int values":
+        values = [rng.randrange(-(10**6), 10**6) for _ in range(n)]
+    return t_values, values
+
+
+@pytest.mark.parametrize("form", [list, lambda xs: array("d", xs)], ids=["list", "array"])
+@pytest.mark.parametrize("shape", ["sorted t", "constant t", "constant values", "int values"])
+@pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 2 * _BLOCK + 1, 7201])
+def test_svg_points_across_block_seams(n, shape, form):
+    # the property above draws at most 200 samples, fewer than one block
+    t_values, values = _seam_series(n, shape)
+    t_values, values = form(t_values), form(values)
     root = ET.fromstring(svg_chart(t_values, values, "x"))
     (polyline,) = root.iter("{http://www.w3.org/2000/svg}polyline")
     assert polyline.get("points") == _points_oracle(t_values, values)
