@@ -4,11 +4,13 @@ Exit codes:
     0  success
     2  invalid flags or config
     3  device timeout during acquisition (the log keeps its k rows and ends
-       in `# aborted = tick <k>: <reason>`; so does an interrupted one)
+       in `# aborted = tick <k>: <reason>`; so does an interrupted or
+       terminated one)
     4  storage (output write) failure
     5  input log unreadable, malformed or empty
     130  interrupted (Ctrl-C)
     141  standard output closed by its reader (`| head`)
+    143  terminated (SIGTERM, as `kill` sends it)
 
 Defaults can come from a `key = value` config file with [section] headers
 (sections: run, chain, clock, psychro). Precedence is flags > file >
@@ -22,6 +24,7 @@ import argparse
 import configparser
 import dataclasses
 import os
+import signal
 import sys
 from datetime import datetime
 
@@ -49,6 +52,16 @@ EXIT_STORAGE = 4
 EXIT_PARSE = 5
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a process Ctrl-C ended
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer its reader left
+EXIT_TERMINATED = 143  # 128 + SIGTERM, as a shell reports a process `kill` ended
+
+
+class Terminated(KeyboardInterrupt):
+    """SIGTERM during `simulate`, which ends the run as Ctrl-C does."""
+
+
+def _terminate(signum, frame):
+    raise Terminated("terminated")
+
 
 # error type -> exit code, first match wins; any other ParaloqError is a usage error
 _EXIT_CODES = (
@@ -191,13 +204,17 @@ def cmd_simulate(args) -> int:
     cfg.stimuli.update(stimuli)  # a channel without a flag keeps its default stimulus
 
     summary = acquisition.RunSummary()  # the run's rows go to the file; the summary keeps columns
-    with logstore.CsvWriter(args.out, acquisition.run_meta(cfg)) as writer:
-        try:
-            acquisition.acquire_rows(cfg, (writer.write_row, summary))
-        except (DeviceTimeoutError, KeyboardInterrupt) as exc:
-            writer.comment(f"aborted = tick {writer.rows}: {str(exc) or 'interrupted'}")  # Ctrl-C has no text
-            print(f"kept {writer.rows} rows in {args.out}", file=sys.stderr)
-            raise
+    previous = signal.signal(signal.SIGTERM, _terminate)
+    try:
+        with logstore.CsvWriter(args.out, acquisition.run_meta(cfg)) as writer:
+            try:
+                acquisition.acquire_rows(cfg, (writer.write_row, summary))
+            except (DeviceTimeoutError, KeyboardInterrupt) as exc:
+                writer.comment(f"aborted = tick {writer.rows}: {str(exc) or 'interrupted'}")  # Ctrl-C has no text
+                print(f"kept {writer.rows} rows in {args.out}", file=sys.stderr)
+                raise
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     n_rows = len(summary)
     print(f"wrote {args.out}: {n_rows} ticks, {2 * n_rows} samples, rate {cfg.sample_rate_hz:g} S/s")
     _print_table(summary.stats(), summary.humidity())
@@ -228,7 +245,8 @@ def cmd_plot(args) -> int:
     else:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(body + "\n")
+                fh.write(body)  # not body + "\n", which copies the chart once more
+                fh.write("\n")
         except OSError as exc:
             raise StorageError(args.out, str(exc)) from exc
     return EXIT_OK
@@ -299,6 +317,8 @@ def main(argv=None) -> int:
     except ParaloqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next((code for types, code in _EXIT_CODES if isinstance(exc, types)), EXIT_USAGE)
+    except Terminated:
+        return EXIT_TERMINATED
     except KeyboardInterrupt:
         return EXIT_INTERRUPTED
     except BrokenPipeError:  # log and --out writes raise StorageError, so this is stdout

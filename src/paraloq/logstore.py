@@ -23,11 +23,12 @@ never contain commas (the constructor rejects a timestamp holding one, or a
 CR or LF), so no quoting is ever needed and the files open directly in any
 spreadsheet application.
 
-Rows stream both ways: CsvWriter writes one row at a time, and read_rows
-reads a log a line at a time through the standard text reader and hands
-each row to a sink as it is parsed, so neither holds a whole log. read_csv
-is read_rows with a sink that collects the rows into a RunLog, and
-read_series one that keeps t_s and one other column.
+Rows stream both ways: CsvWriter writes one row at a time, each in one
+unbuffered write, and read_rows reads a log a line at a time through the
+standard text reader and hands each row to a sink as it is parsed, so
+neither holds a whole log. read_csv is read_rows with a sink that
+collects the rows into a RunLog, and read_series one that keeps t_s and one
+other column.
 """
 
 from __future__ import annotations
@@ -188,9 +189,12 @@ def _format_row(row: PsychroRow) -> str:
 class CsvWriter:
     """Streaming writer: metadata and header up front, then row by row.
 
-    Flushes after every row so a crash loses at most the in-flight row, and
-    counts the rows written in `rows`. Single-owner, append-only while a run is live.
-    A write, flush or close that fails (a full disk included) raises StorageError.
+    The file is unbuffered: the header lines, each row and each comment line
+    go to the OS as one write of their bytes, so a killed run leaves only
+    whole lines. The flush after the header and after each row marks where a
+    line is on disk; a crash loses at most the in-flight row. `rows` counts
+    the rows written. Single-owner, append-only while a run is live. A write,
+    flush or close that fails (a full disk included) raises StorageError.
     """
 
     def __init__(self, path, meta: RunMeta):
@@ -198,35 +202,47 @@ class CsvWriter:
         self.rows = 0
         self._last_t = None
         try:
-            self._fh = open(path, "w", encoding="utf-8", newline="")
+            self._fh = open(path, "wb", buffering=0)
         except OSError as exc:
             raise StorageError(path, str(exc)) from exc
         channels = ",".join(f"{name}={idx}" for name, idx in meta.channels.items())
+        lines = (
+            f"# run_id = {meta.run_id}\r\n"
+            f"# start = {meta.start}\r\n"
+            f"# sample_rate_hz = {meta.sample_rate_hz:.6f}\r\n"
+            f"# channels = {channels}\r\n"
+            f"# config = {meta.config_fingerprint}\r\n"
+            f"{HEADER}\r\n"
+        )
         try:
-            for line in (
-                f"# run_id = {meta.run_id}",
-                f"# start = {meta.start}",
-                f"# sample_rate_hz = {meta.sample_rate_hz:.6f}",
-                f"# channels = {channels}",
-                f"# config = {meta.config_fingerprint}",
-                HEADER,
-            ):
-                self._fh.write(line + "\r\n")
-            self._fh.flush()  # a full disk shows here, where the lines reach the file
+            self._write_all(lines.encode("utf-8"))
+            self._fh.flush()
         except OSError as exc:
             with contextlib.suppress(OSError):
-                self._fh.close()  # the file is closed even when this flush fails too
+                self._fh.close()  # the write's error is the one reported
             raise StorageError(path, str(exc)) from exc
+
+    def _write_all(self, data: bytes, written: int = 0) -> None:
+        """Write data from byte `written` on: a raw write may take only the
+        first bytes it is given, and then only the rest goes again."""
+        view = memoryview(data)
+        while written < len(data):
+            n = self._fh.write(view[written:])
+            if not n:  # a write that takes nothing would never end the line
+                raise OSError(f"write took none of {len(data) - written} bytes")
+            written += n
 
     def write_row(self, row: PsychroRow) -> None:
         t = row.t_s
         if self._last_t is not None and t <= self._last_t:
             raise InvalidInputError(f"rows must have strictly increasing t_s: {t} after {self._last_t}")
         self._last_t = t
-        line = _format_row(row) + "\r\n"
+        line = (_format_row(row) + "\r\n").encode("utf-8")
         self.rows += 1  # no call between count and write: an interrupt lands before or after both
         try:
-            self._fh.write(line)
+            written = self._fh.write(line)
+            if written != len(line):
+                self._write_all(line, written)
             self._fh.flush()
         except OSError as exc:
             raise StorageError(self.path, str(exc)) from exc
@@ -234,12 +250,12 @@ class CsvWriter:
     def comment(self, text: str) -> None:
         """Append the line `# text`, such as an aborted run's trailer; read_csv skips it."""
         try:
-            self._fh.write(f"# {text}\r\n")
+            self._write_all(f"# {text}\r\n".encode("utf-8"))
         except OSError as exc:
             raise StorageError(self.path, str(exc)) from exc
 
     def close(self) -> None:
-        """Close the file, flushing what it still buffers (a comment line)."""
+        """Close the file; every line is already written."""
         try:
             self._fh.close()
         except OSError as exc:

@@ -2,8 +2,10 @@ import hashlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from datetime import datetime
 from pathlib import Path
 
@@ -267,6 +269,33 @@ class TestStoppedRun:
         assert capsys.readouterr().err == f"kept {k} rows in {out}\n"
         assert out.read_bytes().decode("utf-8").endswith(f"\r\n# aborted = tick {k}: interrupted\r\n")
         assert len(read_csv(out).rows) == k
+
+    def test_sigterm_exits_143_and_keeps_the_first_rows_of_the_same_run(self, tmp_path):
+        # SIGTERM used to end the process at once: no trailer, and no exit code of its own
+        out = tmp_path / "day.csv"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        day = ["simulate", "--duration", "86400", "--seed", "0", "--start-time", START, "--out", str(out)]
+        sim = [sys.executable, "-m", "paraloq.cli", *day]
+        child = subprocess.Popen(sim, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env)
+        deadline = time.monotonic() + 60
+        while not (out.exists() and out.stat().st_size > 1000):  # the header and a few rows
+            assert child.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        child.send_signal(signal.SIGTERM)
+        _, err = child.communicate(timeout=60)
+        assert child.returncode == 143
+        lines = out.read_bytes().decode("utf-8").split("\r\n")
+        k = int(lines[-2].removeprefix("# aborted = tick ").partition(":")[0])
+        assert (lines[-2], lines[-1]) == (f"# aborted = tick {k}: terminated", "")
+        assert f"kept {k} rows in {out}" in err.decode("utf-8")
+        rows = read_csv(out).rows
+        cfg = RunConfig(duration_s=(k - 1) / 2.0, seed=0, start_time=datetime.fromisoformat(START))
+        assert 0 < k == len(rows) and rows == run_acquisition(cfg).rows
+
+    def test_simulate_puts_back_the_sigterm_handler_it_found(self, tmp_path):
+        before = signal.getsignal(signal.SIGTERM)
+        assert simulate(tmp_path)[0] == 0
+        assert signal.getsignal(signal.SIGTERM) is before
 
     def test_an_unwritable_out_exits_4_before_the_first_tick(self, tmp_path, monkeypatch, capsys):
         def never(*args, **kwargs):

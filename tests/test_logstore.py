@@ -1,16 +1,31 @@
 import codecs
 import copy
+import hashlib
+import json
 import math
 import pickle
 import random
 import struct
 import sys
+from datetime import datetime
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from paraloq import CsvParseError, InvalidInputError, StorageError, logstore, read_csv, write_csv
+from paraloq import (
+    Channel,
+    Constant,
+    CsvParseError,
+    InvalidInputError,
+    RunConfig,
+    StorageError,
+    logstore,
+    read_csv,
+    run_acquisition,
+    write_csv,
+)
 from paraloq.logstore import (
     HEADER,
     CsvWriter,
@@ -22,6 +37,9 @@ from paraloq.logstore import (
     fingerprint,
     read_rows,
 )
+
+# the benchmark's recorded digests: the one source of truth for golden outputs
+GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text(encoding="utf-8"))
 
 META = RunMeta(
     run_id="20260810T120000_00000001",
@@ -116,6 +134,87 @@ class TestWrite:
             writer.write_row(make_row(0))
         with pytest.raises(StorageError, match="No space left"):
             writer.close()
+
+    def test_a_write_that_takes_7_bytes_a_call_writes_the_steady_golden_log(self, tmp_path, monkeypatch):
+        # a raw write may take only the first bytes of a line; only the rest goes again
+        run = run_acquisition(
+            RunConfig(
+                duration_s=600.0,
+                stimuli={Channel.DRY: Constant(19.92858), Channel.WET: Constant(18.02167)},
+                seed=0,
+                start_time=datetime(2026, 8, 10, 12),
+            )
+        )
+        whole = tmp_path / "whole.csv"
+        write_csv(run, whole)
+        assert hashlib.sha256(whole.read_bytes()).hexdigest() == GOLDEN["steady"]["csv_sha256"]
+        writes = []
+
+        class Trickle:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, data):
+                writes.append(len(data))
+                return self.fh.write(data[:7])
+
+            def flush(self):
+                self.fh.flush()
+
+            def close(self):
+                self.fh.close()
+
+        monkeypatch.setattr(logstore, "open", lambda *args, **kwargs: Trickle(open(*args, **kwargs)), raising=False)
+        trickled = tmp_path / "trickled.csv"
+        write_csv(run, trickled)
+        assert trickled.read_bytes() == whole.read_bytes()
+        # every byte went through the 7-byte writes
+        assert sum(min(n, 7) for n in writes) == len(whole.read_bytes())
+
+    def test_a_full_disk_on_the_third_row_keeps_the_header_and_two_whole_rows(self, tmp_path):
+        class FullOnThirdRow:
+            def __init__(self, fh):
+                self.fh = fh
+                self.rows = 0
+
+            def write(self, data):
+                self.rows += 1
+                if self.rows == 3:
+                    raise OSError(28, "No space left on device")
+                return self.fh.write(data)
+
+            def flush(self):
+                self.fh.flush()
+
+            def close(self):
+                self.fh.close()
+
+        path, two = tmp_path / "full.csv", tmp_path / "two.csv"
+        writer = CsvWriter(path, META)
+        writer._fh = FullOnThirdRow(writer._fh)
+        writer.write_row(make_row(0))
+        writer.write_row(make_row(1))
+        with pytest.raises(StorageError, match="No space left"):
+            writer.write_row(make_row(2))
+        writer.close()
+        write_csv(RunLog(meta=META, rows=[make_row(0), make_row(1)]), two)
+        assert path.read_bytes() == two.read_bytes()
+
+    def test_a_write_that_takes_nothing_is_a_storage_error(self, tmp_path):
+        path = tmp_path / "stuck.csv"
+        writer = CsvWriter(path, META)
+        writer._fh.write = lambda data: 0
+        with pytest.raises(StorageError, match="write took none of"):
+            writer.write_row(make_row(0))
+        writer.close()
+
+    def test_the_aborted_trailer_is_on_disk_before_close(self, tmp_path):
+        path = tmp_path / "aborted.csv"
+        writer = CsvWriter(path, META)
+        writer.write_row(make_row(0))
+        writer.comment("aborted = tick 1: interrupted")
+        assert path.read_bytes().endswith(b"12.000000\r\n# aborted = tick 1: interrupted\r\n")
+        writer.close()
 
 
 # a log's first three lines: a comment, the header and the row at t_s 0.0
