@@ -195,7 +195,7 @@ def cmd_simulate(args) -> int:
 
     cfg = RunConfig(
         clock=clock,
-        chains={Channel.DRY: chain, Channel.WET: chain},
+        chain=chain,
         adc=AdcConfig(vref=chain.vref),  # the converter reference the chain is scaled to
         psychro=psychro.PsychroConfig(**config["psychro"]),
         start_time=start_time,

@@ -245,6 +245,7 @@ class CsvWriter:
                 self._write_all(line, written)
             self._fh.flush()
         except OSError as exc:
+            self.rows -= 1  # the row is not whole on disk
             raise StorageError(self.path, str(exc)) from exc
 
     def comment(self, text: str) -> None:

@@ -388,7 +388,7 @@ class TestFilterPath:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        cutoffs=st.tuples(*[st.floats(min_value=1e-3, max_value=1e3)] * 2),
+        cutoff=st.floats(min_value=1e-3, max_value=1e3),
         clamp=st.floats(min_value=0.5, max_value=5.0),
         substeps=st.integers(min_value=1, max_value=64),
         rate=st.floats(min_value=0.1, max_value=1000.0),
@@ -405,14 +405,11 @@ class TestFilterPath:
         ),
     )
     def test_lanes_match_a_per_step_alpha_reference(
-        self, cutoffs, clamp, substeps, rate, ticks, sines
+        self, cutoff, clamp, substeps, rate, ticks, sines
     ):
         # the run computes alpha once per lane; the reference recomputes RC and
         # alpha every substep, as the filter did before, at the same substep times
-        chains = {
-            ch: ChainConfig(filter_cutoff_hz=fc, clamp_volts=clamp)
-            for ch, fc in zip(Channel, cutoffs)
-        }
+        chain = ChainConfig(filter_cutoff_hz=cutoff, clamp_volts=clamp)
         stimuli = {
             ch: Sine(amplitude_c=amp, freq_hz=f * rate, offset_c=off)
             for ch, (amp, f, off) in zip(Channel, sines)
@@ -420,7 +417,7 @@ class TestFilterPath:
         cfg = constant_run_config(
             duration_s=(ticks - 1) / rate,
             sample_rate_hz=rate,
-            chains=chains,
+            chain=chain,
             stimuli=stimuli,
             filter_substeps=substeps,
         )
@@ -436,7 +433,7 @@ class TestFilterPath:
         run_acquisition(cfg, port=port)
 
         for ch in Channel:
-            chain, stimulus = chains[ch], stimuli[ch]
+            stimulus = stimuli[ch]
             dt = 1.0 / (rate * substeps)
             state = chain_voltage(stimulus.temp_at(0.0), chain)
             t_prev = 0.0
@@ -458,21 +455,22 @@ class TestFilterPath:
 def reference_rows(cfg):
     """The rows of a run of cfg, computed in a straight line and without the
     port. For each tick t = k / rate, DRY then WET: the stimulus through the
-    chain, the RC recurrence over the substeps with alpha recomputed from RC,
-    the ideal quantizer plus one seeded gauss per conversion (σ > 0 only)
-    clamped to 0..255, the decode, and humidity unless a code sits on a rail
-    or the pair is non-physical."""
+    shared chain, the RC recurrence over the substeps with alpha recomputed
+    from RC, the ideal quantizer plus one seeded gauss per conversion (σ > 0
+    only) clamped to 0..255, the decode, and humidity unless a code sits on a
+    rail or the pair is non-physical."""
     rate, substeps, sigma = cfg.sample_rate_hz, cfg.filter_substeps, cfg.adc.noise_sigma_lsb
     noise = Random(cfg.seed)
     dt = 1.0 / (rate * substeps) if substeps else 0.0
+    chain = cfg.chain  # both lanes' front end
     # each lane's voltage; a filter starts settled at the tick-0 level
-    volts = {ch: chain_voltage(cfg.stimuli[ch].temp_at(0.0), cfg.chains[ch]) for ch in Channel}
+    volts = {ch: chain_voltage(cfg.stimuli[ch].temp_at(0.0), chain) for ch in Channel}
     rows = []
     for k in range(math.floor(cfg.duration_s * rate) + 1):
         t = k / rate
         codes = []
         for ch in (Channel.DRY, Channel.WET):
-            chain, temp_at = cfg.chains[ch], cfg.stimuli[ch].temp_at
+            temp_at = cfg.stimuli[ch].temp_at
             if not substeps:
                 volts[ch] = chain_voltage(temp_at(t), chain)
             elif k:  # the filter runs on from the last tick; tick 0 reads the settled level
@@ -515,14 +513,17 @@ STIMULI = st.one_of(
     duration=st.floats(min_value=0.0, max_value=20.0),
     dry=STIMULI,
     wet=STIMULI,
+    cutoff=st.floats(min_value=1e-3, max_value=1e3),
+    clamp=st.floats(min_value=0.5, max_value=5.0),  # below 5 V the clamp clips codes
     substeps=st.sampled_from([0, 1, 3, 32]),
     sigma=st.sampled_from([0.0, 0.5, 2.0]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_a_run_is_its_straight_line_reference(rate, duration, dry, wet, substeps, sigma, seed):
+def test_a_run_is_its_straight_line_reference(rate, duration, dry, wet, cutoff, clamp, substeps, sigma, seed):
     cfg = constant_run_config(
         duration_s=duration,
         sample_rate_hz=rate,
+        chain=ChainConfig(filter_cutoff_hz=cutoff, clamp_volts=clamp),
         stimuli={Channel.DRY: dry, Channel.WET: wet},
         adc=AdcConfig(noise_sigma_lsb=sigma),
         filter_substeps=substeps,
@@ -640,10 +641,9 @@ class TestConfigValidation:
 
     def test_chain_and_adc_share_the_reference(self):
         chain = ChainConfig(sensor_slope=0.0066, clamp_volts=3.3, vref=3.3)
-        chains = {Channel.DRY: chain, Channel.WET: chain}
         with pytest.raises(InvalidInputError, match="vref"):
-            RunConfig(duration_s=1.0, chains=chains)
-        RunConfig(duration_s=1.0, chains=chains, adc=AdcConfig(vref=3.3))
+            RunConfig(duration_s=1.0, chain=chain)
+        RunConfig(duration_s=1.0, chain=chain, adc=AdcConfig(vref=3.3))
 
     def test_filter_substeps_are_bounded_before_any_tick(self, monkeypatch):
         from paraloq import acquisition
@@ -667,7 +667,7 @@ class TestConfigValidation:
         # decode_temp assumes vref at 50 degC; this half-gain chain logged 25 degC as 12.5
         chain = ChainConfig(amp_gain=5.0, allow_misaligned=True)
         with pytest.raises(InvalidInputError, match="full scale"):
-            RunConfig(duration_s=1.0, chains={Channel.DRY: chain, Channel.WET: chain})
+            RunConfig(duration_s=1.0, chain=chain)
 
     def test_missing_stimulus(self):
         with pytest.raises(InvalidInputError):

@@ -576,6 +576,33 @@ class TestConfigFile:
             assert abs(row.dry_temp_c - 25.0) <= 50 / 255
             assert abs(row.wet_temp_c - 20.0) <= 50 / 255
 
+    def test_a_chain_other_than_the_default_writes_its_pinned_log(self, tmp_path, monkeypatch):
+        # both channels run through the one [chain]; line 5 hashes it once per
+        # channel, and the whole file is pinned with it
+        monkeypatch.delenv("PARALOQ_CONFIG", raising=False)
+        cfg = tmp_path / "chain.ini"
+        cfg.write_text("[chain]\nclamp_volts = 4.5\nfilter_cutoff_hz = 0.2\n", encoding="utf-8")
+        out = tmp_path / "chain.csv"
+        code = main(
+            [
+                "--config", str(cfg),
+                "simulate",
+                "--duration", "30",
+                "--dry-stimulus", "sine:amp=20,freq=0.05,offset=30",
+                "--wet-temp", "18",
+                "--filter-substeps", "8",
+                "--seed", "0",
+                "--start-time", START,
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        data = out.read_bytes()
+        assert data.splitlines()[4] == b"# config = ceff1aa2aa4c"
+        assert hashlib.sha256(data).hexdigest() == "e1917b0d3fe0808ab60d901b4ef165e28afa9c86f906dced2a5e624062ae9e8c"
+        # the sine's 50 degC peak reads no higher than the 4.5 V clamp's code, 230
+        assert max(row.dry_temp_c for row in read_csv(out).rows) == 45.098039
+
     def test_non_finite_magnus_constant_exits_2(self, tmp_path, capsys):
         # printed dew_point_c=-inf with exit 0
         cfg = tmp_path / "inf.ini"

@@ -1,5 +1,6 @@
 import codecs
 import copy
+import functools
 import hashlib
 import json
 import math
@@ -7,6 +8,7 @@ import pickle
 import random
 import struct
 import sys
+import tempfile
 from datetime import datetime
 from pathlib import Path
 
@@ -197,6 +199,7 @@ class TestWrite:
         with pytest.raises(StorageError, match="No space left"):
             writer.write_row(make_row(2))
         writer.close()
+        assert writer.rows == 2  # the rows on disk, not the rows tried
         write_csv(RunLog(meta=META, rows=[make_row(0), make_row(1)]), two)
         assert path.read_bytes() == two.read_bytes()
 
@@ -649,6 +652,92 @@ def test_block_seams_change_nothing_on_these_logs(tmp_path, text):
     path = tmp_path / "seams.csv"
     path.write_bytes(text.encode("utf-8"))
     _assert_seams_change_nothing(path)
+
+
+@functools.cache
+def _steady_log():
+    """The bytes of the steady seed-0 log, ten minutes of the paper's constant
+    dry/wet pair (the benchmark's steady golden log), and the row each of its
+    row lines was written from. Not a fixture, so a failing example does not
+    print the whole log."""
+    stimuli = {Channel.DRY: Constant(19.92858), Channel.WET: Constant(18.02167)}
+    run = run_acquisition(RunConfig(duration_s=600.0, stimuli=stimuli, start_time=datetime(2026, 8, 10, 12)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "steady.csv"
+        write_csv(run, path)
+        data = path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == GOLDEN["steady"]["csv_sha256"]
+    return data, dict(zip((line for _, line in _row_lines(data)), run.rows))
+
+
+def _row_lines(data: bytes):
+    """(line number, line) of each line read_rows makes a row of, if it
+    parses: after the first line that is neither blank nor a comment (the
+    column header), each line that is neither."""
+    lines = data.removeprefix(codecs.BOM_UTF8).split(b"\n")
+    taken = [(n, line.removesuffix(b"\r")) for n, line in enumerate(lines, start=1)]
+    taken = [(n, line) for n, line in taken if line and not line.startswith(b"#")]
+    return taken[1:]
+
+
+def _is_utf8_comment(data: bytes, line_no: int) -> bool:
+    line = data.removeprefix(codecs.BOM_UTF8).split(b"\n")[line_no - 1]
+    try:
+        line.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return line.startswith(b"#")
+
+
+positions = st.one_of(st.integers(min_value=0, max_value=700), st.integers(min_value=0))  # the metadata, or anywhere
+inserted = st.one_of(st.binary(min_size=1, max_size=4), st.lists(st.sampled_from(b"\r\n#,.-_ 09eE\xef\xff")).map(bytes))
+mutations = st.lists(
+    st.one_of(
+        st.tuples(st.just("flip"), positions, st.integers(min_value=1, max_value=255)),
+        st.tuples(st.just("insert"), positions, inserted),
+        st.tuples(st.just("delete"), positions, st.integers(min_value=1, max_value=8)),
+        st.tuples(st.just("truncate"), positions, st.none()),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutations=mutations)
+def test_a_mutated_log_reads_to_its_error_line_and_no_further(mutations, tmp_path_factory):
+    data, written = _steady_log()
+    for kind, at, arg in mutations:
+        at %= len(data) + 1
+        if kind == "flip":
+            at = min(at, len(data) - 1)
+            data = data[:at] + bytes([data[at] ^ arg]) + data[at + 1 :]
+        elif kind == "insert":
+            data = data[:at] + arg + data[at:]
+        elif kind == "delete":
+            data = data[:at] + data[at + arg :]
+        else:
+            data = data[:at]
+        if not data:
+            break
+    path = tmp_path_factory.mktemp("mutated") / "steady.csv"
+    path.write_bytes(data)
+    rows = []
+    try:
+        read_rows(path, rows.append)  # any exception but CsvParseError fails the test
+        error_line = None
+    except CsvParseError as exc:
+        error_line = exc.line_no
+    # a comment line in UTF-8 raises nothing as it is read: its error is its
+    # metadata value's, which is checked after the last row
+    after_every_row = error_line == 0 or (error_line is not None and _is_utf8_comment(data, error_line))
+    row_lines = [
+        line for n, line in _row_lines(data) if error_line is None or after_every_row or n < error_line
+    ]
+    assert len(rows) == len(row_lines)
+    # a row line the mutations left as it was reads as the row it was written from
+    for row, line in zip(rows, row_lines):
+        assert row == written.get(line, row)
 
 
 @pytest.mark.parametrize("field", ["dry_code", "wet_code"])
