@@ -343,19 +343,20 @@ def acquire_rows(cfg: RunConfig, sinks, port: SimulatedPort | None = None) -> lo
         port = build_port(cfg)
     rate = cfg.sample_rate_hz
     start_dt = cfg.start_time
-    lanes = []  # (mux input, voltage at tick time), DRY then WET
-    for ch in Channel:
-        path = _FilteredChain(cfg.chain, cfg.stimuli[ch], cfg.filter_substeps, rate)
-        lanes.append((ch.value, path.voltage_at))
+    # each lane's voltage at tick time, DRY then WET
+    dry_at = _FilteredChain(cfg.chain, cfg.stimuli[Channel.DRY], cfg.filter_substeps, rate).voltage_at
+    wet_at = _FilteredChain(cfg.chain, cfg.stimuli[Channel.WET], cfg.filter_substeps, rate).voltage_at
+    dry_mux, wet_mux = Channel.DRY.value, Channel.WET.value
+    set_input = port.set_input
     for k in range(cfg.tick_count()):
         t = k / rate
         # timedelta(seconds=t) and isoformat(timespec=...), without the keyword parsing
         timestamp = (start_dt + timedelta(0, t)).isoformat("T", "milliseconds")
-        codes = []  # DRY then WET
-        for mux, voltage_at in lanes:
-            port.set_input(mux, voltage_at(t))
-            codes.append(acquire_byte(port, mux))
-        row = _tick_row(t, timestamp, *codes, cfg)
+        set_input(dry_mux, dry_at(t))
+        dry_code = acquire_byte(port, dry_mux)
+        set_input(wet_mux, wet_at(t))
+        wet_code = acquire_byte(port, wet_mux)
+        row = _tick_row(t, timestamp, dry_code, wet_code, cfg)
         for sink in sinks:
             sink(row)
     return run_meta(cfg)

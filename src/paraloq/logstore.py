@@ -339,6 +339,22 @@ def _parse_channels(text: str, line_no: int) -> dict:
     return channels
 
 
+def _parse_meta(key: str, text: str, line_no: int):
+    """The value of one metadata line, or a CsvParseError at that line: the
+    rate as a finite float, the channels as a name -> mux input dict, and
+    any other key's text as it is."""
+    if key == "sample_rate_hz":
+        _require_plain(text, line_no, key)
+        rate = _parse_float(text, line_no, key)
+        try:
+            return _finite6(key, rate)
+        except InvalidInputError as exc:  # a rate that is not finite
+            raise CsvParseError(line_no, str(exc)) from None
+    if key == "channels":
+        return _parse_channels(text, line_no)
+    return text
+
+
 def _lines(fh, path):
     """The lines of fh, where a failed read is a CsvParseError at line 0; an
     error raised by the caller between two lines is left as it is. They come
@@ -355,11 +371,12 @@ def read_rows(path, sink) -> RunMeta:
     and return the file's RunMeta.
 
     The file is read a line at a time and never held whole. Metadata lines
-    may be absent (hand-written files); data rows are validated for column
-    count, types and strictly increasing t_s, and a value PsychroRow or
-    RunMeta rejects (non-finite floats, codes outside 0..255, RH outside
-    0..100) is a CsvParseError too, as is a number holding '_', whitespace
-    or a non-ASCII character, and a byte that is not UTF-8. A leading BOM is
+    may be absent (hand-written files), and each value is checked as its
+    line is read; data rows are validated for column count, types and
+    strictly increasing t_s, and a value PsychroRow or RunMeta rejects
+    (non-finite floats, codes outside 0..255, RH outside 0..100) is a
+    CsvParseError too, as is a number holding '_', whitespace or a
+    non-ASCII character, and a byte that is not UTF-8. A leading BOM is
     skipped. Lines end in LF or CRLF. Errors carry the offending 1-based line
     number, counting LF-separated lines, and sink has then had every row
     before that line; a file that cannot be read is a CsvParseError at line 0.
@@ -369,8 +386,7 @@ def read_rows(path, sink) -> RunMeta:
         fh = open(path, encoding="utf-8-sig", errors="surrogateescape", newline="\n")
     except OSError as exc:
         raise CsvParseError(0, f"cannot read input: {path}: {exc}") from exc
-    meta_values: dict = {}
-    meta_lines: dict = {}  # key -> the line its value was read from
+    meta: dict = {}  # key -> its value, checked at its own line
     comment_line_no = 0
     header_seen = False
     last_t = None
@@ -390,8 +406,7 @@ def read_rows(path, sink) -> RunMeta:
                 key, sep, value = line[1:].strip().partition(" = ")
                 key = key.strip()
                 if sep and key in _META_KEYS:  # any other comment is free-form text
-                    meta_values[key] = value
-                    meta_lines[key] = line_no
+                    meta[key] = _parse_meta(key, value, line_no)
                 continue
             if not header_seen:
                 if line != HEADER:
@@ -429,19 +444,13 @@ def read_rows(path, sink) -> RunMeta:
     if not header_seen:
         raise CsvParseError(max(comment_line_no, 1), "missing header line")
 
-    rate_text = meta_values.get("sample_rate_hz", "0")
-    rate_line = meta_lines.get("sample_rate_hz", 0)
-    _require_plain(rate_text, rate_line, "sample_rate_hz")
-    try:
-        return RunMeta(
-            run_id=meta_values.get("run_id", ""),
-            start=meta_values.get("start", ""),
-            sample_rate_hz=_parse_float(rate_text, rate_line, "sample_rate_hz"),
-            channels=_parse_channels(meta_values.get("channels", ""), meta_lines.get("channels", 0)),
-            config_fingerprint=meta_values.get("config", ""),
-        )
-    except InvalidInputError as exc:  # a rate that is not finite
-        raise CsvParseError(rate_line, str(exc)) from None
+    return RunMeta(
+        run_id=meta.get("run_id", ""),
+        start=meta.get("start", ""),
+        sample_rate_hz=meta.get("sample_rate_hz", 0.0),
+        channels=meta.get("channels", {}),
+        config_fingerprint=meta.get("config", ""),
+    )
 
 
 def read_csv(path) -> RunLog:

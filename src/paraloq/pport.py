@@ -49,6 +49,10 @@ _STATUS_EOC_LOW = STATUS_INVERT_MASK & STATUS_READ_MASK
 
 POLLS_PER_CONVERSION = 16  # EOC polls spread over one conversion time
 TIMEOUT_CONVERSIONS = 10  # conversion times to wait for EOC before giving up
+# The poll indices 1.0 .. 160.0 acquire_byte walks, as floats: float(k) * poll_dt
+# is k * poll_dt to the bit, and float * float skips an int-to-float conversion.
+# The last poll stands on t_start + 10 * latency, since poll_dt = latency / 16 is exact.
+_POLL_INDICES = tuple(float(k) for k in range(1, TIMEOUT_CONVERSIONS * POLLS_PER_CONVERSION + 1))
 
 
 class SimulatedPort:
@@ -159,15 +163,17 @@ def acquire_byte(port: SimulatedPort, channel: int) -> int:
 
     Sequence: drive the channel address, pulse START+ALE (``START_ALE_BIT``),
     poll EOC (``EOC_BIT``) ``POLLS_PER_CONVERSION`` times per conversion
-    time until it asserts (giving up after ``TIMEOUT_CONVERSIONS``
-    conversion times), assert OUTPUT ENABLE (``OUTPUT_ENABLE_BIT``), read
-    the data register, release the bus. Never returns without having seen
-    EOC.
+    time until it asserts, assert OUTPUT ENABLE (``OUTPUT_ENABLE_BIT``),
+    read the data register, release the bus. Never returns without having
+    seen EOC. The timeout is a count of polls, not a clock reading: after
+    ``TIMEOUT_CONVERSIONS * POLLS_PER_CONVERSION`` (160) polls without EOC
+    it raises DeviceTimeoutError, whatever the clock reads, so a clock too
+    far out for one poll step to move it still gives up.
     """
     if type(channel) is not int or not (0 <= channel <= 7):
         raise InvalidInputError(f"channel must be 0..7, got {shown(channel)}")
 
-    latency = port.latency_s
+    latency = port._latency
     poll_dt = latency / POLLS_PER_CONVERSION
     # the software bytes that put the address alone, with START+ALE, and with OE on the wire
     idle = (channel << ADDRESS_SHIFT) ^ CONTROL_INVERT_MASK
@@ -176,24 +182,20 @@ def acquire_byte(port: SimulatedPort, channel: int) -> int:
 
     # Address first, then the ALE rising edge latches it and starts conversion.
     write(idle)
-    t_start = port.now_s
+    t_start = port._now
     write(ale)
     write(idle)
 
-    deadline = t_start + TIMEOUT_CONVERSIONS * latency
     poll = port.read_status
-    polls = 0
-    while True:
-        polls += 1
-        t_poll = t_start + polls * poll_dt
-        if t_poll > deadline:
-            raise DeviceTimeoutError(
-                f"EOC not asserted on channel {channel} within "
-                f"{TIMEOUT_CONVERSIONS} conversion times ({deadline - t_start:.6g} s)"
-            )
-        port._now = t_poll  # advance_to(t_poll) without the call: t_poll only grows
+    for polls in _POLL_INDICES:
+        port._now = t_start + polls * poll_dt  # advance_to without the call: never backwards
         if poll() & EOC_MASK:
             break
+    else:
+        raise DeviceTimeoutError(
+            f"EOC not asserted on channel {channel} within "
+            f"{TIMEOUT_CONVERSIONS} conversion times ({TIMEOUT_CONVERSIONS * latency:.6g} s)"
+        )
 
     write(oe)
     code = port.read_data()

@@ -397,6 +397,28 @@ class TestRead:
             read_csv(path)
         assert err.value.line_no == 3
 
+    @pytest.mark.parametrize(
+        "text, line_no, rows",
+        [
+            ("# sample_rate_hz = nan\n" + HEADER + "\n0.0,t,102,20.0,92,18.0,,\n0.5,t,102,20.0,92,18.0,,\n", 1, 0),
+            (
+                HEADER + "\n0.0,t,102,20.0,92,18.0,,\n# channels = dry=0,wet=x\n0.5,t,102,20.0,92,18.0,,\n",
+                3,
+                1,
+            ),
+        ],
+        ids=["rate-before-the-rows", "channels-between-two-rows"],
+    )
+    def test_a_bad_metadata_value_stops_the_read_at_its_line(self, tmp_path, text, line_no, rows):
+        # the value is checked as its line is read, so no later row reaches the sink
+        path = tmp_path / "meta.csv"
+        path.write_text(text, encoding="utf-8")
+        seen = []
+        with pytest.raises(CsvParseError) as err:
+            read_rows(path, seen.append)
+        assert err.value.line_no == line_no
+        assert len(seen) == rows
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "nohdr.csv"
         path.write_text("# run_id = x\n", encoding="utf-8")
@@ -680,15 +702,6 @@ def _row_lines(data: bytes):
     return taken[1:]
 
 
-def _is_utf8_comment(data: bytes, line_no: int) -> bool:
-    line = data.removeprefix(codecs.BOM_UTF8).split(b"\n")[line_no - 1]
-    try:
-        line.decode("utf-8")
-    except UnicodeDecodeError:
-        return False
-    return line.startswith(b"#")
-
-
 positions = st.one_of(st.integers(min_value=0, max_value=700), st.integers(min_value=0))  # the metadata, or anywhere
 inserted = st.one_of(st.binary(min_size=1, max_size=4), st.lists(st.sampled_from(b"\r\n#,.-_ 09eE\xef\xff")).map(bytes))
 mutations = st.lists(
@@ -728,12 +741,8 @@ def test_a_mutated_log_reads_to_its_error_line_and_no_further(mutations, tmp_pat
         error_line = None
     except CsvParseError as exc:
         error_line = exc.line_no
-    # a comment line in UTF-8 raises nothing as it is read: its error is its
-    # metadata value's, which is checked after the last row
-    after_every_row = error_line == 0 or (error_line is not None and _is_utf8_comment(data, error_line))
-    row_lines = [
-        line for n, line in _row_lines(data) if error_line is None or after_every_row or n < error_line
-    ]
+    # a metadata value is checked at its own line too, so no row after an error line reaches the sink
+    row_lines = [line for n, line in _row_lines(data) if error_line is None or n < error_line]
     assert len(rows) == len(row_lines)
     # a row line the mutations left as it was reads as the row it was written from
     for row, line in zip(rows, row_lines):

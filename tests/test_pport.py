@@ -207,12 +207,40 @@ class TestAcquireByte:
             acquire_byte(port, 0)
 
     def test_timeout_budget_is_ten_conversions(self):
+        for t0 in (0.0, 0.3, 1234.5):
+            port = SimulatedPort()
+            port.connected = False
+            port.advance_to(t0)
+            with counted_port_calls("read_status", "write_control", "read_data") as counts:
+                with pytest.raises(DeviceTimeoutError) as err:
+                    acquire_byte(port, 0)
+            assert str(err.value) == "EOC not asserted on channel 0 within 10 conversion times (0.001 s)"
+            # the address and the START+ALE pulse, then 160 polls: no OUTPUT ENABLE, no data read
+            assert counts == {"read_status": 160, "write_control": 3, "read_data": 0}
+            # the clock stands at the 160th poll, t0 + polls * poll_dt to the bit
+            assert port.now_s == t0 + 160.0 * (port.latency_s / 16)
+
+    def test_a_clock_too_far_out_for_a_poll_step_to_move_still_times_out(self, monkeypatch):
+        # at 1e20 s one poll step (6.25 us) leaves the clock where it is, so a
+        # deadline on the clock is never passed; the timeout counts polls instead
         port = SimulatedPort()
+        port.advance_to(1e20)
         port.connected = False
-        t0 = port.now_s
-        with pytest.raises(DeviceTimeoutError):
+        read_status = SimulatedPort.read_status
+        calls = 0
+
+        def read_status_at_most_1000_times(self):
+            nonlocal calls
+            calls += 1
+            if calls > 1000:
+                raise AssertionError("1,000 status reads and no timeout")
+            return read_status(self)
+
+        monkeypatch.setattr(SimulatedPort, "read_status", read_status_at_most_1000_times)
+        with pytest.raises(DeviceTimeoutError, match="^EOC not asserted on channel 0 within 10 conversion times"):
             acquire_byte(port, 0)
-        assert port.now_s - t0 <= 10 * port.latency_s
+        assert calls == 160
+        assert port.now_s == 1e20
 
     @pytest.mark.parametrize("channel", [8, 1.5, True], ids=["8", "1.5", "True"])
     def test_bad_channel_rejected(self, channel):
