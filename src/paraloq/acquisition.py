@@ -67,6 +67,7 @@ class Constant:
 
 
 _TWO_PI = 2.0 * math.pi  # 2.0 * math.pi * f * t multiplies as (2.0 * math.pi) * f * t: same bits
+_sin = math.sin  # temp_at runs once per filter substep
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,7 @@ class Sine:
         store_floats(self, "amplitude_c", "freq_hz", "offset_c")
 
     def temp_at(self, t_s: float) -> float:
-        return self.offset_c + self.amplitude_c * math.sin(_TWO_PI * self.freq_hz * t_s)
+        return self.offset_c + self.amplitude_c * _sin(_TWO_PI * self.freq_hz * t_s)
 
     def max_freq_hz(self) -> float:
         return self.freq_hz
@@ -293,8 +294,10 @@ class _FilteredChain:
         self.substeps = substeps
         if substeps:
             self.t_prev = 0.0
-            self.dt_sub = 1.0 / (rate_hz * substeps)
-            self.alpha = lowpass_alpha(self.dt_sub, chain)
+            dt_sub = 1.0 / (rate_hz * substeps)
+            self.alpha = lowpass_alpha(dt_sub, chain)
+            # each substep's time after the previous tick, j * dt_sub for j = 1..substeps
+            self.offsets = tuple(j * dt_sub for j in range(1, substeps + 1))
             # circuit assumed settled at power-on
             self.state = chain_voltage(stimulus.temp_at(0.0), chain)
 
@@ -303,10 +306,9 @@ class _FilteredChain:
             return chain_voltage(self.stimulus.temp_at(t), self.chain)
         if t > self.t_prev:  # tick 0 reads the settled state
             temp_at, chain, alpha = self.stimulus.temp_at, self.chain, self.alpha
-            t_prev, dt_sub, state = self.t_prev, self.dt_sub, self.state
-            for j in range(1, self.substeps + 1):
-                x = chain_voltage(temp_at(t_prev + j * dt_sub), chain)
-                state = lowpass_step(state, x, alpha)
+            t_prev, state = self.t_prev, self.state
+            for offset in self.offsets:
+                state = lowpass_step(state, chain_voltage(temp_at(t_prev + offset), chain), alpha)
             self.state = state
             self.t_prev = t
         return self.state
@@ -316,8 +318,10 @@ def _tick_row(t: float, timestamp: str, dry_code: int, wet_code: int, cfg: RunCo
     """One log row from the tick's code on each channel."""
     dry_temp, wet_temp = decode_temp(dry_code), decode_temp(wet_code)
     rh = dew = None
-    # a rail code only bounds the temperature, so humidity from it would be wrong
-    if 0 < dry_code < CODE_MAX and 0 < wet_code < CODE_MAX:
+    # a rail code only bounds the temperature, so humidity from it would be wrong;
+    # and decode_temp is strictly increasing, so a wet code above the dry code is
+    # a wet bulb above the dry bulb, a pair psychro.reading rejects
+    if 0 < wet_code <= dry_code < CODE_MAX:
         try:
             _, _, rh, dew = psychro.reading(dry_temp, wet_temp, cfg.psychro)
         except (InvalidInputError, InconsistentReadingError):

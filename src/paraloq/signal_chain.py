@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .adc0808 import TEMP_FULL_SCALE_C
-from .errors import FLOAT_MAX, InvalidInputError, require_above, require_finite, store_floats
+from .errors import InvalidInputError, require_above, require_finite, store_floats
 
 
 @dataclass(frozen=True)
@@ -74,16 +74,19 @@ def chain_voltage(temp_c: float, cfg: ChainConfig = ChainConfig()) -> float:
     alike: the value min(max(v, 0.0), clamp_volts) gives, -0.0 kept. A nan,
     an inf or an int beyond the float range is rejected; a finite
     temperature whose slope * temp_c overflows saturates at a rail, as the
-    zeners do. It runs once per filter substep, so the check and the clamp
-    are comparisons, with no call on the passing path.
+    zeners do. It runs once per filter substep, so the passing path is one
+    comparison on the result, 0.0 <= v <= clamp_volts; only a v outside it
+    checks temp_c.
     """
-    if not -FLOAT_MAX <= temp_c <= FLOAT_MAX:
-        require_finite("temp_c", temp_c)
-    v = cfg.amp_gain * (cfg.sensor_slope * temp_c)
-    if v < 0.0:
-        return 0.0
+    try:
+        v = cfg.amp_gain * (cfg.sensor_slope * temp_c)
+    except OverflowError:
+        v = math.nan  # an int beyond the float range, which the check below rejects
     clamp = cfg.clamp_volts
-    return clamp if v > clamp else v
+    if 0.0 <= v <= clamp:
+        return v
+    require_finite("temp_c", temp_c)
+    return 0.0 if v < 0.0 else clamp
 
 
 def lowpass_alpha(dt: float, cfg: ChainConfig = ChainConfig()) -> float:

@@ -309,6 +309,29 @@ class TestFailurePaths:
         assert all(row.rh_pct is None and row.dew_point_c is None for row in run.rows)
         assert all(row.dry_code is not None for row in run.rows)
 
+    def test_every_interior_code_pair_has_the_humidity_reading_gives(self):
+        # _tick_row calls reading only for wet <= dry: the interior pairs with a
+        # wet code above the dry code are exactly those reading rejects as invalid
+        from paraloq.acquisition import _tick_row
+
+        cfg = constant_run_config(duration_s=0.0)
+        for dry_code in range(1, 255):
+            dry_c = decode_temp(dry_code)
+            for wet_code in range(1, 255):
+                wet_c = decode_temp(wet_code)
+                try:
+                    _, _, rh, dew = reading(dry_c, wet_c, cfg.psychro)
+                except InvalidInputError:
+                    assert wet_code > dry_code, (dry_code, wet_code)
+                    rh = dew = None
+                except InconsistentReadingError:
+                    assert wet_code <= dry_code, (dry_code, wet_code)
+                    rh = dew = None
+                else:
+                    assert wet_code <= dry_code, (dry_code, wet_code)
+                expected = PsychroRow(0.0, "", dry_code, dry_c, wet_code, wet_c, rh, dew)  # rounds as a row does
+                assert _tick_row(0.0, "", dry_code, wet_code, cfg) == expected, (dry_code, wet_code)
+
 
 class TestDeterminismAndNoise:
     def test_identical_configs_give_identical_runs(self):

@@ -171,6 +171,16 @@ def test_chain_clamp_at_the_rails(cfg, temp):
     assert repr(chain_voltage(temp, cfg)) == repr(min_max_clamp(cfg.amp_gain * (cfg.sensor_slope * temp), cfg))
 
 
+@pytest.mark.parametrize("cfg", [ChainConfig(), OVERFLOW_CHAIN], ids=["default", "OVERFLOW_CHAIN"])
+def test_an_int_temperature_goes_to_a_rail_or_past_the_float_range_is_rejected(cfg):
+    # 10**308 converts to a float; 10**309 does not, so multiplying by it raises OverflowError
+    assert chain_voltage(10**308, cfg) == cfg.clamp_volts
+    assert repr(chain_voltage(-(10**308), cfg)) == "0.0"
+    for bad in (10**309, -(10**309), -(10**400)):
+        with pytest.raises(InvalidInputError, match="temp_c must be finite"):
+            chain_voltage(bad, cfg)
+
+
 def test_chain_lands_on_the_clamp_at_full_scale_and_keeps_negative_zero():
     cfg = ChainConfig()
     assert cfg.amp_gain * (cfg.sensor_slope * 50.0) == cfg.clamp_volts  # exactly on the rail
