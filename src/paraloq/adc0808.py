@@ -8,6 +8,8 @@ Conventions (quantize over 256 steps, decode over the 255-step span, so
 the ~19.6 mV step size and the exact 50.0 degC top reading both hold):
   * quantize: code = floor(v * 256 / vref), clamped to 0..255
     (interior transition spacing vref/256, about 19.6 mV at 5 V)
+  * convert:  the largest code whose threshold code * vref / 256 the input
+    reaches, which the 8-step SAR finds; one division checked against them
   * decode:   volts = code * vref / 255, temp = code * 50 / 255 degC
     (top code maps to full scale: 255 -> 5.000 V -> 50.0 degC)
 """
@@ -106,22 +108,25 @@ def conversion_time_s(clock_hz: float, cfg: AdcConfig = AdcConfig()) -> float:
 
 
 def sar_convert(v_in: float, cfg: AdcConfig = AdcConfig()) -> int:
-    """Run the 8-step successive-approximation loop and return the code.
+    """Return the code the 8-step successive-approximation loop resolves.
 
-    Each step sets the next bit in a trial code and keeps it iff the input
-    is at or above the trial threshold (trial * vref / 256), so the kept
-    bits are the code's bits. The result is identical to quantize(). The
-    mux channel and the clock pick the held input and the conversion time
+    That loop keeps each trial bit, MSB first, iff the input reaches its
+    threshold trial * vref / 256. Those floats never decrease with the code, so
+    it returns the largest code whose threshold the input reaches. One division
+    (v * 256 / vref, clamped and floored as in quantize) estimates that code and
+    the thresholds correct it: no step at 5 V, up to 254 near vref = FLOAT_MAX.
+    The mux channel and the clock pick the held input and the conversion time
     (conversion_time_s); the port checks both where they enter.
     """
     if not -FLOAT_MAX <= v_in <= FLOAT_MAX:
         require_finite("v_in", v_in)
     vref = cfg.vref
-    code = 0
-    for bit in _BIT_WEIGHTS:
-        trial = code | bit
-        if v_in >= trial * vref / 256.0:
-            code = trial
+    x = v_in * 256.0 / vref
+    code = 0 if x <= 0.0 else CODE_MAX if x >= 255.0 else math.floor(x)
+    while code and v_in < code * vref / 256.0:
+        code -= 1
+    while code < CODE_MAX and v_in >= (code + 1) * vref / 256.0:
+        code += 1
     return code
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -23,6 +24,43 @@ from paraloq import (
 from paraloq.adc0808 import dump_sar_trace
 
 adc_inputs = st.floats(min_value=-1.0, max_value=6.0, allow_nan=False)
+FLOAT_MAX = sys.float_info.max
+# the sweep's references: common ones, subnormal, huge and the largest float
+SWEEP_VREFS = (5.0, 3.3, 2.56, 1.0, 4.096, 1e-310, 1e300, FLOAT_MAX)
+
+
+def sar_reference(v_in, vref):
+    """The 8-step SAR loop: keep each trial bit, MSB first, iff v_in reaches trial * vref / 256."""
+    code = 0
+    for bit in (128, 64, 32, 16, 8, 4, 2, 1):
+        trial = code | bit
+        if v_in >= trial * vref / 256.0:
+            code = trial
+    return code
+
+
+def neighbours(x, ulps=3):
+    """x and the floats up to ulps steps either side of it, the finite ones."""
+    near = [x]
+    for direction in (math.inf, -math.inf):
+        y = x
+        for _ in range(ulps):
+            y = math.nextafter(y, direction)
+            near.append(y)
+    return [y for y in near if -FLOAT_MAX <= y <= FLOAT_MAX]
+
+
+@st.composite
+def vrefs_and_inputs(draw):
+    """A vref of any positive magnitude, and any finite input or one within
+    3 ulps of one of its thresholds (near FLOAT_MAX where the threshold overflows)."""
+    vref = draw(st.one_of(
+        st.sampled_from(SWEEP_VREFS),
+        st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1073, 1024)),
+    ))
+    if draw(st.booleans()):
+        return vref, draw(st.floats(allow_nan=False, allow_infinity=False))
+    return vref, draw(st.sampled_from(neighbours(draw(st.integers(0, 256)) * vref / 256.0)))
 
 
 def _dump(tmp_path, v_in, channel, clock_hz):
@@ -140,6 +178,30 @@ class TestSarConvert:
     @given(v=adc_inputs)
     def test_equals_direct_quantizer(self, v):
         assert sar_convert(v) == quantize(v)
+
+    @pytest.mark.parametrize("vref", SWEEP_VREFS)
+    def test_is_the_8_step_loop_at_every_threshold(self, vref):
+        cfg = AdcConfig(vref=vref)
+        thresholds = [c * vref / 256.0 for c in range(257)]
+        inputs = [v for t in thresholds if t <= FLOAT_MAX for v in neighbours(t)]
+        for v in inputs + [0.0, -0.0, 5e-324, -5e-324, FLOAT_MAX, -FLOAT_MAX]:
+            code = sar_convert(v, cfg)
+            assert type(code) is int and code == sar_reference(v, vref), v
+
+    @given(case=vrefs_and_inputs())
+    def test_is_the_8_step_loop_at_any_vref(self, case):
+        vref, v = case
+        assert sar_convert(v, AdcConfig(vref=vref)) == sar_reference(v, vref)
+
+    # at 5 V the two agree on every finite input (test_equals_direct_quantizer);
+    # at 3.3 V a cell edge can fall either side of the rounded threshold
+    @pytest.mark.parametrize("v,quantized,converted", [
+        (3 * 3.3 / 256, 2, 3),  # 0.038671874999999994, on the threshold of code 3
+        (0.11601562499999998, 9, 8),  # one ulp below 9 * 3.3 / 256
+    ])
+    def test_parts_from_quantize_by_one_code_at_a_3v3_cell_edge(self, v, quantized, converted):
+        cfg = AdcConfig(vref=3.3)
+        assert (quantize(v, cfg), sar_convert(v, cfg)) == (quantized, converted)
 
     @pytest.mark.parametrize("clock", [10e3, 100e3, 320e3, 640e3, 1280e3])
     def test_latency_times_clock_is_cycle_count(self, clock):
