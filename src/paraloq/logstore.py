@@ -143,7 +143,9 @@ class PsychroRow(
                 raise InvalidInputError(f"rh_pct must be finite and 0..100, got {shown(rh_pct)}")
             rh_pct = _round6(rh_pct)
         if dew_point_c is not None:
-            dew_point_c = _finite6("dew_point_c", dew_point_c)
+            if not -top <= dew_point_c <= top:
+                _finite6("dew_point_c", dew_point_c)  # raises, with its message
+            dew_point_c = _round6(dew_point_c)
             if dew_point_c > dry6:  # no air saturates above its own temperature
                 raise InvalidInputError(f"dew_point_c {dew_point_c} is above dry_temp_c {dry6}")
         return _tuple_new(cls, (t6, timestamp, dry_code, dry6, wet_code, wet6, rh_pct, dew_point_c))
@@ -157,6 +159,7 @@ class PsychroRow(
 
 # the row's fields are the log's columns, in file order
 _COLUMNS = PsychroRow._fields
+_NCOLS = len(_COLUMNS)
 HEADER = ",".join(_COLUMNS)
 _NUMERIC_COLUMNS = tuple((i, name) for i, name in enumerate(_COLUMNS) if name != "timestamp")
 
@@ -355,17 +358,6 @@ def _parse_meta(key: str, text: str, line_no: int):
     return text
 
 
-def _lines(fh, path):
-    """The lines of fh, where a failed read is a CsvParseError at line 0; an
-    error raised by the caller between two lines is left as it is. They come
-    from readline, so a wrapper that forwards fh's attributes but not its
-    iteration (a traced perfbench pass counts flushes with one) reads too."""
-    try:
-        yield from iter(fh.readline, "")
-    except OSError as exc:
-        raise CsvParseError(0, f"cannot read input: {path}: {exc}") from exc
-
-
 def read_rows(path, sink) -> RunMeta:
     """Read a file produced by write_csv, hand each row to sink in file order,
     and return the file's RunMeta.
@@ -391,7 +383,20 @@ def read_rows(path, sink) -> RunMeta:
     header_seen = False
     last_t = None
     with fh:
-        for line_no, line in enumerate(_lines(fh, path), start=1):
+        # readline, not iteration: a wrapper that forwards fh's attributes but
+        # not __iter__ (a traced perfbench pass counts flushes with one) reads too.
+        # Only the read is in the try: a failed read is line 0, and an error
+        # sink raises is left as it is.
+        readline = fh.readline
+        line_no = 0
+        while True:
+            try:
+                line = readline()
+            except OSError as exc:
+                raise CsvParseError(0, f"cannot read input: {path}: {exc}") from exc
+            if line == "":
+                break
+            line_no += 1
             if not line.isascii():
                 try:  # the line end included: a sequence cut by a CR is an invalid continuation
                     line.encode("utf-8", "surrogateescape").decode("utf-8")
@@ -401,7 +406,7 @@ def read_rows(path, sink) -> RunMeta:
             line = line.removesuffix("\n").removesuffix("\r")
             if line == "":
                 continue
-            if line.startswith("#"):
+            if line[0] == "#":
                 comment_line_no = line_no
                 key, sep, value = line[1:].strip().partition(" = ")
                 key = key.strip()
@@ -414,8 +419,8 @@ def read_rows(path, sink) -> RunMeta:
                 header_seen = True
                 continue
             cells = line.split(",")
-            if len(cells) != len(_COLUMNS):
-                raise CsvParseError(line_no, f"expected {len(_COLUMNS)} columns, found {len(cells)}")
+            if len(cells) != _NCOLS:
+                raise CsvParseError(line_no, f"expected {_NCOLS} columns, found {len(cells)}")
             if _has_literal_marks(line):  # rows write_csv wrote have none
                 for i, name in _NUMERIC_COLUMNS:
                     _require_plain(cells[i], line_no, name)

@@ -502,6 +502,53 @@ class TestRead:
         assert err.value.line_no == 0
         assert str(err.value) == "line 0: cannot read input: /proc/self/mem: [Errno 5] Input/output error"
 
+    def test_an_os_error_a_sink_raises_is_left_as_it_is(self, tmp_path):
+        # only the read is a parse error at line 0; a sink writing to a full disk is not
+        path = tmp_path / "run.csv"
+        write_csv(RunLog(meta=META, rows=[make_row(k) for k in range(5)]), path)
+        rows = []
+        full = OSError(28, "No space left on device")
+
+        def sink(row):
+            if len(rows) == 2:
+                raise full
+            rows.append(row)
+
+        with pytest.raises(OSError) as err:
+            read_rows(path, sink)
+        assert err.value is full
+        assert rows == [make_row(0), make_row(1)]
+
+    def test_a_read_that_fails_after_two_rows_is_line_0_with_both_rows_sunk(self, tmp_path, monkeypatch):
+        path = tmp_path / "run.csv"
+        path.write_text(f"{HEADER}\n0.0,t,102,20.0,92,18.0,,\n0.5,t,102,20.0,92,18.0,,\n", encoding="utf-8")
+
+        class FailingReader:
+            """Gives the header and two rows, then fails; it has readline and no __iter__."""
+
+            def __init__(self, *args, **kwargs):
+                self._lines = iter(path.read_text(encoding="utf-8").splitlines(keepends=True))
+
+            def readline(self):
+                line = next(self._lines, None)
+                if line is None:
+                    raise OSError(5, "Input/output error")
+                return line
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                pass
+
+        monkeypatch.setattr(logstore, "open", FailingReader, raising=False)
+        rows = []
+        with pytest.raises(CsvParseError) as err:
+            read_rows(path, rows.append)
+        assert err.value.line_no == 0
+        assert str(err.value) == f"line 0: cannot read input: {path}: [Errno 5] Input/output error"
+        assert [(row.t_s, row.timestamp) for row in rows] == [(0.0, "t"), (0.5, "t")]
+
     def test_only_a_row_holding_a_mark_is_checked_field_by_field(self, tmp_path, monkeypatch):
         # an aborted run's trailer holds spaces and '_', and once sent every row around it to the check
         rows = [make_row(k) for k in range(50)]
