@@ -9,7 +9,7 @@ returns at its peak, not a string per sample.
 
 from __future__ import annotations
 
-from .errors import EmptyRunError, InvalidInputError
+from .errors import FLOAT_MAX, EmptyRunError, InvalidInputError, shown
 
 ASCII_COLS = 80
 ASCII_ROWS = 24
@@ -33,21 +33,42 @@ def _axis_label(value: float) -> str:
     return text.rjust(_GUTTER)
 
 
-def _require_series(t_values, values) -> None:
+def _require_series(t_values, values):
+    """(min(values), max(values)) of a series both charts can draw; raise
+    EmptyRunError for no samples and InvalidInputError for lengths that differ,
+    a t that decreases anywhere, or a t span or value span that is not finite.
+
+    The order is checked against sorted() a block of t at a time, so the
+    check holds one block's floats, not a copy of the series, and the spans
+    from the extremes alone: a nan inside a series (neither first nor last t,
+    nor a value extreme) is not seen. Every series read_series returns is
+    finite.
+    """
     if len(values) == 0:
         raise EmptyRunError("nothing to plot")
     if len(t_values) != len(values):
         raise InvalidInputError("t_values and values must have the same length")
+    for start in range(0, len(t_values), _BLOCK):
+        ts = [*t_values[start : start + _BLOCK + 1]]  # one past the block: its seam with the next
+        if sorted(ts) != ts:
+            raise InvalidInputError("t_values must not decrease")
+    vmin, vmax = min(values), max(values)
+    if not t_values[-1] - t_values[0] <= FLOAT_MAX:
+        raise InvalidInputError(f"t span must be finite, got {shown(t_values[0])} .. {shown(t_values[-1])}")
+    if not vmax - vmin <= FLOAT_MAX:
+        raise InvalidInputError(f"value span must be finite, got {shown(vmin)} .. {shown(vmax)}")
+    return vmin, vmax
 
 
 def ascii_chart(t_values, values, label: str) -> str:
     """Render values against time as an 80x24 character chart.
 
     Rows 1..23 are the plot area with max/min labels on the first and last
-    plot rows; the final line shows the time extent and column label.
+    plot rows; the final line shows the time extent and column label. A t
+    that decreases, or a t span or value span that is not finite, raises
+    InvalidInputError.
     """
-    _require_series(t_values, values)
-    vmin, vmax = min(values), max(values)
+    vmin, vmax = _require_series(t_values, values)
     span = vmax - vmin
     n = len(values)
 
@@ -81,15 +102,19 @@ def svg_chart(t_values, values, label: str) -> str:
     One "x,y" point per sample, in sample order, two decimals each. x spans
     the first to the last time value and y the smallest to the largest
     value; an axis whose span is not positive puts every point at its
-    centre. The label is XML-escaped (&, <, >), so any label parses.
+    centre. The label is XML-escaped (&, <, >), so any label parses. A t
+    that decreases, or a t span or value span that is not finite, raises
+    InvalidInputError: no point is drawn off the canvas or as "nan".
 
-    The points are formatted _BLOCK samples at a time: one list of x and one
-    of y per block, interleaved into one tuple and written by a single "%"
-    over that many "%.2f,%.2f" pairs, the same bytes as one "%" per point.
-    The joined points are copied once, into the returned text.
+    The points are formatted _BLOCK samples at a time, by a single "%" per
+    block over that many copies of one point's format. Where both axes vary
+    that is "%.2f,%.2f", over the block's x and y lists interleaved into one
+    tuple. A flat axis has one coordinate, so its "%.2f" text is made once
+    and written into the point's format: the "%" then formats only the other
+    axis, or nothing when both are flat. Either way the bytes are those of one
+    "%" per point. The joined points are copied once, into the returned text.
     """
-    _require_series(t_values, values)
-    vmin, vmax = min(values), max(values)
+    vmin, vmax = _require_series(t_values, values)
     tmin, tmax = t_values[0], t_values[-1]
     vspan = vmax - vmin
     tspan = tmax - tmin
@@ -97,17 +122,24 @@ def svg_chart(t_values, values, label: str) -> str:
     plot_h = SVG_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     t_ok, v_ok = tspan > 0, vspan > 0
-    x_mid = _MARGIN_LEFT + 0.5 * plot_w
-    y_mid = _MARGIN_TOP + 0.5 * plot_h
+    # a flat axis has one coordinate, formatted once into the per-point text
+    x_text = "%.2f" if t_ok else "%.2f" % (_MARGIN_LEFT + 0.5 * plot_w)
+    y_text = "%.2f" if v_ok else "%.2f" % (_MARGIN_TOP + 0.5 * plot_h)
+    point = f"{x_text},{y_text} "
     blocks = []
     for start in range(0, len(values), _BLOCK):
         ts = t_values[start : start + _BLOCK]
         vs = values[start : start + _BLOCK]
         n = len(ts)
-        xy = [0.0] * (2 * n)
-        xy[0::2] = [_MARGIN_LEFT + (t - tmin) / tspan * plot_w for t in ts] if t_ok else [x_mid] * n
-        xy[1::2] = [_MARGIN_TOP + (1.0 - (v - vmin) / vspan) * plot_h for v in vs] if v_ok else [y_mid] * n
-        blocks.append(("%.2f,%.2f " * n)[:-1] % tuple(xy))
+        xs = [_MARGIN_LEFT + (t - tmin) / tspan * plot_w for t in ts] if t_ok else ()
+        ys = [_MARGIN_TOP + (1.0 - (v - vmin) / vspan) * plot_h for v in vs] if v_ok else ()
+        if xs and ys:
+            xy = [0.0] * (2 * n)
+            xy[0::2] = xs
+            xy[1::2] = ys
+        else:
+            xy = xs or ys
+        blocks.append((point * n)[:-1] % tuple(xy))
     points = " ".join(blocks)
     del blocks  # so the chart holds at most two copies of its points: these, then the text returned
     x0, y0 = _MARGIN_LEFT, _MARGIN_TOP + plot_h

@@ -64,7 +64,7 @@ MUTANTS = (
         '            if line == "":\n'
         "                continue\n"
         "            if comment:\n",
-        ("tests/test_logstore.py::TestRead::test_a_byte_that_is_not_utf8_names_its_line",),
+        ("tests/test_logstore.py", "-k", "blank_lines_change_no_row"),
         'line[0] == "#" tested before the empty-line check (CHANGES.md: read_rows pulls its own lines)',
     ),
     Mutant(
@@ -166,8 +166,22 @@ MUTANTS = (
         "        wet_code = acquire_byte(port, wet_mux)\n"
         "        set_input(dry_mux, dry_at(t))\n"
         "        dry_code = acquire_byte(port, dry_mux)\n",
-        ("tests/test_acquisition.py", "-k", "test_a_run_is_its_straight_line_reference"),
+        ("tests/test_golden.py", "-k", "byte_identical and filtered_sine"),
         "the DRY and WET noise draws swapped (CHANGES.md: One copy of each port rule)",
+    ),
+    Mutant(
+        "paraloq/plotting.py",
+        '    y_text = "%.2f" if v_ok else "%.2f" % (_MARGIN_TOP + 0.5 * plot_h)\n',
+        '    y_text = "%.2f" if v_ok else "%.2f" % (_MARGIN_LEFT + 0.5 * plot_w)\n',
+        ("tests/test_plotting.py", "-k", "block_seams or flat_series"),
+        "the flat y text formatted from the x centre (CHANGES.md: A flat SVG axis is formatted once)",
+    ),
+    Mutant(
+        "paraloq/plotting.py",
+        "t_values[start : start + _BLOCK + 1]]",
+        "t_values[start : start + _BLOCK]]",
+        ("tests/test_plotting.py", "-k", "refused"),
+        "the t order checked within blocks but not across their seams (CHANGES.md: A flat SVG axis is formatted once)",
     ),
 )
 

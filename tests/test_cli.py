@@ -403,6 +403,14 @@ class TestPlot:
         missing = tmp_path / "nope.csv"
         assert main(["plot", "--input", str(missing), "--column", "dry_temp_c"]) == 5
 
+    @pytest.mark.parametrize("fmt", ["ascii", "svg"])
+    def test_a_value_span_past_the_float_range_exits_2_with_one_error_line(self, tmp_path, capsys, fmt):
+        # read_csv takes both rows; ascii exited 1 with a bare ValueError and svg wrote "620.00,nan"
+        path = tmp_path / "huge.csv"
+        path.write_text(HEADER + "\n0.0,t,102,-1.7e308,92,18.0,,\n0.5,t,102,1.7e308,92,18.0,,\n", encoding="utf-8")
+        assert main(["plot", "--input", str(path), "--column", "dry_temp_c", "--format", fmt]) == 2
+        assert capsys.readouterr() == ("", "error: value span must be finite, got -1.7e+308 .. 1.7e+308\n")
+
     def test_a_log_that_is_not_utf8_exits_5_and_names_the_line(self, tmp_path, capsys):
         path = tmp_path / "latin1.csv"
         path.write_bytes(HEADER.encode() + b"\n0.0,t,102,20.0,92,18.0,,\n0.5,t\xff,102,20.0,92,18.0,,\n")

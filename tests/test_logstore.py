@@ -238,6 +238,17 @@ class TestRead:
         write_csv(read_csv(first), second)
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("blank", [b"\n", b"\r\n", b"\n\r\n"], ids=["lf", "crlf", "both"])
+    def test_blank_lines_change_no_row(self, tmp_path, blank):
+        # before the first comment and the header, between rows and at the end
+        plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+        write_csv(RunLog(meta=META, rows=[make_row(k) for k in range(3)]), plain)
+        lines = plain.read_bytes().split(b"\r\n")[:-1]
+        spaced.write_bytes(blank + b"".join(line + b"\r\n" + blank for line in lines))
+        expected, rows = [], []
+        assert read_rows(spaced, rows.append) == read_rows(plain, expected.append)
+        assert rows == expected == [make_row(k) for k in range(3)]
+
     def test_wrong_column_count_names_the_line(self, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text(HEADER + "\n0.0,x,102,20.0,92,18.0,50.0\n", encoding="utf-8")

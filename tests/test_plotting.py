@@ -1,3 +1,4 @@
+import math
 import xml.etree.ElementTree as ET
 from array import array
 from random import Random
@@ -96,6 +97,36 @@ class TestSvgChart:
         assert "a<b & c" in [text.text for text in root.iter("{http://www.w3.org/2000/svg}text")]
 
 
+@pytest.mark.parametrize("chart", [ascii_chart, svg_chart])
+@pytest.mark.parametrize(
+    "t_values, values, message",
+    [
+        ([0.0, 2.0, 1.0], [1.0, 2.0, 3.0], "t_values must not decrease"),
+        ([1.0, 0.0], [1.0, 2.0], "t_values must not decrease"),
+        # the last t of the first block above the first of the second
+        ([*range(_BLOCK), _BLOCK - 1.5, *range(_BLOCK + 1, 2 * _BLOCK)], [1.0] * 2 * _BLOCK, "t_values must not decrease"),
+        ([0.0, 0.5], [-1.7e308, 1.7e308], "value span must be finite, got -1.7e+308 .. 1.7e+308"),
+        ([-1.7e308, 1.7e308], [1.0, 2.0], "t span must be finite, got -1.7e+308 .. 1.7e+308"),
+        ([0.0, 0.5], [float("-inf"), float("-inf")], "value span must be finite, got -inf .. -inf"),
+    ],
+    ids=["t-back-in-the-middle", "t-last-before-first", "t-back-at-a-block-seam", "value-span", "t-span", "infinite-values"],
+)
+def test_a_series_no_chart_can_draw_is_refused(chart, t_values, values, message):
+    # svg_chart drew the first case's t = 2.0 at x = 1180, and the value-span
+    # case made ascii_chart raise a bare ValueError and svg_chart write "nan"
+    with pytest.raises(InvalidInputError) as err:
+        chart(t_values, values, "x")
+    assert str(err.value) == message
+
+
+def _drawable(t_values, values):
+    """Whether the charts draw the series: t never decreases, and its t span
+    and value span are finite."""
+    return all(a <= b for a, b in zip(t_values, t_values[1:])) and all(
+        math.isfinite(hi - lo) for lo, hi in ((t_values[0], t_values[-1]), (min(values), max(values)))
+    )
+
+
 def _points_oracle(t_values, values):
     """The polyline points as svg_chart wrote them with one closure per axis
     and one f-string per point: the bytes its one-pass form must keep."""
@@ -124,8 +155,10 @@ number = st.one_of(
 
 @st.composite
 def series(draw):
-    """(t values, values) of 1..200 samples: t in any order, sorted or constant,
-    values constant or not, ints and floats."""
+    """(t values, values) of 1..200 samples, ints and floats: t as drawn
+    (which the charts must refuse where it decreases), sorted or constant,
+    values constant (with t sorted) or not. A span past the float range is
+    refused too."""
     pairs = draw(st.lists(st.tuples(number, number), min_size=1, max_size=200))
     t_values, values = (list(column) for column in zip(*pairs))
     shape = draw(st.sampled_from(["as drawn", "sorted t", "constant t", "constant values"]))
@@ -134,6 +167,7 @@ def series(draw):
     elif shape == "constant t":
         t_values = [t_values[0]] * len(t_values)
     elif shape == "constant values":
+        t_values.sort()
         values = [values[0]] * len(values)
     return t_values, values
 
@@ -142,9 +176,25 @@ def series(draw):
 @given(series())
 def test_svg_points_match_the_per_point_formula(drawn):
     t_values, values = drawn
+    if not _drawable(t_values, values):
+        with pytest.raises(InvalidInputError):
+            svg_chart(t_values, values, "x")
+        return
     root = ET.fromstring(svg_chart(t_values, values, "x"))
     (polyline,) = root.iter("{http://www.w3.org/2000/svg}polyline")
     assert polyline.get("points") == _points_oracle(t_values, values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(series())
+def test_ascii_chart_draws_what_svg_chart_draws(drawn):
+    t_values, values = drawn
+    if not _drawable(t_values, values):
+        with pytest.raises(InvalidInputError):
+            ascii_chart(t_values, values, "x")
+        return
+    lines = ascii_chart(t_values, values, "x").split("\n")
+    assert [len(line) for line in lines] == [ASCII_COLS] * ASCII_ROWS
 
 
 def _seam_series(n, shape):
@@ -156,13 +206,15 @@ def _seam_series(n, shape):
         t_values = [t_values[0]] * n
     elif shape == "constant values":
         values = [values[0]] * n
+    elif shape == "constant both":
+        t_values, values = [t_values[0]] * n, [values[0]] * n
     elif shape == "int values":
         values = [rng.randrange(-(10**6), 10**6) for _ in range(n)]
     return t_values, values
 
 
 @pytest.mark.parametrize("form", [list, lambda xs: array("d", xs)], ids=["list", "array"])
-@pytest.mark.parametrize("shape", ["sorted t", "constant t", "constant values", "int values"])
+@pytest.mark.parametrize("shape", ["sorted t", "constant t", "constant values", "constant both", "int values"])
 @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 2 * _BLOCK + 1, 7201])
 def test_svg_points_across_block_seams(n, shape, form):
     # the property above draws at most 200 samples, fewer than one block
