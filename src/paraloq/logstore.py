@@ -14,14 +14,14 @@ side, like the instrument's own dry/wet presentation):
 
 A row is a PsychroRow: an immutable named tuple of the eight columns, equal
 to the plain tuple of its fields, and built only through its constructor,
-which checks every field. Floats are written with 6 decimal places; every
-float field is stored as round(x, 6) gives it, bit for bit, when a row or
-meta object is constructed. _round6 computes that by float arithmetic, and
-calls round itself near a tie and from 1e6 up. So reading a written file
-back reproduces the run exactly and re-serialization is byte-stable. Fields
-never contain commas (the constructor rejects a timestamp holding one, or a
-CR or LF), so no quoting is ever needed and the files open directly in any
-spreadsheet application.
+which checks every field. Floats are written with 6 decimal places. One
+function, _finite6, rounds and checks each logged float when a row or meta
+object is constructed: it stores round(x, 6) bit for bit, with round itself
+near a tie and from 1e6 up and float arithmetic elsewhere. So reading a
+written file back reproduces the run exactly and re-serialization is
+byte-stable. Fields never contain commas (the constructor rejects a
+timestamp holding one, or a CR or LF), so no quoting is ever needed and the
+files open directly in any spreadsheet application.
 
 Rows stream both ways: CsvWriter writes one row at a time, each in one
 unbuffered write, and read_rows reads a log a line at a time through the
@@ -44,27 +44,26 @@ from .errors import FLOAT_MAX, CsvParseError, InvalidInputError, StorageError, s
 _META_KEYS = ("run_id", "start", "sample_rate_hz", "channels", "config")
 
 
-def _round6(x):
-    """round(x, 6): the same type and the same bits, by float arithmetic where
-    that is exact. For a float below 1e6 in size, y = x * 1e6 is within 6.1e-5
-    of the exact x * 10**6, so when y is 1e-4 or more from a tie the integer n
-    nearest y is the one round() picks, and n / 1e6 (n below 2**53) is the
-    correctly rounded double that round() gives. Near a tie, from 1e6 up, and
-    for nan, inf or anything not exactly a float, round() itself runs."""
+def _finite6(name: str, x) -> float:
+    """x rounded to the file format's 6 decimals, round(x, 6) with the same
+    type and the same bits, if x is a finite number; otherwise (None, nan,
+    inf, an int beyond the float range) InvalidInputError naming the field.
+
+    The rounding is float arithmetic where that is exact. For a float below
+    1e6 in size, y = x * 1e6 is within 6.1e-5 of the exact x * 10**6, so when
+    y is 1e-4 or more from a tie the integer n nearest y is the one round()
+    picks, and n / 1e6 (n below 2**53) is the correctly rounded double that
+    round() gives. Near a tie, from 1e6 up, and for anything not exactly a
+    float, the value is checked and round() itself runs."""
     if type(x) is float and -1e6 < x < 1e6:
         y = x * 1e6
         n = y + 1.5 * 2.0**52 - 1.5 * 2.0**52  # y rounded to an integer, as a float
         if -0.4999 < y - n < 0.4999:
             return n / 1e6 if n else x * 0.0  # x * 0.0 is -0.0 when x is negative
+    # round(nan) is nan, round(inf) is inf and round(10**400) is 10**400
+    if x is None or not -FLOAT_MAX <= x <= FLOAT_MAX:
+        raise InvalidInputError(f"{name} must be finite, got {shown(x)}")
     return round(x, 6)
-
-
-def _finite6(name: str, value) -> float:
-    """A value that must be a finite number (not None, nan or inf), rounded to
-    the file format's 6 decimals; an int beyond the float range is not one."""
-    if value is None or not -FLOAT_MAX <= value <= FLOAT_MAX:
-        raise InvalidInputError(f"{name} must be finite, got {shown(value)}")
-    return _round6(value)
 
 
 def fingerprint(text: str) -> str:
@@ -126,26 +125,16 @@ class PsychroRow(
             raise InvalidInputError(f"timestamp must be a str, got {shown(timestamp)}")
         if "," in timestamp or "\r" in timestamp or "\n" in timestamp:
             raise InvalidInputError(f"timestamp must not hold ',', CR or LF, got {timestamp!r}")
-        # round(nan) is nan, round(inf) is inf and round(10**400) is 10**400
-        top = FLOAT_MAX
-        try:
-            t6, dry6, wet6 = _round6(t_s), _round6(dry_temp_c), _round6(wet_temp_c)
-        except TypeError:  # round(None)
-            t6 = None
-        if t6 is None or not (-top <= t6 <= top and -top <= dry6 <= top and -top <= wet6 <= top):
-            # name the first bad field, as _finite6 words it
-            t6 = _finite6("t_s", t_s)
-            dry6 = _finite6("dry_temp_c", dry_temp_c)
-            wet6 = _finite6("wet_temp_c", wet_temp_c)
+        t6 = _finite6("t_s", t_s)
+        dry6 = _finite6("dry_temp_c", dry_temp_c)
+        wet6 = _finite6("wet_temp_c", wet_temp_c)
         if rh_pct is not None:
             # the comparison also fails for nan
             if not (0.0 <= rh_pct <= 100.0):
                 raise InvalidInputError(f"rh_pct must be finite and 0..100, got {shown(rh_pct)}")
-            rh_pct = _round6(rh_pct)
+            rh_pct = _finite6("rh_pct", rh_pct)
         if dew_point_c is not None:
-            if not -top <= dew_point_c <= top:
-                _finite6("dew_point_c", dew_point_c)  # raises, with its message
-            dew_point_c = _round6(dew_point_c)
+            dew_point_c = _finite6("dew_point_c", dew_point_c)
             if dew_point_c > dry6:  # no air saturates above its own temperature
                 raise InvalidInputError(f"dew_point_c {dew_point_c} is above dry_temp_c {dry6}")
         return _tuple_new(cls, (t6, timestamp, dry_code, dry6, wet_code, wet6, rh_pct, dew_point_c))

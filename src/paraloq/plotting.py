@@ -9,6 +9,8 @@ returns at its peak, not a string per sample.
 
 from __future__ import annotations
 
+from math import inf
+
 from .errors import FLOAT_MAX, EmptyRunError, InvalidInputError, shown
 
 ASCII_COLS = 80
@@ -36,13 +38,14 @@ def _axis_label(value: float) -> str:
 def _require_series(t_values, values):
     """(min(values), max(values)) of a series both charts can draw; raise
     EmptyRunError for no samples and InvalidInputError for lengths that differ,
-    a t that decreases anywhere, or a t span or value span that is not finite.
+    a t that decreases anywhere, or a t or value extreme or span that is not
+    finite (an int beyond the float range is not).
 
     The order is checked against sorted() a block of t at a time, so the
-    check holds one block's floats, not a copy of the series, and the spans
-    from the extremes alone: a nan inside a series (neither first nor last t,
-    nor a value extreme) is not seen. Every series read_series returns is
-    finite.
+    check holds one block's floats, not a copy of the series. The other
+    checks read the first and last t and the value extremes alone: a nan
+    inside a series (neither first nor last t, nor a value extreme) is not
+    seen. Every series read_series returns is finite.
     """
     if len(values) == 0:
         raise EmptyRunError("nothing to plot")
@@ -53,10 +56,13 @@ def _require_series(t_values, values):
         if sorted(ts) != ts:
             raise InvalidInputError("t_values must not decrease")
     vmin, vmax = min(values), max(values)
-    if not t_values[-1] - t_values[0] <= FLOAT_MAX:
-        raise InvalidInputError(f"t span must be finite, got {shown(t_values[0])} .. {shown(t_values[-1])}")
-    if not vmax - vmin <= FLOAT_MAX:
-        raise InvalidInputError(f"value span must be finite, got {shown(vmin)} .. {shown(vmax)}")
+    for axis, lo, hi in (("t", t_values[0], t_values[-1]), ("value", vmin, vmax)):
+        # an int beyond the float range has no float to draw (its span with
+        # another such int can be 0); inf and nan are left to the span check
+        if FLOAT_MAX < abs(lo) < inf or FLOAT_MAX < abs(hi) < inf:
+            raise InvalidInputError(f"{axis} extremes must be finite, got {shown(lo)} .. {shown(hi)}")
+        if not hi - lo <= FLOAT_MAX:
+            raise InvalidInputError(f"{axis} span must be finite, got {shown(lo)} .. {shown(hi)}")
     return vmin, vmax
 
 
@@ -65,8 +71,8 @@ def ascii_chart(t_values, values, label: str) -> str:
 
     Rows 1..23 are the plot area with max/min labels on the first and last
     plot rows; the final line shows the time extent and column label. A t
-    that decreases, or a t span or value span that is not finite, raises
-    InvalidInputError.
+    that decreases, or a t or value extreme or span that is not finite,
+    raises InvalidInputError.
     """
     vmin, vmax = _require_series(t_values, values)
     span = vmax - vmin
@@ -103,8 +109,8 @@ def svg_chart(t_values, values, label: str) -> str:
     the first to the last time value and y the smallest to the largest
     value; an axis whose span is not positive puts every point at its
     centre. The label is XML-escaped (&, <, >), so any label parses. A t
-    that decreases, or a t span or value span that is not finite, raises
-    InvalidInputError: no point is drawn off the canvas or as "nan".
+    that decreases, or a t or value extreme or span that is not finite,
+    raises InvalidInputError: no point is drawn off the canvas or as "nan".
 
     The points are formatted _BLOCK samples at a time, by a single "%" per
     block over that many copies of one point's format. Where both axes vary

@@ -111,8 +111,25 @@ MUTANTS = (
         "paraloq/logstore.py",
         "        if -0.4999 < y - n < 0.4999:\n",
         "        if -0.5 <= y - n <= 0.5:\n",
-        ("tests/test_logstore.py", "-k", "round6"),
-        "_round6 with no margin around a tie (CHANGES.md: A row's float fields are rounded by float arithmetic)",
+        ("tests/test_logstore.py", "-k", "finite6_is_round"),
+        "_finite6's float arithmetic with no margin around a tie"
+        " (CHANGES.md: A row's float fields are rounded by float arithmetic)",
+    ),
+    Mutant(
+        "paraloq/logstore.py",
+        "            return n / 1e6 if n else x * 0.0",
+        "            return n / 1e6",
+        ("tests/test_logstore.py", "-k", "finite6_is_round"),
+        "_finite6's float arithmetic rounding a small negative value to 0.0, not -0.0"
+        " (CHANGES.md: A row's float fields are rounded by float arithmetic)",
+    ),
+    Mutant(
+        "paraloq/logstore.py",
+        "    if type(x) is float and -1e6 < x < 1e6:\n",
+        "    if type(x) is float and -1e10 < x < 1e10:\n",
+        ("tests/test_logstore.py", "-k", "finite6_is_round"),
+        "_finite6's float arithmetic used up to 1e10, not 1e6"
+        " (CHANGES.md: A row's float fields are rounded by float arithmetic)",
     ),
     Mutant(
         "paraloq/signal_chain.py",

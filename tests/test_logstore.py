@@ -28,14 +28,15 @@ from paraloq import (
     run_acquisition,
     write_csv,
 )
+from paraloq.errors import FLOAT_MAX
 from paraloq.logstore import (
     HEADER,
     CsvWriter,
     PsychroRow,
     RunLog,
     RunMeta,
+    _finite6,
     _format_row,
-    _round6,
     fingerprint,
     read_rows,
 )
@@ -927,7 +928,7 @@ finite = st.one_of(
     st.floats(min_value=-1e3, max_value=1e3),
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([0.0, -0.0, 5e-7, 4.9999995e-7, -4.9999995e-7, 1e308]),
-    # ties and the 1e6 edge, where _round6 hands the value to round()
+    # ties and the 1e6 edge, where _finite6 hands the value to round()
     st.sampled_from([12.3456785, -2.5e-6, 999999.9999995, math.nextafter(1e6, 0)]),
 )
 not_finite = st.sampled_from([None, float("nan"), float("inf"), float("-inf")])
@@ -1101,9 +1102,9 @@ def _in_decade(seed, exponent):
     return random.Random(seed).uniform(-10.0, 10.0) * 10.0**exponent
 
 
-# the 1e6 edge, where _round6 stops its float arithmetic, and the doubles either side of it
+# the 1e6 edge, where _finite6 stops its float arithmetic, and the doubles either side of it
 _EDGES = [edge for top in (1e6, -1e6) for edge in (top, math.nextafter(top, 0), math.nextafter(top, 2 * top))]
-# what _round6 can be given: every float (nan and inf too), ties, ints, bools and a subclass
+# what _finite6 can be given: every float (nan and inf too), ties, ints, bools, a subclass and None
 rounded = st.one_of(
     st.floats(),
     st.builds(_in_decade, st.integers(), st.integers(min_value=-6, max_value=15)),
@@ -1116,6 +1117,7 @@ rounded = st.one_of(
     st.integers(min_value=-(10**400), max_value=10**400),
     st.sampled_from([True, False]),
     st.floats().map(_Float),
+    st.none(),
 )
 
 
@@ -1127,8 +1129,13 @@ rounded = st.one_of(
 @example(x=1e6)  # from 1e6 up: round()
 @example(x=7)  # an int: round()
 @example(x=_Float(0.1))  # a float subclass: round()
-def test_round6_is_round_to_six_decimals_bit_for_bit(x):
-    assert _bits([_round6(x)]) == _bits([round(x, 6)])
+@example(x=-4149818486.2001204)  # from 1e6 up: round(); float arithmetic gives -4149818486.2001204
+def test_finite6_is_round_to_six_decimals_bit_for_bit(x):
+    if x is not None and -FLOAT_MAX <= x <= FLOAT_MAX:
+        assert _bits([_finite6("x", x)]) == _bits([round(x, 6)])
+    else:  # None, nan, inf, -inf or an int beyond the float range
+        with pytest.raises(InvalidInputError, match="^x must be finite, got "):
+            _finite6("x", x)
 
 
 def test_fingerprint_is_stable_and_short():

@@ -97,6 +97,9 @@ class TestSvgChart:
         assert "a<b & c" in [text.text for text in root.iter("{http://www.w3.org/2000/svg}text")]
 
 
+BIG = 10**400  # an int beyond the float range
+
+
 @pytest.mark.parametrize("chart", [ascii_chart, svg_chart])
 @pytest.mark.parametrize(
     "t_values, values, message",
@@ -108,12 +111,22 @@ class TestSvgChart:
         ([0.0, 0.5], [-1.7e308, 1.7e308], "value span must be finite, got -1.7e+308 .. 1.7e+308"),
         ([-1.7e308, 1.7e308], [1.0, 2.0], "t span must be finite, got -1.7e+308 .. 1.7e+308"),
         ([0.0, 0.5], [float("-inf"), float("-inf")], "value span must be finite, got -inf .. -inf"),
+        # ints beyond the float range
+        ([0.0, 1.0], [BIG, BIG], f"value extremes must be finite, got {BIG} .. {BIG}"),
+        ([0.0, 1.0], [-BIG, 1.0], f"value extremes must be finite, got {-BIG} .. 1.0"),
+        ([BIG, BIG], [1.0, 2.0], f"t extremes must be finite, got {BIG} .. {BIG}"),
+        ([-BIG, -BIG], [1.0, 1.0], f"t extremes must be finite, got {-BIG} .. {-BIG}"),
+        ([0.0, BIG], [1.0, 2.0], f"t extremes must be finite, got 0.0 .. {BIG}"),
     ],
-    ids=["t-back-in-the-middle", "t-last-before-first", "t-back-at-a-block-seam", "value-span", "t-span", "infinite-values"],
+    ids=["t-back-in-the-middle", "t-last-before-first", "t-back-at-a-block-seam", "value-span", "t-span", "infinite-values"]
+    + ["flat-big-values", "big-values-with-a-float", "flat-big-t", "flat-big-t-and-values", "big-t-with-a-float"],
 )
 def test_a_series_no_chart_can_draw_is_refused(chart, t_values, values, message):
     # svg_chart drew the first case's t = 2.0 at x = 1180, and the value-span
-    # case made ascii_chart raise a bare ValueError and svg_chart write "nan"
+    # case made ascii_chart raise a bare ValueError and svg_chart write "nan";
+    # a flat axis of ints beyond the float range passed the span check (its
+    # span is 0) and its label raised a bare OverflowError, and such an int
+    # beside a float raised it in the span check
     with pytest.raises(InvalidInputError) as err:
         chart(t_values, values, "x")
     assert str(err.value) == message
