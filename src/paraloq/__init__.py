@@ -10,7 +10,6 @@ from .acquisition import (
     Channel,
     ChannelStats,
     Constant,
-    QueueSink,
     Replay,
     RunConfig,
     Sine,
@@ -46,9 +45,7 @@ from .pport import SimulatedPort, acquire_byte
 from .psychro import (
     PsychroConfig,
     PsychroReading,
-    dew_point,
     reading,
-    relative_humidity,
     saturation_vapor_pressure,
 )
 from .signal_chain import (

@@ -11,11 +11,9 @@ is the run's only time base: runs are instantaneous and deterministic.
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from array import array
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 from enum import Enum
@@ -220,42 +218,6 @@ class RunConfig:
             )
         )
         return logstore.fingerprint(text)
-
-
-# -- sinks -------------------------------------------------------------------
-
-
-class QueueSink:
-    """Bounded FIFO row sink.
-
-    When full, the oldest row is dropped and `dropped` incremented:
-    logging must never stall acquisition.
-    """
-
-    def __init__(self, capacity: int = 1024):
-        require_int("capacity", capacity)
-        if capacity < 1:
-            raise InvalidInputError(f"capacity must be >= 1, got {shown(capacity)}")
-        self.capacity = capacity
-        self.dropped = 0
-        self._lock = threading.Lock()
-        self._queue: deque = deque()
-
-    def __call__(self, row: logstore.PsychroRow) -> None:
-        with self._lock:
-            if len(self._queue) >= self.capacity:
-                self._queue.popleft()
-                self.dropped += 1
-            self._queue.append(row)
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    def drain(self) -> list:
-        with self._lock:
-            items = list(self._queue)
-            self._queue.clear()
-        return items
 
 
 # -- the loop ---------------------------------------------------------------

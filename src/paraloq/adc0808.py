@@ -32,7 +32,6 @@ from .errors import (
 
 BITS = 8
 CODE_MAX = 255
-_BIT_WEIGHTS = tuple(1 << (BITS - 1 - step) for step in range(BITS))  # MSB first
 TEMP_FULL_SCALE_C = 50.0  # top code's temperature; the signal chain is scaled to it
 
 # Valid converter clock window per the device rating.
@@ -96,7 +95,11 @@ def require_clock_in_window(freq_hz: float) -> None:
 
 
 def quantize(v_in: float, cfg: AdcConfig = AdcConfig()) -> int:
-    """Ideal transfer function: floor(v * 256 / vref) clamped to 0..255."""
+    """Ideal transfer function: floor(v * 256 / vref) clamped to 0..255.
+
+    Nothing in the package calls it: it is the reference the tests and the
+    README hold sar_convert against.
+    """
     require_finite("v_in", v_in)
     # clamped before the floor, which raises for the inf an overflowing v * 256 / vref gives
     return math.floor(min(max(v_in * 256.0 / cfg.vref, 0.0), float(CODE_MAX)))
@@ -127,30 +130,6 @@ def sar_convert(v_in: float, cfg: AdcConfig = AdcConfig()) -> int:
         code -= 1
     while code < CODE_MAX and v_in >= (code + 1) * vref / 256.0:
         code += 1
-    return code
-
-
-def dump_sar_trace(v_in: float, channel: int, clock_hz: float, cfg: AdcConfig, path) -> int:
-    """Convert once, write one line per SAR step to a debug text file, and
-    return the code. The header records channel and clock_hz, so both are
-    checked here, as SimulatedPort checks them.
-
-    Line format: `step=<k> trial=<code> threshold=<volts> keep=<0|1>`,
-    read back from the returned code, whose bits are the kept trial bits.
-    """
-    if type(channel) is not int or not (0 <= channel <= 7):
-        raise InvalidInputError(f"channel must be 0..7, got {shown(channel)}")
-    require_clock_in_window(clock_hz)
-    code = sar_convert(v_in, cfg)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# v_in={v_in!r} channel={channel} clock_hz={clock_hz!r}\n")
-        kept = 0
-        for step, bit in enumerate(_BIT_WEIGHTS):
-            trial = kept | bit
-            kept |= code & bit
-            threshold = trial * cfg.vref / 256.0
-            fh.write(f"step={step} trial={trial} threshold={threshold:.6f} keep={1 if code & bit else 0}\n")
-        fh.write(f"# code={code} latency_s={conversion_time_s(clock_hz, cfg)!r}\n")
     return code
 
 

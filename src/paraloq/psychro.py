@@ -106,16 +106,6 @@ def _rh_from(e_hpa: float, dry_c: float, cfg: PsychroConfig) -> float:
     return 100.0 if rh > 100.0 else rh
 
 
-def relative_humidity(dry_c: float, wet_c: float, cfg: PsychroConfig = PsychroConfig()) -> float:
-    """Relative humidity in percent, clamped to [0, 100]."""
-    return _rh_from(_vapor_pressure(dry_c, wet_c, cfg), dry_c, cfg)
-
-
-def dew_point(dry_c: float, wet_c: float, cfg: PsychroConfig = PsychroConfig()) -> float:
-    """Dew point in degC: the Magnus curve inverted at the actual vapor pressure."""
-    return dew_point_from_vapor_pressure(_vapor_pressure(dry_c, wet_c, cfg), cfg)
-
-
 def dew_point_from_vapor_pressure(e_hpa: float, cfg: PsychroConfig = PsychroConfig()) -> float:
     """Temperature at which e_hpa would be the saturation pressure."""
     if not 0 < e_hpa <= FLOAT_MAX:

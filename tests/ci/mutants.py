@@ -13,7 +13,9 @@ text is missing or occurs more than once. It then copies src/ to a temporary
 directory and runs each selection there, with PYTHONPATH on the copy: once
 unmutated, where it must pass, and once per entry with that entry applied,
 where a test must fail (pytest's exit code 1; no tests collected is not a
-catch). It exits 0 only when every entry is caught.
+catch). Each pytest call starts in a fresh empty working directory, so an
+entry's catch does not rest on examples an earlier call saved. It exits 0
+only when every entry is caught.
 """
 
 from __future__ import annotations
@@ -200,6 +202,46 @@ MUTANTS = (
         ("tests/test_plotting.py", "-k", "refused"),
         "the t order checked within blocks but not across their seams (CHANGES.md: A flat SVG axis is formatted once)",
     ),
+    Mutant(
+        "paraloq/logstore.py",
+        "        if self._last_t is not None and t <= self._last_t:\n",
+        "        if self._last_t is not None and t < self._last_t:\n",
+        ("tests/test_logstore.py", "-k", "rows_must_advance_in_time and same"),
+        "a writer row at the last row's t_s accepted"
+        " (CHANGES.md: Public names that only tests reached are deleted)",
+    ),
+    Mutant(
+        "paraloq/psychro.py",
+        "    if not 0 < e_hpa <= FLOAT_MAX:\n",
+        "    if not 0 <= e_hpa <= FLOAT_MAX:\n",
+        ("tests/test_psychro.py", "-k", "vapor_pressure_of_zero"),
+        "dew_point_from_vapor_pressure(0.0) escaping as math.log's ValueError"
+        " (CHANGES.md: Public names that only tests reached are deleted)",
+    ),
+    Mutant(
+        "paraloq/errors.py",
+        "low <= value <= FLOAT_MAX if inclusive",
+        "low <= value < FLOAT_MAX if inclusive",
+        ("tests/test_acquisition.py", "-k", "largest_float_passes_a_lower_bound"),
+        "require_above(..., inclusive=True) rejecting FLOAT_MAX"
+        " (CHANGES.md: Public names that only tests reached are deleted)",
+    ),
+    Mutant(
+        "paraloq/psychro.py",
+        "    if not 0.0 <= wet_c <= dry_c <= FLOAT_MAX:",
+        "    if not 0.0 <= wet_c <= dry_c < FLOAT_MAX:",
+        ("tests/test_psychro.py", "-k", "impossible_depression and FLOAT_MAX"),
+        "reading(FLOAT_MAX, 10.0) as a wet bulb above the dry"
+        " (CHANGES.md: Public names that only tests reached are deleted)",
+    ),
+    Mutant(
+        "paraloq/plotting.py",
+        "    if len(text) > _GUTTER:\n",
+        "    if len(text) >= _GUTTER:\n",
+        ("tests/test_plotting.py", "-k", "as_wide_as_the_gutter"),
+        "a 10-character axis label cut to 3 digits"
+        " (CHANGES.md: Public names that only tests reached are deleted)",
+    ),
 )
 
 
@@ -220,13 +262,16 @@ def pytest(selection, src: Path) -> tuple:
     path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"}
     start = time.perf_counter()
-    done = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *args],
-        cwd=src.parent,  # hypothesis keeps its example database in the working directory
-        env=env,
-        capture_output=True,
-        text=True,
-    )
+    # hypothesis keeps its example database in the working directory: a fresh
+    # one per call, so no run replays an example another run saved
+    with tempfile.TemporaryDirectory(dir=src.parent) as cwd:
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *args],
+            cwd=cwd,
+            env=env,
+            capture_output=True,
+            text=True,
+        )
     return done.returncode, time.perf_counter() - start, done.stdout + done.stderr
 
 

@@ -5,7 +5,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to get one line per
 criterion.
 """
 
-import math
 import time
 from random import Random
 
@@ -22,7 +21,6 @@ from paraloq import (
     ClockRangeError,
     DeviceTimeoutError,
     InvalidInputError,
-    QueueSink,
     SimulatedPort,
     Sine,
     UndersamplingWarning,
@@ -32,10 +30,9 @@ from paraloq import (
     conversion_time_s,
     decode_temp,
     decode_volts,
-    dew_point,
     quantize,
     read_csv,
-    relative_humidity,
+    reading,
     run_acquisition,
     sar_convert,
     write_csv,
@@ -132,8 +129,7 @@ def test_criterion_05_sar_oracle_equivalence():
 
 def test_criterion_06_humidity_table():
     dry, wet = 19.92858, 18.02167
-    rh = relative_humidity(dry, wet)
-    dew = dew_point(dry, wet)
+    _, _, rh, dew = reading(dry, wet)
     # frozen regression values of this formula family (Magnus + psychrometer)
     assert rh == pytest.approx(83.29688547332444, abs=1e-6)
     assert dew == pytest.approx(17.009288515905595, abs=1e-6)
@@ -149,9 +145,9 @@ def test_criterion_07_sampling_schedule():
     for k, row in enumerate(run.rows):
         assert row.t_s == k * 0.5
     # zero drift deep into a longer run
-    sink = QueueSink(capacity=5000)
-    run_acquisition(constant_run_config(duration_s=600.0), sinks=[sink])
-    assert sink.drain()[1000].t_s - 500.0 == 0.0
+    rows = []
+    run_acquisition(constant_run_config(duration_s=600.0), sinks=[rows.append])
+    assert rows[1000].t_s - 500.0 == 0.0
     report(7, "121 ticks in 60 s at 2 S/s; t_1000 = 500.0 s with zero error")
 
 
@@ -244,17 +240,17 @@ def test_criterion_10_invariant_suite():
     assert codes == sorted(codes)
 
     # psychro monotonicity and bounds
-    rh_wet = [relative_humidity(30.0, w) for w in (18.0, 22.0, 26.0, 30.0)]
+    rh_wet = [reading(30.0, w).rh_pct for w in (18.0, 22.0, 26.0, 30.0)]
     assert rh_wet == sorted(rh_wet) and rh_wet[-1] == 100.0
-    rh_dry = [relative_humidity(d, 18.0) for d in (18.0, 22.0, 26.0)]
+    rh_dry = [reading(d, 18.0).rh_pct for d in (18.0, 22.0, 26.0)]
     assert rh_dry == sorted(rh_dry, reverse=True)
     assert all(0.0 <= rh <= 100.0 for rh in rh_wet + rh_dry)
 
     # dew point never exceeds dry bulb; saturation is a fixed point
     for t in range(0, 51, 2):
-        assert dew_point(float(t), float(t)) == pytest.approx(t, abs=1e-9)
+        assert reading(float(t), float(t)).dew_point_c == pytest.approx(t, abs=1e-9)
         if t >= 4:
-            assert dew_point(float(t), t - 2.0) < t
+            assert reading(float(t), t - 2.0).dew_point_c < t
 
     # handshake order: data bus shows the high-impedance sentinel before OE
     port = SimulatedPort()

@@ -28,7 +28,6 @@ from paraloq import (
     InvalidInputError,
     ParaloqError,
     PsychroConfig,
-    QueueSink,
     Replay,
     RunConfig,
     RunLog,
@@ -42,20 +41,18 @@ from paraloq import (
     chain_voltage,
     decode_temp,
     decode_volts,
-    dew_point,
     humidity_summary,
     is_undersampled,
     lowpass_alpha,
     quantize,
     reading,
-    relative_humidity,
     run_acquisition,
     sar_convert,
     saturation_vapor_pressure,
     summarize,
     write_csv,
 )
-from paraloq.errors import shown
+from paraloq.errors import require_above, shown
 from paraloq.logstore import PsychroRow
 from paraloq.psychro import dew_point_from_vapor_pressure
 
@@ -77,9 +74,9 @@ class TestSchedule:
         assert run.rows[0].t_s == 0.0
 
     def test_no_drift_at_tick_1000(self):
-        sink = QueueSink(capacity=10000)
-        run_acquisition(constant_run_config(duration_s=500.0), sinks=[sink])
-        assert sink.drain()[1000].t_s - 500.0 == 0.0
+        rows = []
+        run_acquisition(constant_run_config(duration_s=500.0), sinks=[rows.append])
+        assert rows[1000].t_s - 500.0 == 0.0
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -110,9 +107,9 @@ class TestDecodeConsistency:
             assert row.dry_temp_c * 255.0 / 50.0 == pytest.approx(row.dry_code, abs=1e-3)
 
     def test_sample_volts_and_temp_decode_from_code(self):
-        sink = QueueSink()
-        run_acquisition(constant_run_config(duration_s=1.0), sinks=[sink])
-        for row in sink.drain():
+        rows = []
+        run_acquisition(constant_run_config(duration_s=1.0), sinks=[rows.append])
+        for row in rows:
             assert row.dry_temp_c == round(decode_temp(row.dry_code), 6)  # the log keeps 6 decimals
             assert row.wet_temp_c == round(decode_temp(row.wet_code), 6)
 
@@ -160,6 +157,14 @@ class TestReplay:
         path.write_text(HEADER + "\n", encoding="utf-8")
         with pytest.raises(EmptyRunError):
             Replay(str(path)).temp_at(0.0)
+
+    def test_only_a_temp_column_is_replayed(self, tmp_path):
+        # the CLI's replay: spec always names its channel's temp column, so no
+        # command reaches this check; main would exit 2 for it
+        path = tmp_path / "source.csv"
+        write_csv(run_acquisition(constant_run_config(duration_s=1.0)), path)
+        with pytest.raises(InvalidInputError, match=r"^column must be a temp column, got 'rh_pct'$"):
+            Replay(str(path), column="rh_pct")
 
     def test_source_is_read_once(self, tmp_path):
         path = tmp_path / "source.csv"
@@ -275,11 +280,11 @@ class TestFailurePaths:
         assert all(row.rh_pct is None and row.dew_point_c is None for row in run.rows)
 
     def test_rate_beyond_the_handshake_rejected_before_the_first_tick(self):
-        sink = QueueSink()
+        rows = []
         with pytest.raises(InvalidInputError):
             cfg = constant_run_config(duration_s=0.01, sample_rate_hz=20000.0)
-            run_acquisition(cfg, sinks=[sink])
-        assert len(sink) == 0
+            run_acquisition(cfg, sinks=[rows.append])
+        assert rows == []
         # two conversions of about 100 us fit in a 250 us tick
         run_acquisition(constant_run_config(duration_s=0.001, sample_rate_hz=4000.0))
 
@@ -599,50 +604,31 @@ def test_each_stamp_is_the_start_plus_the_tick_time_to_the_millisecond(start, mi
     ]
 
 
-class TestQueueSink:
-    def test_bounded_fifo_drops_oldest(self):
-        sink = QueueSink(capacity=3)
-        cfg = constant_run_config(duration_s=2.0)  # 5 ticks, 5 rows
-        run = run_acquisition(cfg, sinks=[sink])
-        assert sink.dropped == 2
-        kept = sink.drain()
-        assert len(kept) == 3
-        assert kept == run.rows[2:]  # newest survive
-        assert len(sink) == 0
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    noise=st.floats(min_value=0.0, max_value=2.0),
+    substeps=st.integers(min_value=0, max_value=8),
+    amplitude=st.floats(min_value=0.0, max_value=20.0),
+    freq=st.floats(min_value=0.0, max_value=1.0),
+    offset=st.floats(min_value=0.0, max_value=50.0),
+)
+def test_a_sink_changes_nothing(seed, noise, substeps, amplitude, freq, offset):
+    def config():
+        cfg = constant_run_config(
+            duration_s=5.0, adc=AdcConfig(noise_sigma_lsb=noise), filter_substeps=substeps, seed=seed
+        )
+        cfg.stimuli[Channel.DRY] = Sine(amplitude_c=amplitude, freq_hz=freq, offset_c=offset)
+        return cfg
 
-    def test_capacity_validated(self):
-        with pytest.raises(InvalidInputError):
-            QueueSink(capacity=0)
-        with pytest.raises(InvalidInputError, match="capacity must be an integer, got 1.5"):
-            QueueSink(capacity=1.5)
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-        noise=st.floats(min_value=0.0, max_value=2.0),
-        substeps=st.integers(min_value=0, max_value=8),
-        amplitude=st.floats(min_value=0.0, max_value=20.0),
-        freq=st.floats(min_value=0.0, max_value=1.0),
-        offset=st.floats(min_value=0.0, max_value=50.0),
-    )
-    def test_a_sink_changes_nothing(self, seed, noise, substeps, amplitude, freq, offset):
-        def config():
-            cfg = constant_run_config(
-                duration_s=5.0, adc=AdcConfig(noise_sigma_lsb=noise), filter_substeps=substeps, seed=seed
-            )
-            cfg.stimuli[Channel.DRY] = Sine(amplitude_c=amplitude, freq_hz=freq, offset_c=offset)
-            return cfg
-
-        plain = run_acquisition(config())
-        sink = QueueSink(capacity=10000)
-        appended = []
-        watched = run_acquisition(config(), sinks=[sink, appended.append])
-        assert watched == plain
-        assert sink.drain() == appended == plain.rows
-        assert sink.dropped == 0
-        for row in plain.rows:
-            assert row.dry_temp_c == round(decode_temp(row.dry_code), 6)  # the log keeps 6 decimals
-            assert row.wet_temp_c == round(decode_temp(row.wet_code), 6)
+    plain = run_acquisition(config())
+    first, second = [], []
+    watched = run_acquisition(config(), sinks=[first.append, second.append])
+    assert watched == plain
+    assert first == second == plain.rows
+    for row in plain.rows:
+        assert row.dry_temp_c == round(decode_temp(row.dry_code), 6)  # the log keeps 6 decimals
+        assert row.wet_temp_c == round(decode_temp(row.wet_code), 6)
 
 
 class TestConfigValidation:
@@ -778,7 +764,6 @@ def test_every_float_config_field_is_stored_as_a_float(cls):
             lambda: RunConfig(duration_s=1.0, filter_substeps=10**5000),
             "filter_substeps must be 0..1024, got an int of 5001 digits",
         ),
-        (lambda: QueueSink(-(10**5000)), "capacity must be >= 1, got a negative int of 5001 digits"),
         (lambda: decode_temp(10**5000), "code must be an integer 0..255, got an int of 5001 digits"),
         (lambda: decode_volts(10**5000), "code must be an integer 0..255, got an int of 5001 digits"),
         (lambda: acquire_byte(SimulatedPort(), 10**5000), "channel must be 0..7, got an int of 5001 digits"),
@@ -790,7 +775,6 @@ def test_every_float_config_field_is_stored_as_a_float(cls):
         "Constant",
         "Constant-negative",
         "RunConfig.filter_substeps",
-        "QueueSink",
         "decode_temp",
         "decode_volts",
         "acquire_byte.channel",
@@ -815,9 +799,7 @@ FINITE_CHECKED_CALLS = pytest.mark.parametrize(
         (chain_voltage, "temp_c"),
         (lambda v: SimulatedPort().set_input(0, v), "volts"),
         (saturation_vapor_pressure, "t_c"),
-        (lambda v: relative_humidity(v, 18.0), "dry_c"),
-        (lambda v: relative_humidity(20.0, v), "wet_c"),
-        (lambda v: dew_point(v, 18.0), "dry_c"),
+        (lambda v: reading(v, 18.0), "dry_c"),
         (lambda v: reading(20.0, v), "wet_c"),
         (dew_point_from_vapor_pressure, "e_hpa"),
     ],
@@ -827,10 +809,8 @@ FINITE_CHECKED_CALLS = pytest.mark.parametrize(
         "chain_voltage",
         "set_input",
         "saturation_vapor_pressure",
-        "relative_humidity.dry_c",
-        "relative_humidity.wet_c",
-        "dew_point",
-        "reading",
+        "reading.dry_c",
+        "reading.wet_c",
         "dew_point_from_vapor_pressure",
     ],
 )
@@ -906,3 +886,9 @@ def test_a_helper_argument_beyond_the_float_range_is_named(call, error, message,
 )
 def test_shown_writes_a_value_as_str_or_by_its_digit_count(value, text):
     assert shown(value) == text
+
+
+@pytest.mark.parametrize("inclusive", [True, False], ids=["inclusive", "exclusive"])
+def test_the_largest_float_passes_a_lower_bound(inclusive):
+    # FLOAT_MAX is finite, so it is in every range open above
+    require_above("x", sys.float_info.max, 0, inclusive=inclusive)

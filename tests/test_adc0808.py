@@ -21,7 +21,6 @@ from paraloq import (
     quantize,
     sar_convert,
 )
-from paraloq.adc0808 import dump_sar_trace
 
 adc_inputs = st.floats(min_value=-1.0, max_value=6.0, allow_nan=False)
 FLOAT_MAX = sys.float_info.max
@@ -61,15 +60,6 @@ def vrefs_and_inputs(draw):
     if draw(st.booleans()):
         return vref, draw(st.floats(allow_nan=False, allow_infinity=False))
     return vref, draw(st.sampled_from(neighbours(draw(st.integers(0, 256)) * vref / 256.0)))
-
-
-def _dump(tmp_path, v_in, channel, clock_hz):
-    """dump_sar_trace's returned code, its header line and its keep= column, MSB first."""
-    path = tmp_path / "trace.txt"
-    code = dump_sar_trace(v_in, channel, clock_hz, AdcConfig(), path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    keeps = "".join(line.rsplit("keep=", 1)[1] for line in lines if line.startswith("step="))
-    return code, lines[0], keeps
 
 
 class TestClock:
@@ -140,25 +130,21 @@ class TestQuantize:
 
 
 class TestSarConvert:
-    def test_midscale_trace_and_timing(self, tmp_path):
+    def test_midscale_code_and_timing(self):
         assert sar_convert(2.5) == 128
-        assert _dump(tmp_path, 2.5, 0, 640e3) == (128, "# v_in=2.5 channel=0 clock_hz=640000.0", "10000000")
         assert conversion_time_s(640e3) == pytest.approx(100e-6, rel=1e-12)
 
-    def test_zero_input_gives_all_zero_trace(self, tmp_path):
+    def test_zero_input_gives_code_0(self):
         assert sar_convert(0.0) == 0
-        assert _dump(tmp_path, 0.0, 3, 640e3) == (0, "# v_in=0.0 channel=3 clock_hz=640000.0", "0" * 8)
 
     def test_near_full_scale_at_max_clock(self):
         assert sar_convert(4.98) == 254
         assert conversion_time_s(1280e3) == pytest.approx(50e-6, rel=1e-12)
 
     @pytest.mark.parametrize("clock", [9e3, 1281e3, 0.0])
-    def test_clock_window_enforced(self, clock, tmp_path):
+    def test_clock_window_enforced(self, clock):
         with pytest.raises(ClockRangeError):
             SimulatedPort(clock_hz=clock)
-        with pytest.raises(ClockRangeError):
-            dump_sar_trace(1.0, 0, clock, AdcConfig(), tmp_path / "trace.txt")
 
     def test_window_endpoints_are_valid(self):
         codes = []
@@ -167,13 +153,6 @@ class TestSarConvert:
             port.set_input(0, 1.0)
             codes.append(acquire_byte(port, 0))
         assert codes == [sar_convert(1.0)] * 2
-
-    def test_bad_channel(self, tmp_path):
-        with pytest.raises(InvalidInputError):
-            dump_sar_trace(1.0, 8, 640e3, AdcConfig(), tmp_path / "trace.txt")
-        # a channel is an int object, as SimulatedPort checks it; 1.5 was written to the header
-        with pytest.raises(InvalidInputError, match=r"^channel must be 0\.\.7, got 1\.5$"):
-            dump_sar_trace(1.0, 1.5, 640e3, AdcConfig(), tmp_path / "trace.txt")
 
     @given(v=adc_inputs)
     def test_equals_direct_quantizer(self, v):
@@ -242,13 +221,6 @@ def test_end_to_end_round_trip_within_one_lsb():
         temp += 0.01
 
 
-def test_sar_trace_is_the_code_bits_for_every_code(tmp_path):
-    # each code's lower step edge converts to that code, and the keep/drop
-    # decisions read back as its bits, MSB first
-    for code in range(256):
-        assert _dump(tmp_path, code * 5.0 / 256.0, 0, 640e3)[::2] == (code, format(code, "08b"))
-
-
 def test_a_conversion_is_a_plain_int_code():
     for code in range(256):
         result = sar_convert(code * 5.0 / 256.0)
@@ -267,30 +239,3 @@ def test_adc_config_validation():
         AdcConfig(conversion_cycles=0)
     with pytest.raises(InvalidInputError):
         AdcConfig(noise_sigma_lsb=-1.0)
-
-
-def test_sar_trace_dump(tmp_path):
-    path = tmp_path / "trace.txt"
-    assert dump_sar_trace(2.5, 0, 640e3, AdcConfig(), path) == 128
-    lines = path.read_text(encoding="utf-8").splitlines()
-    step_lines = [line for line in lines if line.startswith("step=")]
-    assert len(step_lines) == 8
-    assert step_lines[0] == "step=0 trial=128 threshold=2.500000 keep=1"
-    assert step_lines[1] == "step=1 trial=192 threshold=3.750000 keep=0"
-
-
-def test_sar_trace_dump_text_is_fixed(tmp_path):
-    path = tmp_path / "trace.txt"
-    dump_sar_trace(1.99, 3, 640e3, AdcConfig(), path)
-    assert path.read_bytes() == (
-        b"# v_in=1.99 channel=3 clock_hz=640000.0\n"
-        b"step=0 trial=128 threshold=2.500000 keep=0\n"
-        b"step=1 trial=64 threshold=1.250000 keep=1\n"
-        b"step=2 trial=96 threshold=1.875000 keep=1\n"
-        b"step=3 trial=112 threshold=2.187500 keep=0\n"
-        b"step=4 trial=104 threshold=2.031250 keep=0\n"
-        b"step=5 trial=100 threshold=1.953125 keep=1\n"
-        b"step=6 trial=102 threshold=1.992188 keep=0\n"
-        b"step=7 trial=101 threshold=1.972656 keep=1\n"
-        b"# code=101 latency_s=0.0001\n"
-    )

@@ -712,3 +712,54 @@ def test_usage_error_from_argparse_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["simulate", "--rate"])  # missing value
     assert err.value.code == 2
+
+
+# each input error the CLI names, the exit code the README gives it (2 invalid
+# flags or config, 5 an empty input log) and the start of its one stderr line;
+# {tmp} is the test's directory, which holds run.ini, written from the case's
+# config text, and rails.csv, a log whose bulbs sit at rail codes
+_SIM = ["simulate", "--duration", "1", "--out", "{tmp}/run.csv"]
+
+
+@pytest.mark.parametrize(
+    "argv, config, code, message",
+    [
+        (["simulate", "--out", "{tmp}/run.csv"], None, 2, "--duration is required"),
+        ([*_SIM, "--start-time", "noon"], None, 2, "--start-time: not ISO-8601: 'noon'"),
+        (["--config", "{tmp}/run.ini", *_SIM], "duration_s = 1\n", 2, "malformed config file {tmp}/run.ini: "),
+        (["--config", "{tmp}/none.ini", *_SIM], None, 2, "cannot read config file {tmp}/none.ini: "),
+        (["--config", "{tmp}/run.ini", *_SIM], "[clock]\nr_ohms = 1k5\n", 2, "bad value for [clock] r_ohms: '1k5'"),
+        ([*_SIM, "--dry-stimulus", "sine"], None, 2, "--dry-stimulus: expected KIND:ARGS, got 'sine'"),
+        ([*_SIM, "--wet-stimulus", "sine:amp=1,freq=0.1"], None, 2, "--wet-stimulus: sine needs ['offset']"),
+        ([*_SIM, "--dry-stimulus", "sine:amp=1,phase=0"], None, 2, "--dry-stimulus: bad sine parameter 'phase=0'"),
+        ([*_SIM, "--dry-stimulus", "constant:warm"], None, 2, "--dry-stimulus: bad number in 'constant:warm'"),
+        (["plot", "--input", "{tmp}/rails.csv", "--column", "rh_pct"], None, 5, "no values to plot in column 'rh_pct'"),
+    ],
+    ids=[
+        "duration required",
+        "start time",
+        "malformed config",
+        "unreadable config",
+        "bad config value",
+        "stimulus kind",
+        "sine needs",
+        "sine parameter",
+        "stimulus number",
+        "no values to plot",
+    ],
+)
+def test_each_named_input_error_exits_with_its_code_and_message(
+    tmp_path, capsys, monkeypatch, argv, config, code, message
+):
+    monkeypatch.delenv("PARALOQ_CONFIG", raising=False)
+    if config is not None:
+        (tmp_path / "run.ini").write_text(config, encoding="utf-8")
+    rails = RunConfig(
+        duration_s=1.0,
+        stimuli={Channel.DRY: Constant(60.0), Channel.WET: Constant(55.0)},
+        start_time=datetime(2026, 8, 10, 12),
+    )
+    write_csv(run_acquisition(rails), tmp_path / "rails.csv")
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == code
+    assert capsys.readouterr().err.startswith(f"error: {message.format(tmp=tmp_path)}")
+    assert not (tmp_path / "run.csv").exists()  # checked before the log is made

@@ -100,9 +100,12 @@ class TestWrite:
         with pytest.raises(StorageError):
             write_csv(RunLog(meta=META, rows=[]), tmp_path / "missing" / "x.csv")
 
-    def test_rows_must_advance_in_time(self, tmp_path):
-        rows = [make_row(1), make_row(0)]
-        with pytest.raises(InvalidInputError):
+    @pytest.mark.parametrize(
+        "ks, message", [((1, 0), "0.0 after 0.5"), ((0, 0), "0.0 after 0.0")], ids=["back", "same"]
+    )
+    def test_rows_must_advance_in_time(self, tmp_path, ks, message):
+        rows = [make_row(k) for k in ks]
+        with pytest.raises(InvalidInputError, match=rf"^rows must have strictly increasing t_s: {message}$"):
             write_csv(RunLog(meta=META, rows=rows), tmp_path / "bad.csv")
 
     def test_streaming_writer_flushes_each_row(self, tmp_path):

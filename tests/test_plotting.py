@@ -57,6 +57,10 @@ class TestAsciiChart:
         with pytest.raises(InvalidInputError):
             ascii_chart([0.0], [1.0, 2.0], "x")
 
+    def test_a_label_as_wide_as_the_gutter_is_kept_whole(self):
+        lines = ascii_chart([0.0, 1.0], [-0.01234567, 1.0], "x").split("\n")
+        assert lines[22].startswith("-0.0123457 |")  # 10 characters, not cut to -0.0123
+
     def test_huge_values_keep_the_gutter_width(self):
         lines = ascii_chart([0.0, 1.0], [1.5e12, -2.25e11], "x").split("\n")
         assert all(len(line) == 80 for line in lines)

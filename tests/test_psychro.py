@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given
@@ -9,12 +10,10 @@ from paraloq import (
     InvalidInputError,
     PsychroConfig,
     PsychroReading,
-    dew_point,
     reading,
-    relative_humidity,
     saturation_vapor_pressure,
 )
-from paraloq.psychro import _rh_from
+from paraloq.psychro import _rh_from, dew_point_from_vapor_pressure
 
 # Reference dry/wet pair from the instrument's recorded table, and the
 # frozen oracle values this formula family produces for it (double-precision
@@ -48,26 +47,28 @@ class TestSaturationVaporPressure:
 
 class TestRelativeHumidity:
     def test_saturated_pair_reads_100(self):
-        assert relative_humidity(20.0, 20.0) == 100.0
+        assert reading(20.0, 20.0).rh_pct == 100.0
 
     def test_reference_pair_matches_frozen_oracle(self):
-        assert relative_humidity(DRY_REF, WET_REF) == pytest.approx(RH_ORACLE, abs=1e-6)
+        assert reading(DRY_REF, WET_REF).rh_pct == pytest.approx(RH_ORACLE, abs=1e-6)
 
     def test_reference_pair_within_recorded_table_tolerance(self):
-        assert abs(relative_humidity(DRY_REF, WET_REF) - RH_TABLE) <= 3.0
+        assert abs(reading(DRY_REF, WET_REF).rh_pct - RH_TABLE) <= 3.0
 
-    def test_impossible_depression_is_inconsistent(self):
-        # es(10) ~ 12.28 hPa < gamma * P * 20 ~ 13.37 hPa
-        with pytest.raises(InconsistentReadingError):
-            relative_humidity(30.0, 10.0)
+    # es(10) ~ 12.28 hPa < gamma * P * 20 ~ 13.37 hPa; FLOAT_MAX is a finite
+    # dry bulb, so that pair passes the range checks and fails here too
+    @pytest.mark.parametrize("dry", [30.0, sys.float_info.max], ids=["30", "FLOAT_MAX"])
+    def test_impossible_depression_is_inconsistent(self, dry):
+        with pytest.raises(InconsistentReadingError, match="gives vapor pressure"):
+            reading(dry, 10.0)
 
     def test_wet_above_dry_rejected(self):
         with pytest.raises(InvalidInputError):
-            relative_humidity(10.0, 20.0)
+            reading(10.0, 20.0)
 
     def test_below_operating_range_rejected(self):
         with pytest.raises(InvalidInputError):
-            relative_humidity(5.0, -1.0)
+            reading(5.0, -1.0)
 
     @pytest.mark.parametrize(
         "dry, wet, message",
@@ -83,38 +84,42 @@ class TestRelativeHumidity:
     )
     def test_a_bad_bulb_is_named_in_the_message(self, dry, wet, message):
         with pytest.raises(InvalidInputError) as info:
-            relative_humidity(dry, wet)
+            reading(dry, wet)
         assert str(info.value) == message
 
     def test_monotone_increasing_in_wet_bulb(self):
-        values = [relative_humidity(25.0, wet) for wet in (15.0, 18.0, 21.0, 24.0, 25.0)]
+        values = [reading(25.0, wet).rh_pct for wet in (15.0, 18.0, 21.0, 24.0, 25.0)]
         assert values == sorted(values)
         assert values[-1] == 100.0
 
     def test_monotone_decreasing_in_dry_bulb(self):
-        values = [relative_humidity(dry, 15.0) for dry in (15.0, 18.0, 21.0, 24.0)]
+        values = [reading(dry, 15.0).rh_pct for dry in (15.0, 18.0, 21.0, 24.0)]
         assert values == sorted(values, reverse=True)
 
     def test_saturation_iff_equal_bulbs(self):
-        assert relative_humidity(20.0, 20.0) == pytest.approx(100.0, abs=1e-9)
-        assert relative_humidity(20.0, 19.99) < 100.0 - 1e-9
+        assert reading(20.0, 20.0).rh_pct == pytest.approx(100.0, abs=1e-9)
+        assert reading(20.0, 19.99).rh_pct < 100.0 - 1e-9
 
 
 class TestDewPoint:
     def test_saturated_air_dew_equals_temperature(self):
         for t in range(0, 51, 5):
-            assert dew_point(float(t), float(t)) == pytest.approx(t, abs=1e-9)
+            assert reading(float(t), float(t)).dew_point_c == pytest.approx(t, abs=1e-9)
 
     def test_reference_pair_matches_frozen_oracle(self):
-        assert dew_point(DRY_REF, WET_REF) == pytest.approx(DEW_ORACLE, abs=1e-6)
+        assert reading(DRY_REF, WET_REF).dew_point_c == pytest.approx(DEW_ORACLE, abs=1e-6)
 
     def test_reference_pair_within_recorded_table_tolerance(self):
-        assert abs(dew_point(DRY_REF, WET_REF) - DEW_TABLE) <= 1.0
+        assert abs(reading(DRY_REF, WET_REF).dew_point_c - DEW_TABLE) <= 1.0
 
     def test_vapor_pressure_at_magnus_a_gives_zero(self):
-        from paraloq.psychro import dew_point_from_vapor_pressure
-
         assert dew_point_from_vapor_pressure(6.112) == 0.0
+
+    @pytest.mark.parametrize("e_hpa", [0.0, -0.0])
+    def test_a_vapor_pressure_of_zero_is_invalid_input(self, e_hpa):
+        # not the bare ValueError math.log raises at 0
+        with pytest.raises(InvalidInputError, match=rf"^e_hpa must be finite and > 0, got {e_hpa}$"):
+            dew_point_from_vapor_pressure(e_hpa)
 
     def test_never_exceeds_dry_bulb(self):
         for dry in (5.0, 15.0, 25.0, 35.0, 45.0):
@@ -123,7 +128,7 @@ class TestDewPoint:
                 if wet < 0:
                     continue
                 try:
-                    dew = dew_point(dry, wet)
+                    dew = reading(dry, wet).dew_point_c
                 except InconsistentReadingError:
                     continue
                 assert dew <= dry + 1e-9
@@ -154,25 +159,9 @@ class TestConfigAndReading:
             reading(1e5, 1e5)
 
     def test_custom_pressure_changes_result(self):
-        sea_level = relative_humidity(DRY_REF, WET_REF)
-        altitude = relative_humidity(DRY_REF, WET_REF, PsychroConfig(pressure_hpa=850.0))
+        sea_level = reading(DRY_REF, WET_REF).rh_pct
+        altitude = reading(DRY_REF, WET_REF, PsychroConfig(pressure_hpa=850.0)).rh_pct
         assert altitude > sea_level  # smaller psychrometer correction
-
-
-@given(
-    dry=st.floats(min_value=0.0, max_value=50.0),
-    depression=st.floats(min_value=0.0, max_value=10.0),
-)
-def test_reading_matches_the_single_value_functions_bit_for_bit(dry, depression):
-    wet = max(dry - depression, 0.0)
-    try:
-        result = reading(dry, wet)
-    except InconsistentReadingError:
-        with pytest.raises(InconsistentReadingError):
-            relative_humidity(dry, wet)
-        return
-    assert result.rh_pct == relative_humidity(dry, wet)
-    assert result.dew_point_c == dew_point(dry, wet)
 
 
 @given(
@@ -202,14 +191,14 @@ def test_relative_humidity_clamps_as_min_max_does(dry, wet_share, cfg):
     e = saturation_vapor_pressure(wet, cfg) - cfg.psychrometer_coeff * cfg.pressure_hpa * (dry - wet)
     if e <= 0.0:
         with pytest.raises(InconsistentReadingError):
-            relative_humidity(dry, wet, cfg)
+            reading(dry, wet, cfg)
         return
     rh = 100.0 * e / saturation_vapor_pressure(dry, cfg)
-    assert repr(relative_humidity(dry, wet, cfg)) == repr(min(max(rh, 0.0), 100.0))
+    assert repr(reading(dry, wet, cfg).rh_pct) == repr(min(max(rh, 0.0), 100.0))
 
 
 @given(e=st.one_of(st.floats(), st.sampled_from([0.0, -0.0])), dry=st.floats(min_value=0.0, max_value=50.0))
 def test_the_humidity_clamp_is_min_max_for_any_vapor_pressure(e, dry):
-    # below 0 and above 100 only a vapor pressure relative_humidity never passes reaches
+    # below 0 and above 100 only a vapor pressure reading never passes reaches
     rh = 100.0 * e / saturation_vapor_pressure(dry)
     assert repr(_rh_from(e, dry, PsychroConfig())) == repr(min(max(rh, 0.0), 100.0))
