@@ -23,6 +23,7 @@ from . import adc0808, logstore, psychro, signal_chain
 # decode_volts is not called here, but perfbench/layers.py SPAN_TARGETS looks it up on this module
 from .adc0808 import CODE_MAX, AdcConfig, ClockConfig, decode_temp, decode_volts
 from .errors import (
+    FLOAT_MAX,
     EmptyRunError,
     InconsistentReadingError,
     InvalidInputError,
@@ -80,6 +81,8 @@ class Sine:
         require_finite("amplitude_c", self.amplitude_c)
         require_above("freq_hz", self.freq_hz, 0, inclusive=True)
         require_finite("offset_c", self.offset_c)
+        # the bound on |temp_at|, so no sine of a finite phase leaves the float range
+        require_finite("abs(offset_c) + abs(amplitude_c)", abs(self.offset_c) + abs(self.amplitude_c))
         store_floats(self, "amplitude_c", "freq_hz", "offset_c")
 
     def temp_at(self, t_s: float) -> float:
@@ -163,9 +166,14 @@ class RunConfig:
             raise InvalidInputError(f"filter_substeps must be 0..{MAX_FILTER_SUBSTEPS}, got {shown(substeps)}")
         require_int("seed", self.seed)
         adc0808.require_clock_in_window(self.clock.frequency_hz)  # or build_port fails
+        # each substep time is below one tick past the last, so a phase finite there is finite throughout
+        t_past = self.duration_s + 1.0 / self.sample_rate_hz
         for ch in Channel:
             if ch not in self.stimuli:
                 raise InvalidInputError(f"missing stimulus for channel {ch.name}")
+            f = self.stimuli[ch].max_freq_hz()
+            if f and not _TWO_PI * f * t_past <= FLOAT_MAX:  # also when 2 pi f alone is inf: its phase at t = 0 is nan
+                raise InvalidInputError(f"{ch.name} stimulus at {f:g} Hz: 2 pi f t is not finite by t = {t_past:g} s")
         if self.chain.vref != self.adc.vref:
             raise InvalidInputError(
                 f"the chain is scaled to vref {self.chain.vref} V but the ADC reference is {self.adc.vref} V"

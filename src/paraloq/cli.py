@@ -201,7 +201,8 @@ def cmd_simulate(args) -> int:
         start_time=start_time,
         **run_kwargs,
     )
-    cfg.stimuli.update(stimuli)  # a channel without a flag keeps its default stimulus
+    # a channel without a flag keeps its default stimulus; replace checks the stimuli with the rest
+    cfg = dataclasses.replace(cfg, stimuli={**cfg.stimuli, **stimuli})
 
     summary = acquisition.RunSummary()  # the run's rows go to the file; the summary keeps columns
     previous = signal.signal(signal.SIGTERM, _terminate)

@@ -99,7 +99,7 @@ def ascii_chart(t_values, values, label: str) -> str:
         lines.append(f"{prefix} |{''.join(grid[row])}")
     footer = f"{'':{_GUTTER}} {label}: t_s {t_values[0]:.6f} .. {t_values[-1]:.6f}"
     lines.append(footer[:ASCII_COLS].ljust(ASCII_COLS))
-    return "\n".join(line.ljust(ASCII_COLS) for line in lines)
+    return "\n".join(lines)  # each line is already ASCII_COLS wide
 
 
 def svg_chart(t_values, values, label: str) -> str:

@@ -235,6 +235,14 @@ MUTANTS = (
         " (CHANGES.md: Public names that only tests reached are deleted)",
     ),
     Mutant(
+        "paraloq/psychro.py",
+        "    if e <= 0.0:\n",
+        "    if e < 0.0:\n",
+        ("tests/test_psychro.py", "-k", "vapor_pressure_of_exactly_zero"),
+        "an e of exactly 0.0 passed on to dew_point_from_vapor_pressure"
+        " (CHANGES.md: CI runs from files)",
+    ),
+    Mutant(
         "paraloq/plotting.py",
         "    if len(text) > _GUTTER:\n",
         "    if len(text) >= _GUTTER:\n",

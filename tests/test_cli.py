@@ -125,6 +125,21 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "error:" in err and "--dry-stimulus" in err
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            "amp=1,freq=1e307,offset=20",  # 2 pi f t overflows at tick 6: sin(inf)
+            "amp=1,freq=1e308,offset=20",  # 2 pi f alone overflows: inf * 0 at tick 0
+            "amp=1e308,freq=0.1,offset=1e308",  # offset + amp * sin(...) overflows
+        ],
+    )
+    def test_a_sine_that_cannot_stay_finite_exits_2_before_the_log_opens(self, tmp_path, capsys, params):
+        out = tmp_path / "x.csv"
+        code = main(["simulate", "--duration", "10", "--start-time", START, "--dry-stimulus", f"sine:{params}", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_golden_steady_run_is_byte_identical(self, tmp_path, monkeypatch):
         monkeypatch.delenv("PARALOQ_CONFIG", raising=False)
         golden = json.loads(GOLDEN.read_text(encoding="utf-8"))

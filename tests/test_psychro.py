@@ -62,6 +62,12 @@ class TestRelativeHumidity:
         with pytest.raises(InconsistentReadingError, match="gives vapor pressure"):
             reading(dry, 10.0)
 
+    def test_a_vapor_pressure_of_exactly_zero_is_inconsistent(self):
+        # es(0) is magnus_a = 6.112 hPa, and 1.0 * 6.112 * (1.0 - 0.0) takes all of it
+        cfg = PsychroConfig(psychrometer_coeff=1.0, pressure_hpa=6.112)
+        with pytest.raises(InconsistentReadingError, match="vapor pressure 0.0000 hPa <= 0"):
+            reading(1.0, 0.0, cfg)
+
     def test_wet_above_dry_rejected(self):
         with pytest.raises(InvalidInputError):
             reading(10.0, 20.0)
