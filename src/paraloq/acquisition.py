@@ -21,7 +21,7 @@ from random import Random
 
 from . import adc0808, logstore, psychro, signal_chain
 # decode_volts is not called here, but perfbench/layers.py SPAN_TARGETS looks it up on this module
-from .adc0808 import CODE_MAX, AdcConfig, ClockConfig, decode_temp, decode_volts
+from .adc0808 import CODE_MAX, VREF, AdcConfig, ClockConfig, decode_temp, decode_volts
 from .errors import (
     FLOAT_MAX,
     EmptyRunError,
@@ -35,7 +35,7 @@ from .errors import (
     store_floats,
 )
 from .pport import SimulatedPort, acquire_byte
-from .signal_chain import ChainConfig, chain_voltage, lowpass_alpha, lowpass_step
+from .signal_chain import AMP_GAIN, SENSOR_SLOPE, ChainConfig, chain_voltage, lowpass_alpha, lowpass_step
 
 
 class Channel(Enum):
@@ -160,6 +160,10 @@ class RunConfig:
         require_above("sample_rate_hz", self.sample_rate_hz, 0)
         require_above("duration_s", self.duration_s, 0, inclusive=True)
         store_floats(self, "sample_rate_hz", "duration_s")
+        if not self.duration_s * self.sample_rate_hz <= FLOAT_MAX:  # or tick_count overflows
+            raise InvalidInputError(
+                f"duration_s * sample_rate_hz must be finite, got {self.duration_s:g} s at {self.sample_rate_hz:g} S/s"
+            )
         substeps = self.filter_substeps
         require_int("filter_substeps", substeps)
         if not 0 <= substeps <= MAX_FILTER_SUBSTEPS:
@@ -174,12 +178,6 @@ class RunConfig:
             f = self.stimuli[ch].max_freq_hz()
             if f and not _TWO_PI * f * t_past <= FLOAT_MAX:  # also when 2 pi f alone is inf: its phase at t = 0 is nan
                 raise InvalidInputError(f"{ch.name} stimulus at {f:g} Hz: 2 pi f t is not finite by t = {t_past:g} s")
-        if self.chain.vref != self.adc.vref:
-            raise InvalidInputError(
-                f"the chain is scaled to vref {self.chain.vref} V but the ADC reference is {self.adc.vref} V"
-            )
-        # decode_temp is right only for an aligned chain, whatever allow_misaligned says
-        signal_chain.require_aligned(self.chain)
         latency_s = adc0808.conversion_time_s(self.clock.frequency_hz, self.adc)
         if len(Channel) * latency_s > 1.0 / self.sample_rate_hz:
             raise InvalidInputError(
@@ -210,17 +208,26 @@ class RunConfig:
                 )
 
     def fingerprint(self) -> str:
+        # Line 5 of a log is this hash. The configs are written out as they read
+        # when the paper's constants were fields too, those constants filled in,
+        # and the chain once per channel, so a log of the same run keeps its hash.
+        chain, adc, psy = self.chain, self.adc, self.psychro
+        chain_text = (
+            f"ChainConfig(sensor_slope={SENSOR_SLOPE!r}, amp_gain={AMP_GAIN!r}, clamp_volts={chain.clamp_volts!r}, "
+            f"filter_cutoff_hz={chain.filter_cutoff_hz!r}, vref={VREF!r}, allow_misaligned=False)"
+        )
         text = "|".join(
             (
                 f"rate={self.sample_rate_hz!r}",
                 f"duration={self.duration_s!r}",
                 f"channels={[ch.name for ch in Channel]!r}",
                 f"clock={self.clock!r}",
-                # a pair per channel, so the hash, line 5 of a log, keeps its text
-                f"chains={[(ch.name, repr(self.chain)) for ch in Channel]!r}",
+                f"chains={[(ch.name, chain_text) for ch in Channel]!r}",
                 f"stimuli={sorted((ch.name, repr(s)) for ch, s in self.stimuli.items())!r}",
-                f"adc={self.adc!r}",
-                f"psychro={self.psychro!r}",
+                f"adc=AdcConfig(vref={VREF!r}, bits=8, conversion_cycles={adc.conversion_cycles!r}, "
+                f"unadjusted_error_lsb=0.5, noise_sigma_lsb={adc.noise_sigma_lsb!r})",
+                f"psychro=PsychroConfig(psychrometer_coeff={psy.psychrometer_coeff!r}, pressure_hpa={psy.pressure_hpa!r}, "
+                f"magnus_a={psychro.MAGNUS_A!r}, magnus_b={psychro.MAGNUS_B!r}, magnus_c={psychro.MAGNUS_C!r})",
                 f"substeps={self.filter_substeps!r}",
                 f"seed={self.seed!r}",
             )

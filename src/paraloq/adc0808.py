@@ -4,13 +4,14 @@ The converter resolves 8 bits MSB-first, one trial comparison per bit, and
 needs its input held constant for the whole conversion (the simulated port
 latches the input at start, so that holds by construction).
 
-Conventions (quantize over 256 steps, decode over the 255-step span, so
-the ~19.6 mV step size and the exact 50.0 degC top reading both hold):
-  * quantize: code = floor(v * 256 / vref), clamped to 0..255
-    (interior transition spacing vref/256, about 19.6 mV at 5 V)
-  * convert:  the largest code whose threshold code * vref / 256 the input
-    reaches, which the 8-step SAR finds; one division checked against them
-  * decode:   volts = code * vref / 255, temp = code * 50 / 255 degC
+The reference is the paper's fixed VREF = 5 V. Conventions (quantize over
+256 steps, decode over the 255-step span, so the ~19.5 mV step size and the
+exact 50.0 degC top reading both hold):
+  * quantize: code = floor(v * 256 / VREF), clamped to 0..255
+    (interior transition spacing VREF/256, about 19.5 mV)
+  * convert:  the largest code whose threshold code * VREF / 256 the input
+    reaches, which the 8-step SAR finds
+  * decode:   volts = code * VREF / 255, temp = code * 50 / 255 degC
     (top code maps to full scale: 255 -> 5.000 V -> 50.0 degC)
 """
 
@@ -30,8 +31,8 @@ from .errors import (
     store_floats,
 )
 
-BITS = 8
-CODE_MAX = 255
+CODE_MAX = 255  # 8 bits, the only width modeled
+VREF = 5.0  # converter reference in volts
 TEMP_FULL_SCALE_C = 50.0  # top code's temperature; the signal chain is scaled to it
 
 # Valid converter clock window per the device rating.
@@ -63,28 +64,18 @@ class ClockConfig:
 class AdcConfig:
     """Converter parameters.
 
-    unadjusted_error_lsb is the device's total error bound (1/2 LSB for the
-    0808, 1 LSB for the 0809); it is a verification budget, not injected
-    into conversions. noise_sigma_lsb > 0 adds Gaussian code noise in the
-    simulated port only, off by default for reproducibility.
+    noise_sigma_lsb > 0 adds Gaussian code noise in the simulated port only,
+    off by default for reproducibility.
     """
 
-    vref: float = 5.0
-    bits: int = BITS
     conversion_cycles: int = 64
-    unadjusted_error_lsb: float = 0.5
     noise_sigma_lsb: float = 0.0
 
     def __post_init__(self):
-        require_above("vref", self.vref, 0)
-        require_int("bits", self.bits)
-        if self.bits != BITS:
-            raise InvalidInputError(f"bits must be {BITS}, the only width modeled, got {self.bits}")
         require_int("conversion_cycles", self.conversion_cycles)
         require_above("conversion_cycles", self.conversion_cycles, 0)
-        require_above("unadjusted_error_lsb", self.unadjusted_error_lsb, 0, inclusive=True)
         require_above("noise_sigma_lsb", self.noise_sigma_lsb, 0, inclusive=True)
-        store_floats(self, "vref", "unadjusted_error_lsb", "noise_sigma_lsb")
+        store_floats(self, "noise_sigma_lsb")
 
 
 def require_clock_in_window(freq_hz: float) -> None:
@@ -94,15 +85,15 @@ def require_clock_in_window(freq_hz: float) -> None:
         raise ClockRangeError(f"clock {hz} Hz outside [{CLOCK_MIN_HZ:.0f}, {CLOCK_MAX_HZ:.0f}] Hz")
 
 
-def quantize(v_in: float, cfg: AdcConfig = AdcConfig()) -> int:
-    """Ideal transfer function: floor(v * 256 / vref) clamped to 0..255.
+def quantize(v_in: float) -> int:
+    """Ideal transfer function: floor(v * 256 / VREF) clamped to 0..255.
 
     Nothing in the package calls it: it is the reference the tests and the
     README hold sar_convert against.
     """
     require_finite("v_in", v_in)
-    # clamped before the floor, which raises for the inf an overflowing v * 256 / vref gives
-    return math.floor(min(max(v_in * 256.0 / cfg.vref, 0.0), float(CODE_MAX)))
+    # clamped before the floor, which raises for the inf an overflowing v * 256 / VREF gives
+    return math.floor(min(max(v_in * 256.0 / VREF, 0.0), float(CODE_MAX)))
 
 
 def conversion_time_s(clock_hz: float, cfg: AdcConfig = AdcConfig()) -> float:
@@ -110,35 +101,28 @@ def conversion_time_s(clock_hz: float, cfg: AdcConfig = AdcConfig()) -> float:
     return cfg.conversion_cycles / clock_hz
 
 
-def sar_convert(v_in: float, cfg: AdcConfig = AdcConfig()) -> int:
+def sar_convert(v_in: float) -> int:
     """Return the code the 8-step successive-approximation loop resolves.
 
     That loop keeps each trial bit, MSB first, iff the input reaches its
-    threshold trial * vref / 256. Those floats never decrease with the code, so
-    it returns the largest code whose threshold the input reaches. One division
-    (v * 256 / vref, clamped and floored as in quantize) estimates that code and
-    the thresholds correct it: no step at 5 V, up to 254 near vref = FLOAT_MAX.
-    The mux channel and the clock pick the held input and the conversion time
-    (conversion_time_s); the port checks both where they enter.
+    threshold trial * VREF / 256, so it returns the largest code whose
+    threshold the input reaches. At VREF = 5 V one division gives that code:
+    every threshold c * 5 / 256 and every v * 256 is exact, and floats near
+    5n are spaced at least 4 ulp(n) apart, so v * 256 / 5 cannot round up to
+    n from below. The mux channel and the clock pick the held input and the
+    conversion time (conversion_time_s); the port checks both where they enter.
     """
     if not -FLOAT_MAX <= v_in <= FLOAT_MAX:
         require_finite("v_in", v_in)
-    vref = cfg.vref
-    x = v_in * 256.0 / vref
-    code = 0 if x <= 0.0 else CODE_MAX if x >= 255.0 else math.floor(x)
-    while code and v_in < code * vref / 256.0:
-        code -= 1
-    while code < CODE_MAX and v_in >= (code + 1) * vref / 256.0:
-        code += 1
-    return code
+    x = v_in * 256.0 / VREF
+    return 0 if x <= 0.0 else CODE_MAX if x >= 255.0 else math.floor(x)
 
 
-def decode_volts(code: int, vref: float = 5.0) -> float:
-    """Code back to volts over the 0..vref span: code * vref / 255."""
+def decode_volts(code: int) -> float:
+    """Code back to volts over the 0..VREF span: code * VREF / 255."""
     if type(code) is not int or not 0 <= code <= CODE_MAX:
         raise InvalidInputError(f"code must be an integer 0..{CODE_MAX}, got {shown(code)}")
-    require_above("vref", vref, 0)
-    return code * vref / 255.0
+    return code * VREF / 255.0
 
 
 def decode_temp(code: int) -> float:

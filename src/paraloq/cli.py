@@ -30,7 +30,7 @@ from datetime import datetime
 
 from . import acquisition, logstore, plotting, psychro
 from .acquisition import Channel, Constant, Replay, RunConfig, Sine
-from .adc0808 import AdcConfig, ClockConfig
+from .adc0808 import ClockConfig
 from .errors import (
     ConfigError,
     CsvParseError,
@@ -196,7 +196,6 @@ def cmd_simulate(args) -> int:
     cfg = RunConfig(
         clock=clock,
         chain=chain,
-        adc=AdcConfig(vref=chain.vref),  # the converter reference the chain is scaled to
         psychro=psychro.PsychroConfig(**config["psychro"]),
         start_time=start_time,
         **run_kwargs,

@@ -146,7 +146,7 @@ class SimulatedPort:
     def _start_conversion(self, channel: int) -> None:
         if not self.connected:
             return
-        code = adc0808.sar_convert(self._inputs[channel], self._adc)
+        code = adc0808.sar_convert(self._inputs[channel])
         sigma = self._noise_sigma
         if sigma > 0:
             code += round(self._rng.gauss(0.0, sigma))

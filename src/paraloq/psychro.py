@@ -1,6 +1,7 @@
 """Relative humidity and dew point from dry-bulb / wet-bulb temperature pairs.
 
-Uses the Magnus saturation curve es(T) = a * exp(b T / (c + T)) together
+Uses the Magnus saturation curve over water, es(T) = a * exp(b T / (c + T))
+with Sonntag's (1990) constants as the WMO CIMO guide adopts them, together
 with the classical psychrometer equation
 
     e = es(T_wet) - gamma * P * (T_dry - T_wet)
@@ -30,18 +31,20 @@ from .errors import (
 )
 
 
+MAGNUS_A = 6.112  # hPa
+MAGNUS_B = 17.62
+MAGNUS_C = 243.12  # degC
+
+
 @dataclass(frozen=True)
 class PsychroConfig:
-    """Psychrometer coefficient, station pressure, and Magnus constants."""
+    """Psychrometer coefficient and station pressure."""
 
     psychrometer_coeff: float = 6.6e-4  # 1/K, ventilated psychrometer
     pressure_hpa: float = 1013.25
-    magnus_a: float = 6.112  # hPa
-    magnus_b: float = 17.62
-    magnus_c: float = 243.12  # degC
 
     def __post_init__(self):
-        names = ("psychrometer_coeff", "pressure_hpa", "magnus_a", "magnus_b", "magnus_c")
+        names = ("psychrometer_coeff", "pressure_hpa")
         for name in names:
             require_above(name, getattr(self, name), 0)
         store_floats(self, *names)
@@ -74,11 +77,11 @@ class PsychroReading(namedtuple("PsychroReading", ("dry_c", "wet_c", "rh_pct", "
         return cls(*iterable)
 
 
-def saturation_vapor_pressure(t_c: float, cfg: PsychroConfig = PsychroConfig()) -> float:
+def saturation_vapor_pressure(t_c: float) -> float:
     """Saturation vapor pressure in hPa at t_c degC (Magnus form)."""
-    if not -cfg.magnus_c < t_c <= FLOAT_MAX:
-        raise InvalidInputError(f"t_c must be finite and > {-cfg.magnus_c} degC, got {shown(t_c)}")
-    return cfg.magnus_a * math.exp(cfg.magnus_b * t_c / (cfg.magnus_c + t_c))
+    if not -MAGNUS_C < t_c <= FLOAT_MAX:
+        raise InvalidInputError(f"t_c must be finite and > {-MAGNUS_C} degC, got {shown(t_c)}")
+    return MAGNUS_A * math.exp(MAGNUS_B * t_c / (MAGNUS_C + t_c))
 
 
 def _vapor_pressure(dry_c: float, wet_c: float, cfg: PsychroConfig) -> float:
@@ -89,7 +92,7 @@ def _vapor_pressure(dry_c: float, wet_c: float, cfg: PsychroConfig) -> float:
                 require_finite(name, value)  # a finite value that fails is below 0
                 raise InvalidInputError(f"{name} below the 0..50 degC range: {value}")
         raise InvalidInputError(f"wet bulb {wet_c} exceeds dry bulb {dry_c}")
-    e = saturation_vapor_pressure(wet_c, cfg) - cfg.psychrometer_coeff * cfg.pressure_hpa * (
+    e = saturation_vapor_pressure(wet_c) - cfg.psychrometer_coeff * cfg.pressure_hpa * (
         dry_c - wet_c
     )
     if e <= 0.0:
@@ -99,24 +102,24 @@ def _vapor_pressure(dry_c: float, wet_c: float, cfg: PsychroConfig) -> float:
     return e
 
 
-def _rh_from(e_hpa: float, dry_c: float, cfg: PsychroConfig) -> float:
-    rh = 100.0 * e_hpa / saturation_vapor_pressure(dry_c, cfg)
+def _rh_from(e_hpa: float, dry_c: float) -> float:
+    rh = 100.0 * e_hpa / saturation_vapor_pressure(dry_c)
     if rh < 0.0:
         return 0.0
     return 100.0 if rh > 100.0 else rh
 
 
-def dew_point_from_vapor_pressure(e_hpa: float, cfg: PsychroConfig = PsychroConfig()) -> float:
+def dew_point_from_vapor_pressure(e_hpa: float) -> float:
     """Temperature at which e_hpa would be the saturation pressure."""
     if not 0 < e_hpa <= FLOAT_MAX:
         raise InvalidInputError(f"e_hpa must be finite and > 0, got {shown(e_hpa)}")
-    ratio = math.log(e_hpa / cfg.magnus_a)
-    if ratio >= cfg.magnus_b:
+    ratio = math.log(e_hpa / MAGNUS_A)
+    if ratio >= MAGNUS_B:
         raise InvalidInputError(f"vapor pressure {e_hpa} hPa beyond the Magnus domain")
-    return cfg.magnus_c * ratio / (cfg.magnus_b - ratio)
+    return MAGNUS_C * ratio / (MAGNUS_B - ratio)
 
 
 def reading(dry_c: float, wet_c: float, cfg: PsychroConfig = PsychroConfig()) -> PsychroReading:
     """Compute a full PsychroReading for one dry/wet pair."""
     e = _vapor_pressure(dry_c, wet_c, cfg)
-    return PsychroReading(dry_c, wet_c, _rh_from(e, dry_c, cfg), dew_point_from_vapor_pressure(e, cfg))
+    return PsychroReading(dry_c, wet_c, _rh_from(e, dry_c), dew_point_from_vapor_pressure(e))

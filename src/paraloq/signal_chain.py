@@ -14,72 +14,49 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .adc0808 import TEMP_FULL_SCALE_C
+from .adc0808 import VREF
 from .errors import InvalidInputError, require_above, require_finite, store_floats
+
+# The paper's front end: an LM35-style sensor at 10 mV/degC and a gain of 10
+# reach the converter's VREF = 5 V at TEMP_FULL_SCALE_C = 50 degC, the scale
+# decode_temp reads codes on.
+SENSOR_SLOPE = 0.010  # V/degC
+AMP_GAIN = 10.0
 
 
 @dataclass(frozen=True)
 class ChainConfig:
     """Front-end electrical parameters.
 
-    sensor_slope     sensor output in V/degC (LM35-style, 10 mV/degC)
-    amp_gain         amplifier voltage gain
     clamp_volts      protection zener voltage; output never exceeds this
     filter_cutoff_hz anti-alias low-pass -3 dB point
-    vref             ADC reference the chain is scaled against
-    allow_misaligned skip the full-scale alignment check (a run still
-                     rejects such a chain)
     """
 
-    sensor_slope: float = 0.010
-    amp_gain: float = 10.0
     clamp_volts: float = 5.0
     filter_cutoff_hz: float = 0.5
-    vref: float = 5.0
-    allow_misaligned: bool = False
 
     def __post_init__(self):
-        names = ("sensor_slope", "amp_gain", "clamp_volts", "filter_cutoff_hz", "vref")
+        names = ("clamp_volts", "filter_cutoff_hz")
         for name in names:
             require_above(name, getattr(self, name), 0)
         store_floats(self, *names)
-        if self.clamp_volts > self.vref:
-            raise InvalidInputError(
-                f"clamp_volts must be in (0, vref={self.vref}], got {self.clamp_volts}"
-            )
-        if not self.allow_misaligned:
-            require_aligned(self)
-
-
-def require_aligned(cfg: ChainConfig) -> None:
-    """Reject a chain that does not reach vref at TEMP_FULL_SCALE_C.
-
-    decode_temp maps codes onto 0..TEMP_FULL_SCALE_C, so only such a chain
-    decodes to the temperature it measured.
-    """
-    full_scale = cfg.sensor_slope * cfg.amp_gain * TEMP_FULL_SCALE_C
-    if abs(full_scale - cfg.vref) > 1e-9:
-        raise InvalidInputError(
-            f"chain full scale {full_scale} V does not match vref "
-            f"{cfg.vref} V over 0..{TEMP_FULL_SCALE_C} degC"
-        )
+        if self.clamp_volts > VREF:
+            raise InvalidInputError(f"clamp_volts must be in (0, VREF={VREF}], got {self.clamp_volts}")
 
 
 def chain_voltage(temp_c: float, cfg: ChainConfig = ChainConfig()) -> float:
     """DC voltage the ADC sees for a steady temperature (no filter dynamics).
 
-    The sensor gives sensor_slope * temp_c volts, the amplifier multiplies
-    that by amp_gain, and the shunt zeners hold the result to
+    The sensor gives SENSOR_SLOPE * temp_c volts, the amplifier multiplies
+    that by AMP_GAIN, and the shunt zeners hold the result to
     [0, clamp_volts], clipping over-range swings and negative excursions
     alike: the value min(max(v, 0.0), clamp_volts) gives, -0.0 kept. A nan,
-    an inf or an int beyond the float range is rejected; a finite
-    temperature whose slope * temp_c overflows saturates at a rail, as the
-    zeners do. It runs once per filter substep, so the passing path is one
-    comparison on the result, 0.0 <= v <= clamp_volts; only a v outside it
-    checks temp_c.
+    an inf or an int beyond the float range is rejected. It runs once per
+    filter substep, so the passing path is one comparison on the result,
+    0.0 <= v <= clamp_volts; only a v outside it checks temp_c.
     """
     try:
-        v = cfg.amp_gain * (cfg.sensor_slope * temp_c)
+        v = AMP_GAIN * (SENSOR_SLOPE * temp_c)
     except OverflowError:
         v = math.nan  # an int beyond the float range, which the check below rejects
     clamp = cfg.clamp_volts

@@ -70,31 +70,6 @@ MUTANTS = (
         'line[0] == "#" tested before the empty-line check (CHANGES.md: read_rows pulls its own lines)',
     ),
     Mutant(
-        "paraloq/adc0808.py",
-        "    while code and v_in < code * vref / 256.0:\n        code -= 1\n",
-        "",
-        ("tests/test_adc0808.py", "-k", "8_step_loop"),
-        "sar_convert without its downward loop (CHANGES.md: sar_convert finds its code from one division)",
-    ),
-    Mutant(
-        "paraloq/adc0808.py",
-        "    while code < CODE_MAX and v_in >= (code + 1) * vref / 256.0:\n        code += 1\n",
-        "",
-        ("tests/test_adc0808.py", "-k", "8_step_loop"),
-        "sar_convert without its upward loop (CHANGES.md: sar_convert finds its code from one division)",
-    ),
-    Mutant(
-        "paraloq/adc0808.py",
-        "    while code and v_in < code * vref / 256.0:\n"
-        "        code -= 1\n"
-        "    while code < CODE_MAX and v_in >= (code + 1) * vref / 256.0:\n",
-        "    while code and v_in < code * (vref / 256.0):\n"
-        "        code -= 1\n"
-        "    while code < CODE_MAX and v_in >= (code + 1) * (vref / 256.0):\n",
-        ("tests/test_adc0808.py", "-k", "8_step_loop"),
-        "sar_convert's thresholds as code * (vref / 256.0) (CHANGES.md: sar_convert finds its code from one division)",
-    ),
-    Mutant(
         "paraloq/acquisition.py",
         "    if 0 < wet_code <= dry_code < CODE_MAX:\n",
         "    if 0 < wet_code < dry_code < CODE_MAX:\n",
@@ -156,8 +131,8 @@ MUTANTS = (
     ),
     Mutant(
         "paraloq/adc0808.py",
-        "    return math.floor(min(max(v_in * 256.0 / cfg.vref, 0.0), float(CODE_MAX)))\n",
-        "    return min(max(math.floor(v_in * 256.0 / cfg.vref), 0), CODE_MAX)\n",
+        "    return math.floor(min(max(v_in * 256.0 / VREF, 0.0), float(CODE_MAX)))\n",
+        "    return min(max(math.floor(v_in * 256.0 / VREF), 0), CODE_MAX)\n",
         ("tests/test_acquisition.py", "-k", "the_ends_of_the_float_range_are_finite and quantize"),
         "quantize flooring before its clamp (CHANGES.md: One finite rule in errors)",
     ),
@@ -249,6 +224,36 @@ MUTANTS = (
         ("tests/test_plotting.py", "-k", "as_wide_as_the_gutter"),
         "a 10-character axis label cut to 3 digits"
         " (CHANGES.md: Public names that only tests reached are deleted)",
+    ),
+    Mutant(
+        "paraloq/acquisition.py",
+        "        if not self.duration_s * self.sample_rate_hz <= FLOAT_MAX:  # or tick_count overflows\n",
+        "        if False:\n",
+        ("tests/test_acquisition.py", "-k", "tick_count_overflows"),
+        "RunConfig(duration_s=1e308, sample_rate_hz=10) built, then tick_count() raised OverflowError"
+        " (CHANGES.md: One scaling rule)",
+    ),
+    Mutant(
+        "paraloq/acquisition.py",
+        "        if len(Channel) * latency_s > 1.0 / self.sample_rate_hz:\n",
+        "        if len(Channel) * latency_s >= 1.0 / self.sample_rate_hz:\n",
+        ("tests/test_acquisition.py", "-k", "fill_the_tick_exactly"),
+        "two conversions that fill the tick exactly rejected (CHANGES.md: One scaling rule)",
+    ),
+    Mutant(
+        "paraloq/acquisition.py",
+        "        if not self.duration_s * self.sample_rate_hz <= FLOAT_MAX:  # or tick_count overflows\n",
+        "        if not self.duration_s * self.sample_rate_hz < FLOAT_MAX:  # or tick_count overflows\n",
+        ("tests/test_acquisition.py", "-k", "exactly_float_max"),
+        "a tick count of exactly FLOAT_MAX rejected (CHANGES.md: tests for what the narrower schema keeps)",
+    ),
+    Mutant(
+        "paraloq/acquisition.py",
+        "conversion_cycles={adc.conversion_cycles!r}, ",
+        "conversion_cycles=64, ",
+        ("tests/test_acquisition.py", "-k", "fingerprint_keeps"),
+        "the # config line blind to a non-default conversion_cycles"
+        " (CHANGES.md: tests for what the narrower schema keeps)",
     ),
 )
 

@@ -27,12 +27,11 @@ step_console() {
     rewrites_same ci.csv
     "$PARALOQ" summarize --input ci.csv
     "$PARALOQ" plot --input ci.csv --column dry_temp_c
-    printf '[psychro]\nmagnus_c = inf\n' > ci-inf.ini
+    printf '[psychro]\npressure_hpa = inf\n' > ci-inf.ini
     exits 2 "$PARALOQ" --config ci-inf.ini compute --dry 20 --wet 18
     # every config key set to its default writes the same log as no config file
-    printf '%s\n' '[run]' 'sample_rate_hz = 2.0' 'duration_s = 5' 'filter_substeps = 0' 'seed = 0' '[chain]' 'sensor_slope = 0.010' 'amp_gain = 10.0' \
-        'clamp_volts = 5.0' 'filter_cutoff_hz = 0.5' 'vref = 5.0' '[clock]' 'r_ohms = 1420.5' 'c_farads = 1e-9' '[psychro]' 'psychrometer_coeff = 6.6e-4' \
-        'pressure_hpa = 1013.25' 'magnus_a = 6.112' 'magnus_b = 17.62' 'magnus_c = 243.12' > ci-defaults.ini
+    printf '%s\n' '[run]' 'sample_rate_hz = 2.0' 'duration_s = 5' 'filter_substeps = 0' 'seed = 0' '[chain]' 'clamp_volts = 5.0' \
+        'filter_cutoff_hz = 0.5' '[clock]' 'r_ohms = 1420.5' 'c_farads = 1e-9' '[psychro]' 'psychrometer_coeff = 6.6e-4' 'pressure_hpa = 1013.25' > ci-defaults.ini
     "$PARALOQ" --config ci-defaults.ini simulate --dry-temp 20 --wet-temp 18 "${START[@]}" --out ci-defaults.csv
     cmp ci.csv ci-defaults.csv
     # a chain other than the default, shared by both channels, writes its pinned log

@@ -39,6 +39,7 @@ from paraloq import (
     alias_frequency,
     build_port,
     chain_voltage,
+    conversion_time_s,
     decode_temp,
     decode_volts,
     humidity_summary,
@@ -52,7 +53,8 @@ from paraloq import (
     summarize,
     write_csv,
 )
-from paraloq.errors import require_above, shown
+from paraloq.acquisition import DEFAULT_CLOCK
+from paraloq.errors import FLOAT_MAX, require_above, shown
 from paraloq.logstore import PsychroRow
 from paraloq.psychro import dew_point_from_vapor_pressure
 
@@ -301,6 +303,45 @@ class TestFailurePaths:
         with pytest.raises(InvalidInputError, match=message):
             RunConfig(duration_s=10.0, **kwargs)
 
+    def test_two_conversions_that_fill_the_tick_exactly_fit(self):
+        two_conversions = len(Channel) * conversion_time_s(DEFAULT_CLOCK.frequency_hz)
+        near = 1.0 / two_conversions
+        for _ in range(8):
+            near = math.nextafter(near, 0.0)
+        # the largest rate whose tick is exactly two conversions long
+        rate = None
+        for _ in range(17):
+            if 1.0 / near == two_conversions:
+                rate = near
+            near = math.nextafter(near, math.inf)
+        assert rate is not None
+        assert RunConfig(duration_s=1.0, sample_rate_hz=rate).sample_rate_hz == rate
+        with pytest.raises(InvalidInputError, match="do not fit"):
+            RunConfig(duration_s=1.0, sample_rate_hz=math.nextafter(rate, math.inf))
+
+    def test_a_run_whose_tick_count_overflows_is_rejected_by_its_config(self):
+        # it used to build, then tick_count() raised a bare OverflowError
+        with pytest.raises(InvalidInputError, match="duration_s \\* sample_rate_hz must be finite"):
+            RunConfig(duration_s=1e308, sample_rate_hz=10.0)
+        assert RunConfig(duration_s=1e307, sample_rate_hz=10.0).tick_count() > 1e307
+
+    @pytest.mark.parametrize(
+        "duration_s, rate",
+        [(FLOAT_MAX, 1.0), (FLOAT_MAX / 2, 2.0), (FLOAT_MAX / 4, 4.0)],
+        ids=["FLOAT_MAX*1", "FLOAT_MAX/2*2", "FLOAT_MAX/4*4"],
+    )
+    def test_a_tick_count_of_exactly_float_max_builds(self, duration_s, rate):
+        assert RunConfig(duration_s=duration_s, sample_rate_hz=rate).tick_count() == int(FLOAT_MAX) + 1
+
+    @pytest.mark.parametrize(
+        "duration_s, rate",
+        [(FLOAT_MAX, math.nextafter(1.0, 2.0)), (FLOAT_MAX / 4, math.nextafter(4.0, 8.0))],
+        ids=["FLOAT_MAX*next-1", "FLOAT_MAX/4*next-4"],
+    )
+    def test_a_tick_count_one_float_past_float_max_is_rejected(self, duration_s, rate):
+        with pytest.raises(InvalidInputError, match="must be finite"):
+            RunConfig(duration_s=duration_s, sample_rate_hz=rate)
+
     def test_a_run_without_start_time_is_checked_when_it_starts_now(self):
         def ticked(row):
             raise AssertionError("a tick ran")
@@ -507,7 +548,7 @@ def reference_rows(cfg):
                     alpha = dt / (dt + rc)
                     x = chain_voltage(temp_at((k - 1) / rate + j * dt), chain)
                     volts[ch] = volts[ch] + alpha * (x - volts[ch])
-            code = quantize(volts[ch], cfg.adc)
+            code = quantize(volts[ch])
             if sigma > 0:
                 code = min(max(code + round(noise.gauss(0.0, sigma)), 0), 255)
             codes.append(code)
@@ -648,12 +689,6 @@ class TestConfigValidation:
             with pytest.raises(InvalidInputError):
                 Sine(**bad)
 
-    def test_chain_and_adc_share_the_reference(self):
-        chain = ChainConfig(sensor_slope=0.0066, clamp_volts=3.3, vref=3.3)
-        with pytest.raises(InvalidInputError, match="vref"):
-            RunConfig(duration_s=1.0, chain=chain)
-        RunConfig(duration_s=1.0, chain=chain, adc=AdcConfig(vref=3.3))
-
     def test_filter_substeps_are_bounded_before_any_tick(self, monkeypatch):
         from paraloq import acquisition
 
@@ -671,12 +706,6 @@ class TestConfigValidation:
         # 0.9 Hz only warned, then failed as "2 conversions of 7.04e+07 us do not fit"
         with pytest.raises(ClockRangeError, match="outside"):
             RunConfig(duration_s=1.0, clock=ClockConfig(r_ohms=r, c_farads=c))
-
-    def test_misaligned_chain_rejected_even_when_allowed(self):
-        # decode_temp assumes vref at 50 degC; this half-gain chain logged 25 degC as 12.5
-        chain = ChainConfig(amp_gain=5.0, allow_misaligned=True)
-        with pytest.raises(InvalidInputError, match="full scale"):
-            RunConfig(duration_s=1.0, chain=chain)
 
     def test_missing_stimulus(self):
         with pytest.raises(InvalidInputError):
@@ -735,9 +764,9 @@ def test_every_numeric_config_field_rejects_a_non_finite_value(cls, name, bad):
 # every float field of the seven config entry points, spelt as an int in range
 INT_SPELT_KWARGS = {
     ClockConfig: dict(r_ohms=1420, c_farads=1),
-    AdcConfig: dict(vref=5, unadjusted_error_lsb=1, noise_sigma_lsb=0),
-    ChainConfig: dict(sensor_slope=1, amp_gain=1, clamp_volts=50, filter_cutoff_hz=1, vref=50),
-    PsychroConfig: dict(psychrometer_coeff=1, pressure_hpa=1013, magnus_a=6, magnus_b=17, magnus_c=243),
+    AdcConfig: dict(noise_sigma_lsb=0),
+    ChainConfig: dict(clamp_volts=5, filter_cutoff_hz=1),
+    PsychroConfig: dict(psychrometer_coeff=1, pressure_hpa=1013),
     Sine: dict(amplitude_c=1, freq_hz=0, offset_c=20),
     Constant: dict(value_c=20),
     RunConfig: dict(duration_s=5, sample_rate_hz=2),
@@ -752,6 +781,70 @@ def test_every_float_config_field_is_stored_as_a_float(cls):
     assert all(type(getattr(built, name)) is float for name in kwargs)
     # 5 and 5.0 make one config, down to the repr that RunConfig.fingerprint hashes
     assert repr(built) == repr(cls(**{name: float(value) for name, value in kwargs.items()}))
+
+
+# one field of a 10 s run changed at a time, and the `# config` hash each gave
+# when the paper's constants were still config fields, whose reprs were hashed
+FINGERPRINTS = {
+    "defaults": ({}, "f4053c014390"),
+    "ChainConfig.clamp_volts": (dict(chain=ChainConfig(clamp_volts=2.5)), "2681fc5c0dd3"),
+    "ChainConfig.filter_cutoff_hz": (dict(chain=ChainConfig(filter_cutoff_hz=0.125)), "c573ecd2e0ee"),
+    "AdcConfig.conversion_cycles": (dict(adc=AdcConfig(conversion_cycles=72)), "1213b7ea7f2b"),
+    "AdcConfig.noise_sigma_lsb": (dict(adc=AdcConfig(noise_sigma_lsb=0.5)), "295aea3fdc4f"),
+    "PsychroConfig.psychrometer_coeff": (dict(psychro=PsychroConfig(psychrometer_coeff=8e-4)), "433d09417209"),
+    "PsychroConfig.pressure_hpa": (dict(psychro=PsychroConfig(pressure_hpa=900.0)), "5cda03e7de1a"),
+    "RunConfig.duration_s": (dict(duration_s=60.0), "81b38d578bb0"),
+    "RunConfig.sample_rate_hz": (dict(sample_rate_hz=4.0), "d9c7ccd4c3c4"),
+    "RunConfig.clock": (dict(clock=ClockConfig(r_ohms=2841.0, c_farads=1e-9)), "c0a6b943e6ab"),
+    "RunConfig.stimuli": (
+        dict(stimuli={Channel.DRY: Sine(amplitude_c=2.0, freq_hz=0.01, offset_c=25.0), Channel.WET: Constant(18.0)}),
+        "4b1d8b9e078c",
+    ),
+    "RunConfig.filter_substeps": (dict(filter_substeps=16), "71ada442bcff"),
+    "RunConfig.seed": (dict(seed=7), "977121dd3159"),
+}
+
+
+@pytest.mark.parametrize("case", list(FINGERPRINTS))
+def test_the_fingerprint_keeps_the_hash_of_the_old_reprs(case):
+    # fingerprint() spells the old reprs out by hand: each field must land in its old place
+    kwargs, digest = FINGERPRINTS[case]
+    assert RunConfig(**{"duration_s": 10.0, **kwargs}).fingerprint() == digest
+
+
+def test_the_fingerprint_table_changes_every_hashed_field():
+    # a field added to a config must be added to fingerprint() and to this table
+    sections = (ChainConfig, AdcConfig, PsychroConfig)
+    hashed = {f"{cls.__name__}.{f.name}" for cls in sections for f in dataclasses.fields(cls)} | {
+        f"RunConfig.{f.name}"
+        for f in dataclasses.fields(RunConfig)
+        if f.name not in ("chain", "adc", "psychro", "start_time")  # start_time is in the run id
+    }
+    assert set(FINGERPRINTS) - {"defaults"} == hashed
+
+
+# the paper's constants that were fields, each now refused as a keyword
+RETIRED_FIELDS = [
+    (ChainConfig, "sensor_slope", 0.01),
+    (ChainConfig, "amp_gain", 10.0),
+    (ChainConfig, "vref", 5.0),
+    (ChainConfig, "allow_misaligned", False),
+    (AdcConfig, "vref", 5.0),
+    (AdcConfig, "bits", 8),
+    (AdcConfig, "unadjusted_error_lsb", 0.5),
+    (PsychroConfig, "magnus_a", 6.112),
+    (PsychroConfig, "magnus_b", 17.62),
+    (PsychroConfig, "magnus_c", 243.12),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, name, value", RETIRED_FIELDS, ids=[f"{cls.__name__}.{name}" for cls, name, _ in RETIRED_FIELDS]
+)
+def test_a_paper_constant_is_not_a_config_field(cls, name, value):
+    # even its own value is refused, so no caller believes a 3.3 V converter was built
+    with pytest.raises(TypeError, match=name):
+        cls(**{name: value})
 
 
 @pytest.mark.parametrize(
@@ -849,7 +942,6 @@ def test_the_ends_of_the_float_range_are_finite(call, name):
         (lambda v: is_undersampled(1.0, v), InvalidInputError, "f_sample must be > 0 and finite"),
         (lambda v: is_undersampled(v, 2.0), InvalidInputError, "f_signal must be >= 0 and finite"),
         (lowpass_alpha, InvalidInputError, "dt must be > 0 and finite"),
-        (lambda v: decode_volts(1, v), InvalidInputError, "vref must be > 0 and finite"),
         (lambda v: SimulatedPort(clock_hz=v), ClockRangeError, "clock .+ Hz outside"),
     ],
     ids=[
@@ -858,7 +950,6 @@ def test_the_ends_of_the_float_range_are_finite(call, name):
         "is_undersampled",
         "is_undersampled.f_signal",
         "lowpass_alpha",
-        "decode_volts",
         "SimulatedPort.clock_hz",
     ],
 )

@@ -21,45 +21,40 @@ from paraloq import (
     quantize,
     sar_convert,
 )
+from paraloq.adc0808 import VREF
 
 adc_inputs = st.floats(min_value=-1.0, max_value=6.0, allow_nan=False)
 FLOAT_MAX = sys.float_info.max
-# the sweep's references: common ones, subnormal, huge and the largest float
-SWEEP_VREFS = (5.0, 3.3, 2.56, 1.0, 4.096, 1e-310, 1e300, FLOAT_MAX)
+THRESHOLDS = [c * VREF / 256.0 for c in range(257)]  # each exact at 5 V
 
 
-def sar_reference(v_in, vref):
-    """The 8-step SAR loop: keep each trial bit, MSB first, iff v_in reaches trial * vref / 256."""
+def sar_reference(v_in):
+    """The 8-step SAR loop: keep each trial bit, MSB first, iff v_in reaches trial * VREF / 256."""
     code = 0
     for bit in (128, 64, 32, 16, 8, 4, 2, 1):
         trial = code | bit
-        if v_in >= trial * vref / 256.0:
+        if v_in >= trial * VREF / 256.0:
             code = trial
     return code
 
 
 def neighbours(x, ulps=3):
-    """x and the floats up to ulps steps either side of it, the finite ones."""
+    """x and the floats up to ulps steps either side of it."""
     near = [x]
     for direction in (math.inf, -math.inf):
         y = x
         for _ in range(ulps):
             y = math.nextafter(y, direction)
             near.append(y)
-    return [y for y in near if -FLOAT_MAX <= y <= FLOAT_MAX]
+    return near
 
 
 @st.composite
-def vrefs_and_inputs(draw):
-    """A vref of any positive magnitude, and any finite input or one within
-    3 ulps of one of its thresholds (near FLOAT_MAX where the threshold overflows)."""
-    vref = draw(st.one_of(
-        st.sampled_from(SWEEP_VREFS),
-        st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1073, 1024)),
-    ))
+def sar_inputs(draw):
+    """Any finite input, or one within 3 ulps of a threshold."""
     if draw(st.booleans()):
-        return vref, draw(st.floats(allow_nan=False, allow_infinity=False))
-    return vref, draw(st.sampled_from(neighbours(draw(st.integers(0, 256)) * vref / 256.0)))
+        return draw(st.floats(allow_nan=False, allow_infinity=False))
+    return draw(st.sampled_from(neighbours(draw(st.sampled_from(THRESHOLDS)))))
 
 
 class TestClock:
@@ -158,29 +153,21 @@ class TestSarConvert:
     def test_equals_direct_quantizer(self, v):
         assert sar_convert(v) == quantize(v)
 
-    @pytest.mark.parametrize("vref", SWEEP_VREFS)
-    def test_is_the_8_step_loop_at_every_threshold(self, vref):
-        cfg = AdcConfig(vref=vref)
-        thresholds = [c * vref / 256.0 for c in range(257)]
-        inputs = [v for t in thresholds if t <= FLOAT_MAX for v in neighbours(t)]
+    def test_is_the_8_step_loop_at_every_threshold(self):
+        # one division stands for the loop: 64 ulps either side of each threshold pin it
+        inputs = [v for t in THRESHOLDS for v in neighbours(t, ulps=64)]
         for v in inputs + [0.0, -0.0, 5e-324, -5e-324, FLOAT_MAX, -FLOAT_MAX]:
-            code = sar_convert(v, cfg)
-            assert type(code) is int and code == sar_reference(v, vref), v
+            code = sar_convert(v)
+            assert type(code) is int and code == sar_reference(v), v
 
-    @given(case=vrefs_and_inputs())
-    def test_is_the_8_step_loop_at_any_vref(self, case):
-        vref, v = case
-        assert sar_convert(v, AdcConfig(vref=vref)) == sar_reference(v, vref)
+    def test_equals_direct_quantizer_at_every_threshold(self):
+        # at 5 V no cell edge falls between the two, as one did at other references
+        for v in [v for t in THRESHOLDS for v in neighbours(t, ulps=64)]:
+            assert sar_convert(v) == quantize(v), v
 
-    # at 5 V the two agree on every finite input (test_equals_direct_quantizer);
-    # at 3.3 V a cell edge can fall either side of the rounded threshold
-    @pytest.mark.parametrize("v,quantized,converted", [
-        (3 * 3.3 / 256, 2, 3),  # 0.038671874999999994, on the threshold of code 3
-        (0.11601562499999998, 9, 8),  # one ulp below 9 * 3.3 / 256
-    ])
-    def test_parts_from_quantize_by_one_code_at_a_3v3_cell_edge(self, v, quantized, converted):
-        cfg = AdcConfig(vref=3.3)
-        assert (quantize(v, cfg), sar_convert(v, cfg)) == (quantized, converted)
+    @given(v=sar_inputs())
+    def test_is_the_8_step_loop_on_any_input(self, v):
+        assert sar_convert(v) == sar_reference(v)
 
     @pytest.mark.parametrize("clock", [10e3, 100e3, 320e3, 640e3, 1280e3])
     def test_latency_times_clock_is_cycle_count(self, clock):
@@ -229,13 +216,9 @@ def test_a_conversion_is_a_plain_int_code():
 
 def test_adc_config_validation():
     with pytest.raises(InvalidInputError):
-        AdcConfig(vref=0.0)
-    with pytest.raises(InvalidInputError):
-        AdcConfig(bits=10)
-    # 8.0 == 8, but its repr is hashed into the run's # config line
-    with pytest.raises(InvalidInputError, match="bits must be an integer, got 8.0"):
-        AdcConfig(bits=8.0)
-    with pytest.raises(InvalidInputError):
         AdcConfig(conversion_cycles=0)
+    # 64.0 == 64, but its count is hashed into the run's # config line
+    with pytest.raises(InvalidInputError, match="conversion_cycles must be an integer, got 64.0"):
+        AdcConfig(conversion_cycles=64.0)
     with pytest.raises(InvalidInputError):
         AdcConfig(noise_sigma_lsb=-1.0)

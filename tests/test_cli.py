@@ -577,28 +577,6 @@ class TestConfigFile:
         assert main(["compute", "--dry", "20", "--wet", "18"]) == 0
         assert with_env != capsys.readouterr().out
 
-    def test_adc_reference_follows_the_chain(self, tmp_path):
-        cfg = tmp_path / "3v3.ini"
-        cfg.write_text(
-            "[chain]\nsensor_slope = 0.0066\nclamp_volts = 3.3\nvref = 3.3\n", encoding="utf-8"
-        )
-        out = tmp_path / "run.csv"
-        code = main(
-            [
-                "--config", str(cfg),
-                "simulate",
-                "--duration", "1",
-                "--dry-temp", "25",
-                "--wet-temp", "20",
-                "--start-time", START,
-                "--out", str(out),
-            ]
-        )
-        assert code == 0
-        for row in read_csv(out).rows:
-            assert abs(row.dry_temp_c - 25.0) <= 50 / 255
-            assert abs(row.wet_temp_c - 20.0) <= 50 / 255
-
     def test_a_chain_other_than_the_default_writes_its_pinned_log(self, tmp_path, monkeypatch):
         # both channels run through the one [chain]; line 5 hashes it once per
         # channel, and the whole file is pinned with it
@@ -626,12 +604,19 @@ class TestConfigFile:
         # the sine's 50 degC peak reads no higher than the 4.5 V clamp's code, 230
         assert max(row.dry_temp_c for row in read_csv(out).rows) == 45.098039
 
-    def test_non_finite_magnus_constant_exits_2(self, tmp_path, capsys):
-        # printed dew_point_c=-inf with exit 0
+    def test_non_finite_psychro_value_exits_2(self, tmp_path, capsys):
+        # a non-finite Magnus constant printed dew_point_c=-inf with exit 0
         cfg = tmp_path / "inf.ini"
-        cfg.write_text("[psychro]\nmagnus_c = inf\n", encoding="utf-8")
+        cfg.write_text("[psychro]\npressure_hpa = inf\n", encoding="utf-8")
         assert main(["--config", str(cfg), "compute", "--dry", "20", "--wet", "18"]) == 2
-        assert "magnus_c must be > 0 and finite" in capsys.readouterr().err
+        assert "pressure_hpa must be > 0 and finite" in capsys.readouterr().err
+
+    def test_a_magnus_constant_is_not_a_key(self, tmp_path, capsys):
+        # magnus_b = 100000 ended compute in an OverflowError traceback, exit 1
+        cfg = tmp_path / "magnus.ini"
+        cfg.write_text("[psychro]\nmagnus_b = 100000\n", encoding="utf-8")
+        assert main(["--config", str(cfg), "compute", "--dry", "25", "--wet", "20"]) == 2
+        assert "unknown config key [psychro] magnus_b" in capsys.readouterr().err
 
     def test_non_finite_pressure_exits_2_and_writes_nothing(self, tmp_path, capsys):
         # ran to exit 0 with every humidity field empty
@@ -643,13 +628,31 @@ class TestConfigFile:
         assert "pressure_hpa must be > 0 and finite" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_chain_section_must_stay_aligned(self, tmp_path, capsys):
-        cfg = tmp_path / "bad.ini"
-        cfg.write_text("[chain]\namp_gain = 3\n", encoding="utf-8")
-        code = main(
-            ["--config", str(cfg), "simulate", "--duration", "1", "--out", str(tmp_path / "x.csv")]
-        )
-        assert code == 2  # misaligned full scale is rejected at config time
+    # each key of the schema, as a file spells it, and the value its section class keeps
+    KEY_VALUES = {
+        ("run", "duration_s"): ("2", 2.0),
+        ("run", "sample_rate_hz"): ("4", 4.0),
+        ("run", "filter_substeps"): ("16", 16),
+        ("run", "seed"): ("7", 7),
+        ("chain", "clamp_volts"): ("4.5", 4.5),
+        ("chain", "filter_cutoff_hz"): ("0.2", 0.2),
+        ("clock", "r_ohms"): ("2841", 2841.0),
+        ("clock", "c_farads"): ("5e-10", 5e-10),
+        ("psychro", "psychrometer_coeff"): ("8e-4", 8e-4),
+        ("psychro", "pressure_hpa"): ("850", 850.0),
+    }
+
+    @pytest.mark.parametrize("section, key", list(KEY_VALUES), ids=[f"{s}.{k}" for s, k in KEY_VALUES])
+    def test_each_key_of_the_schema_reaches_its_section(self, tmp_path, section, key):
+        assert set(self.KEY_VALUES) == set(cli._CONFIG_SCHEMA)
+        text, value = self.KEY_VALUES[section, key]
+        cfg = tmp_path / "one.ini"
+        cfg.write_text(f"[{section}]\n{key} = {text}\n", encoding="utf-8")
+        values = cli.load_config_file(cfg)
+        assert values[section] == {key: value} and type(values[section][key]) is type(value)
+        required = {"run": dict(duration_s=1.0), "clock": dict(r_ohms=1420.5, c_farads=1e-9)}
+        built = cli._SECTIONS[section](**{**required.get(section, {}), **values[section]})
+        assert getattr(built, key) == value
 
     def test_schema_is_the_float_and_int_fields_of_the_section_classes(self):
         assert cli._CONFIG_SCHEMA == {
@@ -657,18 +660,12 @@ class TestConfigFile:
             ("run", "sample_rate_hz"): float,
             ("run", "filter_substeps"): int,
             ("run", "seed"): int,
-            ("chain", "sensor_slope"): float,
-            ("chain", "amp_gain"): float,
             ("chain", "clamp_volts"): float,
             ("chain", "filter_cutoff_hz"): float,
-            ("chain", "vref"): float,
             ("clock", "r_ohms"): float,
             ("clock", "c_farads"): float,
             ("psychro", "psychrometer_coeff"): float,
             ("psychro", "pressure_hpa"): float,
-            ("psychro", "magnus_a"): float,
-            ("psychro", "magnus_b"): float,
-            ("psychro", "magnus_c"): float,
         }
         assert cli.PLOTTABLE_COLUMNS == (
             "dry_code", "dry_temp_c", "wet_code", "wet_temp_c", "rh_pct", "dew_point_c"
@@ -680,6 +677,13 @@ class TestConfigFile:
             # a field that is not a float or an int is not a key
             ("[chain]\nallow_misaligned = true\n", "unknown config key [chain] allow_misaligned"),
             ("[run]\nstart_time = 2026-08-10T12:00:00\n", "unknown config key [run] start_time"),
+            # the paper's constants are not keys: the chain reaches VREF at 50 degC
+            ("[chain]\nsensor_slope = 0.0066\n", "unknown config key [chain] sensor_slope"),
+            ("[chain]\namp_gain = 3\n", "unknown config key [chain] amp_gain"),
+            ("[chain]\nvref = 3.3\n", "unknown config key [chain] vref"),
+            ("[psychro]\nmagnus_a = 6.1\n", "unknown config key [psychro] magnus_a"),
+            ("[psychro]\nmagnus_b = 17.5\n", "unknown config key [psychro] magnus_b"),
+            ("[psychro]\nmagnus_c = inf\n", "unknown config key [psychro] magnus_c"),
             # R C underflowed: a ZeroDivisionError traceback, exit 1
             ("[clock]\nr_ohms = 1e-300\nc_farads = 1e-300\n", "clock frequency"),
             # 0.9 Hz: a clock warning, then "2 conversions ... do not fit"
@@ -687,7 +691,8 @@ class TestConfigFile:
             ("[run]\nfilter_substeps = 1025\n", "filter_substeps must be 0..1024"),
         ],
         ids=[
-            "allow_misaligned", "start_time", "underflowing clock", "clock below the window",
+            "allow_misaligned", "start_time", "sensor_slope", "amp_gain", "vref", "magnus_a", "magnus_b",
+            "magnus_c", "underflowing clock", "clock below the window",
             "too many substeps",
         ],
     )

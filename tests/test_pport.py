@@ -384,7 +384,7 @@ class TestPortPrimitives:
         rng = Random(seed)
         for volts in levels:
             port.set_input(2, volts)
-            code = sar_convert(volts, adc) + round(rng.gauss(0.0, sigma))
+            code = sar_convert(volts) + round(rng.gauss(0.0, sigma))
             assert acquire_byte(port, 2) == min(max(code, 0), 255)
 
     @pytest.mark.parametrize("value", [256, -1])

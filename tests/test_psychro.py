@@ -24,6 +24,11 @@ RH_ORACLE = 83.29688547332444
 DEW_ORACLE = 17.009288515905595
 RH_TABLE = 85.183416
 DEW_TABLE = 17.360743
+# (degC, hPa): saturation vapour pressure over water, Hyland-Wexler
+WATER_TABLE = [
+    (-40.0, 0.1897), (-30.0, 0.5100), (-20.0, 1.2563), (-10.0, 2.8652), (0.0, 6.1121), (10.0, 12.281),
+    (20.0, 23.388), (30.0, 42.455), (40.0, 73.814), (50.0, 123.52), (60.0, 199.46),
+]
 
 
 class TestSaturationVaporPressure:
@@ -44,6 +49,16 @@ class TestSaturationVaporPressure:
         with pytest.raises(InvalidInputError):
             saturation_vapor_pressure(-243.12)
 
+    # over water, -40..60 degC: the Magnus form (Sonntag 1990) stays within
+    # 0.4 % of the Hyland-Wexler formulation that the WMO CIMO guide tabulates
+    @pytest.mark.parametrize("t_c, e_hpa", WATER_TABLE, ids=[f"{t:g}" for t, _ in WATER_TABLE])
+    def test_follows_the_saturation_curve_over_water(self, t_c, e_hpa):
+        assert saturation_vapor_pressure(t_c) == pytest.approx(e_hpa, rel=4e-3)
+
+    @pytest.mark.parametrize("t_c", [t for t, _ in WATER_TABLE], ids=[f"{t:g}" for t, _ in WATER_TABLE])
+    def test_the_dew_point_of_saturated_air_inverts_the_curve(self, t_c):
+        assert dew_point_from_vapor_pressure(saturation_vapor_pressure(t_c)) == pytest.approx(t_c, abs=1e-12)
+
 
 class TestRelativeHumidity:
     def test_saturated_pair_reads_100(self):
@@ -63,7 +78,7 @@ class TestRelativeHumidity:
             reading(dry, 10.0)
 
     def test_a_vapor_pressure_of_exactly_zero_is_inconsistent(self):
-        # es(0) is magnus_a = 6.112 hPa, and 1.0 * 6.112 * (1.0 - 0.0) takes all of it
+        # es(0) is MAGNUS_A = 6.112 hPa, and 1.0 * 6.112 * (1.0 - 0.0) takes all of it
         cfg = PsychroConfig(psychrometer_coeff=1.0, pressure_hpa=6.112)
         with pytest.raises(InconsistentReadingError, match="vapor pressure 0.0000 hPa <= 0"):
             reading(1.0, 0.0, cfg)
@@ -149,7 +164,7 @@ class TestConfigAndReading:
         with pytest.raises(InvalidInputError):
             PsychroConfig(pressure_hpa=0.0)
         with pytest.raises(InvalidInputError):
-            PsychroConfig(magnus_b=-1.0)
+            PsychroConfig(psychrometer_coeff=-1.0)
 
     def test_reading_bundle(self):
         result = reading(DRY_REF, WET_REF)
@@ -194,12 +209,12 @@ def test_reading_keeps_humidity_in_range_and_dew_at_or_below_dry(dry, wet_share)
 def test_relative_humidity_clamps_as_min_max_does(dry, wet_share, cfg):
     wet = dry * wet_share
     # the psychrometer equation, operation for operation
-    e = saturation_vapor_pressure(wet, cfg) - cfg.psychrometer_coeff * cfg.pressure_hpa * (dry - wet)
+    e = saturation_vapor_pressure(wet) - cfg.psychrometer_coeff * cfg.pressure_hpa * (dry - wet)
     if e <= 0.0:
         with pytest.raises(InconsistentReadingError):
             reading(dry, wet, cfg)
         return
-    rh = 100.0 * e / saturation_vapor_pressure(dry, cfg)
+    rh = 100.0 * e / saturation_vapor_pressure(dry)
     assert repr(reading(dry, wet, cfg).rh_pct) == repr(min(max(rh, 0.0), 100.0))
 
 
@@ -207,4 +222,4 @@ def test_relative_humidity_clamps_as_min_max_does(dry, wet_share, cfg):
 def test_the_humidity_clamp_is_min_max_for_any_vapor_pressure(e, dry):
     # below 0 and above 100 only a vapor pressure reading never passes reaches
     rh = 100.0 * e / saturation_vapor_pressure(dry)
-    assert repr(_rh_from(e, dry, PsychroConfig())) == repr(min(max(rh, 0.0), 100.0))
+    assert repr(_rh_from(e, dry)) == repr(min(max(rh, 0.0), 100.0))

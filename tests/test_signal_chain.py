@@ -14,32 +14,25 @@ from paraloq import (
     lowpass_alpha,
     lowpass_step,
 )
+from paraloq.adc0808 import TEMP_FULL_SCALE_C, VREF
+from paraloq.signal_chain import AMP_GAIN, SENSOR_SLOPE
 
 class TestChainConfig:
-    def test_defaults_are_full_scale_aligned(self):
-        cfg = ChainConfig()
-        assert cfg.sensor_slope * cfg.amp_gain * 50.0 == pytest.approx(cfg.vref, abs=1e-9)
+    def test_the_paper_chain_reaches_vref_at_full_scale(self):
+        assert SENSOR_SLOPE * AMP_GAIN * TEMP_FULL_SCALE_C == pytest.approx(VREF, abs=1e-9)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"sensor_slope": 0.0},
-            {"sensor_slope": -0.01},
-            {"amp_gain": 0.0},
             {"clamp_volts": 0.0},
-            {"clamp_volts": 6.0},  # above vref
+            {"clamp_volts": 6.0},  # above VREF
             {"filter_cutoff_hz": 0.0},
+            {"clamp_volts": math.nextafter(VREF, math.inf)},  # the default clamp sits on VREF
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(InvalidInputError):
             ChainConfig(**kwargs)
-
-    def test_misaligned_full_scale_rejected_unless_overridden(self):
-        with pytest.raises(InvalidInputError):
-            ChainConfig(amp_gain=7.0)
-        cfg = ChainConfig(amp_gain=7.0, allow_misaligned=True)
-        assert cfg.amp_gain == 7.0
 
 
 below_clamp_temps = st.floats(min_value=0.0, max_value=25.0)
@@ -102,35 +95,21 @@ def test_chain_composition_matches_ideal_scaling():
         assert out <= cfg.clamp_volts
 
 
-def test_chain_saturates_where_the_sensor_product_overflows():
-    # slope * temp_c is inf for a finite temperature here; the chain clamps it
-    # like any over-range input
-    cfg = ChainConfig(sensor_slope=1e10, amp_gain=1e-11)
-    assert chain_voltage(1e300, cfg) == cfg.clamp_volts
-    assert chain_voltage(-1e300, cfg) == 0.0
-    for bad in (math.inf, -math.inf, math.nan, 10**400):
-        with pytest.raises(InvalidInputError, match="temp_c must be finite"):
-            chain_voltage(bad, cfg)
-
-
-# the overflow-saturation config above: slope * temp_c is inf for |temp_c| > 1.8e298
-OVERFLOW_CHAIN = ChainConfig(sensor_slope=1e10, amp_gain=1e-11)
+# a second clamp, well inside the converter's span
+LOW_CLAMP_CHAIN = ChainConfig(clamp_volts=0.5)
 
 
 @st.composite
-def aligned_chains(draw):
-    """A chain that reaches vref at 50 degC, its clamp at or below vref."""
-    vref = draw(st.floats(min_value=0.5, max_value=10.0))
-    slope = draw(st.floats(min_value=1e-3, max_value=0.1))
-    clamp = vref * draw(st.floats(min_value=0.01, max_value=1.0))
-    return ChainConfig(sensor_slope=slope, amp_gain=vref / (slope * 50.0), clamp_volts=clamp, vref=vref)
+def clamped_chains(draw):
+    """A chain whose clamp is anywhere in (0, VREF]."""
+    return ChainConfig(clamp_volts=VREF * draw(st.floats(min_value=0.01, max_value=1.0)))
 
 
 @st.composite
 def chains_and_temps(draw):
-    cfg = draw(st.one_of(aligned_chains(), st.just(ChainConfig()), st.just(OVERFLOW_CHAIN)))
+    cfg = draw(st.one_of(clamped_chains(), st.just(ChainConfig()), st.just(LOW_CLAMP_CHAIN)))
     # a temperature whose chain voltage is the clamp, or a few ulps either side of it
-    near_clamp = cfg.clamp_volts / (cfg.amp_gain * cfg.sensor_slope)
+    near_clamp = cfg.clamp_volts / (AMP_GAIN * SENSOR_SLOPE)
     ulps = draw(st.integers(min_value=-3, max_value=3))
     for _ in range(abs(ulps)):
         near_clamp = math.nextafter(near_clamp, math.copysign(math.inf, ulps))
@@ -150,11 +129,10 @@ def min_max_clamp(v, cfg):
 
 @settings(max_examples=300)
 @given(chains_and_temps())
-@example((OVERFLOW_CHAIN, 1e300))
+@example((LOW_CLAMP_CHAIN, 1e300))
 def test_chain_clamps_as_min_max_does(case):
-    # with OVERFLOW_CHAIN, slope * temp_c is inf where chain_voltage saturates
     cfg, temp = case
-    assert repr(chain_voltage(temp, cfg)) == repr(min_max_clamp(cfg.amp_gain * (cfg.sensor_slope * temp), cfg))
+    assert repr(chain_voltage(temp, cfg)) == repr(min_max_clamp(AMP_GAIN * (SENSOR_SLOPE * temp), cfg))
 
 
 RAIL_TEMPS = (0.0, -0.0, 50.0, math.nextafter(50.0, 100.0), math.nextafter(50.0, 0.0), -1e300, 1e300)
@@ -162,16 +140,16 @@ RAIL_TEMPS = (0.0, -0.0, 50.0, math.nextafter(50.0, 100.0), math.nextafter(50.0,
 
 @pytest.mark.parametrize(
     "cfg, temp",
-    [(ChainConfig(), t) for t in RAIL_TEMPS] + [(OVERFLOW_CHAIN, -1e300), (OVERFLOW_CHAIN, 1e300)],
-    ids=[repr(t) for t in RAIL_TEMPS] + ["OVERFLOW_CHAIN--1e300", "OVERFLOW_CHAIN-1e300"],
+    [(ChainConfig(), t) for t in RAIL_TEMPS] + [(LOW_CLAMP_CHAIN, 5.0), (LOW_CLAMP_CHAIN, 1e300)],
+    ids=[repr(t) for t in RAIL_TEMPS] + ["LOW_CLAMP_CHAIN-5.0", "LOW_CLAMP_CHAIN-1e300"],
 )
 def test_chain_clamp_at_the_rails(cfg, temp):
-    # 10 * (0.01 * 50) is the 5 V clamp exactly; -0.0 stays -0.0, as max(-0.0, 0.0) keeps it;
-    # OVERFLOW_CHAIN's slope * temp_c is an inf, which goes to its rail
-    assert repr(chain_voltage(temp, cfg)) == repr(min_max_clamp(cfg.amp_gain * (cfg.sensor_slope * temp), cfg))
+    # 10 * (0.01 * 50) is the 5 V clamp exactly, and 10 * (0.01 * 5) the 0.5 V one;
+    # -0.0 stays -0.0, as max(-0.0, 0.0) keeps it
+    assert repr(chain_voltage(temp, cfg)) == repr(min_max_clamp(AMP_GAIN * (SENSOR_SLOPE * temp), cfg))
 
 
-@pytest.mark.parametrize("cfg", [ChainConfig(), OVERFLOW_CHAIN], ids=["default", "OVERFLOW_CHAIN"])
+@pytest.mark.parametrize("cfg", [ChainConfig(), LOW_CLAMP_CHAIN], ids=["default", "LOW_CLAMP_CHAIN"])
 def test_an_int_temperature_goes_to_a_rail_or_past_the_float_range_is_rejected(cfg):
     # 10**308 converts to a float; 10**309 does not, so multiplying by it raises OverflowError
     assert chain_voltage(10**308, cfg) == cfg.clamp_volts
@@ -183,7 +161,7 @@ def test_an_int_temperature_goes_to_a_rail_or_past_the_float_range_is_rejected(c
 
 def test_chain_lands_on_the_clamp_at_full_scale_and_keeps_negative_zero():
     cfg = ChainConfig()
-    assert cfg.amp_gain * (cfg.sensor_slope * 50.0) == cfg.clamp_volts  # exactly on the rail
+    assert AMP_GAIN * (SENSOR_SLOPE * 50.0) == cfg.clamp_volts  # exactly on the rail
     assert chain_voltage(50.0, cfg) == cfg.clamp_volts
     assert repr(chain_voltage(-0.0, cfg)) == "-0.0"
 
