@@ -21,7 +21,7 @@ from random import Random
 
 from . import adc0808, logstore, psychro, signal_chain
 # decode_volts is not called here, but perfbench/layers.py SPAN_TARGETS looks it up on this module
-from .adc0808 import CODE_MAX, VREF, AdcConfig, ClockConfig, decode_temp, decode_volts
+from .adc0808 import CODE_MAX, CONVERSION_CYCLES, VREF, AdcConfig, ClockConfig, decode_temp, decode_volts
 from .errors import (
     FLOAT_MAX,
     EmptyRunError,
@@ -122,8 +122,6 @@ class Replay:
 
 # -- run configuration ----------------------------------------------------
 
-DEFAULT_CLOCK = ClockConfig(r_ohms=1420.5, c_farads=1e-9)  # ~640 kHz
-
 # A full-scale step through the default 0.5 Hz filter at 1,024 substeps already
 # follows 1 - exp(-t/RC) within 0.07 LSB at 2 S/s and 0.29 LSB at 0.5 S/s, so
 # more change no code; the bound stops a config asking for a loop without end.
@@ -147,7 +145,7 @@ class RunConfig:
 
     duration_s: float
     sample_rate_hz: float = 2.0
-    clock: ClockConfig = DEFAULT_CLOCK
+    clock: ClockConfig = ClockConfig()
     chain: ChainConfig = ChainConfig()
     stimuli: dict = field(default_factory=_default_stimuli)
     adc: AdcConfig = AdcConfig()
@@ -172,13 +170,14 @@ class RunConfig:
         adc0808.require_clock_in_window(self.clock.frequency_hz)  # or build_port fails
         # each substep time is below one tick past the last, so a phase finite there is finite throughout
         t_past = self.duration_s + 1.0 / self.sample_rate_hz
+        if self.stimuli.keys() != set(Channel):
+            keys = ", ".join(map(shown, self.stimuli)) or "none"
+            raise InvalidInputError(f"stimuli keys must be {', '.join(map(shown, Channel))}, got {keys}")
         for ch in Channel:
-            if ch not in self.stimuli:
-                raise InvalidInputError(f"missing stimulus for channel {ch.name}")
             f = self.stimuli[ch].max_freq_hz()
             if f and not _TWO_PI * f * t_past <= FLOAT_MAX:  # also when 2 pi f alone is inf: its phase at t = 0 is nan
                 raise InvalidInputError(f"{ch.name} stimulus at {f:g} Hz: 2 pi f t is not finite by t = {t_past:g} s")
-        latency_s = adc0808.conversion_time_s(self.clock.frequency_hz, self.adc)
+        latency_s = adc0808.conversion_time_s(self.clock.frequency_hz)
         if len(Channel) * latency_s > 1.0 / self.sample_rate_hz:
             raise InvalidInputError(
                 f"{len(Channel)} conversions of {latency_s * 1e6:g} us do not fit "
@@ -224,7 +223,7 @@ class RunConfig:
                 f"clock={self.clock!r}",
                 f"chains={[(ch.name, chain_text) for ch in Channel]!r}",
                 f"stimuli={sorted((ch.name, repr(s)) for ch, s in self.stimuli.items())!r}",
-                f"adc=AdcConfig(vref={VREF!r}, bits=8, conversion_cycles={adc.conversion_cycles!r}, "
+                f"adc=AdcConfig(vref={VREF!r}, bits=8, conversion_cycles={CONVERSION_CYCLES!r}, "
                 f"unadjusted_error_lsb=0.5, noise_sigma_lsb={adc.noise_sigma_lsb!r})",
                 f"psychro=PsychroConfig(psychrometer_coeff={psy.psychrometer_coeff!r}, pressure_hpa={psy.pressure_hpa!r}, "
                 f"magnus_a={psychro.MAGNUS_A!r}, magnus_b={psychro.MAGNUS_B!r}, magnus_c={psychro.MAGNUS_C!r})",

@@ -2,7 +2,9 @@
 
 The converter resolves 8 bits MSB-first, one trial comparison per bit, and
 needs its input held constant for the whole conversion (the simulated port
-latches the input at start, so that holds by construction).
+latches the input at start, so that holds by construction). A conversion
+takes CONVERSION_CYCLES = 64 clock periods, 100 us at the logger's ~640 kHz
+RC clock (ClockConfig()).
 
 The reference is the paper's fixed VREF = 5 V. Conventions (quantize over
 256 steps, decode over the 255-step span, so the ~19.5 mV step size and the
@@ -26,7 +28,6 @@ from .errors import (
     InvalidInputError,
     require_above,
     require_finite,
-    require_int,
     shown,
     store_floats,
 )
@@ -34,6 +35,7 @@ from .errors import (
 CODE_MAX = 255  # 8 bits, the only width modeled
 VREF = 5.0  # converter reference in volts
 TEMP_FULL_SCALE_C = 50.0  # top code's temperature; the signal chain is scaled to it
+CONVERSION_CYCLES = 64  # clock periods per conversion
 
 # Valid converter clock window per the device rating.
 CLOCK_MIN_HZ = 10e3
@@ -44,8 +46,8 @@ CLOCK_MAX_HZ = 1280e3
 class ClockConfig:
     """RC values of the schmitt-trigger clock generator, f = 1/(1.1 R C)."""
 
-    r_ohms: float
-    c_farads: float
+    r_ohms: float = 1420.5  # the logger's R and C, about 640 kHz
+    c_farads: float = 1e-9
 
     def __post_init__(self):
         require_above("r_ohms", self.r_ohms, 0)
@@ -68,12 +70,9 @@ class AdcConfig:
     off by default for reproducibility.
     """
 
-    conversion_cycles: int = 64
     noise_sigma_lsb: float = 0.0
 
     def __post_init__(self):
-        require_int("conversion_cycles", self.conversion_cycles)
-        require_above("conversion_cycles", self.conversion_cycles, 0)
         require_above("noise_sigma_lsb", self.noise_sigma_lsb, 0, inclusive=True)
         store_floats(self, "noise_sigma_lsb")
 
@@ -96,9 +95,9 @@ def quantize(v_in: float) -> int:
     return math.floor(min(max(v_in * 256.0 / VREF, 0.0), float(CODE_MAX)))
 
 
-def conversion_time_s(clock_hz: float, cfg: AdcConfig = AdcConfig()) -> float:
-    """Time one conversion takes: conversion_cycles / clock_hz (100 us at 640 kHz)."""
-    return cfg.conversion_cycles / clock_hz
+def conversion_time_s(clock_hz: float) -> float:
+    """Time one conversion takes: CONVERSION_CYCLES / clock_hz (100 us at 640 kHz)."""
+    return CONVERSION_CYCLES / clock_hz
 
 
 def sar_convert(v_in: float) -> int:

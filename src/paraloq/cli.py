@@ -173,8 +173,8 @@ def cmd_simulate(args) -> int:
             source = flag if getattr(args, key) is not None else f"[run] {key}"
             require_above(source, run_kwargs[key], 0, inclusive=inclusive)
 
-    chain = ChainConfig(**config["chain"])
-    clock = dataclasses.replace(acquisition.DEFAULT_CLOCK, **config["clock"])
+    # each section but [run] is the RunConfig field of its name
+    sections = {name: cls(**config[name]) for name, cls in _SECTIONS.items() if cls is not RunConfig}
 
     stimuli = {}
     for channel, temp_flag, stim_flag, name in (
@@ -193,13 +193,7 @@ def cmd_simulate(args) -> int:
         except ValueError:
             raise ConfigError(f"--start-time: not ISO-8601: {args.start_time!r}") from None
 
-    cfg = RunConfig(
-        clock=clock,
-        chain=chain,
-        psychro=psychro.PsychroConfig(**config["psychro"]),
-        start_time=start_time,
-        **run_kwargs,
-    )
+    cfg = RunConfig(start_time=start_time, **sections, **run_kwargs)
     # a channel without a flag keeps its default stimulus; replace checks the stimuli with the rest
     cfg = dataclasses.replace(cfg, stimuli={**cfg.stimuli, **stimuli})
 

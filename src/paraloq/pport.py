@@ -65,8 +65,8 @@ class SimulatedPort:
     requires. The START+ALE and OUTPUT ENABLE levels are bits of the control
     wire level, the one register state the port keeps. A ``clock_hz`` outside
     the converter's window raises ClockRangeError here, when the port is built.
-    ``adc`` and ``clock_hz`` are fixed for the port's life, so the conversion
-    time and the noise level are worked out once, here.
+    The default clock is the logger's, ``ClockConfig()``. The conversion time
+    and the noise level are worked out once, here, and fixed for the port's life.
 
     Single-owner object: not safe for concurrent mutation.
     """
@@ -74,13 +74,11 @@ class SimulatedPort:
     def __init__(
         self,
         adc: adc0808.AdcConfig = adc0808.AdcConfig(),
-        clock_hz: float = 640e3,
+        clock_hz: float = adc0808.ClockConfig().frequency_hz,
         rng: Random | None = None,
     ):
         adc0808.require_clock_in_window(clock_hz)
-        self._adc = adc
-        self._clock_hz = clock_hz
-        self._latency = adc0808.conversion_time_s(clock_hz, adc)
+        self._latency = adc0808.conversion_time_s(clock_hz)
         self._noise_sigma = adc.noise_sigma_lsb
         self._control = 0  # control wire level: all lines low
         self.connected = True
@@ -111,14 +109,6 @@ class SimulatedPort:
     @property
     def now_s(self) -> float:
         return self._now
-
-    @property
-    def adc(self) -> adc0808.AdcConfig:
-        return self._adc
-
-    @property
-    def clock_hz(self) -> float:
-        return self._clock_hz
 
     @property
     def latency_s(self) -> float:

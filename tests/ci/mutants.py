@@ -14,8 +14,9 @@ directory and runs each selection there, with PYTHONPATH on the copy: once
 unmutated, where it must pass, and once per entry with that entry applied,
 where a test must fail (pytest's exit code 1; no tests collected is not a
 catch). Each pytest call starts in a fresh empty working directory, so an
-entry's catch does not rest on examples an earlier call saved. It exits 0
-only when every entry is caught.
+entry's catch does not rest on examples an earlier call saved, and runs
+under the "no-shrink" hypothesis profile of tests/conftest.py, which stops
+at the first failing example. It exits 0 only when every entry is caught.
 """
 
 from __future__ import annotations
@@ -249,11 +250,19 @@ MUTANTS = (
     ),
     Mutant(
         "paraloq/acquisition.py",
-        "conversion_cycles={adc.conversion_cycles!r}, ",
-        "conversion_cycles=64, ",
+        "noise_sigma_lsb={adc.noise_sigma_lsb!r})",
+        "noise_sigma_lsb=0.0)",
         ("tests/test_acquisition.py", "-k", "fingerprint_keeps"),
-        "the # config line blind to a non-default conversion_cycles"
+        "the # config line blind to a non-default noise_sigma_lsb"
         " (CHANGES.md: tests for what the narrower schema keeps)",
+    ),
+    Mutant(
+        "paraloq/acquisition.py",
+        "        if self.stimuli.keys() != set(Channel):\n",
+        "        if not self.stimuli.keys() >= set(Channel):\n",
+        ("tests/test_acquisition.py", "-k", "stimulus_key_that_is_not_a_channel"),
+        "a stimuli dict with a key that is not a channel built, then fingerprint() raised AttributeError"
+        " (CHANGES.md: One clock and one conversion time)",
     ),
 )
 
@@ -279,7 +288,7 @@ def pytest(selection, src: Path) -> tuple:
     # one per call, so no run replays an example another run saved
     with tempfile.TemporaryDirectory(dir=src.parent) as cwd:
         done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *args],
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--hypothesis-profile", "no-shrink", *args],
             cwd=cwd,
             env=env,
             capture_output=True,

@@ -3,10 +3,15 @@
 from datetime import datetime
 
 import pytest
+from hypothesis import Phase, settings
 
 from paraloq import Channel, Constant, RunConfig
 
 START = datetime(2026, 8, 10, 12, 0, 0)
+
+# Find a failing example but do not shrink it: tests/ci/mutants.py reads only
+# whether a selection fails, and shrinking one took most of its run.
+settings.register_profile("no-shrink", phases=[Phase.explicit, Phase.reuse, Phase.generate])
 
 
 @pytest.fixture

@@ -53,7 +53,6 @@ from paraloq import (
     summarize,
     write_csv,
 )
-from paraloq.acquisition import DEFAULT_CLOCK
 from paraloq.errors import FLOAT_MAX, require_above, shown
 from paraloq.logstore import PsychroRow
 from paraloq.psychro import dew_point_from_vapor_pressure
@@ -304,7 +303,7 @@ class TestFailurePaths:
             RunConfig(duration_s=10.0, **kwargs)
 
     def test_two_conversions_that_fill_the_tick_exactly_fit(self):
-        two_conversions = len(Channel) * conversion_time_s(DEFAULT_CLOCK.frequency_hz)
+        two_conversions = len(Channel) * conversion_time_s(ClockConfig().frequency_hz)
         near = 1.0 / two_conversions
         for _ in range(8):
             near = math.nextafter(near, 0.0)
@@ -707,9 +706,19 @@ class TestConfigValidation:
         with pytest.raises(ClockRangeError, match="outside"):
             RunConfig(duration_s=1.0, clock=ClockConfig(r_ohms=r, c_farads=c))
 
+    def test_a_default_port_runs_at_the_clock_of_a_default_run(self):
+        # one default clock: the port's own was 640 kHz, the run's 639,979.5 Hz
+        assert SimulatedPort().latency_s == build_port(RunConfig(duration_s=1.0)).latency_s
+
     def test_missing_stimulus(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="^stimuli keys must be Channel.DRY, Channel.WET, got Channel.DRY$"):
             RunConfig(duration_s=1.0, stimuli={Channel.DRY: Constant(20.0)})
+
+    def test_a_stimulus_key_that_is_not_a_channel_is_rejected(self):
+        # it used to build and run every tick, then fail in fingerprint() with a bare AttributeError
+        stimuli = {Channel.DRY: Constant(20.0), Channel.WET: Constant(18.0), "dry": Constant(25.0)}
+        with pytest.raises(InvalidInputError, match="got Channel.DRY, Channel.WET, dry$"):
+            RunConfig(duration_s=1.0, stimuli=stimuli)
 
     def test_negative_duration(self):
         with pytest.raises(InvalidInputError):
@@ -789,7 +798,6 @@ FINGERPRINTS = {
     "defaults": ({}, "f4053c014390"),
     "ChainConfig.clamp_volts": (dict(chain=ChainConfig(clamp_volts=2.5)), "2681fc5c0dd3"),
     "ChainConfig.filter_cutoff_hz": (dict(chain=ChainConfig(filter_cutoff_hz=0.125)), "c573ecd2e0ee"),
-    "AdcConfig.conversion_cycles": (dict(adc=AdcConfig(conversion_cycles=72)), "1213b7ea7f2b"),
     "AdcConfig.noise_sigma_lsb": (dict(adc=AdcConfig(noise_sigma_lsb=0.5)), "295aea3fdc4f"),
     "PsychroConfig.psychrometer_coeff": (dict(psychro=PsychroConfig(psychrometer_coeff=8e-4)), "433d09417209"),
     "PsychroConfig.pressure_hpa": (dict(psychro=PsychroConfig(pressure_hpa=900.0)), "5cda03e7de1a"),
@@ -832,6 +840,7 @@ RETIRED_FIELDS = [
     (AdcConfig, "vref", 5.0),
     (AdcConfig, "bits", 8),
     (AdcConfig, "unadjusted_error_lsb", 0.5),
+    (AdcConfig, "conversion_cycles", 64),
     (PsychroConfig, "magnus_a", 6.112),
     (PsychroConfig, "magnus_b", 17.62),
     (PsychroConfig, "magnus_c", 243.12),

@@ -650,8 +650,8 @@ class TestConfigFile:
         cfg.write_text(f"[{section}]\n{key} = {text}\n", encoding="utf-8")
         values = cli.load_config_file(cfg)
         assert values[section] == {key: value} and type(values[section][key]) is type(value)
-        required = {"run": dict(duration_s=1.0), "clock": dict(r_ohms=1420.5, c_farads=1e-9)}
-        built = cli._SECTIONS[section](**{**required.get(section, {}), **values[section]})
+        required = {"duration_s": 1.0} if section == "run" else {}  # every other field has a default
+        built = cli._SECTIONS[section](**{**required, **values[section]})
         assert getattr(built, key) == value
 
     def test_schema_is_the_float_and_int_fields_of_the_section_classes(self):
