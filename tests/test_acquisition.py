@@ -720,6 +720,20 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError, match="got Channel.DRY, Channel.WET, dry$"):
             RunConfig(duration_s=1.0, stimuli=stimuli)
 
+    @pytest.mark.parametrize(
+        "stimuli, got",
+        [
+            ({}, "none"),
+            ({Channel.WET: Constant(18.0)}, "Channel.WET"),
+            ({"DRY": Constant(20.0), "WET": Constant(18.0)}, "DRY, WET"),  # the channels' names
+            ({0: Constant(20.0), 1: Constant(18.0)}, "0, 1"),  # their mux inputs
+        ],
+        ids=["none", "wet only", "names", "mux inputs"],
+    )
+    def test_stimuli_keyed_by_anything_but_the_two_channels_are_rejected(self, stimuli, got):
+        with pytest.raises(InvalidInputError, match=f"^stimuli keys must be Channel.DRY, Channel.WET, got {got}$"):
+            RunConfig(duration_s=1.0, stimuli=stimuli)
+
     def test_negative_duration(self):
         with pytest.raises(InvalidInputError):
             RunConfig(duration_s=-1.0)

@@ -12,6 +12,7 @@ from paraloq import (
     ClockConfig,
     ClockRangeError,
     InvalidInputError,
+    RunConfig,
     SimulatedPort,
     acquire_byte,
     chain_voltage,
@@ -70,6 +71,11 @@ class TestClock:
         assert freq == pytest.approx(640e3, rel=1e-4)
         assert ClockConfig().frequency_hz == freq  # the logger's clock is the default
         assert SimulatedPort(clock_hz=freq).latency_s == conversion_time_s(freq)
+
+    def test_the_default_clock_is_the_one_a_run_hashes(self):
+        # line 5 of every default log hashes this repr as its clock= part
+        assert repr(ClockConfig()) == "ClockConfig(r_ohms=1420.5, c_farads=1e-09)"
+        assert RunConfig(duration_s=1.0).clock == ClockConfig()
 
     def test_below_window_rejected_by_the_port(self):
         freq = ClockConfig(r_ohms=100e3, c_farads=1e-9).frequency_hz

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from paraloq import Channel, Constant, RunConfig, acquisition, cli, run_acquisition, write_csv
+from paraloq import Channel, ClockConfig, Constant, RunConfig, acquisition, cli, run_acquisition, write_csv
 from paraloq.cli import main
 from paraloq.logstore import HEADER, read_csv
 
@@ -603,6 +603,28 @@ class TestConfigFile:
         assert hashlib.sha256(data).hexdigest() == "e1917b0d3fe0808ab60d901b4ef165e28afa9c86f906dced2a5e624062ae9e8c"
         # the sine's 50 degC peak reads no higher than the 4.5 V clamp's code, 230
         assert max(row.dry_temp_c for row in read_csv(out).rows) == 45.098039
+
+    @pytest.mark.parametrize(
+        "text, clock",
+        [
+            ("r_ohms = 2841\n", ClockConfig(r_ohms=2841.0)),
+            ("c_farads = 2e-9\n", ClockConfig(c_farads=2e-9)),
+            ("r_ohms = 1420.5\nc_farads = 1e-9\n", ClockConfig()),
+        ],
+        ids=["r_ohms", "c_farads", "both"],
+    )
+    def test_a_clock_section_keeps_the_logger_value_of_each_key_it_leaves_out(self, tmp_path, monkeypatch, text, clock):
+        monkeypatch.delenv("PARALOQ_CONFIG", raising=False)
+        cfg = tmp_path / "clock.ini"
+        cfg.write_text(f"[clock]\n{text}", encoding="utf-8")
+        out = tmp_path / "cli.csv"
+        flags = ["--duration", "5", "--dry-temp", "20", "--wet-temp", "18", "--start-time", START]
+        assert main(["--config", str(cfg), "simulate", *flags, "--out", str(out)]) == 0
+        stimuli = {Channel.DRY: Constant(20.0), Channel.WET: Constant(18.0)}
+        start = datetime.fromisoformat(START)
+        ref = tmp_path / "ref.csv"
+        write_csv(run_acquisition(RunConfig(duration_s=5.0, stimuli=stimuli, start_time=start, clock=clock)), ref)
+        assert out.read_bytes() == ref.read_bytes()
 
     def test_non_finite_psychro_value_exits_2(self, tmp_path, capsys):
         # a non-finite Magnus constant printed dew_point_c=-inf with exit 0
