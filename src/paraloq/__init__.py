@@ -52,7 +52,6 @@ from .signal_chain import (
     ChainConfig,
     alias_frequency,
     chain_voltage,
-    is_undersampled,
     lowpass_alpha,
     lowpass_step,
 )

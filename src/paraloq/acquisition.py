@@ -2,8 +2,8 @@
 
 Each tick acquires both channels, DRY then WET, through the port handshake,
 decodes each code to degC, and folds the dry/wet pair plus derived humidity
-into one log row, which goes to each attached sink; run_acquisition's first
-sink collects the run's log. Tick times are computed as k / rate (never
+into one log row, which acquire_rows hands to each sink and run_acquisition
+collects into the run's log. Tick times are computed as k / rate (never
 accumulated), so the schedule has zero floating drift, and that tick time
 is the run's only time base: runs are instantaneous and deterministic.
 """
@@ -14,10 +14,12 @@ import math
 import warnings
 from array import array
 from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 from enum import Enum
 from random import Random
+from types import MappingProxyType
 
 from . import adc0808, logstore, psychro, signal_chain
 # decode_volts is not called here, but perfbench/layers.py SPAN_TARGETS looks it up on this module
@@ -132,9 +134,10 @@ def _default_stimuli():
     return {Channel.DRY: Constant(25.0), Channel.WET: Constant(20.0)}
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Everything one acquisition run needs.
+    """Everything one acquisition run needs, checked when it is built and
+    unchangeable after: the stimuli are a read-only copy of the mapping given.
 
     Both channels share one analog front end, chain, as the logger's one
     LM35 chain does; each has its own stimulus and filter state.
@@ -147,7 +150,7 @@ class RunConfig:
     sample_rate_hz: float = 2.0
     clock: ClockConfig = ClockConfig()
     chain: ChainConfig = ChainConfig()
-    stimuli: dict = field(default_factory=_default_stimuli)
+    stimuli: Mapping = field(default_factory=_default_stimuli)
     adc: AdcConfig = AdcConfig()
     psychro: psychro.PsychroConfig = psychro.PsychroConfig()
     filter_substeps: int = 0
@@ -170,6 +173,9 @@ class RunConfig:
         adc0808.require_clock_in_window(self.clock.frequency_hz)  # or build_port fails
         # each substep time is below one tick past the last, so a phase finite there is finite throughout
         t_past = self.duration_s + 1.0 / self.sample_rate_hz
+        if not isinstance(self.stimuli, Mapping):
+            raise InvalidInputError(f"stimuli must be a mapping of Channel to stimulus, got {shown(self.stimuli)}")
+        object.__setattr__(self, "stimuli", MappingProxyType(dict(self.stimuli)))
         if self.stimuli.keys() != set(Channel):
             keys = ", ".join(map(shown, self.stimuli)) or "none"
             raise InvalidInputError(f"stimuli keys must be {', '.join(map(shown, Channel))}, got {keys}")
@@ -198,7 +204,7 @@ class RunConfig:
         nyquist = self.sample_rate_hz / 2.0
         for ch in Channel:
             f = self.stimuli[ch].max_freq_hz()
-            if signal_chain.is_undersampled(f, self.sample_rate_hz):
+            if f > nyquist:
                 warnings.warn(
                     f"{ch.name} stimulus at {f:g} Hz exceeds Nyquist {nyquist:g} Hz; "
                     f"it will alias to {signal_chain.alias_frequency(f, self.sample_rate_hz):g} Hz",
@@ -248,6 +254,8 @@ def build_port(cfg: RunConfig) -> SimulatedPort:
 
 def run_meta(cfg: RunConfig) -> logstore.RunMeta:
     """The log metadata of a run of cfg, which must have a start_time."""
+    if cfg.start_time is None:
+        raise InvalidInputError("run_meta needs a config with a start_time")
     return logstore.RunMeta(
         run_id=f"{cfg.start_time:%Y%m%dT%H%M%S}_{cfg.seed & 0xFFFFFFFF:08x}",
         start=cfg.start_time.isoformat(timespec="milliseconds"),
@@ -342,11 +350,11 @@ def acquire_rows(cfg: RunConfig, sinks, port: SimulatedPort | None = None) -> lo
     return run_meta(cfg)
 
 
-def run_acquisition(cfg: RunConfig, sinks=(), port: SimulatedPort | None = None) -> logstore.RunLog:
-    """Execute one run and return its RunLog: acquire_rows, with each row
-    joining the log before it goes to the sinks."""
+def run_acquisition(cfg: RunConfig, port: SimulatedPort | None = None) -> logstore.RunLog:
+    """Execute one run and return its RunLog: acquire_rows, with the rows
+    collected into the log."""
     rows: list = []
-    meta = acquire_rows(cfg, (rows.append, *sinks), port)
+    meta = acquire_rows(cfg, (rows.append,), port)
     return logstore.RunLog(meta=meta, rows=rows)
 
 
@@ -364,8 +372,11 @@ def _mean(values) -> float:
     return math.fsum(values) / len(values)  # statistics.fmean, without importing statistics
 
 
-def _channel_stats(values) -> ChannelStats:
-    return ChannelStats(_mean(values), min(values), max(values))
+def _stats(dry, wet) -> dict:
+    """Per-channel mean/min/max of a run's dry and wet temperatures."""
+    if not dry:
+        raise EmptyRunError("run has no samples to summarize")
+    return {ch: ChannelStats(_mean(v), min(v), max(v)) for ch, v in ((Channel.DRY, dry), (Channel.WET, wet))}
 
 
 def _humidity(rh, dew):
@@ -374,12 +385,7 @@ def _humidity(rh, dew):
 
 def summarize(run: logstore.RunLog) -> dict:
     """Per-channel mean/min/max temperature over a run."""
-    if not run.rows:
-        raise EmptyRunError("run has no samples to summarize")
-    return {
-        Channel.DRY: _channel_stats([row.dry_temp_c for row in run.rows]),
-        Channel.WET: _channel_stats([row.wet_temp_c for row in run.rows]),
-    }
+    return _stats([row.dry_temp_c for row in run.rows], [row.wet_temp_c for row in run.rows])
 
 
 def humidity_summary(run: logstore.RunLog):
@@ -410,13 +416,8 @@ class RunSummary:
         if row.dew_point_c is not None:
             self.dew.append(row.dew_point_c)
 
-    def __len__(self) -> int:
-        return len(self.dry)
-
     def stats(self) -> dict:
-        if not self.dry:
-            raise EmptyRunError("run has no samples to summarize")
-        return {Channel.DRY: _channel_stats(self.dry), Channel.WET: _channel_stats(self.wet)}
+        return _stats(self.dry, self.wet)
 
     def humidity(self):
         return _humidity(self.rh, self.dew)

@@ -82,6 +82,16 @@ class RunMeta:
     config_fingerprint: str = ""
 
     def __post_init__(self):
+        # a comment line keeps a value up to its LF, less its trailing whitespace
+        for name in ("run_id", "start", "config_fingerprint"):
+            text = getattr(self, name)
+            if type(text) is not str:
+                raise InvalidInputError(f"{name} must be a str, got {shown(text)}")
+            if "\n" in text or text != text.rstrip():
+                raise InvalidInputError(f"{name} must hold no LF or trailing whitespace, got {text!r}")
+        for name, idx in self.channels.items():  # written name=idx, joined by ','
+            if type(name) is not str or "," in name or "=" in name or "\n" in name or type(idx) is not int:
+                raise InvalidInputError(f"a channel must be a str with no ',', '=' or LF, and an int: {name!r}: {idx!r}")
         rate = _finite6("sample_rate_hz", self.sample_rate_hz)
         object.__setattr__(self, "sample_rate_hz", rate)
 
@@ -151,6 +161,7 @@ _COLUMNS = PsychroRow._fields
 _NCOLS = len(_COLUMNS)
 HEADER = ",".join(_COLUMNS)
 _NUMERIC_COLUMNS = tuple((i, name) for i, name in enumerate(_COLUMNS) if name != "timestamp")
+SERIES_COLUMNS = _COLUMNS[2:]  # the columns read_series reads: each after the timestamp
 
 
 @dataclass
@@ -457,7 +468,10 @@ def read_csv(path) -> RunLog:
 
 def read_series(path, column: str):
     """(t_s values, column values) of the rows whose column has a value, as
-    two array("d"): read_rows keeping two columns, not the rows."""
+    two array("d"): read_rows keeping two columns, not the rows. A column
+    not in SERIES_COLUMNS raises InvalidInputError before the file is opened."""
+    if column not in SERIES_COLUMNS:
+        raise InvalidInputError(f"column must be one of {', '.join(SERIES_COLUMNS)}; got {column!r}")
     index = _COLUMNS.index(column)
     t_values, values = array("d"), array("d")
 

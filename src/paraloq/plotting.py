@@ -80,7 +80,7 @@ def ascii_chart(t_values, values, label: str) -> str:
 
     grid = [[" "] * _PLOT_COLS for _ in range(_PLOT_ROWS)]
     for col in range(_PLOT_COLS):
-        idx = round(col * (n - 1) / (_PLOT_COLS - 1)) if n > 1 else 0
+        idx = round(col * (n - 1) / (_PLOT_COLS - 1))
         v = values[idx]
         if span > 0:
             row = round((vmax - v) / span * (_PLOT_ROWS - 1))

@@ -95,10 +95,3 @@ def alias_frequency(f_signal: float, f_sample: float) -> float:
     require_above("f_sample", f_sample, 0)
     require_above("f_signal", f_signal, 0, inclusive=True)
     return abs(math.remainder(f_signal, f_sample))
-
-
-def is_undersampled(f_signal: float, f_sample: float) -> bool:
-    """True when the signal violates the sampling theorem (f > fs/2)."""
-    require_above("f_sample", f_sample, 0)
-    require_above("f_signal", f_signal, 0, inclusive=True)
-    return f_signal > f_sample / 2.0

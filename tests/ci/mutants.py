@@ -264,6 +264,42 @@ MUTANTS = (
         "a stimuli dict with a key that is not a channel built, then fingerprint() raised AttributeError"
         " (CHANGES.md: One clock and one conversion time)",
     ),
+    Mutant(
+        "paraloq/logstore.py",
+        "    if column not in SERIES_COLUMNS:\n",
+        "    if column not in _COLUMNS:\n",
+        ("tests/test_logstore.py", "-k", "read_series_refuses"),
+        "read_series(log, 'timestamp') raised a bare TypeError (CHANGES.md: One owner for four rules)",
+    ),
+    Mutant(
+        "paraloq/acquisition.py",
+        "            if f > nyquist:\n",
+        "            if f >= nyquist:\n",
+        ("tests/test_acquisition.py", "-k", "up_to_nyquist"),
+        "a stimulus at exactly Nyquist warned (CHANGES.md: One owner for four rules)",
+    ),
+    Mutant(
+        "paraloq/acquisition.py",
+        "@dataclass(frozen=True)\nclass RunConfig:\n",
+        "@dataclass(frozen=False)\nclass RunConfig:\n",
+        ("tests/test_acquisition.py", "-k", "no_field_of_a_built_config"),
+        "a rate raised after the checks set a run out on 5e9 ticks (CHANGES.md: One owner for four rules)",
+    ),
+    Mutant(
+        "paraloq/logstore.py",
+        '            if "\\n" in text or text != text.rstrip():\n',
+        '            if "\\n" in text:\n',
+        ("tests/test_logstore.py", "-k", "meta_rejects_text"),
+        "a run_id with trailing whitespace read back without it (CHANGES.md: One owner for four rules)",
+    ),
+    Mutant(
+        "paraloq/psychro.py",
+        "    if ratio >= MAGNUS_B:\n",
+        "    if ratio > MAGNUS_B:\n",
+        ("tests/test_psychro.py", "-k", "edge_of_the_magnus_domain"),
+        "dew_point_from_vapor_pressure at log(e / MAGNUS_A) == MAGNUS_B divided by zero"
+        " (CHANGES.md: One owner for four rules)",
+    ),
 )
 
 

@@ -22,7 +22,7 @@ step_console() {
     "$PARALOQ" simulate --duration 5 --dry-temp 20 --wet-temp 18 "${START[@]}" --out ci.csv
     # the same run through the Python API: a row sink sees the rows of the log the CLI wrote; spelt with ints, the
     # same run and the same metadata, as a config stores its float fields as floats
-    python3 -c "from datetime import datetime; from paraloq import Channel, Constant, RunConfig, read_csv, run_acquisition; rows = []; run = run_acquisition(RunConfig(duration_s=5.0, stimuli={Channel.DRY: Constant(20.0), Channel.WET: Constant(18.0)}, start_time=datetime(2026, 8, 10, 12)), sinks=[rows.append]); log = read_csv('ci.csv'); assert rows == run.rows == log.rows; assert run == log"
+    python3 -c "from datetime import datetime; from paraloq import Channel, Constant, RunConfig, RunLog, read_csv; from paraloq.acquisition import acquire_rows; rows = []; meta = acquire_rows(RunConfig(duration_s=5.0, stimuli={Channel.DRY: Constant(20.0), Channel.WET: Constant(18.0)}, start_time=datetime(2026, 8, 10, 12)), [rows.append]); assert RunLog(meta, rows) == read_csv('ci.csv')"
     python3 -c "from datetime import datetime; from paraloq import Channel, Constant, RunConfig, read_csv, run_acquisition; run = run_acquisition(RunConfig(duration_s=5, stimuli={Channel.DRY: Constant(20), Channel.WET: Constant(18)}, start_time=datetime(2026, 8, 10, 12))); log = read_csv('ci.csv'); assert run == log"
     rewrites_same ci.csv
     "$PARALOQ" summarize --input ci.csv

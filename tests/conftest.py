@@ -1,5 +1,6 @@
 """Shared fixtures: a pinned start time and canned run configurations."""
 
+import dataclasses
 from datetime import datetime
 
 import pytest
@@ -26,6 +27,11 @@ def constant_run_config(dry_c=20.0, wet_c=18.0, **kwargs):
         "stimuli", {Channel.DRY: Constant(dry_c), Channel.WET: Constant(wet_c)}
     )
     return RunConfig(**kwargs)
+
+
+def with_stimulus(cfg, channel, stimulus):
+    """cfg with channel's stimulus replaced; a built RunConfig cannot change."""
+    return dataclasses.replace(cfg, stimuli={**cfg.stimuli, channel: stimulus})
 
 
 @pytest.fixture

@@ -36,10 +36,11 @@ from paraloq import (
     sar_convert,
     write_csv,
 )
+from paraloq.acquisition import acquire_rows
 from paraloq.logstore import HEADER, PsychroRow, RunLog, RunMeta
 from paraloq.pport import CONTROL_INVERT_MASK, HIGH_Z
 
-from conftest import constant_run_config
+from conftest import constant_run_config, with_stimulus
 
 LSB_C = 50.0 / 255.0
 
@@ -145,7 +146,7 @@ def test_criterion_07_sampling_schedule():
         assert row.t_s == k * 0.5
     # zero drift deep into a longer run
     rows = []
-    run_acquisition(constant_run_config(duration_s=600.0), sinks=[rows.append])
+    acquire_rows(constant_run_config(duration_s=600.0), [rows.append])
     assert rows[1000].t_s - 500.0 == 0.0
     report(7, "121 ticks in 60 s at 2 S/s; t_1000 = 500.0 s with zero error")
 
@@ -153,7 +154,7 @@ def test_criterion_07_sampling_schedule():
 def test_criterion_08_aliasing_demonstration():
     def dominant_bin(freq_hz):
         cfg = constant_run_config(duration_s=63.5)  # 128 ticks
-        cfg.stimuli[Channel.DRY] = Sine(amplitude_c=5.0, freq_hz=freq_hz, offset_c=25.0)
+        cfg = with_stimulus(cfg, Channel.DRY, Sine(amplitude_c=5.0, freq_hz=freq_hz, offset_c=25.0))
         if freq_hz > 1.0:
             with pytest.warns(UndersamplingWarning):
                 run = run_acquisition(cfg)

@@ -43,21 +43,22 @@ from paraloq import (
     decode_temp,
     decode_volts,
     humidity_summary,
-    is_undersampled,
     lowpass_alpha,
     quantize,
     reading,
     run_acquisition,
+    run_meta,
     sar_convert,
     saturation_vapor_pressure,
     summarize,
     write_csv,
 )
+from paraloq.acquisition import acquire_rows
 from paraloq.errors import FLOAT_MAX, require_above, shown
 from paraloq.logstore import PsychroRow
 from paraloq.psychro import dew_point_from_vapor_pressure
 
-from conftest import constant_run_config
+from conftest import constant_run_config, with_stimulus
 
 LSB_C = 50.0 / 255.0
 
@@ -76,7 +77,7 @@ class TestSchedule:
 
     def test_no_drift_at_tick_1000(self):
         rows = []
-        run_acquisition(constant_run_config(duration_s=500.0), sinks=[rows.append])
+        acquire_rows(constant_run_config(duration_s=500.0), [rows.append])
         assert rows[1000].t_s - 500.0 == 0.0
 
     @settings(max_examples=40, deadline=None)
@@ -109,7 +110,7 @@ class TestDecodeConsistency:
 
     def test_sample_volts_and_temp_decode_from_code(self):
         rows = []
-        run_acquisition(constant_run_config(duration_s=1.0), sinks=[rows.append])
+        acquire_rows(constant_run_config(duration_s=1.0), [rows.append])
         for row in rows:
             assert row.dry_temp_c == round(decode_temp(row.dry_code), 6)  # the log keeps 6 decimals
             assert row.wet_temp_c == round(decode_temp(row.wet_code), 6)
@@ -118,13 +119,19 @@ class TestDecodeConsistency:
 class TestAliasing:
     def test_undersampled_stimulus_warns(self):
         cfg = constant_run_config(duration_s=1.0)
-        cfg.stimuli[Channel.DRY] = Sine(amplitude_c=5.0, freq_hz=1.5, offset_c=25.0)
+        cfg = with_stimulus(cfg, Channel.DRY, Sine(amplitude_c=5.0, freq_hz=1.5, offset_c=25.0))
         with pytest.warns(UndersamplingWarning):
             run_acquisition(cfg)
 
+    @pytest.mark.parametrize("freq_hz", [0.3, 1.0], ids=["below Nyquist", "exactly Nyquist"])
+    def test_a_stimulus_up_to_nyquist_runs_without_a_warning(self, freq_hz):
+        # at 2 S/s, 1.0 Hz is not above Nyquist; any warning fails the suite
+        cfg = constant_run_config(duration_s=1.0)
+        run_acquisition(with_stimulus(cfg, Channel.DRY, Sine(amplitude_c=5.0, freq_hz=freq_hz, offset_c=25.0)))
+
     def test_folded_spectrum_peak(self):
         cfg = constant_run_config(duration_s=63.5)  # 128 ticks: clean FFT bins
-        cfg.stimuli[Channel.DRY] = Sine(amplitude_c=5.0, freq_hz=1.5, offset_c=25.0)
+        cfg = with_stimulus(cfg, Channel.DRY, Sine(amplitude_c=5.0, freq_hz=1.5, offset_c=25.0))
         with pytest.warns(UndersamplingWarning):
             run = run_acquisition(cfg)
         temps = np.array([row.dry_temp_c for row in run.rows])
@@ -135,18 +142,24 @@ class TestAliasing:
 
 class TestReplay:
     def test_replaying_a_run_reproduces_codes(self, tmp_path):
-        cfg = constant_run_config(duration_s=30.0)
-        cfg.stimuli[Channel.DRY] = Sine(amplitude_c=8.0, freq_hz=0.05, offset_c=25.0)
-        cfg.stimuli[Channel.WET] = Sine(amplitude_c=6.0, freq_hz=0.03, offset_c=20.0)
+        cfg = constant_run_config(
+            duration_s=30.0,
+            stimuli={
+                Channel.DRY: Sine(amplitude_c=8.0, freq_hz=0.05, offset_c=25.0),
+                Channel.WET: Sine(amplitude_c=6.0, freq_hz=0.03, offset_c=20.0),
+            },
+        )
         original = run_acquisition(cfg)
         path = tmp_path / "source.csv"
         write_csv(original, path)
 
-        replay_cfg = constant_run_config(duration_s=30.0)
-        replay_cfg.stimuli = {
-            Channel.DRY: Replay(str(path), column="dry_temp_c"),
-            Channel.WET: Replay(str(path), column="wet_temp_c"),
-        }
+        replay_cfg = constant_run_config(
+            duration_s=30.0,
+            stimuli={
+                Channel.DRY: Replay(str(path), column="dry_temp_c"),
+                Channel.WET: Replay(str(path), column="wet_temp_c"),
+            },
+        )
         replayed = run_acquisition(replay_cfg)
         assert [r.dry_code for r in replayed.rows] == [r.dry_code for r in original.rows]
         assert [r.wet_code for r in replayed.rows] == [r.wet_code for r in original.rows]
@@ -257,7 +270,7 @@ class TestFailurePaths:
                 port.connected = False
 
         with pytest.raises(DeviceTimeoutError):
-            run_acquisition(cfg, sinks=[rows.append, saboteur], port=port)
+            acquire_rows(cfg, [rows.append, saboteur], port=port)
         assert len(rows) == 3
 
     def test_a_sink_error_propagates_as_it_is(self):
@@ -268,7 +281,7 @@ class TestFailurePaths:
             raise Stop
 
         with pytest.raises(Stop):  # as it is, like a device timeout
-            run_acquisition(constant_run_config(duration_s=1.0), sinks=[failing])
+            acquire_rows(constant_run_config(duration_s=1.0), [failing])
 
     @pytest.mark.parametrize(
         "dry_c, wet_c",
@@ -284,7 +297,7 @@ class TestFailurePaths:
         rows = []
         with pytest.raises(InvalidInputError):
             cfg = constant_run_config(duration_s=0.01, sample_rate_hz=20000.0)
-            run_acquisition(cfg, sinks=[rows.append])
+            acquire_rows(cfg, [rows.append])
         assert rows == []
         # two conversions of about 100 us fit in a 250 us tick
         run_acquisition(constant_run_config(duration_s=0.001, sample_rate_hz=4000.0))
@@ -346,7 +359,7 @@ class TestFailurePaths:
             raise AssertionError("a tick ran")
 
         with pytest.raises(InvalidInputError, match="ends past"):
-            run_acquisition(RunConfig(duration_s=1e12), sinks=[ticked])
+            acquire_rows(RunConfig(duration_s=1e12), [ticked])
 
     def test_humidity_fields_empty_when_wet_exceeds_dry(self):
         cfg = constant_run_config(dry_c=18.0, wet_c=22.0, duration_s=1.0)
@@ -404,7 +417,7 @@ class TestFilterPath:
     def test_filter_attenuates_fast_sine(self):
         def peak_to_peak(substeps):
             cfg = constant_run_config(duration_s=63.5, filter_substeps=substeps)
-            cfg.stimuli[Channel.DRY] = Sine(amplitude_c=10.0, freq_hz=0.9, offset_c=25.0)
+            cfg = with_stimulus(cfg, Channel.DRY, Sine(amplitude_c=10.0, freq_hz=0.9, offset_c=25.0))
             run = run_acquisition(cfg)
             temps = [row.dry_temp_c for row in run.rows]
             return max(temps) - min(temps)
@@ -444,7 +457,7 @@ class TestFilterPath:
 
         monkeypatch.setattr(acquisition, "acquire_byte", acquire_and_record)
         cfg = constant_run_config(duration_s=3.0, filter_substeps=substeps)
-        cfg.stimuli[Channel.DRY] = Sine(amplitude_c=10.0, freq_hz=0.2, offset_c=25.0)
+        cfg = with_stimulus(cfg, Channel.DRY, Sine(amplitude_c=10.0, freq_hz=0.2, offset_c=25.0))
         run = run_acquisition(cfg)
         assert len(seen) == 2 * len(run.rows) == 14
         # one settled chain voltage per lane at setup, which tick 0 reads
@@ -658,12 +671,11 @@ def test_a_sink_changes_nothing(seed, noise, substeps, amplitude, freq, offset):
         cfg = constant_run_config(
             duration_s=5.0, adc=AdcConfig(noise_sigma_lsb=noise), filter_substeps=substeps, seed=seed
         )
-        cfg.stimuli[Channel.DRY] = Sine(amplitude_c=amplitude, freq_hz=freq, offset_c=offset)
-        return cfg
+        return with_stimulus(cfg, Channel.DRY, Sine(amplitude_c=amplitude, freq_hz=freq, offset_c=offset))
 
     plain = run_acquisition(config())
     first, second = [], []
-    watched = run_acquisition(config(), sinks=[first.append, second.append])
+    watched = RunLog(acquire_rows(config(), [first.append, second.append]), first)
     assert watched == plain
     assert first == second == plain.rows
     for row in plain.rows:
@@ -746,6 +758,36 @@ class TestConfigValidation:
         assert run.meta.start == "2026-08-10T12:00:00.000"
         assert run.meta.channels == {"dry": 0, "wet": 1}
         assert len(run.meta.config_fingerprint) == 12
+
+    def test_run_meta_of_a_config_without_a_start_time_is_refused(self):
+        # it raised a bare TypeError from formatting None as a date
+        with pytest.raises(InvalidInputError, match="start_time"):
+            run_meta(RunConfig(duration_s=1.0))
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(RunConfig)])
+    def test_no_field_of_a_built_config_can_be_assigned(self, name):
+        # a rate raised after the checks set out on 5e9 ticks
+        cfg = constant_run_config(duration_s=5.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, getattr(cfg, name))
+
+    def test_the_stimuli_of_a_built_config_are_read_only(self):
+        # a stimulus the config refuses, put in after its checks, ran 6 ticks and then raised a bare ValueError
+        cfg = constant_run_config(duration_s=5.0)
+        with pytest.raises(TypeError):
+            cfg.stimuli[Channel.DRY] = Sine(amplitude_c=1.0, freq_hz=1e307, offset_c=20.0)
+        assert cfg.stimuli == {Channel.DRY: Constant(20.0), Channel.WET: Constant(18.0)}
+
+    def test_the_stimuli_are_a_copy_of_the_mapping_given(self):
+        stimuli = {Channel.DRY: Constant(20.0), Channel.WET: Constant(18.0)}
+        cfg = constant_run_config(stimuli=stimuli)
+        stimuli[Channel.DRY] = Sine(amplitude_c=1.0, freq_hz=1e307, offset_c=20.0)
+        assert cfg.stimuli[Channel.DRY] == Constant(20.0)
+
+    def test_stimuli_that_are_not_a_mapping_are_rejected(self):
+        # a list raised a bare AttributeError
+        with pytest.raises(InvalidInputError, match=r"^stimuli must be a mapping of Channel to stimulus, got \[1, 2\]$"):
+            RunConfig(duration_s=1.0, stimuli=[1, 2])
 
 
 # the seven config entry points, each with the least it needs to build
@@ -962,16 +1004,12 @@ def test_the_ends_of_the_float_range_are_finite(call, name):
     [
         (lambda v: alias_frequency(v, 2.0), InvalidInputError, "f_signal must be >= 0 and finite"),
         (lambda v: alias_frequency(1.0, v), InvalidInputError, "f_sample must be > 0 and finite"),
-        (lambda v: is_undersampled(1.0, v), InvalidInputError, "f_sample must be > 0 and finite"),
-        (lambda v: is_undersampled(v, 2.0), InvalidInputError, "f_signal must be >= 0 and finite"),
         (lowpass_alpha, InvalidInputError, "dt must be > 0 and finite"),
         (lambda v: SimulatedPort(clock_hz=v), ClockRangeError, "clock .+ Hz outside"),
     ],
     ids=[
         "alias_frequency.f_signal",
         "alias_frequency.f_sample",
-        "is_undersampled",
-        "is_undersampled.f_signal",
         "lowpass_alpha",
         "SimulatedPort.clock_hz",
     ],

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from paraloq import Channel, ClockConfig, Constant, RunConfig, acquisition, cli, run_acquisition, write_csv
+from paraloq import Channel, ClockConfig, Constant, RunConfig, acquisition, cli, logstore, run_acquisition, write_csv
 from paraloq.cli import main
 from paraloq.logstore import HEADER, read_csv
 
@@ -409,6 +409,14 @@ class TestPlot:
         assert main(["plot", "--input", str(out), "--column", "bogus"]) == 2
         assert "column" in capsys.readouterr().err
 
+    def test_unknown_column_exits_2_before_the_input_is_read(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        assert main(["plot", "--input", str(missing), "--column", "bogus"]) == 2
+        assert capsys.readouterr().err == (
+            "error: column must be one of dry_code, dry_temp_c, wet_code, wet_temp_c, rh_pct, dew_point_c; "
+            "got 'bogus'\n"
+        )
+
     def test_parse_error_exits_5(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("not,a,log\n", encoding="utf-8")
@@ -689,7 +697,7 @@ class TestConfigFile:
             ("psychro", "psychrometer_coeff"): float,
             ("psychro", "pressure_hpa"): float,
         }
-        assert cli.PLOTTABLE_COLUMNS == (
+        assert logstore.SERIES_COLUMNS == (
             "dry_code", "dry_temp_c", "wet_code", "wet_temp_c", "rh_pct", "dew_point_c"
         )
 

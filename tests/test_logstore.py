@@ -840,6 +840,54 @@ def test_row_rejects_a_timestamp_the_log_cannot_carry(timestamp, message):
 
 
 @pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"run_id": "a\nb"}, "^run_id must hold no LF"),  # the log failed with "line 2: expected header"
+        ({"start": "x\r"}, "^start must hold no LF or trailing whitespace"),  # read back as "x"
+        ({"run_id": " padded "}, "^run_id must hold no LF or trailing whitespace"),  # read back as " padded"
+        ({"config_fingerprint": "abc\t"}, "^config_fingerprint must hold"),
+        ({"run_id": None}, "^run_id must be a str, got None"),
+        ({"start": 5}, "^start must be a str, got 5"),
+        ({"channels": {"d,x": 0}}, "^a channel must be"),  # the log failed with "bad channels entry 'd'"
+        ({"channels": {"d=x": 0}}, "^a channel must be"),
+        ({"channels": {"d\nx": 0}}, "^a channel must be"),
+        ({"channels": {0: 0}}, "^a channel must be"),
+        ({"channels": {"dry": True}}, "^a channel must be"),
+        ({"channels": {"dry": 0.0}}, "^a channel must be"),
+    ],
+    ids=["run_id LF", "start CR", "run_id padded", "config tab", "run_id None", "start int",
+         "channel comma", "channel equals", "channel LF", "channel int name", "channel bool", "channel float"],
+)
+def test_meta_rejects_text_a_log_line_cannot_carry_back(kwargs, message):
+    with pytest.raises(InvalidInputError, match=message):
+        RunMeta(**kwargs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    run_id=st.text(),
+    start=st.text(),
+    config_fingerprint=st.text(),
+    channels=st.dictionaries(st.text(), st.integers()),
+)
+def test_every_meta_that_builds_reads_back_equal(run_id, start, config_fingerprint, channels, tmp_path_factory):
+    try:
+        meta = RunMeta(run_id, start, 2.0, channels, config_fingerprint)
+    except InvalidInputError:
+        return
+    path = tmp_path_factory.mktemp("meta") / "run.csv"
+    write_csv(RunLog(meta, [make_row(0)]), path)
+    assert read_csv(path) == RunLog(meta, [make_row(0)])
+
+
+@pytest.mark.parametrize("column", ["timestamp", "bogus", "t_s"])
+def test_read_series_refuses_a_column_that_is_not_a_series_before_opening_the_file(tmp_path, column):
+    # "timestamp" raised a bare TypeError and "bogus" a bare ValueError from tuple.index
+    with pytest.raises(InvalidInputError, match=f"^column must be one of dry_code, .*, dew_point_c; got '{column}'$"):
+        logstore.read_series(tmp_path / "missing.csv", column)
+
+
+@pytest.mark.parametrize(
     "field, value",
     [
         ("t_s", None),

@@ -13,7 +13,7 @@ from paraloq import (
     reading,
     saturation_vapor_pressure,
 )
-from paraloq.psychro import _rh_from, dew_point_from_vapor_pressure
+from paraloq.psychro import MAGNUS_A, MAGNUS_B, _rh_from, dew_point_from_vapor_pressure
 
 # Reference dry/wet pair from the instrument's recorded table, and the
 # frozen oracle values this formula family produces for it (double-precision
@@ -140,6 +140,13 @@ class TestDewPoint:
     def test_a_vapor_pressure_of_zero_is_invalid_input(self, e_hpa):
         # not the bare ValueError math.log raises at 0
         with pytest.raises(InvalidInputError, match=rf"^e_hpa must be finite and > 0, got {e_hpa}$"):
+            dew_point_from_vapor_pressure(e_hpa)
+
+    def test_a_vapor_pressure_at_the_edge_of_the_magnus_domain_is_invalid_input(self):
+        # log(e / MAGNUS_A) is MAGNUS_B exactly, which would divide by zero
+        e_hpa = 274442973.8691547
+        assert math.log(e_hpa / MAGNUS_A) == MAGNUS_B
+        with pytest.raises(InvalidInputError, match="beyond the Magnus domain"):
             dew_point_from_vapor_pressure(e_hpa)
 
     def test_never_exceeds_dry_bulb(self):

@@ -10,7 +10,6 @@ from paraloq import (
     InvalidInputError,
     alias_frequency,
     chain_voltage,
-    is_undersampled,
     lowpass_alpha,
     lowpass_step,
 )
@@ -250,17 +249,11 @@ class TestAliasFrequency:
             alias_frequency(1.0, 0.0)
         with pytest.raises(InvalidInputError):
             alias_frequency(-1.0, 2.0)
-        # is_undersampled checks f_signal as alias_frequency does; both used to return False
         for f in (math.nan, -5.0):
             with pytest.raises(InvalidInputError, match="^f_signal must be >= 0 and finite"):
-                is_undersampled(f, 2.0)
+                alias_frequency(f, 2.0)
 
     @pytest.mark.parametrize("f,fs", [(1e300, 1e-10), (1e308, 0.5)])
     def test_fold_of_an_overflowing_quotient(self, f, fs):
         # f / fs is inf, and round(inf) used to raise a bare OverflowError
         assert 0.0 <= alias_frequency(f, fs) <= fs / 2.0
-
-    def test_undersampling_predicate(self):
-        assert is_undersampled(1.5, 2.0)
-        assert not is_undersampled(0.3, 2.0)
-        assert not is_undersampled(1.0, 2.0)  # exactly Nyquist is not above it
