@@ -49,7 +49,6 @@ from .psychro import (
     saturation_vapor_pressure,
 )
 from .signal_chain import (
-    ChainConfig,
     alias_frequency,
     chain_voltage,
     lowpass_alpha,

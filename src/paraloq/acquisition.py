@@ -37,7 +37,7 @@ from .errors import (
     store_floats,
 )
 from .pport import SimulatedPort, acquire_byte
-from .signal_chain import AMP_GAIN, SENSOR_SLOPE, ChainConfig, chain_voltage, lowpass_alpha, lowpass_step
+from .signal_chain import AMP_GAIN, SENSOR_SLOPE, chain_voltage, lowpass_alpha, lowpass_step
 
 
 class Channel(Enum):
@@ -139,20 +139,21 @@ class RunConfig:
     """Everything one acquisition run needs, checked when it is built and
     unchangeable after: the stimuli are a read-only copy of the mapping given.
 
-    Both channels share one analog front end, chain, as the logger's one
-    LM35 chain does; each has its own stimulus and filter state.
+    Both channels share one analog front end, as the logger's one LM35
+    chain does; each has its own stimulus and filter state.
     filter_substeps = 0 samples the stimulus directly (ideal pre-filtered
-    input); N > 0 advances the first-order anti-alias filter N times per
-    tick between samples, with state seeded at the tick-0 level.
+    input); N > 0 advances the first-order anti-alias filter, whose -3 dB
+    point is filter_cutoff_hz, N times per tick between samples, with state
+    seeded at the tick-0 level.
     """
 
     duration_s: float
     sample_rate_hz: float = 2.0
     clock: ClockConfig = ClockConfig()
-    chain: ChainConfig = ChainConfig()
     stimuli: Mapping = field(default_factory=_default_stimuli)
     adc: AdcConfig = AdcConfig()
     psychro: psychro.PsychroConfig = psychro.PsychroConfig()
+    filter_cutoff_hz: float = 0.5
     filter_substeps: int = 0
     seed: int = 0
     start_time: datetime | None = None
@@ -160,7 +161,8 @@ class RunConfig:
     def __post_init__(self):
         require_above("sample_rate_hz", self.sample_rate_hz, 0)
         require_above("duration_s", self.duration_s, 0, inclusive=True)
-        store_floats(self, "sample_rate_hz", "duration_s")
+        require_above("filter_cutoff_hz", self.filter_cutoff_hz, 0)
+        store_floats(self, "sample_rate_hz", "duration_s", "filter_cutoff_hz")
         if not self.duration_s * self.sample_rate_hz <= FLOAT_MAX:  # or tick_count overflows
             raise InvalidInputError(
                 f"duration_s * sample_rate_hz must be finite, got {self.duration_s:g} s at {self.sample_rate_hz:g} S/s"
@@ -214,12 +216,13 @@ class RunConfig:
 
     def fingerprint(self) -> str:
         # Line 5 of a log is this hash. The configs are written out as they read
-        # when the paper's constants were fields too, those constants filled in,
-        # and the chain once per channel, so a log of the same run keeps its hash.
-        chain, adc, psy = self.chain, self.adc, self.psychro
+        # when the paper's constants and the front end were fields too, those
+        # filled in (the zener clamp at VREF), and the chain once per channel,
+        # so a log of the same run keeps its hash.
+        adc, psy = self.adc, self.psychro
         chain_text = (
-            f"ChainConfig(sensor_slope={SENSOR_SLOPE!r}, amp_gain={AMP_GAIN!r}, clamp_volts={chain.clamp_volts!r}, "
-            f"filter_cutoff_hz={chain.filter_cutoff_hz!r}, vref={VREF!r}, allow_misaligned=False)"
+            f"ChainConfig(sensor_slope={SENSOR_SLOPE!r}, amp_gain={AMP_GAIN!r}, clamp_volts={VREF!r}, "
+            f"filter_cutoff_hz={self.filter_cutoff_hz!r}, vref={VREF!r}, allow_misaligned=False)"
         )
         text = "|".join(
             (
@@ -272,27 +275,26 @@ class _FilteredChain:
     previous tick time to this one.
     """
 
-    def __init__(self, chain: ChainConfig, stimulus, substeps: int, rate_hz: float):
-        self.chain = chain
+    def __init__(self, cutoff_hz: float, stimulus, substeps: int, rate_hz: float):
         self.stimulus = stimulus
         self.substeps = substeps
         if substeps:
             self.t_prev = 0.0
             dt_sub = 1.0 / (rate_hz * substeps)
-            self.alpha = lowpass_alpha(dt_sub, chain)
+            self.alpha = lowpass_alpha(dt_sub, cutoff_hz)
             # each substep's time after the previous tick, j * dt_sub for j = 1..substeps
             self.offsets = tuple(j * dt_sub for j in range(1, substeps + 1))
             # circuit assumed settled at power-on
-            self.state = chain_voltage(stimulus.temp_at(0.0), chain)
+            self.state = chain_voltage(stimulus.temp_at(0.0))
 
     def voltage_at(self, t: float) -> float:
         if not self.substeps:
-            return chain_voltage(self.stimulus.temp_at(t), self.chain)
+            return chain_voltage(self.stimulus.temp_at(t))
         if t > self.t_prev:  # tick 0 reads the settled state
-            temp_at, chain, alpha = self.stimulus.temp_at, self.chain, self.alpha
+            temp_at, alpha = self.stimulus.temp_at, self.alpha
             t_prev, state = self.t_prev, self.state
             for offset in self.offsets:
-                state = lowpass_step(state, chain_voltage(temp_at(t_prev + offset), chain), alpha)
+                state = lowpass_step(state, chain_voltage(temp_at(t_prev + offset)), alpha)
             self.state = state
             self.t_prev = t
         return self.state
@@ -332,8 +334,8 @@ def acquire_rows(cfg: RunConfig, sinks, port: SimulatedPort | None = None) -> lo
     rate = cfg.sample_rate_hz
     start_dt = cfg.start_time
     # each lane's voltage at tick time, DRY then WET
-    dry_at = _FilteredChain(cfg.chain, cfg.stimuli[Channel.DRY], cfg.filter_substeps, rate).voltage_at
-    wet_at = _FilteredChain(cfg.chain, cfg.stimuli[Channel.WET], cfg.filter_substeps, rate).voltage_at
+    dry_at = _FilteredChain(cfg.filter_cutoff_hz, cfg.stimuli[Channel.DRY], cfg.filter_substeps, rate).voltage_at
+    wet_at = _FilteredChain(cfg.filter_cutoff_hz, cfg.stimuli[Channel.WET], cfg.filter_substeps, rate).voltage_at
     dry_mux, wet_mux = Channel.DRY.value, Channel.WET.value
     set_input = port.set_input
     for k in range(cfg.tick_count()):

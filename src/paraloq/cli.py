@@ -13,7 +13,7 @@ Exit codes:
     143  terminated (SIGTERM, as `kill` sends it)
 
 Defaults can come from a `key = value` config file with [section] headers
-(sections: run, chain, clock, psychro). Precedence is flags > file >
+(sections: run, clock, psychro). Precedence is flags > file >
 defaults; the file is named by --config or the PARALOQ_CONFIG environment
 variable. Unknown sections or keys are hard errors.
 """
@@ -41,7 +41,6 @@ from .errors import (
     StorageError,
     require_above,
 )
-from .signal_chain import ChainConfig
 
 CONFIG_ENV_VAR = "PARALOQ_CONFIG"
 
@@ -71,7 +70,7 @@ _EXIT_CODES = (
 )
 
 # [section] -> the config class it sets; each float or int field is a key
-_SECTIONS = {"run": RunConfig, "chain": ChainConfig, "clock": ClockConfig, "psychro": psychro.PsychroConfig}
+_SECTIONS = {"run": RunConfig, "clock": ClockConfig, "psychro": psychro.PsychroConfig}
 _PARSERS = {"float": float, "int": int}  # field annotation -> value parser
 # (section, key) -> parser; the whole schema the config file may use
 _CONFIG_SCHEMA = {

@@ -66,6 +66,15 @@ def _finite6(name: str, x) -> float:
     return round(x, 6)
 
 
+def _require_utf8(name: str, text: str) -> None:
+    """Raise InvalidInputError unless text encodes as UTF-8, as the file is
+    written: a lone surrogate does not."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise InvalidInputError(f"{name} must encode as UTF-8, got {text!r}") from None
+
+
 def fingerprint(text: str) -> str:
     """Short stable hash used to tag a run with its configuration."""
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
@@ -89,9 +98,11 @@ class RunMeta:
                 raise InvalidInputError(f"{name} must be a str, got {shown(text)}")
             if "\n" in text or text != text.rstrip():
                 raise InvalidInputError(f"{name} must hold no LF or trailing whitespace, got {text!r}")
+            _require_utf8(name, text)
         for name, idx in self.channels.items():  # written name=idx, joined by ','
             if type(name) is not str or "," in name or "=" in name or "\n" in name or type(idx) is not int:
                 raise InvalidInputError(f"a channel must be a str with no ',', '=' or LF, and an int: {name!r}: {idx!r}")
+            _require_utf8("a channel name", name)
         rate = _finite6("sample_rate_hz", self.sample_rate_hz)
         object.__setattr__(self, "sample_rate_hz", rate)
 
@@ -114,10 +125,10 @@ class PsychroRow(
     rh_pct / dew_point_c are None when the psychrometric computation errored
     for that tick (they serialize as empty fields). A value the file cannot
     carry back (None or non-finite t_s or temperature, a timestamp that is
-    not a str or holds ',', CR or LF, a non-finite dew point or one above
-    the dry bulb, RH outside 0..100) raises InvalidInputError. The
-    constructor is the only way to make a row: _make and _replace build
-    through it.
+    not a str, holds ',', CR or LF or does not encode as UTF-8, a non-finite
+    dew point or one above the dry bulb, RH outside 0..100) raises
+    InvalidInputError. The constructor is the only way to make a row: _make
+    and _replace build through it.
     """
 
     __slots__ = ()
@@ -135,6 +146,8 @@ class PsychroRow(
             raise InvalidInputError(f"timestamp must be a str, got {shown(timestamp)}")
         if "," in timestamp or "\r" in timestamp or "\n" in timestamp:
             raise InvalidInputError(f"timestamp must not hold ',', CR or LF, got {timestamp!r}")
+        if not timestamp.isascii():  # ASCII always encodes
+            _require_utf8("timestamp", timestamp)
         t6 = _finite6("t_s", t_s)
         dry6 = _finite6("dry_temp_c", dry_temp_c)
         wet6 = _finite6("wet_temp_c", wet_temp_c)
@@ -204,10 +217,6 @@ class CsvWriter:
         self.path = path
         self.rows = 0
         self._last_t = None
-        try:
-            self._fh = open(path, "wb", buffering=0)
-        except OSError as exc:
-            raise StorageError(path, str(exc)) from exc
         channels = ",".join(f"{name}={idx}" for name, idx in meta.channels.items())
         lines = (
             f"# run_id = {meta.run_id}\r\n"
@@ -216,14 +225,20 @@ class CsvWriter:
             f"# channels = {channels}\r\n"
             f"# config = {meta.config_fingerprint}\r\n"
             f"{HEADER}\r\n"
-        )
+        ).encode("utf-8")
         try:
-            self._write_all(lines.encode("utf-8"))
-            self._fh.flush()
+            self._fh = open(path, "wb", buffering=0)
         except OSError as exc:
-            with contextlib.suppress(OSError):
-                self._fh.close()  # the write's error is the one reported
             raise StorageError(path, str(exc)) from exc
+        try:
+            self._write_all(lines)
+            self._fh.flush()
+        except BaseException as exc:  # a Ctrl-C included: no handle is left open
+            with contextlib.suppress(OSError):
+                self._fh.close()  # the first error is the one reported
+            if isinstance(exc, OSError):
+                raise StorageError(path, str(exc)) from exc
+            raise
 
     def _write_all(self, data: bytes, written: int = 0) -> None:
         """Write data from byte `written` on: a raw write may take only the
@@ -328,8 +343,6 @@ def _bad_number(cells: list, line_no: int) -> CsvParseError:
 
 def _parse_channels(text: str, line_no: int) -> dict:
     channels = {}
-    if not text:
-        return channels
     for part in text.split(","):
         name, sep, idx = part.partition("=")
         if not sep:

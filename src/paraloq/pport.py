@@ -135,6 +135,9 @@ class SimulatedPort:
 
     def _start_conversion(self, channel: int) -> None:
         if not self.connected:
+            # no conversion starts, and the last one's EOC and latch stay off the
+            # bus: reconnected, the port times out, not hands back the old code
+            self._busy_until = math.inf
             return
         code = adc0808.sar_convert(self._inputs[channel])
         sigma = self._noise_sigma

@@ -12,68 +12,48 @@ alpha is computed once per run by lowpass_alpha, and lowpass_step takes it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .adc0808 import VREF
-from .errors import InvalidInputError, require_above, require_finite, store_floats
+from .errors import require_above, require_finite
 
 # The paper's front end: an LM35-style sensor at 10 mV/degC and a gain of 10
 # reach the converter's VREF = 5 V at TEMP_FULL_SCALE_C = 50 degC, the scale
-# decode_temp reads codes on.
+# decode_temp reads codes on, and the protection zeners clamp there too.
 SENSOR_SLOPE = 0.010  # V/degC
 AMP_GAIN = 10.0
 
 
-@dataclass(frozen=True)
-class ChainConfig:
-    """Front-end electrical parameters.
-
-    clamp_volts      protection zener voltage; output never exceeds this
-    filter_cutoff_hz anti-alias low-pass -3 dB point
-    """
-
-    clamp_volts: float = 5.0
-    filter_cutoff_hz: float = 0.5
-
-    def __post_init__(self):
-        names = ("clamp_volts", "filter_cutoff_hz")
-        for name in names:
-            require_above(name, getattr(self, name), 0)
-        store_floats(self, *names)
-        if self.clamp_volts > VREF:
-            raise InvalidInputError(f"clamp_volts must be in (0, VREF={VREF}], got {self.clamp_volts}")
-
-
-def chain_voltage(temp_c: float, cfg: ChainConfig = ChainConfig()) -> float:
+def chain_voltage(temp_c: float) -> float:
     """DC voltage the ADC sees for a steady temperature (no filter dynamics).
 
     The sensor gives SENSOR_SLOPE * temp_c volts, the amplifier multiplies
-    that by AMP_GAIN, and the shunt zeners hold the result to
-    [0, clamp_volts], clipping over-range swings and negative excursions
-    alike: the value min(max(v, 0.0), clamp_volts) gives, -0.0 kept. A nan,
-    an inf or an int beyond the float range is rejected. It runs once per
-    filter substep, so the passing path is one comparison on the result,
-    0.0 <= v <= clamp_volts; only a v outside it checks temp_c.
+    that by AMP_GAIN, and the shunt zeners hold the result to [0, VREF],
+    clipping over-range swings and negative excursions alike: the value
+    min(max(v, 0.0), VREF) gives, -0.0 kept. A nan, an inf or an int beyond
+    the float range is rejected. It runs once per filter substep, so the
+    passing path is one comparison on the result, 0.0 <= v <= VREF; only a
+    v outside it checks temp_c.
     """
     try:
         v = AMP_GAIN * (SENSOR_SLOPE * temp_c)
     except OverflowError:
         v = math.nan  # an int beyond the float range, which the check below rejects
-    clamp = cfg.clamp_volts
-    if 0.0 <= v <= clamp:
+    if 0.0 <= v <= VREF:
         return v
     require_finite("temp_c", temp_c)
-    return 0.0 if v < 0.0 else clamp
+    return 0.0 if v < 0.0 else VREF
 
 
-def lowpass_alpha(dt: float, cfg: ChainConfig = ChainConfig()) -> float:
-    """Smoothing factor of the first-order filter for a step of dt seconds.
+def lowpass_alpha(dt: float, cutoff_hz: float) -> float:
+    """Smoothing factor of the first-order filter for a step of dt seconds
+    through a low-pass whose -3 dB point is cutoff_hz.
 
     alpha = dt / (dt + RC), RC = 1 / (2 pi f_c). Fixed for a run, so the
     caller computes it once and passes it to every lowpass_step.
     """
     require_above("dt", dt, 0)
-    rc = 1.0 / (2.0 * math.pi * cfg.filter_cutoff_hz)
+    require_above("cutoff_hz", cutoff_hz, 0)
+    rc = 1.0 / (2.0 * math.pi * cutoff_hz)
     return dt / (dt + rc)
 
 

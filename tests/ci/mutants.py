@@ -111,7 +111,7 @@ MUTANTS = (
     ),
     Mutant(
         "paraloq/signal_chain.py",
-        "    return 0.0 if v < 0.0 else clamp\n",
+        "    return 0.0 if v < 0.0 else VREF\n",
         "    return v\n",
         ("tests/test_signal_chain.py", "-k", "clamp"),
         "chain_voltage returning v unclamped (CHANGES.md: Anti-alias substeps pay only for their three counted calls)",
@@ -145,11 +145,20 @@ MUTANTS = (
         "advance_to(nan) accepted (CHANGES.md: MENDED: SimulatedPort.advance_to accepts nan)",
     ),
     Mutant(
+        "paraloq/pport.py",
+        "            self._busy_until = math.inf\n            return\n",
+        "            return\n",
+        ("tests/test_pport.py", "-k", "reconnected_mid_handshake"),
+        "a START+ALE edge on a disconnected port leaving the last conversion's EOC and latch"
+        " (CHANGES.md: The zener clamp is VREF)",
+    ),
+    Mutant(
         "paraloq/acquisition.py",
-        "    dry_at = _FilteredChain(cfg.chain, ",
-        "    dry_at = _FilteredChain(ChainConfig(), ",
+        "    dry_at = _FilteredChain(cfg.filter_cutoff_hz, ",
+        "    dry_at = _FilteredChain(RunConfig.filter_cutoff_hz, ",
         ("tests/test_acquisition.py", "-k", "test_lanes_match_a_per_step_alpha_reference"),
-        "a lane built from ChainConfig() in place of cfg.chain (CHANGES.md: One analog front end for both channels)",
+        "a lane built with the default cutoff in place of cfg.filter_cutoff_hz"
+        " (CHANGES.md: One analog front end for both channels)",
     ),
     Mutant(
         "paraloq/acquisition.py",

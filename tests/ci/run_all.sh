@@ -30,14 +30,17 @@ step_console() {
     printf '[psychro]\npressure_hpa = inf\n' > ci-inf.ini
     exits 2 "$PARALOQ" --config ci-inf.ini compute --dry 20 --wet 18
     # every config key set to its default writes the same log as no config file
-    printf '%s\n' '[run]' 'sample_rate_hz = 2.0' 'duration_s = 5' 'filter_substeps = 0' 'seed = 0' '[chain]' 'clamp_volts = 5.0' \
-        'filter_cutoff_hz = 0.5' '[clock]' 'r_ohms = 1420.5' 'c_farads = 1e-9' '[psychro]' 'psychrometer_coeff = 6.6e-4' 'pressure_hpa = 1013.25' > ci-defaults.ini
+    printf '%s\n' '[run]' 'sample_rate_hz = 2.0' 'duration_s = 5' 'filter_cutoff_hz = 0.5' 'filter_substeps = 0' 'seed = 0' \
+        '[clock]' 'r_ohms = 1420.5' 'c_farads = 1e-9' '[psychro]' 'psychrometer_coeff = 6.6e-4' 'pressure_hpa = 1013.25' > ci-defaults.ini
     "$PARALOQ" --config ci-defaults.ini simulate --dry-temp 20 --wet-temp 18 "${START[@]}" --out ci-defaults.csv
     cmp ci.csv ci-defaults.csv
-    # a chain other than the default, shared by both channels, writes its pinned log
-    printf '%s\n' '[chain]' 'clamp_volts = 4.5' 'filter_cutoff_hz = 0.2' > ci-chain.ini
+    # a filter cutoff other than the default, shared by both channels, writes its pinned log
+    printf '%s\n' '[run]' 'filter_cutoff_hz = 0.2' > ci-chain.ini
     "$PARALOQ" --config ci-chain.ini simulate --duration 30 --dry-stimulus sine:amp=20,freq=0.05,offset=30 --wet-temp 18 --filter-substeps 8 --seed 0 "${START[@]}" --out ci-chain.csv
-    echo 'e1917b0d3fe0808ab60d901b4ef165e28afa9c86f906dced2a5e624062ae9e8c  ci-chain.csv' | sha256sum -c
+    echo '79d473edf213fe149090ddd282776d764d076e910aa49e6f5b08f64e8d5761da  ci-chain.csv' | sha256sum -c
+    # the zener clamp is VREF, and [chain] is no section: any key of it is unknown
+    printf '[chain]\nclamp_volts = 4.5\n' > ci-chain-clamp.ini
+    exits 2 "$PARALOQ" --config ci-chain-clamp.ini simulate --duration 1 --out ci-chain-clamp.csv
     # an R C that underflows leaves no clock frequency: exit 2 before any tick
     printf '[clock]\nr_ohms = 1e-300\nc_farads = 1e-300\n' > ci-clock.ini
     exits 2 "$PARALOQ" --config ci-clock.ini simulate --duration 1 --out ci-clock.csv

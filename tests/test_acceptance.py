@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paraloq import (
-    ChainConfig,
     Channel,
     ClockConfig,
     ClockRangeError,
@@ -51,11 +50,10 @@ def report(number, text):
 
 def test_criterion_01_temperature_resolution():
     started = time.perf_counter()
-    cfg = ChainConfig()
     worst = 0.0
     temp = 0.0
     while temp < 50.0:
-        decoded = decode_temp(quantize(chain_voltage(temp, cfg)))
+        decoded = decode_temp(quantize(chain_voltage(temp)))
         worst = max(worst, abs(decoded - temp))
         # decoded values sit on the 50/255 grid
         assert abs(decoded / LSB_C - round(decoded / LSB_C)) < 1e-6
@@ -275,7 +273,7 @@ def test_criterion_10_invariant_suite():
 @given(temp=st.floats(min_value=0.0, max_value=50.0))
 def test_criterion_10_decode_within_one_lsb_for_every_aligned_chain(temp):
     # the paper's chain, the one aligned chain: 10 mV/degC, gain 10, VREF = 5 V
-    code = quantize(chain_voltage(temp, ChainConfig()))
+    code = quantize(chain_voltage(temp))
     assert abs(decode_temp(code) - temp) <= LSB_C + 1e-12
 
 

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 import paraloq
 from paraloq import (
     AdcConfig,
-    ChainConfig,
     Channel,
     ClockConfig,
     ClockRangeError,
@@ -54,6 +53,7 @@ from paraloq import (
     write_csv,
 )
 from paraloq.acquisition import acquire_rows
+from paraloq.adc0808 import VREF
 from paraloq.errors import FLOAT_MAX, require_above, shown
 from paraloq.logstore import PsychroRow
 from paraloq.psychro import dew_point_from_vapor_pressure
@@ -470,7 +470,6 @@ class TestFilterPath:
     @settings(max_examples=60, deadline=None)
     @given(
         cutoff=st.floats(min_value=1e-3, max_value=1e3),
-        clamp=st.floats(min_value=0.5, max_value=5.0),
         substeps=st.integers(min_value=1, max_value=64),
         rate=st.floats(min_value=0.1, max_value=1000.0),
         ticks=st.integers(min_value=1, max_value=40),
@@ -486,11 +485,10 @@ class TestFilterPath:
         ),
     )
     def test_lanes_match_a_per_step_alpha_reference(
-        self, cutoff, clamp, substeps, rate, ticks, sines
+        self, cutoff, substeps, rate, ticks, sines
     ):
         # the run computes alpha once per lane; the reference recomputes RC and
         # alpha every substep, as the filter did before, at the same substep times
-        chain = ChainConfig(filter_cutoff_hz=cutoff, clamp_volts=clamp)
         stimuli = {
             ch: Sine(amplitude_c=amp, freq_hz=f * rate, offset_c=off)
             for ch, (amp, f, off) in zip(Channel, sines)
@@ -498,7 +496,7 @@ class TestFilterPath:
         cfg = constant_run_config(
             duration_s=(ticks - 1) / rate,
             sample_rate_hz=rate,
-            chain=chain,
+            filter_cutoff_hz=cutoff,
             stimuli=stimuli,
             filter_substeps=substeps,
         )
@@ -516,18 +514,18 @@ class TestFilterPath:
         for ch in Channel:
             stimulus = stimuli[ch]
             dt = 1.0 / (rate * substeps)
-            state = chain_voltage(stimulus.temp_at(0.0), chain)
+            state = chain_voltage(stimulus.temp_at(0.0))
             t_prev = 0.0
             expected = []
             for k in range(cfg.tick_count()):
                 t = k / rate
                 if t > t_prev:
                     for j in range(1, substeps + 1):
-                        x = chain_voltage(stimulus.temp_at(t_prev + j * dt), chain)
-                        rc = 1.0 / (2.0 * math.pi * chain.filter_cutoff_hz)
+                        x = chain_voltage(stimulus.temp_at(t_prev + j * dt))
+                        rc = 1.0 / (2.0 * math.pi * cutoff)
                         alpha = dt / (dt + rc)
                         state = state + alpha * (x - state)
-                        assert math.isfinite(state) and 0.0 <= state <= clamp
+                        assert math.isfinite(state) and 0.0 <= state <= VREF
                     t_prev = t
                 expected.append(state)
             assert seen[ch.value] == expected
@@ -536,16 +534,15 @@ class TestFilterPath:
 def reference_rows(cfg):
     """The rows of a run of cfg, computed in a straight line and without the
     port. For each tick t = k / rate, DRY then WET: the stimulus through the
-    shared chain, the RC recurrence over the substeps with alpha recomputed
+    chain, clamped at VREF, the RC recurrence over the substeps with alpha recomputed
     from RC, the ideal quantizer plus one seeded gauss per conversion (σ > 0
     only) clamped to 0..255, the decode, and humidity unless a code sits on a
     rail or the pair is non-physical."""
     rate, substeps, sigma = cfg.sample_rate_hz, cfg.filter_substeps, cfg.adc.noise_sigma_lsb
     noise = Random(cfg.seed)
     dt = 1.0 / (rate * substeps) if substeps else 0.0
-    chain = cfg.chain  # both lanes' front end
     # each lane's voltage; a filter starts settled at the tick-0 level
-    volts = {ch: chain_voltage(cfg.stimuli[ch].temp_at(0.0), chain) for ch in Channel}
+    volts = {ch: chain_voltage(cfg.stimuli[ch].temp_at(0.0)) for ch in Channel}
     rows = []
     for k in range(math.floor(cfg.duration_s * rate) + 1):
         t = k / rate
@@ -553,12 +550,12 @@ def reference_rows(cfg):
         for ch in (Channel.DRY, Channel.WET):
             temp_at = cfg.stimuli[ch].temp_at
             if not substeps:
-                volts[ch] = chain_voltage(temp_at(t), chain)
+                volts[ch] = chain_voltage(temp_at(t))
             elif k:  # the filter runs on from the last tick; tick 0 reads the settled level
                 for j in range(1, substeps + 1):
-                    rc = 1.0 / (2.0 * math.pi * chain.filter_cutoff_hz)
+                    rc = 1.0 / (2.0 * math.pi * cfg.filter_cutoff_hz)
                     alpha = dt / (dt + rc)
-                    x = chain_voltage(temp_at((k - 1) / rate + j * dt), chain)
+                    x = chain_voltage(temp_at((k - 1) / rate + j * dt))
                     volts[ch] = volts[ch] + alpha * (x - volts[ch])
             code = quantize(volts[ch])
             if sigma > 0:
@@ -595,16 +592,15 @@ STIMULI = st.one_of(
     dry=STIMULI,
     wet=STIMULI,
     cutoff=st.floats(min_value=1e-3, max_value=1e3),
-    clamp=st.floats(min_value=0.5, max_value=5.0),  # below 5 V the clamp clips codes
     substeps=st.sampled_from([0, 1, 3, 32]),
     sigma=st.sampled_from([0.0, 0.5, 2.0]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_a_run_is_its_straight_line_reference(rate, duration, dry, wet, cutoff, clamp, substeps, sigma, seed):
+def test_a_run_is_its_straight_line_reference(rate, duration, dry, wet, cutoff, substeps, sigma, seed):
     cfg = constant_run_config(
         duration_s=duration,
         sample_rate_hz=rate,
-        chain=ChainConfig(filter_cutoff_hz=cutoff, clamp_volts=clamp),
+        filter_cutoff_hz=cutoff,
         stimuli={Channel.DRY: dry, Channel.WET: wet},
         adc=AdcConfig(noise_sigma_lsb=sigma),
         filter_substeps=substeps,
@@ -790,11 +786,10 @@ class TestConfigValidation:
             RunConfig(duration_s=1.0, stimuli=[1, 2])
 
 
-# the seven config entry points, each with the least it needs to build
+# the six config entry points, each with the least it needs to build
 ENTRY_KWARGS = {
     ClockConfig: dict(r_ohms=1420.5, c_farads=1e-9),
     AdcConfig: {},
-    ChainConfig: {},
     PsychroConfig: {},
     Sine: dict(amplitude_c=1.0, freq_hz=0.1, offset_c=20.0),
     Constant: dict(value_c=20.0),
@@ -826,15 +821,14 @@ def test_every_numeric_config_field_rejects_a_non_finite_value(cls, name, bad):
         cls(**{**ENTRY_KWARGS[cls], name: bad})
 
 
-# every float field of the seven config entry points, spelt as an int in range
+# every float field of the six config entry points, spelt as an int in range
 INT_SPELT_KWARGS = {
     ClockConfig: dict(r_ohms=1420, c_farads=1),
     AdcConfig: dict(noise_sigma_lsb=0),
-    ChainConfig: dict(clamp_volts=5, filter_cutoff_hz=1),
     PsychroConfig: dict(psychrometer_coeff=1, pressure_hpa=1013),
     Sine: dict(amplitude_c=1, freq_hz=0, offset_c=20),
     Constant: dict(value_c=20),
-    RunConfig: dict(duration_s=5, sample_rate_hz=2),
+    RunConfig: dict(duration_s=5, sample_rate_hz=2, filter_cutoff_hz=1),
 }
 
 
@@ -852,8 +846,7 @@ def test_every_float_config_field_is_stored_as_a_float(cls):
 # when the paper's constants were still config fields, whose reprs were hashed
 FINGERPRINTS = {
     "defaults": ({}, "f4053c014390"),
-    "ChainConfig.clamp_volts": (dict(chain=ChainConfig(clamp_volts=2.5)), "2681fc5c0dd3"),
-    "ChainConfig.filter_cutoff_hz": (dict(chain=ChainConfig(filter_cutoff_hz=0.125)), "c573ecd2e0ee"),
+    "RunConfig.filter_cutoff_hz": (dict(filter_cutoff_hz=0.125), "c573ecd2e0ee"),
     "AdcConfig.noise_sigma_lsb": (dict(adc=AdcConfig(noise_sigma_lsb=0.5)), "295aea3fdc4f"),
     "PsychroConfig.psychrometer_coeff": (dict(psychro=PsychroConfig(psychrometer_coeff=8e-4)), "433d09417209"),
     "PsychroConfig.pressure_hpa": (dict(psychro=PsychroConfig(pressure_hpa=900.0)), "5cda03e7de1a"),
@@ -878,21 +871,25 @@ def test_the_fingerprint_keeps_the_hash_of_the_old_reprs(case):
 
 def test_the_fingerprint_table_changes_every_hashed_field():
     # a field added to a config must be added to fingerprint() and to this table
-    sections = (ChainConfig, AdcConfig, PsychroConfig)
+    sections = (AdcConfig, PsychroConfig)
     hashed = {f"{cls.__name__}.{f.name}" for cls in sections for f in dataclasses.fields(cls)} | {
         f"RunConfig.{f.name}"
         for f in dataclasses.fields(RunConfig)
-        if f.name not in ("chain", "adc", "psychro", "start_time")  # start_time is in the run id
+        if f.name not in ("adc", "psychro", "start_time")  # start_time is in the run id
     }
     assert set(FINGERPRINTS) - {"defaults"} == hashed
 
 
-# the paper's constants that were fields, each now refused as a keyword
+# the paper's constants that were fields, each now refused as a keyword; the
+# front end's, its zener clamp (VREF) and the chain config that held them are
+# refused by RunConfig, which keeps the chain's one other field, filter_cutoff_hz
 RETIRED_FIELDS = [
-    (ChainConfig, "sensor_slope", 0.01),
-    (ChainConfig, "amp_gain", 10.0),
-    (ChainConfig, "vref", 5.0),
-    (ChainConfig, "allow_misaligned", False),
+    (RunConfig, "chain", None),
+    (RunConfig, "clamp_volts", 5.0),
+    (RunConfig, "sensor_slope", 0.01),
+    (RunConfig, "amp_gain", 10.0),
+    (RunConfig, "vref", 5.0),
+    (RunConfig, "allow_misaligned", False),
     (AdcConfig, "vref", 5.0),
     (AdcConfig, "bits", 8),
     (AdcConfig, "unadjusted_error_lsb", 0.5),
@@ -1004,13 +1001,15 @@ def test_the_ends_of_the_float_range_are_finite(call, name):
     [
         (lambda v: alias_frequency(v, 2.0), InvalidInputError, "f_signal must be >= 0 and finite"),
         (lambda v: alias_frequency(1.0, v), InvalidInputError, "f_sample must be > 0 and finite"),
-        (lowpass_alpha, InvalidInputError, "dt must be > 0 and finite"),
+        (lambda v: lowpass_alpha(v, 0.5), InvalidInputError, "dt must be > 0 and finite"),
+        (lambda v: lowpass_alpha(0.01, v), InvalidInputError, "cutoff_hz must be > 0 and finite"),
         (lambda v: SimulatedPort(clock_hz=v), ClockRangeError, "clock .+ Hz outside"),
     ],
     ids=[
         "alias_frequency.f_signal",
         "alias_frequency.f_sample",
         "lowpass_alpha",
+        "lowpass_alpha.cutoff_hz",
         "SimulatedPort.clock_hz",
     ],
 )

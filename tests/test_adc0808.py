@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from paraloq import (
     AdcConfig,
-    ChainConfig,
     ClockConfig,
     ClockRangeError,
     InvalidInputError,
@@ -206,11 +205,10 @@ class TestDecode:
 
 def test_end_to_end_round_trip_within_one_lsb():
     # chain -> quantize -> decode stays within the 1 LSB budget over the range
-    cfg = ChainConfig()
     lsb_c = 50.0 / 255.0
     temp = 0.0
     while temp < 50.0:
-        decoded = decode_temp(quantize(chain_voltage(temp, cfg)))
+        decoded = decode_temp(quantize(chain_voltage(temp)))
         assert abs(decoded - temp) <= lsb_c + 1e-9
         temp += 0.01
 

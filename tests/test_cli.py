@@ -585,12 +585,13 @@ class TestConfigFile:
         assert main(["compute", "--dry", "20", "--wet", "18"]) == 0
         assert with_env != capsys.readouterr().out
 
-    def test_a_chain_other_than_the_default_writes_its_pinned_log(self, tmp_path, monkeypatch):
-        # both channels run through the one [chain]; line 5 hashes it once per
-        # channel, and the whole file is pinned with it
+    def test_a_filter_cutoff_other_than_the_default_writes_its_pinned_log(self, tmp_path, monkeypatch):
+        # both channels run through the one front end; line 5 hashes it once per
+        # channel, and the whole file is pinned with it. The log is the one a
+        # [chain] section of the same cutoff wrote, when the chain was a section
         monkeypatch.delenv("PARALOQ_CONFIG", raising=False)
         cfg = tmp_path / "chain.ini"
-        cfg.write_text("[chain]\nclamp_volts = 4.5\nfilter_cutoff_hz = 0.2\n", encoding="utf-8")
+        cfg.write_text("[run]\nfilter_cutoff_hz = 0.2\n", encoding="utf-8")
         out = tmp_path / "chain.csv"
         code = main(
             [
@@ -607,10 +608,20 @@ class TestConfigFile:
         )
         assert code == 0
         data = out.read_bytes()
-        assert data.splitlines()[4] == b"# config = ceff1aa2aa4c"
-        assert hashlib.sha256(data).hexdigest() == "e1917b0d3fe0808ab60d901b4ef165e28afa9c86f906dced2a5e624062ae9e8c"
-        # the sine's 50 degC peak reads no higher than the 4.5 V clamp's code, 230
-        assert max(row.dry_temp_c for row in read_csv(out).rows) == 45.098039
+        assert data.splitlines()[4] == b"# config = 7ddd5f96df9a"
+        assert hashlib.sha256(data).hexdigest() == "79d473edf213fe149090ddd282776d764d076e910aa49e6f5b08f64e8d5761da"
+        # the 0.2 Hz filter takes the 0.05 Hz sine's 50 degC peak down to code 252
+        assert max(row.dry_code for row in read_csv(out).rows) == 252
+
+    def test_a_dry_bulb_above_full_scale_logs_the_top_code_with_empty_humidity(self, tmp_path, monkeypatch):
+        # the zeners clamp at VREF, so 60 degC is code 255, a rail; a 4.5 V clamp
+        # logged code 230 (45.098039 degC) and a humidity computed from it
+        monkeypatch.delenv("PARALOQ_CONFIG", raising=False)
+        out = tmp_path / "hot.csv"
+        flags = ["--duration", "1", "--dry-temp", "60", "--wet-temp", "20", "--start-time", START]
+        assert main(["simulate", *flags, "--out", str(out)]) == 0
+        rows = out.read_bytes().splitlines()[6:]
+        assert rows and all(row.split(b",")[2:4] == [b"255", b"50.000000"] and row.endswith(b",,") for row in rows)
 
     @pytest.mark.parametrize(
         "text, clock",
@@ -664,8 +675,7 @@ class TestConfigFile:
         ("run", "sample_rate_hz"): ("4", 4.0),
         ("run", "filter_substeps"): ("16", 16),
         ("run", "seed"): ("7", 7),
-        ("chain", "clamp_volts"): ("4.5", 4.5),
-        ("chain", "filter_cutoff_hz"): ("0.2", 0.2),
+        ("run", "filter_cutoff_hz"): ("0.2", 0.2),
         ("clock", "r_ohms"): ("2841", 2841.0),
         ("clock", "c_farads"): ("5e-10", 5e-10),
         ("psychro", "psychrometer_coeff"): ("8e-4", 8e-4),
@@ -690,8 +700,7 @@ class TestConfigFile:
             ("run", "sample_rate_hz"): float,
             ("run", "filter_substeps"): int,
             ("run", "seed"): int,
-            ("chain", "clamp_volts"): float,
-            ("chain", "filter_cutoff_hz"): float,
+            ("run", "filter_cutoff_hz"): float,
             ("clock", "r_ohms"): float,
             ("clock", "c_farads"): float,
             ("psychro", "psychrometer_coeff"): float,
@@ -719,11 +728,16 @@ class TestConfigFile:
             # 0.9 Hz: a clock warning, then "2 conversions ... do not fit"
             ("[clock]\nr_ohms = 1e6\nc_farads = 1e-6\n", "clock 0.909091 Hz outside"),
             ("[run]\nfilter_substeps = 1025\n", "filter_substeps must be 0..1024"),
+            # the zener clamp is VREF, and the cutoff a [run] key: [chain] is no section
+            ("[chain]\nclamp_volts = 4.5\n", "unknown config key [chain] clamp_volts"),
+            ("[chain]\nfilter_cutoff_hz = 0.2\n", "unknown config key [chain] filter_cutoff_hz"),
+            ("[run]\nclamp_volts = 5.0\n", "unknown config key [run] clamp_volts"),
+            ("[run]\nfilter_cutoff_hz = 0\n", "filter_cutoff_hz must be > 0 and finite, got 0.0"),
         ],
         ids=[
             "allow_misaligned", "start_time", "sensor_slope", "amp_gain", "vref", "magnus_a", "magnus_b",
             "magnus_c", "underflowing clock", "clock below the window",
-            "too many substeps",
+            "too many substeps", "chain clamp_volts", "chain filter_cutoff_hz", "run clamp_volts", "zero cutoff",
         ],
     )
     def test_a_config_no_run_can_use_exits_2_up_front(self, tmp_path, capsys, text, message):

@@ -141,6 +141,19 @@ class TestWrite:
         with pytest.raises(StorageError, match="No space left"):
             writer.close()
 
+    def test_a_header_write_that_raises_anything_closes_the_file(self, tmp_path, monkeypatch):
+        # only an OSError closed it; a Ctrl-C mid-header left the handle open
+        handles = []
+
+        def interrupted(self, data, written=0):
+            handles.append(self._fh)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(CsvWriter, "_write_all", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            CsvWriter(tmp_path / "x.csv", META)
+        assert len(handles) == 1 and handles[0].closed
+
     def test_a_write_that_takes_7_bytes_a_call_writes_the_steady_golden_log(self, tmp_path, monkeypatch):
         # a raw write may take only the first bytes of a line; only the rest goes again
         run = run_acquisition(
@@ -363,6 +376,12 @@ class TestRead:
             with pytest.raises(CsvParseError, match=field) as err:
                 read_csv(path)
             assert err.value.line_no == 1
+
+    def test_a_sample_rate_that_is_not_a_number_names_its_line(self, tmp_path):
+        path = tmp_path / "rate.csv"
+        path.write_text("# run_id = x\n# sample_rate_hz = abc\n" + HEADER + "\n", encoding="utf-8")
+        with pytest.raises(CsvParseError, match="^line 2: bad sample_rate_hz value 'abc'$"):
+            read_csv(path)
 
     def test_out_of_range_humidity_names_the_line(self, tmp_path):
         path = tmp_path / "rh.csv"
@@ -829,12 +848,14 @@ def test_row_rejects_a_bool_code(field):
         ("2026-08-10T12:00:00.000\r", "must not hold"),
         (None, "must be a str, got None"),
         (1.5, "must be a str, got 1.5"),
+        ("2026-08-10T12:00:00.000\udcff", "must encode as UTF-8"),
     ],
-    ids=["comma", "LF", "CR", "None", "float"],
+    ids=["comma", "LF", "CR", "None", "float", "lone surrogate"],
 )
 def test_row_rejects_a_timestamp_the_log_cannot_carry(timestamp, message):
     # a ',' wrote a 9-column line and a CR or LF broke the line, which read_csv
-    # then rejected; None failed only in write_csv, with a bare TypeError
+    # then rejected; None failed only in write_csv, with a bare TypeError, and a
+    # lone surrogate there with a bare UnicodeEncodeError
     with pytest.raises(InvalidInputError, match=f"^timestamp {message}"):
         PsychroRow(0.0, timestamp, 102, 20.0, 92, 18.0)
 
@@ -854,9 +875,15 @@ def test_row_rejects_a_timestamp_the_log_cannot_carry(timestamp, message):
         ({"channels": {0: 0}}, "^a channel must be"),
         ({"channels": {"dry": True}}, "^a channel must be"),
         ({"channels": {"dry": 0.0}}, "^a channel must be"),
+        # a lone surrogate built, then CsvWriter raised a bare UnicodeEncodeError and left its file open
+        ({"run_id": "x\ud800"}, "^run_id must encode as UTF-8"),
+        ({"start": "\udcff"}, "^start must encode as UTF-8"),
+        ({"config_fingerprint": "\udfff"}, "^config_fingerprint must encode as UTF-8"),
+        ({"channels": {"dry\ud800": 0}}, "^a channel name must encode as UTF-8"),
     ],
     ids=["run_id LF", "start CR", "run_id padded", "config tab", "run_id None", "start int",
-         "channel comma", "channel equals", "channel LF", "channel int name", "channel bool", "channel float"],
+         "channel comma", "channel equals", "channel LF", "channel int name", "channel bool", "channel float",
+         "run_id surrogate", "start surrogate", "config surrogate", "channel surrogate"],
 )
 def test_meta_rejects_text_a_log_line_cannot_carry_back(kwargs, message):
     with pytest.raises(InvalidInputError, match=message):

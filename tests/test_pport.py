@@ -206,6 +206,29 @@ class TestAcquireByte:
         with pytest.raises(DeviceTimeoutError):
             acquire_byte(port, 0)
 
+    def test_a_port_reconnected_mid_handshake_times_out_not_returns_the_last_code(self, monkeypatch):
+        # the START+ALE edge fell while the device was away, so no conversion of
+        # 1.0 V (code 51) ever ran; the call returned the last one's 128
+        port = SimulatedPort()
+        port.set_input(0, 2.5)
+        assert acquire_byte(port, 0) == 128
+        port.set_input(0, 1.0)
+        port.connected = False
+        read_status = SimulatedPort.read_status
+        reads = 0
+
+        def reconnect_at_the_third_read(self):
+            nonlocal reads
+            reads += 1
+            if reads == 3:
+                self.connected = True
+            return read_status(self)
+
+        monkeypatch.setattr(SimulatedPort, "read_status", reconnect_at_the_third_read)
+        with pytest.raises(DeviceTimeoutError, match="^EOC not asserted on channel 0"):
+            acquire_byte(port, 0)
+        assert port.connected and reads == 160
+
     def test_timeout_budget_is_ten_conversions(self):
         for t0 in (0.0, 0.3, 1234.5):
             port = SimulatedPort(clock_hz=640e3)

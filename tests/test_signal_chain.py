@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paraloq import (
-    ChainConfig,
     InvalidInputError,
+    RunConfig,
     alias_frequency,
     chain_voltage,
     lowpass_alpha,
@@ -16,22 +16,13 @@ from paraloq import (
 from paraloq.adc0808 import TEMP_FULL_SCALE_C, VREF
 from paraloq.signal_chain import AMP_GAIN, SENSOR_SLOPE
 
-class TestChainConfig:
+class TestFrontEnd:
     def test_the_paper_chain_reaches_vref_at_full_scale(self):
         assert SENSOR_SLOPE * AMP_GAIN * TEMP_FULL_SCALE_C == pytest.approx(VREF, abs=1e-9)
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"clamp_volts": 0.0},
-            {"clamp_volts": 6.0},  # above VREF
-            {"filter_cutoff_hz": 0.0},
-            {"clamp_volts": math.nextafter(VREF, math.inf)},  # the default clamp sits on VREF
-        ],
-    )
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(InvalidInputError):
-            ChainConfig(**kwargs)
+    def test_a_zero_cutoff_is_rejected(self):
+        with pytest.raises(InvalidInputError, match="^filter_cutoff_hz must be > 0 and finite, got 0.0$"):
+            RunConfig(duration_s=1.0, filter_cutoff_hz=0.0)
 
 
 below_clamp_temps = st.floats(min_value=0.0, max_value=25.0)
@@ -74,7 +65,7 @@ class TestChainVoltage:
     @given(t=st.floats(min_value=-1e6, max_value=1e6))
     def test_output_always_within_clamp_rails(self, t):
         out = chain_voltage(t)
-        assert 0.0 <= out <= ChainConfig().clamp_volts
+        assert 0.0 <= out <= VREF
 
     @given(a=st.floats(allow_nan=False, allow_infinity=False), b=st.floats(allow_nan=False, allow_infinity=False))
     def test_monotone_in_temperature(self, a, b):
@@ -85,84 +76,63 @@ class TestChainVoltage:
 def test_chain_composition_matches_ideal_scaling():
     # temp/10 V over the whole range; floating error at most 1 ulp and the
     # clamp never engages below full scale
-    cfg = ChainConfig()
     for k in range(0, 5001):
         temp = k * 0.01
-        out = chain_voltage(temp, cfg)
+        out = chain_voltage(temp)
         ideal = temp / 10.0
         assert abs(out - ideal) <= math.ulp(max(out, ideal, 1e-300))
-        assert out <= cfg.clamp_volts
-
-
-# a second clamp, well inside the converter's span
-LOW_CLAMP_CHAIN = ChainConfig(clamp_volts=0.5)
+        assert out <= VREF
 
 
 @st.composite
-def clamped_chains(draw):
-    """A chain whose clamp is anywhere in (0, VREF]."""
-    return ChainConfig(clamp_volts=VREF * draw(st.floats(min_value=0.01, max_value=1.0)))
-
-
-@st.composite
-def chains_and_temps(draw):
-    cfg = draw(st.one_of(clamped_chains(), st.just(ChainConfig()), st.just(LOW_CLAMP_CHAIN)))
+def temps_near_the_clamp(draw):
     # a temperature whose chain voltage is the clamp, or a few ulps either side of it
-    near_clamp = cfg.clamp_volts / (AMP_GAIN * SENSOR_SLOPE)
+    near_clamp = VREF / (AMP_GAIN * SENSOR_SLOPE)
     ulps = draw(st.integers(min_value=-3, max_value=3))
     for _ in range(abs(ulps)):
         near_clamp = math.nextafter(near_clamp, math.copysign(math.inf, ulps))
-    temp = draw(
+    return draw(
         st.one_of(
             st.floats(allow_nan=False, allow_infinity=False),
             st.floats(min_value=-100.0, max_value=100.0),
             st.sampled_from([0.0, -0.0, 5e-324, -5e-324, near_clamp]),
         )
     )
-    return cfg, temp
 
 
-def min_max_clamp(v, cfg):
-    return min(max(v, 0.0), cfg.clamp_volts)
+def min_max_clamp(v):
+    return min(max(v, 0.0), VREF)
 
 
 @settings(max_examples=300)
-@given(chains_and_temps())
-@example((LOW_CLAMP_CHAIN, 1e300))
-def test_chain_clamps_as_min_max_does(case):
-    cfg, temp = case
-    assert repr(chain_voltage(temp, cfg)) == repr(min_max_clamp(AMP_GAIN * (SENSOR_SLOPE * temp), cfg))
+@given(temps_near_the_clamp())
+@example(1e300)
+def test_chain_clamps_as_min_max_does(temp):
+    assert repr(chain_voltage(temp)) == repr(min_max_clamp(AMP_GAIN * (SENSOR_SLOPE * temp)))
 
 
 RAIL_TEMPS = (0.0, -0.0, 50.0, math.nextafter(50.0, 100.0), math.nextafter(50.0, 0.0), -1e300, 1e300)
 
 
-@pytest.mark.parametrize(
-    "cfg, temp",
-    [(ChainConfig(), t) for t in RAIL_TEMPS] + [(LOW_CLAMP_CHAIN, 5.0), (LOW_CLAMP_CHAIN, 1e300)],
-    ids=[repr(t) for t in RAIL_TEMPS] + ["LOW_CLAMP_CHAIN-5.0", "LOW_CLAMP_CHAIN-1e300"],
-)
-def test_chain_clamp_at_the_rails(cfg, temp):
-    # 10 * (0.01 * 50) is the 5 V clamp exactly, and 10 * (0.01 * 5) the 0.5 V one;
-    # -0.0 stays -0.0, as max(-0.0, 0.0) keeps it
-    assert repr(chain_voltage(temp, cfg)) == repr(min_max_clamp(AMP_GAIN * (SENSOR_SLOPE * temp), cfg))
+@pytest.mark.parametrize("temp", RAIL_TEMPS, ids=[repr(t) for t in RAIL_TEMPS])
+def test_chain_clamp_at_the_rails(temp):
+    # 10 * (0.01 * 50) is the 5 V clamp exactly; -0.0 stays -0.0, as max(-0.0, 0.0) keeps it
+    assert repr(chain_voltage(temp)) == repr(min_max_clamp(AMP_GAIN * (SENSOR_SLOPE * temp)))
 
 
-@pytest.mark.parametrize("cfg", [ChainConfig(), LOW_CLAMP_CHAIN], ids=["default", "LOW_CLAMP_CHAIN"])
-def test_an_int_temperature_goes_to_a_rail_or_past_the_float_range_is_rejected(cfg):
+def test_an_int_temperature_goes_to_a_rail_or_past_the_float_range_is_rejected():
     # 10**308 converts to a float; 10**309 does not, so multiplying by it raises OverflowError
-    assert chain_voltage(10**308, cfg) == cfg.clamp_volts
-    assert repr(chain_voltage(-(10**308), cfg)) == "0.0"
+    assert chain_voltage(10**308) == VREF
+    assert repr(chain_voltage(-(10**308))) == "0.0"
     for bad in (10**309, -(10**309), -(10**400)):
         with pytest.raises(InvalidInputError, match="temp_c must be finite"):
-            chain_voltage(bad, cfg)
+            chain_voltage(bad)
 
 
 def test_chain_lands_on_the_clamp_at_full_scale_and_keeps_negative_zero():
-    cfg = ChainConfig()
-    assert AMP_GAIN * (SENSOR_SLOPE * 50.0) == cfg.clamp_volts  # exactly on the rail
-    assert chain_voltage(50.0, cfg) == cfg.clamp_volts
-    assert repr(chain_voltage(-0.0, cfg)) == "-0.0"
+    assert AMP_GAIN * (SENSOR_SLOPE * 50.0) == VREF  # exactly on the rail
+    assert chain_voltage(50.0) == VREF
+    assert repr(chain_voltage(-0.0)) == "-0.0"
 
 
 class TestLowpass:
@@ -170,39 +140,44 @@ class TestLowpass:
         state = 0.0
         previous_gap = 1.0
         for _ in range(200):
-            state = lowpass_step(state, 1.0, lowpass_alpha(0.1))
+            state = lowpass_step(state, 1.0, lowpass_alpha(0.1, 0.5))
             gap = abs(1.0 - state)
             assert gap <= previous_gap
             previous_gap = gap
         assert state == pytest.approx(1.0, abs=1e-6)
 
     def test_fixed_point(self):
-        assert lowpass_step(0.7, 0.7, lowpass_alpha(0.01)) == 0.7
+        assert lowpass_step(0.7, 0.7, lowpass_alpha(0.01, 0.5)) == 0.7
 
     def test_cutoff_attenuation_is_3db(self):
         # steady-state amplitude of a sinusoid at f_c drops to 1/sqrt(2)
-        cfg = ChainConfig()
+        cutoff_hz = RunConfig(duration_s=1.0).filter_cutoff_hz
         dt = 1e-3
         state = 0.0
         outputs = []
         n = int(20.0 / dt)
         for i in range(n):
-            x = math.sin(2.0 * math.pi * cfg.filter_cutoff_hz * i * dt)
-            state = lowpass_step(state, x, lowpass_alpha(dt, cfg))
+            x = math.sin(2.0 * math.pi * cutoff_hz * i * dt)
+            state = lowpass_step(state, x, lowpass_alpha(dt, cutoff_hz))
             outputs.append(state)
-        tail = outputs[-int(2.0 / (cfg.filter_cutoff_hz * dt)) :]  # last 2 periods
+        tail = outputs[-int(2.0 / (cutoff_hz * dt)) :]  # last 2 periods
         amplitude = (max(tail) - min(tail)) / 2.0
         assert amplitude == pytest.approx(1.0 / math.sqrt(2.0), rel=0.02)
 
     @pytest.mark.parametrize("dt", [0.0, -1.0])
     def test_nonpositive_dt_rejected(self, dt):
         with pytest.raises(InvalidInputError):
-            lowpass_alpha(dt)
+            lowpass_alpha(dt, 0.5)
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf])
     def test_non_finite_dt_rejected(self, dt):
         with pytest.raises(InvalidInputError):
-            lowpass_alpha(dt)
+            lowpass_alpha(dt, 0.5)
+
+    @pytest.mark.parametrize("cutoff_hz", [0.0, -1.0, math.nan, math.inf])
+    def test_a_cutoff_not_finite_and_positive_is_rejected(self, cutoff_hz):
+        with pytest.raises(InvalidInputError, match="^cutoff_hz must be > 0 and finite"):
+            lowpass_alpha(0.01, cutoff_hz)
 
     @given(
         state=st.floats(min_value=-10, max_value=10, allow_nan=False),
@@ -210,7 +185,7 @@ class TestLowpass:
         dt=st.floats(min_value=1e-6, max_value=10, allow_nan=False),
     )
     def test_contraction_toward_input(self, state, x, dt):
-        new = lowpass_step(state, x, lowpass_alpha(dt))
+        new = lowpass_step(state, x, lowpass_alpha(dt, 0.5))
         assert abs(new - x) <= abs(state - x) + 1e-12
 
 
