@@ -67,7 +67,9 @@ class Constant:
         return 0.0
 
 
-_TWO_PI = 2.0 * math.pi  # 2.0 * math.pi * f * t multiplies as (2.0 * math.pi) * f * t: same bits
+# Sine's phase _omega * t, _omega = _TWO_PI * f worked out once, has the bits of
+# 2.0 * math.pi * f * t, which multiplies as ((2.0 * math.pi) * f) * t
+_TWO_PI = 2.0 * math.pi
 _sin = math.sin  # temp_at runs once per filter substep
 
 
@@ -86,9 +88,10 @@ class Sine:
         # the bound on |temp_at|, so no sine of a finite phase leaves the float range
         require_finite("abs(offset_c) + abs(amplitude_c)", abs(self.offset_c) + abs(self.amplitude_c))
         store_floats(self, "amplitude_c", "freq_hz", "offset_c")
+        object.__setattr__(self, "_omega", _TWO_PI * self.freq_hz)  # not a field: repr, == and hash skip it
 
     def temp_at(self, t_s: float) -> float:
-        return self.offset_c + self.amplitude_c * _sin(_TWO_PI * self.freq_hz * t_s)
+        return self.offset_c + self.amplitude_c * _sin(self._omega * t_s)
 
     def max_freq_hz(self) -> float:
         return self.freq_hz
@@ -144,7 +147,9 @@ class RunConfig:
     filter_substeps = 0 samples the stimulus directly (ideal pre-filtered
     input); N > 0 advances the first-order anti-alias filter, whose -3 dB
     point is filter_cutoff_hz, N times per tick between samples, with state
-    seeded at the tick-0 level.
+    seeded at the tick-0 level. Its alpha and substep times are worked out
+    once per run, and both lanes advance together, substep by substep,
+    before the tick's DRY conversion.
     """
 
     duration_s: float
@@ -268,36 +273,41 @@ def run_meta(cfg: RunConfig) -> logstore.RunMeta:
     )
 
 
-class _FilteredChain:
-    """Per-channel analog path with optional anti-alias filter dynamics.
+class _FrontEnd:
+    """The analog path of both channels, with optional anti-alias filter dynamics.
 
-    Called once per tick with the tick time; the filter advances from the
-    previous tick time to this one.
+    Called once per tick with the tick time; returns (DRY volts, WET volts).
+    With substeps, both filters advance together from the previous tick
+    time to this one, substep by substep, with one alpha and one set of
+    substep offsets for the run.
     """
 
-    def __init__(self, cutoff_hz: float, stimulus, substeps: int, rate_hz: float):
-        self.stimulus = stimulus
-        self.substeps = substeps
+    def __init__(self, cfg: RunConfig):
+        self.dry_at = cfg.stimuli[Channel.DRY].temp_at
+        self.wet_at = cfg.stimuli[Channel.WET].temp_at
+        self.substeps = substeps = cfg.filter_substeps
         if substeps:
             self.t_prev = 0.0
-            dt_sub = 1.0 / (rate_hz * substeps)
-            self.alpha = lowpass_alpha(dt_sub, cutoff_hz)
+            dt_sub = 1.0 / (cfg.sample_rate_hz * substeps)
+            self.alpha = lowpass_alpha(dt_sub, cfg.filter_cutoff_hz)
             # each substep's time after the previous tick, j * dt_sub for j = 1..substeps
             self.offsets = tuple(j * dt_sub for j in range(1, substeps + 1))
             # circuit assumed settled at power-on
-            self.state = chain_voltage(stimulus.temp_at(0.0))
+            self.dry = chain_voltage(self.dry_at(0.0))
+            self.wet = chain_voltage(self.wet_at(0.0))
 
-    def voltage_at(self, t: float) -> float:
+    def voltages_at(self, t: float) -> tuple:
         if not self.substeps:
-            return chain_voltage(self.stimulus.temp_at(t))
+            return chain_voltage(self.dry_at(t)), chain_voltage(self.wet_at(t))
         if t > self.t_prev:  # tick 0 reads the settled state
-            temp_at, alpha = self.stimulus.temp_at, self.alpha
-            t_prev, state = self.t_prev, self.state
+            dry_at, wet_at, alpha = self.dry_at, self.wet_at, self.alpha
+            t_prev, dry, wet = self.t_prev, self.dry, self.wet
             for offset in self.offsets:
-                state = lowpass_step(state, chain_voltage(temp_at(t_prev + offset)), alpha)
-            self.state = state
-            self.t_prev = t
-        return self.state
+                t_sub = t_prev + offset
+                dry = lowpass_step(dry, chain_voltage(dry_at(t_sub)), alpha)
+                wet = lowpass_step(wet, chain_voltage(wet_at(t_sub)), alpha)
+            self.dry, self.wet, self.t_prev = dry, wet, t
+        return self.dry, self.wet
 
 
 def _tick_row(t: float, timestamp: str, dry_code: int, wet_code: int, cfg: RunConfig) -> logstore.PsychroRow:
@@ -333,18 +343,17 @@ def acquire_rows(cfg: RunConfig, sinks, port: SimulatedPort | None = None) -> lo
         port = build_port(cfg)
     rate = cfg.sample_rate_hz
     start_dt = cfg.start_time
-    # each lane's voltage at tick time, DRY then WET
-    dry_at = _FilteredChain(cfg.filter_cutoff_hz, cfg.stimuli[Channel.DRY], cfg.filter_substeps, rate).voltage_at
-    wet_at = _FilteredChain(cfg.filter_cutoff_hz, cfg.stimuli[Channel.WET], cfg.filter_substeps, rate).voltage_at
+    voltages_at = _FrontEnd(cfg).voltages_at  # both lanes' voltages at tick time, DRY then WET
     dry_mux, wet_mux = Channel.DRY.value, Channel.WET.value
     set_input = port.set_input
     for k in range(cfg.tick_count()):
         t = k / rate
         # timedelta(seconds=t) and isoformat(timespec=...), without the keyword parsing
         timestamp = (start_dt + timedelta(0, t)).isoformat("T", "milliseconds")
-        set_input(dry_mux, dry_at(t))
+        dry_volts, wet_volts = voltages_at(t)
+        set_input(dry_mux, dry_volts)
         dry_code = acquire_byte(port, dry_mux)
-        set_input(wet_mux, wet_at(t))
+        set_input(wet_mux, wet_volts)
         wet_code = acquire_byte(port, wet_mux)
         row = _tick_row(t, timestamp, dry_code, wet_code, cfg)
         for sink in sinks:

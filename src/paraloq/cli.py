@@ -15,7 +15,8 @@ Exit codes:
 Defaults can come from a `key = value` config file with [section] headers
 (sections: run, clock, psychro). Precedence is flags > file >
 defaults; the file is named by --config or the PARALOQ_CONFIG environment
-variable. Unknown sections or keys are hard errors.
+variable. Unknown sections, even empty ones, and unknown or [DEFAULT] keys
+are hard errors.
 """
 
 from __future__ import annotations
@@ -83,8 +84,9 @@ _CONFIG_SCHEMA = {
 
 def load_config_file(path) -> dict:
     """Parse and validate a config file into {section: {key: value}}, one
-    entry per section of the schema."""
-    parser = configparser.ConfigParser()
+    entry per section of the schema. A section or key outside the schema,
+    an empty section or a [DEFAULT] key included, is a ConfigError."""
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -92,6 +94,8 @@ def load_config_file(path) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
+    for key in parser.defaults():  # read into every section, or dropped when there is none
+        raise ConfigError(f"unknown config key [{parser.default_section}] {key}")
     values = {section: {} for section in _SECTIONS}
     for section in parser.sections():
         for key, raw in parser.items(section):
@@ -102,6 +106,8 @@ def load_config_file(path) -> dict:
                 values[section][key] = convert(raw)
             except ValueError:
                 raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from None
+        if section not in values:  # an unknown section that holds no key
+            raise ConfigError(f"unknown config section [{section}]")
     return values
 
 

@@ -37,7 +37,9 @@ import contextlib
 import hashlib
 from array import array
 from collections import namedtuple
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import FLOAT_MAX, CsvParseError, InvalidInputError, StorageError, shown
 
@@ -87,7 +89,7 @@ class RunMeta:
     run_id: str = ""
     start: str = ""  # ISO-8601, millisecond precision
     sample_rate_hz: float = 0.0
-    channels: dict = field(default_factory=dict)  # name -> mux input
+    channels: Mapping = field(default_factory=dict)  # name -> mux input, kept as a read-only copy
     config_fingerprint: str = ""
 
     def __post_init__(self):
@@ -99,12 +101,19 @@ class RunMeta:
             if "\n" in text or text != text.rstrip():
                 raise InvalidInputError(f"{name} must hold no LF or trailing whitespace, got {text!r}")
             _require_utf8(name, text)
+        if not isinstance(self.channels, Mapping):
+            raise InvalidInputError(f"channels must be a mapping of name to mux input, got {shown(self.channels)}")
+        object.__setattr__(self, "channels", MappingProxyType(dict(self.channels)))  # or an entry skips the checks
         for name, idx in self.channels.items():  # written name=idx, joined by ','
             if type(name) is not str or "," in name or "=" in name or "\n" in name or type(idx) is not int:
                 raise InvalidInputError(f"a channel must be a str with no ',', '=' or LF, and an int: {name!r}: {idx!r}")
             _require_utf8("a channel name", name)
         rate = _finite6("sample_rate_hz", self.sample_rate_hz)
         object.__setattr__(self, "sample_rate_hz", rate)
+
+    def __reduce__(self):
+        # a mappingproxy does not pickle: pickle and deepcopy rebuild the meta from a dict copy
+        return type(self), (self.run_id, self.start, self.sample_rate_hz, dict(self.channels), self.config_fingerprint)
 
 
 _tuple_new = tuple.__new__

@@ -154,24 +154,25 @@ MUTANTS = (
     ),
     Mutant(
         "paraloq/acquisition.py",
-        "    dry_at = _FilteredChain(cfg.filter_cutoff_hz, ",
-        "    dry_at = _FilteredChain(RunConfig.filter_cutoff_hz, ",
+        "lowpass_alpha(dt_sub, cfg.filter_cutoff_hz)",
+        "lowpass_alpha(dt_sub, RunConfig.filter_cutoff_hz)",
         ("tests/test_acquisition.py", "-k", "test_lanes_match_a_per_step_alpha_reference"),
-        "a lane built with the default cutoff in place of cfg.filter_cutoff_hz"
-        " (CHANGES.md: One analog front end for both channels)",
+        "a front end built with the default cutoff in place of cfg.filter_cutoff_hz"
+        " (CHANGES.md: One analog front end for both channels; One front end for both lanes)",
     ),
     Mutant(
         "paraloq/acquisition.py",
-        "        set_input(dry_mux, dry_at(t))\n"
+        "        set_input(dry_mux, dry_volts)\n"
         "        dry_code = acquire_byte(port, dry_mux)\n"
-        "        set_input(wet_mux, wet_at(t))\n"
+        "        set_input(wet_mux, wet_volts)\n"
         "        wet_code = acquire_byte(port, wet_mux)\n",
-        "        set_input(wet_mux, wet_at(t))\n"
+        "        set_input(wet_mux, wet_volts)\n"
         "        wet_code = acquire_byte(port, wet_mux)\n"
-        "        set_input(dry_mux, dry_at(t))\n"
+        "        set_input(dry_mux, dry_volts)\n"
         "        dry_code = acquire_byte(port, dry_mux)\n",
         ("tests/test_golden.py", "-k", "byte_identical and filtered_sine"),
-        "the DRY and WET noise draws swapped (CHANGES.md: One copy of each port rule)",
+        "the DRY and WET noise draws swapped"
+        " (CHANGES.md: One copy of each port rule; One front end for both lanes)",
     ),
     Mutant(
         "paraloq/plotting.py",
@@ -308,6 +309,13 @@ MUTANTS = (
         ("tests/test_psychro.py", "-k", "edge_of_the_magnus_domain"),
         "dew_point_from_vapor_pressure at log(e / MAGNUS_A) == MAGNUS_B divided by zero"
         " (CHANGES.md: One owner for four rules)",
+    ),
+    Mutant(
+        "paraloq/acquisition.py",
+        "_sin(self._omega * t_s)",
+        "_sin(_TWO_PI * (self.freq_hz * t_s))",
+        ("tests/test_acquisition.py", "-k", "sine_is_its_formula"),
+        "a sine's phase multiplied as 2 pi (f t), off the bits of 2 pi f t (CHANGES.md: One front end for both lanes)",
     ),
 )
 

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import statistics
+import struct
 import subprocess
 import sys
 import warnings
@@ -11,7 +12,7 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import paraloq
@@ -427,7 +428,7 @@ class TestFilterPath:
 
     @pytest.mark.parametrize("substeps", [1, 3, 32])
     def test_each_substep_and_poll_goes_through_its_named_call(self, monkeypatch, substeps):
-        # the call counts perfbench pins, per lane and per conversion: a second
+        # the call counts perfbench pins, per tick and per conversion: a second
         # path round these names would change them
         from paraloq import acquisition, pport
 
@@ -462,10 +463,12 @@ class TestFilterPath:
         assert len(seen) == 2 * len(run.rows) == 14
         # one settled chain voltage per lane at setup, which tick 0 reads
         assert seen[0] == {"chain": 2, "step": 0, "polls": 16, "writes": 5}
-        per_lane = [{key: after[key] - before[key] for key in counts} for before, after in zip(seen, seen[1:])]
-        assert per_lane[0] == {"chain": 0, "step": 0, "polls": 16, "writes": 5}  # tick 0, WET
-        filtered = {"chain": substeps, "step": substeps, "polls": 16, "writes": 5}
-        assert all(lane == filtered for lane in per_lane[1:])
+        between = [{key: after[key] - before[key] for key in counts} for before, after in zip(seen, seen[1:])]
+        # from a tick's DRY conversion to its WET one: the WET voltage is already made
+        assert all(gap == {"chain": 0, "step": 0, "polls": 16, "writes": 5} for gap in between[0::2])
+        # from a tick's WET conversion to the next tick's DRY one: both lanes' substeps
+        filtered = {"chain": 2 * substeps, "step": 2 * substeps, "polls": 16, "writes": 5}
+        assert all(gap == filtered for gap in between[1::2])
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -679,6 +682,39 @@ def test_a_sink_changes_nothing(seed, noise, substeps, amplitude, freq, offset):
         assert row.wet_temp_c == round(decode_temp(row.wet_code), 6)
 
 
+def _bits_or_error(fn) -> object:
+    """fn()'s bits, sign of zero included, or the ValueError math.sin raises on an infinite phase."""
+    try:
+        return struct.pack(">d", fn())
+    except ValueError as exc:
+        return repr(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.floats(allow_nan=False, allow_infinity=False),
+    f=st.floats(min_value=0.0, allow_infinity=False),
+    o=st.floats(allow_nan=False, allow_infinity=False),
+    t=st.floats(min_value=0.0, max_value=1e6),
+)
+def test_a_sine_is_its_formula_bit_for_bit(a, f, o, t):
+    # the sine works out 2 pi f once, when it is built; its phase keeps the
+    # bits of 2.0 * math.pi * f * t, which multiplies left to right
+    assume(math.isfinite(abs(o) + abs(a)))  # the bound Sine checks
+    sine = Sine(amplitude_c=a, freq_hz=f, offset_c=o)
+    assert _bits_or_error(lambda: sine.temp_at(t)) == _bits_or_error(lambda: o + a * math.sin(2.0 * math.pi * f * t))
+
+
+def test_a_sine_shows_compares_and_hashes_only_its_three_fields():
+    sine = Sine(amplitude_c=3.5, freq_hz=0.25, offset_c=22.0)
+    assert repr(sine) == "Sine(amplitude_c=3.5, freq_hz=0.25, offset_c=22.0)"
+    assert [f.name for f in dataclasses.fields(Sine)] == ["amplitude_c", "freq_hz", "offset_c"]
+    other = Sine(amplitude_c=3.5, freq_hz=0.25, offset_c=22.0)
+    object.__setattr__(other, "_omega", 0.0)  # the worked-out 2 pi f is no part of the value
+    assert other == sine and hash(other) == hash(sine)
+    assert dataclasses.replace(sine, freq_hz=0.5).temp_at(0.5) == 22.0 + 3.5 * math.sin(2.0 * math.pi * 0.5 * 0.5)
+
+
 class TestConfigValidation:
     def test_bad_rate(self):
         with pytest.raises(InvalidInputError):
@@ -703,7 +739,7 @@ class TestConfigValidation:
         RunConfig(duration_s=1.0, filter_substeps=1024)
         # 1e300 substeps passed every check and ran the loop without end; with
         # the filter path gone, a run that got past construction fails, not hangs
-        monkeypatch.setattr(acquisition, "_FilteredChain", None)
+        monkeypatch.setattr(acquisition, "_FrontEnd", None)
         for substeps in (1025, 10**300):
             with pytest.raises(InvalidInputError, match="filter_substeps must be 0..1024"):
                 run_acquisition(RunConfig(duration_s=1.0, filter_substeps=substeps))

@@ -793,6 +793,18 @@ _SIM = ["simulate", "--duration", "1", "--out", "{tmp}/run.csv"]
         (["--config", "{tmp}/run.ini", *_SIM], "duration_s = 1\n", 2, "malformed config file {tmp}/run.ini: "),
         (["--config", "{tmp}/none.ini", *_SIM], None, 2, "cannot read config file {tmp}/none.ini: "),
         (["--config", "{tmp}/run.ini", *_SIM], "[clock]\nr_ohms = 1k5\n", 2, "bad value for [clock] r_ohms: '1k5'"),
+        # an empty unknown section, and [DEFAULT] keys, which configparser drops or
+        # copies into every section: each of these ran to exit 0
+        (["--config", "{tmp}/run.ini", *_SIM], "[bogus]\n", 2, "unknown config section [bogus]"),
+        (["--config", "{tmp}/run.ini", *_SIM], "[DEFAULT]\nseed = banana\n", 2, "unknown config key [DEFAULT] seed"),
+        (
+            ["--config", "{tmp}/run.ini", *_SIM],
+            "[DEFAULT]\nseed = 3\n[run]\nduration_s = 1\n",
+            2,
+            "unknown config key [DEFAULT] seed",
+        ),
+        # a '%' was read as interpolation: an InterpolationSyntaxError traceback, exit 1
+        (["--config", "{tmp}/run.ini", *_SIM], "[run]\nseed = 5%\n", 2, "bad value for [run] seed: '5%'"),
         ([*_SIM, "--dry-stimulus", "sine"], None, 2, "--dry-stimulus: expected KIND:ARGS, got 'sine'"),
         ([*_SIM, "--wet-stimulus", "sine:amp=1,freq=0.1"], None, 2, "--wet-stimulus: sine needs ['offset']"),
         ([*_SIM, "--dry-stimulus", "sine:amp=1,phase=0"], None, 2, "--dry-stimulus: bad sine parameter 'phase=0'"),
@@ -805,6 +817,10 @@ _SIM = ["simulate", "--duration", "1", "--out", "{tmp}/run.csv"]
         "malformed config",
         "unreadable config",
         "bad config value",
+        "empty unknown section",
+        "default key alone",
+        "default key beside a section",
+        "percent sign",
         "stimulus kind",
         "sine needs",
         "sine parameter",
