@@ -21,7 +21,6 @@ from .acquisition import (
 )
 from .adc0808 import (
     AdcConfig,
-    ClockConfig,
     conversion_time_s,
     decode_temp,
     decode_volts,

@@ -15,15 +15,16 @@ import warnings
 from array import array
 from bisect import bisect_right
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timedelta
 from enum import Enum
+from functools import partial
 from random import Random
 from types import MappingProxyType
 
 from . import adc0808, logstore, psychro, signal_chain
 # decode_volts is not called here, but perfbench/layers.py SPAN_TARGETS looks it up on this module
-from .adc0808 import CODE_MAX, CONVERSION_CYCLES, VREF, AdcConfig, ClockConfig, decode_temp, decode_volts
+from .adc0808 import CODE_MAX, CONVERSION_CYCLES, VREF, AdcConfig, decode_temp, decode_volts
 from .errors import (
     FLOAT_MAX,
     EmptyRunError,
@@ -141,9 +142,11 @@ def _default_stimuli():
 class RunConfig:
     """Everything one acquisition run needs, checked when it is built and
     unchangeable after: the stimuli are a read-only copy of the mapping given.
+    A pickle or copy of it is rebuilt, and checked, from its fields.
 
     Both channels share one analog front end, as the logger's one LM35
-    chain does; each has its own stimulus and filter state.
+    chain does, and one converter at the logger's clock, adc0808.CLOCK_HZ; each
+    channel has its own stimulus and filter state.
     filter_substeps = 0 samples the stimulus directly (ideal pre-filtered
     input); N > 0 advances the first-order anti-alias filter, whose -3 dB
     point is filter_cutoff_hz, N times per tick between samples, with state
@@ -154,7 +157,6 @@ class RunConfig:
 
     duration_s: float
     sample_rate_hz: float = 2.0
-    clock: ClockConfig = ClockConfig()
     stimuli: Mapping = field(default_factory=_default_stimuli)
     adc: AdcConfig = AdcConfig()
     psychro: psychro.PsychroConfig = psychro.PsychroConfig()
@@ -177,7 +179,6 @@ class RunConfig:
         if not 0 <= substeps <= MAX_FILTER_SUBSTEPS:
             raise InvalidInputError(f"filter_substeps must be 0..{MAX_FILTER_SUBSTEPS}, got {shown(substeps)}")
         require_int("seed", self.seed)
-        adc0808.require_clock_in_window(self.clock.frequency_hz)  # or build_port fails
         # each substep time is below one tick past the last, so a phase finite there is finite throughout
         t_past = self.duration_s + 1.0 / self.sample_rate_hz
         if not isinstance(self.stimuli, Mapping):
@@ -190,7 +191,7 @@ class RunConfig:
             f = self.stimuli[ch].max_freq_hz()
             if f and not _TWO_PI * f * t_past <= FLOAT_MAX:  # also when 2 pi f alone is inf: its phase at t = 0 is nan
                 raise InvalidInputError(f"{ch.name} stimulus at {f:g} Hz: 2 pi f t is not finite by t = {t_past:g} s")
-        latency_s = adc0808.conversion_time_s(self.clock.frequency_hz)
+        latency_s = adc0808.conversion_time_s(adc0808.CLOCK_HZ)
         if len(Channel) * latency_s > 1.0 / self.sample_rate_hz:
             raise InvalidInputError(
                 f"{len(Channel)} conversions of {latency_s * 1e6:g} us do not fit "
@@ -203,6 +204,11 @@ class RunConfig:
                 raise InvalidInputError(
                     f"a {self.duration_s:g} s run from {self.start_time.isoformat()} ends past {datetime.max}"
                 ) from None
+
+    def __reduce__(self):
+        # a mappingproxy does not pickle: pickle and copy rebuild the config from a dict of its stimuli
+        kwargs = {f.name: getattr(self, f.name) for f in fields(self)}
+        return partial(type(self), **{**kwargs, "stimuli": dict(self.stimuli)}), ()
 
     def tick_count(self) -> int:
         return math.floor(self.duration_s * self.sample_rate_hz) + 1
@@ -221,9 +227,9 @@ class RunConfig:
 
     def fingerprint(self) -> str:
         # Line 5 of a log is this hash. The configs are written out as they read
-        # when the paper's constants and the front end were fields too, those
-        # filled in (the zener clamp at VREF), and the chain once per channel,
-        # so a log of the same run keeps its hash.
+        # when the paper's constants, the clock and the front end were fields
+        # too, those filled in (the logger's R and C, the zener clamp at VREF),
+        # and the chain once per channel, so a log of the same run keeps its hash.
         adc, psy = self.adc, self.psychro
         chain_text = (
             f"ChainConfig(sensor_slope={SENSOR_SLOPE!r}, amp_gain={AMP_GAIN!r}, clamp_volts={VREF!r}, "
@@ -234,7 +240,7 @@ class RunConfig:
                 f"rate={self.sample_rate_hz!r}",
                 f"duration={self.duration_s!r}",
                 f"channels={[ch.name for ch in Channel]!r}",
-                f"clock={self.clock!r}",
+                f"clock=ClockConfig(r_ohms={adc0808.CLOCK_R_OHMS!r}, c_farads={adc0808.CLOCK_C_FARADS!r})",
                 f"chains={[(ch.name, chain_text) for ch in Channel]!r}",
                 f"stimuli={sorted((ch.name, repr(s)) for ch, s in self.stimuli.items())!r}",
                 f"adc=AdcConfig(vref={VREF!r}, bits=8, conversion_cycles={CONVERSION_CYCLES!r}, "
@@ -252,12 +258,8 @@ class RunConfig:
 
 
 def build_port(cfg: RunConfig) -> SimulatedPort:
-    """Simulated port for a run: ADC + clock + noise RNG."""
-    return SimulatedPort(
-        adc=cfg.adc,
-        clock_hz=cfg.clock.frequency_hz,
-        rng=Random(cfg.seed),
-    )
+    """Simulated port for a run: ADC + noise RNG, at the logger's clock."""
+    return SimulatedPort(adc=cfg.adc, rng=Random(cfg.seed))
 
 
 def run_meta(cfg: RunConfig) -> logstore.RunMeta:
@@ -320,7 +322,7 @@ def _tick_row(t: float, timestamp: str, dry_code: int, wet_code: int, cfg: RunCo
     if 0 < wet_code <= dry_code < CODE_MAX:
         try:
             _, _, rh, dew = psychro.reading(dry_temp, wet_temp, cfg.psychro)
-        except (InvalidInputError, InconsistentReadingError):
+        except InconsistentReadingError:
             pass  # row keeps empty humidity fields
     return logstore.PsychroRow(t, timestamp, dry_code, dry_temp, wet_code, wet_temp, rh, dew)
 

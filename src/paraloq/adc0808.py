@@ -4,7 +4,7 @@ The converter resolves 8 bits MSB-first, one trial comparison per bit, and
 needs its input held constant for the whole conversion (the simulated port
 latches the input at start, so that holds by construction). A conversion
 takes CONVERSION_CYCLES = 64 clock periods, 100 us at the logger's ~640 kHz
-RC clock (ClockConfig()).
+RC clock (CLOCK_HZ).
 
 The reference is the paper's fixed VREF = 5 V. Conventions (quantize over
 256 steps, decode over the 255-step span, so the ~19.5 mV step size and the
@@ -41,25 +41,10 @@ CONVERSION_CYCLES = 64  # clock periods per conversion
 CLOCK_MIN_HZ = 10e3
 CLOCK_MAX_HZ = 1280e3
 
-
-@dataclass(frozen=True)
-class ClockConfig:
-    """RC values of the schmitt-trigger clock generator, f = 1/(1.1 R C)."""
-
-    r_ohms: float = 1420.5  # the logger's R and C, about 640 kHz
-    c_farads: float = 1e-9
-
-    def __post_init__(self):
-        require_above("r_ohms", self.r_ohms, 0)
-        require_above("c_farads", self.c_farads, 0)
-        require_above("clock frequency 1/(1.1 r_ohms c_farads)", self.frequency_hz, 0)
-        store_floats(self, "r_ohms", "c_farads")
-
-    @property
-    def frequency_hz(self) -> float:
-        """f = 1 / (1.1 R C); inf when R C is too small for its inverse to be a float."""
-        rc = 1.1 * self.r_ohms * self.c_farads
-        return 1.0 / rc if rc else math.inf
+# The logger's schmitt-trigger RC clock, f = 1 / (1.1 R C), about 640 kHz.
+CLOCK_R_OHMS = 1420.5
+CLOCK_C_FARADS = 1e-9
+CLOCK_HZ = 1.0 / (1.1 * CLOCK_R_OHMS * CLOCK_C_FARADS)
 
 
 @dataclass(frozen=True)

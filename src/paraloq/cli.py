@@ -13,7 +13,7 @@ Exit codes:
     143  terminated (SIGTERM, as `kill` sends it)
 
 Defaults can come from a `key = value` config file with [section] headers
-(sections: run, clock, psychro). Precedence is flags > file >
+(sections: run, psychro). Precedence is flags > file >
 defaults; the file is named by --config or the PARALOQ_CONFIG environment
 variable. Unknown sections, even empty ones, and unknown or [DEFAULT] keys
 are hard errors.
@@ -31,7 +31,6 @@ from datetime import datetime
 
 from . import acquisition, logstore, plotting, psychro
 from .acquisition import Channel, Constant, Replay, RunConfig, Sine
-from .adc0808 import ClockConfig
 from .errors import (
     ConfigError,
     CsvParseError,
@@ -71,7 +70,7 @@ _EXIT_CODES = (
 )
 
 # [section] -> the config class it sets; each float or int field is a key
-_SECTIONS = {"run": RunConfig, "clock": ClockConfig, "psychro": psychro.PsychroConfig}
+_SECTIONS = {"run": RunConfig, "psychro": psychro.PsychroConfig}
 _PARSERS = {"float": float, "int": int}  # field annotation -> value parser
 # (section, key) -> parser; the whole schema the config file may use
 _CONFIG_SCHEMA = {
@@ -174,9 +173,7 @@ def cmd_simulate(args) -> int:
         if key in run_kwargs:
             source = flag if getattr(args, key) is not None else f"[run] {key}"
             require_above(source, run_kwargs[key], 0, inclusive=inclusive)
-
-    # each section but [run] is the RunConfig field of its name
-    sections = {name: cls(**config[name]) for name, cls in _SECTIONS.items() if cls is not RunConfig}
+    psychro_cfg = psychro.PsychroConfig(**config["psychro"])
 
     stimuli = {}
     for channel, temp_flag, stim_flag, name in (
@@ -195,7 +192,7 @@ def cmd_simulate(args) -> int:
         except ValueError:
             raise ConfigError(f"--start-time: not ISO-8601: {args.start_time!r}") from None
 
-    cfg = RunConfig(start_time=start_time, **sections, **run_kwargs)
+    cfg = RunConfig(start_time=start_time, psychro=psychro_cfg, **run_kwargs)
     # a channel without a flag keeps its default stimulus; replace checks the stimuli with the rest
     cfg = dataclasses.replace(cfg, stimuli={**cfg.stimuli, **stimuli})
 

@@ -63,10 +63,11 @@ class SimulatedPort:
     settable levels (``set_input``); the converter samples the level at the
     ALE edge, which also gives the sample-and-hold behavior SAR conversion
     requires. The START+ALE and OUTPUT ENABLE levels are bits of the control
-    wire level, the one register state the port keeps. A ``clock_hz`` outside
-    the converter's window raises ClockRangeError here, when the port is built.
-    The default clock is the logger's, ``ClockConfig()``. The conversion time
-    and the noise level are worked out once, here, and fixed for the port's life.
+    wire level, the one register state the port keeps. ``clock_hz`` may be
+    any clock the converter is rated for; one outside its 10..1280 kHz window
+    raises ClockRangeError here, when the port is built. The default is the
+    logger's RC clock, ``adc0808.CLOCK_HZ``. The conversion time and the noise
+    level are worked out once, here, and fixed for the port's life.
 
     Single-owner object: not safe for concurrent mutation.
     """
@@ -74,7 +75,7 @@ class SimulatedPort:
     def __init__(
         self,
         adc: adc0808.AdcConfig = adc0808.AdcConfig(),
-        clock_hz: float = adc0808.ClockConfig().frequency_hz,
+        clock_hz: float = adc0808.CLOCK_HZ,
         rng: Random | None = None,
     ):
         adc0808.require_clock_in_window(clock_hz)

@@ -38,7 +38,8 @@ MAGNUS_C = 243.12  # degC
 
 @dataclass(frozen=True)
 class PsychroConfig:
-    """Psychrometer coefficient and station pressure."""
+    """Psychrometer coefficient and station pressure, whose product, the
+    psychrometer constant gamma * P, must be finite too."""
 
     psychrometer_coeff: float = 6.6e-4  # 1/K, ventilated psychrometer
     pressure_hpa: float = 1013.25
@@ -48,6 +49,8 @@ class PsychroConfig:
         for name in names:
             require_above(name, getattr(self, name), 0)
         store_floats(self, *names)
+        # an inf product made a wet == dry pair's vapor pressure inf * 0 = nan
+        require_finite("psychrometer_coeff * pressure_hpa", self.psychrometer_coeff * self.pressure_hpa)
 
 
 _tuple_new = tuple.__new__

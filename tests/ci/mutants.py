@@ -317,6 +317,22 @@ MUTANTS = (
         ("tests/test_acquisition.py", "-k", "sine_is_its_formula"),
         "a sine's phase multiplied as 2 pi (f t), off the bits of 2 pi f t (CHANGES.md: One front end for both lanes)",
     ),
+    Mutant(
+        "paraloq/psychro.py",
+        '        require_finite("psychrometer_coeff * pressure_hpa", self.psychrometer_coeff * self.pressure_hpa)\n',
+        "",
+        ("tests/test_psychro.py", "-k", "overflows"),
+        "a psychrometer_coeff * pressure_hpa of inf accepted, so a wet == dry pair's vapor pressure was nan"
+        " (CHANGES.md: The converter clock is the logger's)",
+    ),
+    Mutant(
+        "paraloq/acquisition.py",
+        '"stimuli": dict(self.stimuli)}',
+        '"stimuli": self.stimuli}',
+        ("tests/test_acquisition.py", "-k", "pickles_and_copies"),
+        "a RunConfig that pickle and deepcopy cannot copy, its stimuli a mappingproxy"
+        " (CHANGES.md: The converter clock is the logger's)",
+    ),
 )
 
 

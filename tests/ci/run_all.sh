@@ -31,7 +31,7 @@ step_console() {
     exits 2 "$PARALOQ" --config ci-inf.ini compute --dry 20 --wet 18
     # every config key set to its default writes the same log as no config file
     printf '%s\n' '[run]' 'sample_rate_hz = 2.0' 'duration_s = 5' 'filter_cutoff_hz = 0.5' 'filter_substeps = 0' 'seed = 0' \
-        '[clock]' 'r_ohms = 1420.5' 'c_farads = 1e-9' '[psychro]' 'psychrometer_coeff = 6.6e-4' 'pressure_hpa = 1013.25' > ci-defaults.ini
+        '[psychro]' 'psychrometer_coeff = 6.6e-4' 'pressure_hpa = 1013.25' > ci-defaults.ini
     "$PARALOQ" --config ci-defaults.ini simulate --dry-temp 20 --wet-temp 18 "${START[@]}" --out ci-defaults.csv
     cmp ci.csv ci-defaults.csv
     # a filter cutoff other than the default, shared by both channels, writes its pinned log
@@ -41,8 +41,8 @@ step_console() {
     # the zener clamp is VREF, and [chain] is no section: any key of it is unknown
     printf '[chain]\nclamp_volts = 4.5\n' > ci-chain-clamp.ini
     exits 2 "$PARALOQ" --config ci-chain-clamp.ini simulate --duration 1 --out ci-chain-clamp.csv
-    # an R C that underflows leaves no clock frequency: exit 2 before any tick
-    printf '[clock]\nr_ohms = 1e-300\nc_farads = 1e-300\n' > ci-clock.ini
+    # the converter clock is the logger's, and [clock] is no section: any key of it is unknown
+    printf '[clock]\nr_ohms = 1420.5\n' > ci-clock.ini
     exits 2 "$PARALOQ" --config ci-clock.ini simulate --duration 1 --out ci-clock.csv
 }
 step_far_clock() { timeout 20 python3 "$CI/far_clock.py"; }

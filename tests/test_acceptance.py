@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from paraloq import (
     Channel,
-    ClockConfig,
     ClockRangeError,
     DeviceTimeoutError,
     InvalidInputError,
@@ -36,6 +35,7 @@ from paraloq import (
     write_csv,
 )
 from paraloq.acquisition import acquire_rows
+from paraloq.adc0808 import CLOCK_C_FARADS, CLOCK_HZ, CLOCK_R_OHMS
 from paraloq.logstore import HEADER, PsychroRow, RunLog, RunMeta
 from paraloq.pport import CONTROL_INVERT_MASK, HIGH_Z
 
@@ -101,13 +101,12 @@ def test_criterion_03_conversion_timing():
 
 
 def test_criterion_04_clock_formula():
-    unit = ClockConfig(r_ohms=1e6, c_farads=1e-6).frequency_hz
-    assert unit == pytest.approx(1.0 / 1.1, rel=1e-12)
-    with pytest.raises(ClockRangeError):  # 0.909 Hz is far below the window
-        SimulatedPort(clock_hz=unit)
+    assert CLOCK_HZ == 1.0 / (1.1 * CLOCK_R_OHMS * CLOCK_C_FARADS)
+    assert CLOCK_HZ == pytest.approx(640e3, rel=1e-4)
+    with pytest.raises(ClockRangeError):  # RC = 1 s: 0.909 Hz is far below the window
+        SimulatedPort(clock_hz=1.0 / 1.1)
     rc_for_640k = 1.0 / (1.1 * 640e3)
     assert abs(rc_for_640k - 1.4205e-6) / 1.4205e-6 <= 1e-4
-    assert ClockConfig(r_ohms=1420.5, c_farads=1e-9).frequency_hz == pytest.approx(640e3, rel=1e-4)
     report(4, "f = 1/(1.1 R C); inverse solve gives RC = 1.4205 us for 640 kHz")
 
 

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from paraloq import (
     AdcConfig,
-    ClockConfig,
     ClockRangeError,
     InvalidInputError,
-    RunConfig,
     SimulatedPort,
     acquire_byte,
     chain_voltage,
@@ -21,7 +19,7 @@ from paraloq import (
     quantize,
     sar_convert,
 )
-from paraloq.adc0808 import VREF
+from paraloq.adc0808 import CLOCK_C_FARADS, CLOCK_HZ, CLOCK_R_OHMS, VREF
 
 adc_inputs = st.floats(min_value=-1.0, max_value=6.0, allow_nan=False)
 FLOAT_MAX = sys.float_info.max
@@ -60,42 +58,21 @@ def sar_inputs(draw):
 class TestClock:
     def test_unit_rc(self):
         # RC = 1 s is a convenient sanity point, far below the ADC window
-        freq = ClockConfig(r_ohms=1e6, c_farads=1e-6).frequency_hz
-        assert freq == pytest.approx(1.0 / 1.1, rel=1e-12)
-        with pytest.raises(ClockRangeError):
-            SimulatedPort(clock_hz=freq)
+        with pytest.raises(ClockRangeError, match="clock 0.909091 Hz outside"):
+            SimulatedPort(clock_hz=1.0 / (1.1 * 1e6 * 1e-6))
 
     def test_operating_point(self):
-        freq = ClockConfig(r_ohms=1420.5, c_farads=1e-9).frequency_hz
-        assert freq == pytest.approx(640e3, rel=1e-4)
-        assert ClockConfig().frequency_hz == freq  # the logger's clock is the default
-        assert SimulatedPort(clock_hz=freq).latency_s == conversion_time_s(freq)
-
-    def test_the_default_clock_is_the_one_a_run_hashes(self):
-        # line 5 of every default log hashes this repr as its clock= part
-        assert repr(ClockConfig()) == "ClockConfig(r_ohms=1420.5, c_farads=1e-09)"
-        assert RunConfig(duration_s=1.0).clock == ClockConfig()
+        # the logger's clock is f = 1 / (1.1 R C) of its R and C, to the bit
+        assert (CLOCK_R_OHMS, CLOCK_C_FARADS) == (1420.5, 1e-9)
+        assert CLOCK_HZ == 1.0 / (1.1 * 1420.5 * 1e-9)
+        assert CLOCK_HZ == pytest.approx(640e3, rel=1e-4)
+        assert SimulatedPort().latency_s == SimulatedPort(clock_hz=CLOCK_HZ).latency_s == conversion_time_s(CLOCK_HZ)
 
     def test_below_window_rejected_by_the_port(self):
-        freq = ClockConfig(r_ohms=100e3, c_farads=1e-9).frequency_hz
+        freq = 1.0 / (1.1 * 100e3 * 1e-9)
         assert freq == pytest.approx(9.091e3, rel=1e-3)
         with pytest.raises(ClockRangeError, match="clock 9090.91 Hz outside"):
             SimulatedPort(clock_hz=freq)
-
-    def test_strictly_decreasing_in_r_and_c(self):
-        freqs_r = [ClockConfig(r, 1e-9).frequency_hz for r in (1e3, 2e3, 5e3, 1e4)]
-        freqs_c = [ClockConfig(1e3, c).frequency_hz for c in (1e-9, 2e-9, 5e-9)]
-        assert freqs_r == sorted(freqs_r, reverse=True)
-        assert freqs_c == sorted(freqs_c, reverse=True)
-
-    # an R C that underflows to 0 or to a subnormal leaves 1/(1.1 R C) no finite
-    # value; it used to build, and the run died with a ZeroDivisionError
-    @pytest.mark.parametrize(
-        "r,c", [(0.0, 1e-9), (-1.0, 1e-9), (1e3, 0.0), (1e-300, 1e-300), (1e-160, 1e-160)]
-    )
-    def test_rejects_nonpositive_rc(self, r, c):
-        with pytest.raises(InvalidInputError):
-            ClockConfig(r_ohms=r, c_farads=c)
 
 
 class TestQuantize:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from paraloq import Channel, ClockConfig, Constant, RunConfig, acquisition, cli, logstore, run_acquisition, write_csv
+from paraloq import Channel, Constant, RunConfig, acquisition, cli, logstore, run_acquisition, write_csv
 from paraloq.cli import main
 from paraloq.logstore import HEADER, read_csv
 
@@ -623,28 +623,6 @@ class TestConfigFile:
         rows = out.read_bytes().splitlines()[6:]
         assert rows and all(row.split(b",")[2:4] == [b"255", b"50.000000"] and row.endswith(b",,") for row in rows)
 
-    @pytest.mark.parametrize(
-        "text, clock",
-        [
-            ("r_ohms = 2841\n", ClockConfig(r_ohms=2841.0)),
-            ("c_farads = 2e-9\n", ClockConfig(c_farads=2e-9)),
-            ("r_ohms = 1420.5\nc_farads = 1e-9\n", ClockConfig()),
-        ],
-        ids=["r_ohms", "c_farads", "both"],
-    )
-    def test_a_clock_section_keeps_the_logger_value_of_each_key_it_leaves_out(self, tmp_path, monkeypatch, text, clock):
-        monkeypatch.delenv("PARALOQ_CONFIG", raising=False)
-        cfg = tmp_path / "clock.ini"
-        cfg.write_text(f"[clock]\n{text}", encoding="utf-8")
-        out = tmp_path / "cli.csv"
-        flags = ["--duration", "5", "--dry-temp", "20", "--wet-temp", "18", "--start-time", START]
-        assert main(["--config", str(cfg), "simulate", *flags, "--out", str(out)]) == 0
-        stimuli = {Channel.DRY: Constant(20.0), Channel.WET: Constant(18.0)}
-        start = datetime.fromisoformat(START)
-        ref = tmp_path / "ref.csv"
-        write_csv(run_acquisition(RunConfig(duration_s=5.0, stimuli=stimuli, start_time=start, clock=clock)), ref)
-        assert out.read_bytes() == ref.read_bytes()
-
     def test_non_finite_psychro_value_exits_2(self, tmp_path, capsys):
         # a non-finite Magnus constant printed dew_point_c=-inf with exit 0
         cfg = tmp_path / "inf.ini"
@@ -676,8 +654,6 @@ class TestConfigFile:
         ("run", "filter_substeps"): ("16", 16),
         ("run", "seed"): ("7", 7),
         ("run", "filter_cutoff_hz"): ("0.2", 0.2),
-        ("clock", "r_ohms"): ("2841", 2841.0),
-        ("clock", "c_farads"): ("5e-10", 5e-10),
         ("psychro", "psychrometer_coeff"): ("8e-4", 8e-4),
         ("psychro", "pressure_hpa"): ("850", 850.0),
     }
@@ -701,8 +677,6 @@ class TestConfigFile:
             ("run", "filter_substeps"): int,
             ("run", "seed"): int,
             ("run", "filter_cutoff_hz"): float,
-            ("clock", "r_ohms"): float,
-            ("clock", "c_farads"): float,
             ("psychro", "psychrometer_coeff"): float,
             ("psychro", "pressure_hpa"): float,
         }
@@ -723,21 +697,22 @@ class TestConfigFile:
             ("[psychro]\nmagnus_a = 6.1\n", "unknown config key [psychro] magnus_a"),
             ("[psychro]\nmagnus_b = 17.5\n", "unknown config key [psychro] magnus_b"),
             ("[psychro]\nmagnus_c = inf\n", "unknown config key [psychro] magnus_c"),
-            # R C underflowed: a ZeroDivisionError traceback, exit 1
-            ("[clock]\nr_ohms = 1e-300\nc_farads = 1e-300\n", "clock frequency"),
-            # 0.9 Hz: a clock warning, then "2 conversions ... do not fit"
-            ("[clock]\nr_ohms = 1e6\nc_farads = 1e-6\n", "clock 0.909091 Hz outside"),
             ("[run]\nfilter_substeps = 1025\n", "filter_substeps must be 0..1024"),
             # the zener clamp is VREF, and the cutoff a [run] key: [chain] is no section
             ("[chain]\nclamp_volts = 4.5\n", "unknown config key [chain] clamp_volts"),
             ("[chain]\nfilter_cutoff_hz = 0.2\n", "unknown config key [chain] filter_cutoff_hz"),
             ("[run]\nclamp_volts = 5.0\n", "unknown config key [run] clamp_volts"),
             ("[run]\nfilter_cutoff_hz = 0\n", "filter_cutoff_hz must be > 0 and finite, got 0.0"),
+            # the converter clock is the logger's, and [clock] is no section, even with the logger's values
+            ("[clock]\nr_ohms = 1420.5\n", "unknown config key [clock] r_ohms"),
+            ("[clock]\nc_farads = 1e-9\n", "unknown config key [clock] c_farads"),
+            ("[clock]\n", "unknown config section [clock]"),
         ],
         ids=[
             "allow_misaligned", "start_time", "sensor_slope", "amp_gain", "vref", "magnus_a", "magnus_b",
-            "magnus_c", "underflowing clock", "clock below the window",
+            "magnus_c",
             "too many substeps", "chain clamp_volts", "chain filter_cutoff_hz", "run clamp_volts", "zero cutoff",
+            "clock r_ohms", "clock c_farads", "empty clock",
         ],
     )
     def test_a_config_no_run_can_use_exits_2_up_front(self, tmp_path, capsys, text, message):
@@ -792,7 +767,7 @@ _SIM = ["simulate", "--duration", "1", "--out", "{tmp}/run.csv"]
         ([*_SIM, "--start-time", "noon"], None, 2, "--start-time: not ISO-8601: 'noon'"),
         (["--config", "{tmp}/run.ini", *_SIM], "duration_s = 1\n", 2, "malformed config file {tmp}/run.ini: "),
         (["--config", "{tmp}/none.ini", *_SIM], None, 2, "cannot read config file {tmp}/none.ini: "),
-        (["--config", "{tmp}/run.ini", *_SIM], "[clock]\nr_ohms = 1k5\n", 2, "bad value for [clock] r_ohms: '1k5'"),
+        (["--config", "{tmp}/run.ini", *_SIM], "[psychro]\npressure_hpa = 1k5\n", 2, "bad value for [psychro] pressure_hpa: '1k5'"),
         # an empty unknown section, and [DEFAULT] keys, which configparser drops or
         # copies into every section: each of these ran to exit 0
         (["--config", "{tmp}/run.ini", *_SIM], "[bogus]\n", 2, "unknown config section [bogus]"),
@@ -805,6 +780,20 @@ _SIM = ["simulate", "--duration", "1", "--out", "{tmp}/run.csv"]
         ),
         # a '%' was read as interpolation: an InterpolationSyntaxError traceback, exit 1
         (["--config", "{tmp}/run.ini", *_SIM], "[run]\nseed = 5%\n", 2, "bad value for [run] seed: '5%'"),
+        # a psychrometer constant that overflows: simulate ran to exit 0 with every humidity
+        # field empty, and compute named the nan vapor pressure inf * 0 gave
+        (
+            ["--config", "{tmp}/run.ini", *_SIM],
+            "[psychro]\npsychrometer_coeff = 1e200\npressure_hpa = 1e200\n",
+            2,
+            "psychrometer_coeff * pressure_hpa must be finite, got inf",
+        ),
+        (
+            ["--config", "{tmp}/run.ini", "compute", "--dry", "20", "--wet", "20"],
+            "[psychro]\npsychrometer_coeff = 1e200\npressure_hpa = 1e200\n",
+            2,
+            "psychrometer_coeff * pressure_hpa must be finite, got inf",
+        ),
         ([*_SIM, "--dry-stimulus", "sine"], None, 2, "--dry-stimulus: expected KIND:ARGS, got 'sine'"),
         ([*_SIM, "--wet-stimulus", "sine:amp=1,freq=0.1"], None, 2, "--wet-stimulus: sine needs ['offset']"),
         ([*_SIM, "--dry-stimulus", "sine:amp=1,phase=0"], None, 2, "--dry-stimulus: bad sine parameter 'phase=0'"),
@@ -821,6 +810,8 @@ _SIM = ["simulate", "--duration", "1", "--out", "{tmp}/run.csv"]
         "default key alone",
         "default key beside a section",
         "percent sign",
+        "psychrometer constant overflow",
+        "psychrometer constant overflow in compute",
         "stimulus kind",
         "sine needs",
         "sine parameter",

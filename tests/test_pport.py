@@ -5,6 +5,7 @@ from contextlib import contextmanager
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from paraloq import (
     AdcConfig,
@@ -17,7 +18,7 @@ from paraloq import (
     sar_convert,
 )
 from paraloq.adc0808 import CONVERSION_CYCLES
-from paraloq.pport import EOC_BIT, EOC_MASK, HIGH_Z, START_ALE_BIT
+from paraloq.pport import EOC_BIT, EOC_MASK, HIGH_Z, OUTPUT_ENABLE_BIT, START_ALE_BIT
 
 
 # The port's register rules with literal masks, the oracle its primitives are
@@ -414,3 +415,102 @@ class TestPortPrimitives:
     def test_port_rejects_a_control_value_that_is_not_a_byte(self, value):
         with pytest.raises(InvalidInputError, match=f"^control value must be a byte, got {value}$"):
             SimulatedPort().write_control(value)
+
+
+class PortMachine(RuleBasedStateMachine):
+    """SimulatedPort at zero noise, driven through its primitives and
+    acquire_byte in any order, against a model of what it must hold: the
+    control wire level, the inputs, the connection, the time, and the code
+    and EOC time of the last START+ALE edge (none when the port was away)."""
+
+    def __init__(self):
+        super().__init__()
+        self.port = SimulatedPort()
+        self.wire = 0  # a new port drives every control line low
+        self.inputs = [0.0] * 8
+        self.connected = True
+        self.now = 0.0
+        self.code = None  # latched at the last START edge; None before one, or when it fell while disconnected
+        self.ready_at = math.inf  # when that conversion's EOC rises
+
+    def _write(self, byte):
+        prev, self.wire = self.wire, flip_control(byte)
+        if self.wire & (1 << START_ALE_BIT) and not prev & (1 << START_ALE_BIT):
+            started = self.connected
+            self.code = sar_convert(self.inputs[(self.wire >> 4) & 7]) if started else None
+            self.ready_at = self.now + self.port.latency_s if started else math.inf
+
+    def _eoc(self):
+        return self.connected and self.now >= self.ready_at
+
+    @rule(channel=st.integers(0, 7), volts=st.floats(-1.0, 6.0))
+    def set_input(self, channel, volts):
+        self.port.set_input(channel, volts)
+        self.inputs[channel] = volts
+
+    @rule(byte=st.integers(0, 255))
+    def write_control(self, byte):
+        self.port.write_control(byte)
+        self._write(byte)
+
+    @rule()
+    def read_status(self):
+        # EOC never reads high before latency_s after the last START, nor after one the port missed
+        assert self.port.read_status() == status_read(EOC_MASK if self._eoc() else 0)
+
+    @rule()
+    def read_data(self):
+        # the latched code only with OE on, EOC high and the port connected
+        drives_bus = self._eoc() and self.wire & (1 << OUTPUT_ENABLE_BIT)
+        assert self.port.read_data() == (self.code if drives_bus else HIGH_Z)
+
+    @rule(dt=st.floats(0.0, 300e-6))
+    def advance_to(self, dt):
+        self.now += dt
+        self.port.advance_to(self.now)
+
+    @rule(connected=st.booleans())
+    def set_connected(self, connected):
+        self.port.connected = self.connected = connected
+
+    @rule(channel=st.integers(0, 7), flip_at=st.none() | st.integers(1, 160), flip_to=st.booleans())
+    def acquire_byte(self, channel, flip_at, flip_to):
+        # a status hook sets connected to flip_to at the flip_at-th poll, before it reads
+        port, read_status = self.port, self.port.read_status
+        t_start, latched, level = self.now, self.connected, self.inputs[channel]
+        polls = 0
+
+        def hooked_read_status():
+            nonlocal polls
+            polls += 1
+            if polls == flip_at:
+                port.connected = flip_to
+            status = read_status()
+            if status & EOC_MASK:
+                assert latched and port.connected and port.now_s >= t_start + port.latency_s
+            return status
+
+        port.read_status = hooked_read_status
+        try:
+            code = acquire_byte(port, channel)
+        except DeviceTimeoutError:
+            code = None
+        finally:
+            del port.read_status
+        # the START edge the call made latched the level then, or the port was away and it times out
+        assert code == (sar_convert(level) if latched and (flip_at is None or flip_at > 16 or flip_to) else None)
+        assert polls == (16 if code is not None else 160)
+        idle = (channel << 4) ^ 0x0B
+        for byte in (idle, idle ^ (1 << START_ALE_BIT), idle):  # the address, START+ALE, then the bus released
+            self._write(byte)
+        if flip_at is not None and flip_at <= polls:
+            self.connected = flip_to
+        self.now = t_start + polls * (port.latency_s / 16)
+
+    @invariant()
+    def time_and_connection_match_the_model(self):
+        assert (self.port.now_s, self.port.connected) == (self.now, self.connected)
+
+
+TestPortMachine = PortMachine.TestCase
+TestPortMachine.settings = settings(max_examples=200, stateful_step_count=30, deadline=None)

@@ -13,6 +13,7 @@ from paraloq import (
     reading,
     saturation_vapor_pressure,
 )
+from paraloq.errors import FLOAT_MAX
 from paraloq.psychro import MAGNUS_A, MAGNUS_B, _rh_from, dew_point_from_vapor_pressure
 
 # Reference dry/wet pair from the instrument's recorded table, and the
@@ -172,6 +173,15 @@ class TestConfigAndReading:
             PsychroConfig(pressure_hpa=0.0)
         with pytest.raises(InvalidInputError):
             PsychroConfig(psychrometer_coeff=-1.0)
+
+    @pytest.mark.parametrize(
+        "coeff, pressure", [(1e200, 1e200), (FLOAT_MAX, 2.0), (10**200, 10**200)], ids=["1e200", "FLOAT_MAX", "ints"]
+    )
+    def test_config_rejects_a_psychrometer_constant_that_overflows(self, coeff, pressure):
+        # it built, and a wet == dry pair's vapor pressure was inf * 0 = nan
+        with pytest.raises(InvalidInputError, match=r"^psychrometer_coeff \* pressure_hpa must be finite, got inf$"):
+            PsychroConfig(psychrometer_coeff=coeff, pressure_hpa=pressure)
+        assert PsychroConfig(psychrometer_coeff=coeff, pressure_hpa=1.0).psychrometer_coeff == float(coeff)
 
     def test_reading_bundle(self):
         result = reading(DRY_REF, WET_REF)
