@@ -74,6 +74,37 @@ class TestClock:
         with pytest.raises(ClockRangeError, match="clock 9090.91 Hz outside"):
             SimulatedPort(clock_hz=freq)
 
+    @pytest.mark.parametrize(
+        "clock, hz",
+        [
+            (0.9, "0.9"),
+            (9.1e6, "9.1e+06"),
+            (math.nextafter(10e3, 0.0), "10000"),
+            (math.nextafter(1280e3, math.inf), "1.28e+06"),
+            (-1.0, "-1"),
+            (5e-324, "4.94066e-324"),
+            (math.nan, "nan"),
+            (math.inf, "inf"),
+            (-math.inf, "-inf"),
+            (10**400, str(10**400)),
+        ],
+        ids=["0.9 Hz", "9.1 MHz", "ulp below", "ulp above", "negative", "subnormal", "nan", "inf", "-inf", "10**400"],
+    )
+    def test_the_port_refuses_a_clock_outside_the_window(self, clock, hz):
+        # the rated window is the one check a clock meets, when the port is built
+        with pytest.raises(ClockRangeError) as err:
+            SimulatedPort(clock_hz=clock)
+        assert str(err.value) == f"clock {hz} Hz outside [10000, 1280000] Hz"
+
+    @given(
+        a=st.floats(min_value=10e3, max_value=1280e3),
+        b=st.floats(min_value=10e3, max_value=1280e3),
+    )
+    def test_a_faster_clock_never_converts_slower(self, a, b):
+        lo, hi = sorted((a, b))
+        assert conversion_time_s(lo) >= conversion_time_s(hi)
+        assert SimulatedPort(clock_hz=lo).latency_s >= SimulatedPort(clock_hz=hi).latency_s
+
 
 class TestQuantize:
     @pytest.mark.parametrize(
