@@ -26,9 +26,11 @@ files open directly in any spreadsheet application.
 Rows stream both ways: CsvWriter writes one row at a time, each in one
 unbuffered write, and read_rows reads a log a line at a time through the
 standard text reader and hands each row to a sink as it is parsed, so
-neither holds a whole log. read_csv is read_rows with a sink that
-collects the rows into a RunLog, and read_series one that keeps t_s and one
-other column.
+neither holds a whole log. A row's line, CRLF included, is one `%` of the
+row, with one format per humidity case: both values; neither, as a run
+writes for a rail code or a wet bulb above the dry; or one, which only a
+hand-built row has. read_csv is read_rows with a sink that collects the
+rows into a RunLog, and read_series one that keeps t_s and one other column.
 """
 
 from __future__ import annotations
@@ -194,21 +196,12 @@ class RunLog:
     rows: list = field(default_factory=list)
 
 
-# a row as one log line; %.6f writes a float as f"{x:.6f}" does
-_ROW_FORMAT = "%.6f,%s,%d,%.6f,%d,%.6f,%.6f,%.6f"
-# the same line with the humidity fields as text: a missing value is empty
-_ROW_FORMAT_TEXT_HUMIDITY = "%.6f,%s,%d,%.6f,%d,%.6f,%s,%s"
-
-
-def _format_row(row: PsychroRow) -> str:
-    rh_pct, dew_point_c = row.rh_pct, row.dew_point_c
-    if rh_pct is not None and dew_point_c is not None:
-        return _ROW_FORMAT % row
-    return _ROW_FORMAT_TEXT_HUMIDITY % (
-        *row[:6],
-        "" if rh_pct is None else "%.6f" % rh_pct,
-        "" if dew_point_c is None else "%.6f" % dew_point_c,
-    )
+# a row as one log line, CRLF included; %.6f writes a float as f"{x:.6f}" does
+_ROW_FORMAT = "%.6f,%s,%d,%.6f,%d,%.6f,%.6f,%.6f\r\n"
+# the line of a row with neither humidity value: a rail code, or wet above dry
+_ROW_FORMAT_NO_HUMIDITY = "%.6f,%s,%d,%.6f,%d,%.6f,,\r\n"
+# the humidity fields as text, a missing value empty: only a hand-built row has one value
+_ROW_FORMAT_TEXT_HUMIDITY = "%.6f,%s,%d,%.6f,%d,%.6f,%s,%s\r\n"
 
 
 class CsvWriter:
@@ -264,7 +257,15 @@ class CsvWriter:
         if self._last_t is not None and t <= self._last_t:
             raise InvalidInputError(f"rows must have strictly increasing t_s: {t} after {self._last_t}")
         self._last_t = t
-        line = (_format_row(row) + "\r\n").encode("utf-8")
+        rh_pct, dew_point_c = row.rh_pct, row.dew_point_c
+        if rh_pct is not None and dew_point_c is not None:
+            line = (_ROW_FORMAT % row).encode()
+        elif rh_pct is None and dew_point_c is None:
+            line = (_ROW_FORMAT_NO_HUMIDITY % row[:6]).encode()
+        else:
+            rh_text = "" if rh_pct is None else "%.6f" % rh_pct
+            dew_text = "" if dew_point_c is None else "%.6f" % dew_point_c
+            line = (_ROW_FORMAT_TEXT_HUMIDITY % (*row[:6], rh_text, dew_text)).encode()
         self.rows += 1  # no call between count and write: an interrupt lands before or after both
         try:
             written = self._fh.write(line)
@@ -299,8 +300,9 @@ class CsvWriter:
 def write_csv(run: RunLog, path) -> None:
     """Write a complete run to path in the documented CSV format."""
     with CsvWriter(path, run.meta) as writer:
+        write_row = writer.write_row
         for row in run.rows:
-            writer.write_row(row)
+            write_row(row)
 
 
 def _has_literal_marks(text: str) -> bool:

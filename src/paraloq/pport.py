@@ -69,6 +69,12 @@ class SimulatedPort:
     logger's RC clock, ``adc0808.CLOCK_HZ``. The conversion time and the noise
     level are worked out once, here, and fixed for the port's life.
 
+    A data read with OUTPUT ENABLE on before EOC rises reads HIGH_Z (0xFF),
+    the same byte as code 255: only EOC tells the two apart. A second
+    START+ALE edge during a conversion restarts it: the input is sampled
+    again, the old conversion's code is dropped, and EOC rises one
+    conversion time after the new edge.
+
     Single-owner object: not safe for concurrent mutation.
     """
 

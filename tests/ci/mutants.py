@@ -333,6 +333,20 @@ MUTANTS = (
         "a RunConfig that pickle and deepcopy cannot copy, its stimuli a mappingproxy"
         " (CHANGES.md: The converter clock is the logger's)",
     ),
+    Mutant(
+        "paraloq/logstore.py",
+        "        if rh_pct is not None and dew_point_c is not None:\n",
+        "        if rh_pct is not None or dew_point_c is not None:\n",
+        ("tests/test_logstore.py", "-k", "hands_the_file_the_per_field_line"),
+        "a row with one humidity value formatting its None with %.6f (CHANGES.md: One `%` per log line)",
+    ),
+    Mutant(
+        "paraloq/logstore.py",
+        "        elif rh_pct is None and dew_point_c is None:\n",
+        "        elif rh_pct is None or dew_point_c is None:\n",
+        ("tests/test_logstore.py", "-k", "hands_the_file_the_per_field_line"),
+        "a row with one humidity value written without it (CHANGES.md: One `%` per log line)",
+    ),
 )
 
 

@@ -1118,6 +1118,15 @@ def test_shown_writes_a_value_as_str_or_by_its_digit_count(value, text):
     assert shown(value) == text
 
 
+def test_shown_passes_on_the_error_of_a_non_int_whose_str_fails():
+    class Unprintable:
+        def __str__(self):
+            raise ValueError("no text")
+
+    with pytest.raises(ValueError, match="^no text$"):
+        shown(Unprintable())
+
+
 @pytest.mark.parametrize("inclusive", [True, False], ids=["inclusive", "exclusive"])
 def test_the_largest_float_passes_a_lower_bound(inclusive):
     # FLOAT_MAX is finite, so it is in every range open above

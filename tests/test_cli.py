@@ -417,6 +417,14 @@ class TestPlot:
             "got 'bogus'\n"
         )
 
+    def test_an_unwritable_out_exits_4(self, tmp_path, capsys):
+        _, log = simulate(tmp_path)
+        capsys.readouterr()
+        chart = tmp_path / "no-such-dir" / "chart.svg"
+        assert main(["plot", "--input", str(log), "--column", "dry_temp_c", "--out", str(chart)]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {chart}: ") and "No such file or directory" in err
+
     def test_parse_error_exits_5(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("not,a,log\n", encoding="utf-8")

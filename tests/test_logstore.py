@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import pickle
 import random
 import struct
@@ -37,7 +38,6 @@ from paraloq.logstore import (
     RunLog,
     RunMeta,
     _finite6,
-    _format_row,
     fingerprint,
     read_rows,
 )
@@ -229,6 +229,23 @@ class TestWrite:
             writer.write_row(make_row(0))
         writer.close()
 
+    def test_a_comment_that_cannot_be_written_is_a_storage_error(self, tmp_path):
+        class FullDisk:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, data):
+                raise OSError(28, "No space left on device")
+
+            def close(self):
+                self.fh.close()
+
+        writer = CsvWriter(tmp_path / "full.csv", META)
+        writer._fh = FullDisk(writer._fh)
+        with pytest.raises(StorageError, match="No space left"):
+            writer.comment("aborted = tick 0: interrupted")
+        writer.close()
+
     def test_the_aborted_trailer_is_on_disk_before_close(self, tmp_path):
         path = tmp_path / "aborted.csv"
         writer = CsvWriter(path, META)
@@ -377,6 +394,12 @@ class TestRead:
             with pytest.raises(CsvParseError, match=field) as err:
                 read_csv(path)
             assert err.value.line_no == 1
+
+    def test_a_channels_entry_without_an_index_names_its_line(self, tmp_path):
+        path = tmp_path / "channels.csv"
+        path.write_text("# run_id = x\n# channels = dry=0,wet\n" + HEADER + "\n", encoding="utf-8")
+        with pytest.raises(CsvParseError, match="^line 2: bad channels entry 'wet'$"):
+            read_csv(path)
 
     def test_a_sample_rate_that_is_not_a_number_names_its_line(self, tmp_path):
         path = tmp_path / "rate.csv"
@@ -745,7 +768,27 @@ def test_block_seams_change_nothing(run, stamp, trailer, bom, edit, tmp_path_fac
         assert read_csv(path) == run
 
 
-ROWS = [_format_row(make_row(k)) for k in range(3)]
+def _format_row_reference(row):
+    """The row formatter of the slots-dataclass row: one f-string per float."""
+
+    def text(value):
+        return "" if value is None else f"{value:.6f}"
+
+    return ",".join(
+        (
+            f"{row.t_s:.6f}",
+            row.timestamp,
+            str(row.dry_code),
+            f"{row.dry_temp_c:.6f}",
+            str(row.wet_code),
+            f"{row.wet_temp_c:.6f}",
+            text(row.rh_pct),
+            text(row.dew_point_c),
+        )
+    )
+
+
+ROWS = [_format_row_reference(make_row(k)) for k in range(3)]
 
 
 @pytest.mark.parametrize(
@@ -1137,24 +1180,23 @@ def test_replacing_one_field_checks_it(values, index):
     assert _bits(BASE_ROW._replace(**{name: value})) == _bits(expected)
 
 
-def _format_row_reference(row):
-    """The row formatter of the slots-dataclass row: one f-string per float."""
+class Recording:
+    """A writer's file that records each write and flush and passes it on."""
 
-    def text(value):
-        return "" if value is None else f"{value:.6f}"
+    def __init__(self, fh):
+        self.fh = fh
+        self.calls = []
 
-    return ",".join(
-        (
-            f"{row.t_s:.6f}",
-            row.timestamp,
-            str(row.dry_code),
-            f"{row.dry_temp_c:.6f}",
-            str(row.wet_code),
-            f"{row.wet_temp_c:.6f}",
-            text(row.rh_pct),
-            text(row.dew_point_c),
-        )
-    )
+    def write(self, data):
+        self.calls.append(("write", bytes(data)))
+        return self.fh.write(data)
+
+    def flush(self):
+        self.calls.append(("flush",))
+        self.fh.flush()
+
+    def close(self):
+        self.fh.close()
 
 
 # up to 1e15, with -0.0, halfway cases and ints, which round() keeps ints
@@ -1187,11 +1229,15 @@ def _dew_not_above_dry(values):
     )
     .filter(_dew_not_above_dry)
 )
-def test_format_row_matches_the_per_field_formatter(row):
+def test_write_row_hands_the_file_the_per_field_line(row):
+    # both humidity values, one or none: one write of the whole line, then one flush
     if _refuses_surrogate_stamp(row[1]):
         return
     row = PsychroRow._make(row)
-    assert _format_row(row) == _format_row_reference(row)
+    with CsvWriter(os.devnull, META) as writer:
+        writer._fh = recorder = Recording(writer._fh)
+        writer.write_row(row)
+    assert recorder.calls == [("write", (_format_row_reference(row) + "\r\n").encode()), ("flush",)]
 
 
 def test_a_row_equals_the_plain_tuple_of_its_fields():

@@ -196,6 +196,11 @@ class TestConfigAndReading:
         with pytest.raises(InvalidInputError, match="dew point"):
             reading(1e5, 1e5)
 
+    def test_a_replaced_dew_point_above_the_dry_bulb_is_rejected(self):
+        # _replace builds through _make, which checks as the constructor does
+        with pytest.raises(InvalidInputError, match="^dew point 25.0 exceeds dry bulb 20.0$"):
+            reading(20.0, 18.0)._replace(dew_point_c=25.0)
+
     def test_custom_pressure_changes_result(self):
         sea_level = reading(DRY_REF, WET_REF).rh_pct
         altitude = reading(DRY_REF, WET_REF, PsychroConfig(pressure_hpa=850.0)).rh_pct
