@@ -98,7 +98,7 @@ class Sine:
         return self.freq_hz
 
 
-@dataclass
+@dataclass(frozen=True)
 class Replay:
     """Temperature replayed from a recorded log column (zero-order hold).
 
@@ -112,9 +112,11 @@ class Replay:
     def __post_init__(self):
         if self.column not in ("dry_temp_c", "wet_temp_c"):
             raise InvalidInputError(f"column must be a temp column, got {self.column!r}")
-        self._times, self._temps = logstore.read_series(self.path, self.column)
-        if not self._times:
+        times, temps = logstore.read_series(self.path, self.column)
+        if not times:
             raise EmptyRunError(f"replay source {self.path} has no rows")
+        object.__setattr__(self, "_times", times)  # not fields, as Sine's _omega
+        object.__setattr__(self, "_temps", temps)
 
     def temp_at(self, t_s: float) -> float:
         # small guard: logged t_s is rounded to 6 decimals and may sit just
@@ -270,7 +272,6 @@ def run_meta(cfg: RunConfig) -> logstore.RunMeta:
         run_id=f"{cfg.start_time:%Y%m%dT%H%M%S}_{cfg.seed & 0xFFFFFFFF:08x}",
         start=cfg.start_time.isoformat(timespec="milliseconds"),
         sample_rate_hz=cfg.sample_rate_hz,
-        channels={ch.name.lower(): ch.value for ch in Channel},
         config_fingerprint=cfg.fingerprint(),
     )
 
@@ -424,9 +425,8 @@ class RunSummary:
     def __call__(self, row: logstore.PsychroRow) -> None:
         self.dry.append(row.dry_temp_c)
         self.wet.append(row.wet_temp_c)
-        if row.rh_pct is not None:
+        if row.rh_pct is not None:  # a row's humidity is both values or neither
             self.rh.append(row.rh_pct)
-        if row.dew_point_c is not None:
             self.dew.append(row.dew_point_c)
 
     def stats(self) -> dict:

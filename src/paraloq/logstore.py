@@ -27,10 +27,11 @@ Rows stream both ways: CsvWriter writes one row at a time, each in one
 unbuffered write, and read_rows reads a log a line at a time through the
 standard text reader and hands each row to a sink as it is parsed, so
 neither holds a whole log. A row's line, CRLF included, is one `%` of the
-row, with one format per humidity case: both values; neither, as a run
-writes for a rail code or a wet bulb above the dry; or one, which only a
-hand-built row has. read_csv is read_rows with a sink that collects the
-rows into a RunLog, and read_series one that keeps t_s and one other column.
+row, with one format per humidity case: both values, or neither, as a run
+writes for a rail code or a wet bulb above the dry. The channels line is
+the format's own, CHANNELS, as the dry_* and wet_* columns are. read_csv
+is read_rows with a sink that collects the rows into a RunLog, and
+read_series one that keeps t_s and one other column.
 """
 
 from __future__ import annotations
@@ -39,13 +40,13 @@ import contextlib
 import hashlib
 from array import array
 from collections import namedtuple
-from collections.abc import Mapping
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 from .errors import FLOAT_MAX, CsvParseError, InvalidInputError, StorageError, shown
 
 _META_KEYS = ("run_id", "start", "sample_rate_hz", "channels", "config")
+# each column pair's mux input, as acquisition.Channel wires it; every log says so
+CHANNELS = "dry=0,wet=1"
 
 
 def _finite6(name: str, x) -> float:
@@ -91,7 +92,6 @@ class RunMeta:
     run_id: str = ""
     start: str = ""  # ISO-8601, millisecond precision
     sample_rate_hz: float = 0.0
-    channels: Mapping = field(default_factory=dict)  # name -> mux input, kept as a read-only copy
     config_fingerprint: str = ""
 
     def __post_init__(self):
@@ -103,19 +103,8 @@ class RunMeta:
             if "\n" in text or text != text.rstrip():
                 raise InvalidInputError(f"{name} must hold no LF or trailing whitespace, got {text!r}")
             _require_utf8(name, text)
-        if not isinstance(self.channels, Mapping):
-            raise InvalidInputError(f"channels must be a mapping of name to mux input, got {shown(self.channels)}")
-        object.__setattr__(self, "channels", MappingProxyType(dict(self.channels)))  # or an entry skips the checks
-        for name, idx in self.channels.items():  # written name=idx, joined by ','
-            if type(name) is not str or "," in name or "=" in name or "\n" in name or type(idx) is not int:
-                raise InvalidInputError(f"a channel must be a str with no ',', '=' or LF, and an int: {name!r}: {idx!r}")
-            _require_utf8("a channel name", name)
         rate = _finite6("sample_rate_hz", self.sample_rate_hz)
         object.__setattr__(self, "sample_rate_hz", rate)
-
-    def __reduce__(self):
-        # a mappingproxy does not pickle: pickle and deepcopy rebuild the meta from a dict copy
-        return type(self), (self.run_id, self.start, self.sample_rate_hz, dict(self.channels), self.config_fingerprint)
 
 
 _tuple_new = tuple.__new__
@@ -133,12 +122,13 @@ class PsychroRow(
     An immutable named tuple (t_s: float, timestamp: str, dry_code: int,
     dry_temp_c: float, wet_code: int, wet_temp_c: float, rh_pct: float |
     None, dew_point_c: float | None), equal to the plain tuple of its fields.
-    rh_pct / dew_point_c are None when the psychrometric computation errored
-    for that tick (they serialize as empty fields). A value the file cannot
-    carry back (None or non-finite t_s or temperature, a timestamp that is
-    not a str, holds ',', CR or LF or does not encode as UTF-8, a non-finite
-    dew point or one above the dry bulb, RH outside 0..100) raises
-    InvalidInputError. The constructor is the only way to make a row: _make
+    rh_pct and dew_point_c are a pair: both None when the psychrometric
+    computation errored for that tick (they serialize as empty fields), or
+    both set; one without the other raises InvalidInputError. A value the
+    file cannot carry back (None or non-finite t_s or temperature, a
+    timestamp that is not a str, holds ',', CR or LF or does not encode as
+    UTF-8, a non-finite dew point or one above the dry bulb, RH outside
+    0..100) raises InvalidInputError. The constructor is the only way to make a row: _make
     and _replace build through it.
     """
 
@@ -162,12 +152,16 @@ class PsychroRow(
         t6 = _finite6("t_s", t_s)
         dry6 = _finite6("dry_temp_c", dry_temp_c)
         wet6 = _finite6("wet_temp_c", wet_temp_c)
-        if rh_pct is not None:
+        if rh_pct is None:
+            if dew_point_c is not None:
+                raise InvalidInputError(f"dew_point_c {shown(dew_point_c)} has no rh_pct: humidity is a pair")
+        else:
             # the comparison also fails for nan
             if not (0.0 <= rh_pct <= 100.0):
                 raise InvalidInputError(f"rh_pct must be finite and 0..100, got {shown(rh_pct)}")
+            if dew_point_c is None:
+                raise InvalidInputError(f"rh_pct {shown(rh_pct)} has no dew_point_c: humidity is a pair")
             rh_pct = _finite6("rh_pct", rh_pct)
-        if dew_point_c is not None:
             dew_point_c = _finite6("dew_point_c", dew_point_c)
             if dew_point_c > dry6:  # no air saturates above its own temperature
                 raise InvalidInputError(f"dew_point_c {dew_point_c} is above dry_temp_c {dry6}")
@@ -200,8 +194,6 @@ class RunLog:
 _ROW_FORMAT = "%.6f,%s,%d,%.6f,%d,%.6f,%.6f,%.6f\r\n"
 # the line of a row with neither humidity value: a rail code, or wet above dry
 _ROW_FORMAT_NO_HUMIDITY = "%.6f,%s,%d,%.6f,%d,%.6f,,\r\n"
-# the humidity fields as text, a missing value empty: only a hand-built row has one value
-_ROW_FORMAT_TEXT_HUMIDITY = "%.6f,%s,%d,%.6f,%d,%.6f,%s,%s\r\n"
 
 
 class CsvWriter:
@@ -219,12 +211,11 @@ class CsvWriter:
         self.path = path
         self.rows = 0
         self._last_t = None
-        channels = ",".join(f"{name}={idx}" for name, idx in meta.channels.items())
         lines = (
             f"# run_id = {meta.run_id}\r\n"
             f"# start = {meta.start}\r\n"
             f"# sample_rate_hz = {meta.sample_rate_hz:.6f}\r\n"
-            f"# channels = {channels}\r\n"
+            f"# channels = {CHANNELS}\r\n"
             f"# config = {meta.config_fingerprint}\r\n"
             f"{HEADER}\r\n"
         ).encode("utf-8")
@@ -257,15 +248,10 @@ class CsvWriter:
         if self._last_t is not None and t <= self._last_t:
             raise InvalidInputError(f"rows must have strictly increasing t_s: {t} after {self._last_t}")
         self._last_t = t
-        rh_pct, dew_point_c = row.rh_pct, row.dew_point_c
-        if rh_pct is not None and dew_point_c is not None:
+        if row.rh_pct is not None:  # a row's humidity is both values or neither
             line = (_ROW_FORMAT % row).encode()
-        elif rh_pct is None and dew_point_c is None:
-            line = (_ROW_FORMAT_NO_HUMIDITY % row[:6]).encode()
         else:
-            rh_text = "" if rh_pct is None else "%.6f" % rh_pct
-            dew_text = "" if dew_point_c is None else "%.6f" % dew_point_c
-            line = (_ROW_FORMAT_TEXT_HUMIDITY % (*row[:6], rh_text, dew_text)).encode()
+            line = (_ROW_FORMAT_NO_HUMIDITY % row[:6]).encode()
         self.rows += 1  # no call between count and write: an interrupt lands before or after both
         try:
             written = self._fh.write(line)
@@ -352,23 +338,9 @@ def _bad_number(cells: list, line_no: int) -> CsvParseError:
     return CsvParseError(line_no, f"bad {name} value {text!r}")
 
 
-def _parse_channels(text: str, line_no: int) -> dict:
-    channels = {}
-    for part in text.split(","):
-        name, sep, idx = part.partition("=")
-        if not sep:
-            raise CsvParseError(line_no, f"bad channels entry {part!r}")
-        _require_plain(idx, line_no, "channel index")
-        try:
-            channels[name] = int(idx)
-        except ValueError:
-            raise CsvParseError(line_no, f"bad channel index {idx!r}") from None
-    return channels
-
-
 def _parse_meta(key: str, text: str, line_no: int):
     """The value of one metadata line, or a CsvParseError at that line: the
-    rate as a finite float, the channels as a name -> mux input dict, and
+    rate as a finite float, the channels as CHANNELS and nothing else, and
     any other key's text as it is."""
     if key == "sample_rate_hz":
         _require_plain(text, line_no, key)
@@ -377,8 +349,8 @@ def _parse_meta(key: str, text: str, line_no: int):
             return _finite6(key, rate)
         except InvalidInputError as exc:  # a rate that is not finite
             raise CsvParseError(line_no, str(exc)) from None
-    if key == "channels":
-        return _parse_channels(text, line_no)
+    if key == "channels" and text != CHANNELS:
+        raise CsvParseError(line_no, f"channels must be {CHANNELS}, got {text!r}")
     return text
 
 
@@ -388,9 +360,10 @@ def read_rows(path, sink) -> RunMeta:
 
     The file is read a line at a time and never held whole. Metadata lines
     may be absent (hand-written files), and each value is checked as its
-    line is read; data rows are validated for column count, types and
-    strictly increasing t_s, and a value PsychroRow or RunMeta rejects
-    (non-finite floats, codes outside 0..255, RH outside 0..100) is a
+    line is read (a channels line must hold CHANNELS); data rows are
+    validated for column count, types and strictly increasing t_s, and a
+    value PsychroRow or RunMeta rejects (non-finite floats, codes outside
+    0..255, RH outside 0..100, one humidity value without the other) is a
     CsvParseError too, as is a number holding '_', whitespace or a
     non-ASCII character, and a byte that is not UTF-8. A leading BOM is
     skipped. Lines end in LF or CRLF. Errors carry the offending 1-based line
@@ -477,7 +450,6 @@ def read_rows(path, sink) -> RunMeta:
         run_id=meta.get("run_id", ""),
         start=meta.get("start", ""),
         sample_rate_hz=meta.get("sample_rate_hz", 0.0),
-        channels=meta.get("channels", {}),
         config_fingerprint=meta.get("config", ""),
     )
 

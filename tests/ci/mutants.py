@@ -335,17 +335,27 @@ MUTANTS = (
     ),
     Mutant(
         "paraloq/logstore.py",
-        "        if rh_pct is not None and dew_point_c is not None:\n",
-        "        if rh_pct is not None or dew_point_c is not None:\n",
-        ("tests/test_logstore.py", "-k", "hands_the_file_the_per_field_line"),
-        "a row with one humidity value formatting its None with %.6f (CHANGES.md: One `%` per log line)",
+        '    if key == "channels" and text != CHANNELS:\n',
+        '    if key == "channels" and text != text:\n',
+        ("tests/test_cli.py", "-k", "swapped_channels"),
+        "a log saying dry=1,wet=0 summarized as if nothing were swapped, with exit 0"
+        " (CHANGES.md: The log holds only what a run writes)",
     ),
     Mutant(
         "paraloq/logstore.py",
-        "        elif rh_pct is None and dew_point_c is None:\n",
-        "        elif rh_pct is None or dew_point_c is None:\n",
-        ("tests/test_logstore.py", "-k", "hands_the_file_the_per_field_line"),
-        "a row with one humidity value written without it (CHANGES.md: One `%` per log line)",
+        "            if dew_point_c is not None:\n                raise",
+        "            if False:\n                raise",
+        ("tests/test_logstore.py", "-k", "half_a_humidity_pair"),
+        "a row with a dew point and no RH built, and summarized beside another row's RH"
+        " (CHANGES.md: The log holds only what a run writes)",
+    ),
+    Mutant(
+        "paraloq/logstore.py",
+        "            if dew_point_c is None:\n                raise",
+        "            if False:\n                raise",
+        ("tests/test_logstore.py", "-k", "half_a_humidity_pair"),
+        "a row with RH and no dew point refused as a dew point that is not finite"
+        " (CHANGES.md: The log holds only what a run writes)",
     ),
 )
 

@@ -65,6 +65,10 @@ step_bom() {
     python3 -c 'lines = open("ci-steady.csv", "rb").read().split(b"\n"); lines[105] = lines[105].replace(b",", b",\xff", 1); open("ci-steady-ff.csv", "wb").write(b"\n".join(lines))'
     exits 5 "$PARALOQ" summarize --input ci-steady-ff.csv > /dev/null 2> ci-steady-ff.err
     cat ci-steady-ff.err; grep -qx 'error: line 106: not UTF-8: byte 0xff (invalid start byte)' ci-steady-ff.err
+    # line 4 says dry is mux input 1: the log's columns would be swapped, so it is refused
+    python3 -c 'lines = open("ci-steady.csv", "rb").read().split(b"\n"); lines[3] = b"# channels = dry=1,wet=0\r"; open("ci-steady-swap.csv", "wb").write(b"\n".join(lines))'
+    exits 5 "$PARALOQ" summarize --input ci-steady-swap.csv > /dev/null 2> ci-steady-swap.err
+    cat ci-steady-swap.err; grep -qx "error: line 4: channels must be dry=0,wet=1, got 'dry=1,wet=0'" ci-steady-swap.err
 }
 step_pipe() {
     "$PARALOQ" simulate --duration 3600 --seed 0 "${START[@]}" --out ci-hour.csv

@@ -189,7 +189,6 @@ def _random_run(rng):
         run_id=f"{rng.randrange(16**8):08x}",
         start="2026-08-10T12:00:00.000",
         sample_rate_hz=rate,
-        channels={"dry": 0, "wet": 1},
         config_fingerprint=f"{rng.randrange(16**12):012x}",
     )
     return RunLog(meta=meta, rows=rows)
@@ -288,7 +287,7 @@ def test_criterion_10_every_row_that_builds_round_trips(t_s, dry, wet, rh, dew, 
         row = PsychroRow(t_s, "2026-08-10T12:00:00.000", 102, dry, 92, wet, rh, dew)
     except InvalidInputError:
         return
-    run = RunLog(meta=RunMeta(sample_rate_hz=2.0, channels={"dry": 0, "wet": 1}), rows=[row])
+    run = RunLog(meta=RunMeta(sample_rate_hz=2.0), rows=[row])
     path = tmp_path_factory.mktemp("row") / "row.csv"
     write_csv(run, path)
     assert read_csv(path) == run

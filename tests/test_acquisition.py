@@ -198,6 +198,18 @@ class TestReplay:
         path.unlink()  # every later lookup is served from memory
         assert replay.temp_at(0.0) == replay.temp_at(2.0) == round(decode_temp(92), 6)
 
+    @pytest.mark.parametrize("name", ["path", "column"])
+    def test_no_field_of_a_replay_can_be_assigned(self, tmp_path, name):
+        # a new path changed a built config's fingerprint, and so log line 5,
+        # while the replayed data stayed the old file's
+        path = tmp_path / "source.csv"
+        write_csv(run_acquisition(constant_run_config(duration_s=1.0)), path)
+        cfg = constant_run_config(duration_s=1.0, stimuli={Channel.DRY: Replay(str(path)), Channel.WET: Constant(18.0)})
+        before = cfg.fingerprint()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg.stimuli[Channel.DRY], name, "wet_temp_c")
+        assert cfg.fingerprint() == before
+
 
 class TestSummaries:
     def _synthetic(self, dry_temps, wet_temps):
@@ -810,11 +822,12 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError, match="finite"):
             RunConfig(duration_s=math.nan)
 
-    def test_meta_records_run_identity(self, fixed_start):
+    def test_meta_records_run_identity(self, fixed_start, tmp_path):
         run = run_acquisition(constant_run_config(duration_s=0.0))
         assert run.meta.run_id == f"{fixed_start:%Y%m%dT%H%M%S}_00000000"
         assert run.meta.start == "2026-08-10T12:00:00.000"
-        assert run.meta.channels == {"dry": 0, "wet": 1}
+        write_csv(run, tmp_path / "run.csv")
+        assert (tmp_path / "run.csv").read_text(encoding="utf-8").splitlines()[3] == "# channels = dry=0,wet=1"
         assert len(run.meta.config_fingerprint) == 12
 
     def test_run_meta_of_a_config_without_a_start_time_is_refused(self):

@@ -505,6 +505,26 @@ class TestSummarize:
         err = capsys.readouterr().err
         assert "line 3" in err and "finite" in err
 
+    def test_swapped_channels_exit_5_and_name_the_line(self, tmp_path, capsys):
+        # a log saying dry is mux input 1 was summarized as if nothing were swapped, with exit 0
+        code, path = simulate(tmp_path, "--duration", "1")
+        assert code == 0
+        capsys.readouterr()
+        lines = path.read_bytes().split(b"\r\n")
+        assert lines[3] == b"# channels = dry=0,wet=1"
+        lines[3] = b"# channels = dry=1,wet=0"
+        path.write_bytes(b"\r\n".join(lines))
+        assert main(["summarize", "--input", str(path)]) == 5
+        assert capsys.readouterr().err == "error: line 4: channels must be dry=0,wet=1, got 'dry=1,wet=0'\n"
+
+    def test_half_a_humidity_pair_exits_5_and_names_the_line(self, tmp_path, capsys):
+        # RH from one row and dew point from another were summarized as one
+        # pair, 80 % RH with a 10 degC dew point in 20 degC air, with exit 0
+        path = tmp_path / "half.csv"
+        path.write_text(HEADER + "\n0.0,t,102,20.0,92,18.0,80.0,\n0.5,t,102,20.0,92,18.0,,10.0\n", encoding="utf-8")
+        assert main(["summarize", "--input", str(path)]) == 5
+        assert capsys.readouterr().err.startswith("error: line 2: rh_pct 80.0 has no dew_point_c")
+
     def test_dew_point_above_dry_bulb_exits_5_and_names_the_line(self, tmp_path, capsys):
         # a hand-edited dew point of 20.5 degC in 20 degC air was summarized with exit 0
         path = tmp_path / "dew.csv"

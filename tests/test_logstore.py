@@ -1,5 +1,6 @@
 import codecs
 import copy
+import dataclasses
 import functools
 import hashlib
 import json
@@ -12,7 +13,6 @@ import sys
 import tempfile
 from datetime import datetime
 from pathlib import Path
-from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings
@@ -49,7 +49,6 @@ META = RunMeta(
     run_id="20260810T120000_00000001",
     start="2026-08-10T12:00:00.000",
     sample_rate_hz=2.0,
-    channels={"dry": 0, "wet": 1},
     config_fingerprint="abc123def456",
 )
 
@@ -385,21 +384,15 @@ class TestRead:
         path = tmp_path / "literal_meta.csv"
         for text, field in [
             ("# sample_rate_hz = 2_0\n" + HEADER + "\n", "sample_rate_hz"),
-            ("# channels = dry= 0\n" + HEADER + "\n", "channel index"),
+            ("# channels = dry= 0\n" + HEADER + "\n", "^line 1: channels must be dry=0,wet=1, got 'dry= 0'$"),
             # the error names the key's own line, not the last comment line
-            ("# channels = dry=0,wet=x\n# note\n" + HEADER + "\n", "bad channel index 'x'"),
+            ("# channels = dry=0,wet=x\n# note\n" + HEADER + "\n", "^line 1: channels must be dry=0,wet=1, got 'dry=0,wet=x'$"),
             ("# sample_rate_hz = 2_0\n" + HEADER + "\n0.0,t,102,20.0,92,18.0,,\n# aborted = tick 1: x\n", "sample_rate_hz"),
         ]:
             path.write_text(text, encoding="utf-8")
             with pytest.raises(CsvParseError, match=field) as err:
                 read_csv(path)
             assert err.value.line_no == 1
-
-    def test_a_channels_entry_without_an_index_names_its_line(self, tmp_path):
-        path = tmp_path / "channels.csv"
-        path.write_text("# run_id = x\n# channels = dry=0,wet\n" + HEADER + "\n", encoding="utf-8")
-        with pytest.raises(CsvParseError, match="^line 2: bad channels entry 'wet'$"):
-            read_csv(path)
 
     def test_a_sample_rate_that_is_not_a_number_names_its_line(self, tmp_path):
         path = tmp_path / "rate.csv"
@@ -640,7 +633,7 @@ class TestRead:
 
 codes = st.integers(min_value=0, max_value=255)
 temps = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
-optional_pct = st.one_of(st.none(), st.floats(min_value=0.0, max_value=100.0, allow_nan=False))
+percents = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
 
 
 @st.composite
@@ -650,6 +643,9 @@ def run_logs(draw):
     rows = []
     for k in range(n):
         dry = draw(temps)
+        # humidity is both values or neither; a row rejects dew above dry,
+        # and test_row_rejects_dew_above_dry draws the rest
+        rh, dew = draw(st.one_of(st.just((None, None)), st.tuples(percents, st.floats(min_value=0.0, max_value=dry))))
         rows.append(
             PsychroRow(
                 t_s=k / rate,
@@ -658,16 +654,14 @@ def run_logs(draw):
                 dry_temp_c=dry,
                 wet_code=draw(codes),
                 wet_temp_c=draw(temps),
-                rh_pct=draw(optional_pct),
-                # a row rejects dew above dry; test_row_rejects_dew_above_dry draws the rest
-                dew_point_c=draw(st.one_of(st.none(), st.floats(min_value=0.0, max_value=dry))),
+                rh_pct=rh,
+                dew_point_c=dew,
             )
         )
     meta = RunMeta(
         run_id=draw(st.text(alphabet="0123456789abcdef", min_size=0, max_size=12)),
         start="2026-08-10T12:00:00.000",
         sample_rate_hz=rate,
-        channels={"dry": 0, "wet": 1},
         config_fingerprint=draw(st.text(alphabet="0123456789abcdef", max_size=12)),
     )
     return RunLog(meta=meta, rows=rows)
@@ -927,23 +921,13 @@ def test_row_rejects_a_timestamp_the_log_cannot_carry(timestamp, message):
         ({"config_fingerprint": "abc\t"}, "^config_fingerprint must hold"),
         ({"run_id": None}, "^run_id must be a str, got None"),
         ({"start": 5}, "^start must be a str, got 5"),
-        ({"channels": {"d,x": 0}}, "^a channel must be"),  # the log failed with "bad channels entry 'd'"
-        ({"channels": {"d=x": 0}}, "^a channel must be"),
-        ({"channels": {"d\nx": 0}}, "^a channel must be"),
-        ({"channels": {0: 0}}, "^a channel must be"),
-        ({"channels": [("dry", 0)]}, "^channels must be a mapping of name to mux input, got \\[\\('dry', 0\\)\\]$"),
-        ({"channels": {"dry": True}}, "^a channel must be"),
-        ({"channels": {"dry": 0.0}}, "^a channel must be"),
         # a lone surrogate built, then CsvWriter raised a bare UnicodeEncodeError and left its file open
         ({"run_id": "x\ud800"}, "^run_id must encode as UTF-8"),
         ({"start": "\udcff"}, "^start must encode as UTF-8"),
         ({"config_fingerprint": "\udfff"}, "^config_fingerprint must encode as UTF-8"),
-        ({"channels": {"dry\ud800": 0}}, "^a channel name must encode as UTF-8"),
     ],
     ids=["run_id LF", "start CR", "run_id padded", "config tab", "run_id None", "start int",
-         "channel comma", "channel equals", "channel LF", "channel int name", "channel pairs", "channel bool",
-         "channel float",
-         "run_id surrogate", "start surrogate", "config surrogate", "channel surrogate"],
+         "run_id surrogate", "start surrogate", "config surrogate"],
 )
 def test_meta_rejects_text_a_log_line_cannot_carry_back(kwargs, message):
     with pytest.raises(InvalidInputError, match=message):
@@ -959,21 +943,18 @@ any_text = st.text(st.characters(exclude_categories=()))
     run_id=any_text,
     start=any_text,
     config_fingerprint=any_text,
-    channels=st.dictionaries(any_text, st.integers()),
     lone=st.one_of(st.none(), st.characters(categories=("Cs",))),
 )
-def test_every_meta_that_builds_reads_back_equal(
-    run_id, start, config_fingerprint, channels, lone, tmp_path_factory
-):
+def test_every_meta_that_builds_reads_back_equal(run_id, start, config_fingerprint, lone, tmp_path_factory):
     # any_text draws a lone surrogate only now and then; lone ends the run_id
     # with one in half the examples, so the refusal is tried on every run
     run_id += lone or ""
-    if any(map(_has_surrogate, (run_id, start, config_fingerprint, *channels))):  # no log line can carry it
+    if any(map(_has_surrogate, (run_id, start, config_fingerprint))):  # no log line can carry it
         with pytest.raises(InvalidInputError):
-            RunMeta(run_id, start, 2.0, channels, config_fingerprint)
+            RunMeta(run_id, start, 2.0, config_fingerprint)
         return
     try:
-        meta = RunMeta(run_id, start, 2.0, channels, config_fingerprint)
+        meta = RunMeta(run_id, start, 2.0, config_fingerprint)
     except InvalidInputError:
         return
     path = tmp_path_factory.mktemp("meta") / "run.csv"
@@ -981,22 +962,37 @@ def test_every_meta_that_builds_reads_back_equal(
     assert read_csv(path) == RunLog(meta, [make_row(0)])
 
 
-def test_meta_channels_are_a_read_only_copy(tmp_path):
-    # a plain dict took an entry after the checks: "d,x" wrote a log that
-    # read_csv rejected with "line 4: bad channels entry 'd'"
-    given = {"dry": 0, "wet": 1}
-    meta = RunMeta(run_id="x", sample_rate_hz=2.0, channels=given)
-    given["d,x"] = 1
-    with pytest.raises(TypeError):
-        meta.channels["d,x"] = 1
-    assert meta.channels == {"dry": 0, "wet": 1}
-    # a read-only copy does not pickle; the meta still does, and copies as it did
-    for copied in [pickle.loads(pickle.dumps(meta, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]:
-        assert copied == meta and type(copied.channels) is MappingProxyType
-    assert copy.deepcopy(meta) == copy.copy(meta) == meta
-    path = tmp_path / "run.csv"
-    write_csv(RunLog(meta, [make_row(0)]), path)
-    assert read_csv(path) == RunLog(meta, [make_row(0)])
+def test_a_meta_is_plain_data_to_asdict_hash_pickle_and_copy():
+    # a read-only channels proxy field made dataclasses.asdict raise
+    # "TypeError: cannot pickle 'mappingproxy' object"
+    assert dataclasses.asdict(META) == {
+        "run_id": "20260810T120000_00000001",
+        "start": "2026-08-10T12:00:00.000",
+        "sample_rate_hz": 2.0,
+        "config_fingerprint": "abc123def456",
+    }
+    assert hash(META) == hash(RunMeta(**dataclasses.asdict(META)))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(META, protocol)) == META
+    assert copy.deepcopy(META) == copy.copy(META) == META
+
+
+def test_the_channels_line_is_the_mux_wiring():
+    assert logstore.CHANNELS == ",".join(f"{ch.name.lower()}={ch.value}" for ch in Channel)
+
+
+@pytest.mark.parametrize(
+    "rh, dew, message",
+    [
+        (80.0, None, "^rh_pct 80.0 has no dew_point_c: humidity is a pair$"),
+        (None, 10.0, "^dew_point_c 10.0 has no rh_pct: humidity is a pair$"),
+    ],
+    ids=["rh alone", "dew alone"],
+)
+def test_row_refuses_half_a_humidity_pair(rh, dew, message):
+    # a log of one of each summarized RH and dew point from different rows
+    with pytest.raises(InvalidInputError, match=message):
+        PsychroRow(0.0, "t", 102, 20.0, 92, 18.0, rh, dew)
 
 
 @pytest.mark.parametrize("column", ["timestamp", "bogus", "t_s"])
@@ -1032,14 +1028,14 @@ def test_row_rejects_dew_above_dry(dry, above):
     # the rounded dew point above the rounded dry bulb: no air is saturated above its own temperature
     dew = round(dry, 6) + above
     with pytest.raises(InvalidInputError, match="dew_point_c .* is above dry_temp_c"):
-        PsychroRow(0.0, "t", 91, dry, 91, 17.9, None, dew)
-    PsychroRow(0.0, "t", 91, dry, 91, 17.9, None, dry)  # saturated air: dew equals dry
+        PsychroRow(0.0, "t", 91, dry, 91, 17.9, 50.0, dew)
+    PsychroRow(0.0, "t", 91, dry, 91, 17.9, 100.0, dry)  # saturated air: dew equals dry
 
 
 @pytest.mark.parametrize("field", ["t_s", "dry_temp_c", "wet_temp_c", "dew_point_c"])
 def test_row_rejects_an_int_beyond_the_float_range(field):
     # round() keeps an int an int, and isfinite used to raise a bare OverflowError
-    fields = dict(t_s=0.0, timestamp="t", dry_code=91, dry_temp_c=19.8, wet_code=91, wet_temp_c=17.9)
+    fields = dict(t_s=0.0, timestamp="t", dry_code=91, dry_temp_c=19.8, wet_code=91, wet_temp_c=17.9, rh_pct=50.0)
     fields[field] = 10**400
     with pytest.raises(InvalidInputError, match=f"{field} must be finite"):
         PsychroRow(**fields)
@@ -1104,16 +1100,18 @@ finite = st.one_of(
 not_finite = st.sampled_from([None, float("nan"), float("inf"), float("-inf")])
 temp = st.one_of(finite, finite, finite, not_finite)
 code = st.one_of(*[st.integers(min_value=0, max_value=255)] * 3, st.sampled_from([-1, 256, True, False, 91.0]))
-rh = st.one_of(
-    st.none(),
+rh_value = st.one_of(
     st.floats(min_value=0.0, max_value=100.0),
     st.floats(min_value=-1.0, max_value=101.0),
     st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 100.0, 100.0000001, -1e-9]),
 )
+rh = st.one_of(st.none(), rh_value)
+# humidity as a run writes it: both values or neither
+humidity_pair = st.one_of(st.just((None, None)), st.tuples(rh_value, temp.filter(lambda x: x is not None)))
 
 
 @settings(max_examples=500, deadline=None)
-@given(values=st.tuples(temp, st.just("t"), code, temp, code, temp, rh, st.one_of(st.none(), temp)))
+@given(values=st.tuples(temp, st.just("t"), code, temp, code, temp, humidity_pair).map(lambda v: (*v[:6], *v[6])))
 def test_row_matches_its_field_by_field_reference(values):
     try:
         expected = reference_row(*values)
@@ -1224,13 +1222,13 @@ def _dew_not_above_dry(values):
         magnitude,
         st.integers(min_value=0, max_value=255),
         magnitude,
-        st.one_of(st.none(), pct),
-        st.one_of(st.none(), magnitude),
+        st.one_of(st.just((None, None)), st.tuples(pct, magnitude)),
     )
+    .map(lambda v: (*v[:6], *v[6]))
     .filter(_dew_not_above_dry)
 )
 def test_write_row_hands_the_file_the_per_field_line(row):
-    # both humidity values, one or none: one write of the whole line, then one flush
+    # both humidity values or none: one write of the whole line, then one flush
     if _refuses_surrogate_stamp(row[1]):
         return
     row = PsychroRow._make(row)

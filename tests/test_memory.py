@@ -14,7 +14,7 @@ from paraloq.logstore import PsychroRow, RunLog, RunMeta, read_csv, read_series,
 from paraloq.plotting import svg_chart
 
 START = "2026-08-10T12:00:00"
-META = RunMeta(run_id="x", start=START + ".000", sample_rate_hz=2.0, channels={"dry": 0, "wet": 1})
+META = RunMeta(run_id="x", start=START + ".000", sample_rate_hz=2.0)
 
 
 def _log(path, n):
