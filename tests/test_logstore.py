@@ -394,6 +394,21 @@ class TestRead:
                 read_csv(path)
             assert err.value.line_no == 1
 
+    def test_a_channels_entry_without_an_index_names_its_line(self, tmp_path):
+        path = tmp_path / "channels.csv"
+        path.write_text("# run_id = x\n# channels = dry=0,wet\n" + HEADER + "\n", encoding="utf-8")
+        with pytest.raises(CsvParseError, match="^line 2: channels must be dry=0,wet=1, got 'dry=0,wet'$"):
+            read_csv(path)
+
+    def test_a_log_with_no_channels_line_reads(self, tmp_path):
+        # metadata lines may be absent from a hand-written log
+        path = tmp_path / "no_channels.csv"
+        text = "# run_id = x\n# sample_rate_hz = 2.0\n" + HEADER + "\n0.0,t,102,20.0,92,18.0,,\n"
+        path.write_text(text, encoding="utf-8")
+        log = read_csv(path)
+        assert log.meta == RunMeta(run_id="x", sample_rate_hz=2.0)
+        assert log.rows == [PsychroRow(0.0, "t", 102, 20.0, 92, 18.0)]
+
     def test_a_sample_rate_that_is_not_a_number_names_its_line(self, tmp_path):
         path = tmp_path / "rate.csv"
         path.write_text("# run_id = x\n# sample_rate_hz = abc\n" + HEADER + "\n", encoding="utf-8")
@@ -975,6 +990,20 @@ def test_a_meta_is_plain_data_to_asdict_hash_pickle_and_copy():
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         assert pickle.loads(pickle.dumps(META, protocol)) == META
     assert copy.deepcopy(META) == copy.copy(META) == META
+
+
+def test_meta_channels_are_a_read_only_copy(tmp_path):
+    # a meta carries no channel map of its own: a plain dict once took an
+    # entry after the checks, and "d,x" wrote a log read_csv rejected
+    with pytest.raises(TypeError):
+        RunMeta(run_id="x", sample_rate_hz=2.0, channels={"dry": 0, "wet": 1})
+    meta = RunMeta(run_id="x", sample_rate_hz=2.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        meta.channels = {"d,x": 1}
+    path = tmp_path / "run.csv"
+    write_csv(RunLog(meta, [make_row(0)]), path)
+    assert path.read_text(encoding="utf-8").splitlines()[3] == f"# channels = {logstore.CHANNELS}"
+    assert read_csv(path) == RunLog(meta, [make_row(0)])
 
 
 def test_the_channels_line_is_the_mux_wiring():
