@@ -203,7 +203,7 @@ def cmd_simulate(args) -> int:
             try:
                 acquisition.acquire_rows(cfg, (writer.write_row, summary))
             except (DeviceTimeoutError, KeyboardInterrupt) as exc:
-                writer.comment(f"aborted = tick {writer.rows}: {str(exc) or 'interrupted'}")  # Ctrl-C has no text
+                writer.abort(str(exc) or "interrupted")  # Ctrl-C has no text
                 print(f"kept {writer.rows} rows in {args.out}", file=sys.stderr)
                 raise
     finally:

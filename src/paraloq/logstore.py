@@ -28,16 +28,18 @@ unbuffered write, and read_rows reads a log a line at a time through the
 standard text reader and hands each row to a sink as it is parsed, so
 neither holds a whole log. A row's line, CRLF included, is one `%` of the
 row, with one format per humidity case: both values, or neither, as a run
-writes for a rail code or a wet bulb above the dry. The channels line is
-the format's own, CHANNELS, as the dry_* and wet_* columns are. read_csv
-is read_rows with a sink that collects the rows into a RunLog, and
-read_series one that keeps t_s and one other column.
+writes for a rail code or a wet bulb above the dry. A metadata line reads
+exactly `# key = value`, once, above the header, and the channels line is
+the format's own, CHANNELS; any other `#` line, CsvWriter.abort's trailer
+included, is free text. read_csv is read_rows with a sink that collects the
+rows into a RunLog, and read_series one that keeps t_s and one other column.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import re
 from array import array
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -45,6 +47,7 @@ from dataclasses import dataclass, field
 from .errors import FLOAT_MAX, CsvParseError, InvalidInputError, StorageError, shown
 
 _META_KEYS = ("run_id", "start", "sample_rate_hz", "channels", "config")
+_FIRST_WORD = re.compile(r"#\s*([^\s=]*)")  # a comment's first word: up to whitespace or '='
 # each column pair's mux input, as acquisition.Channel wires it; every log says so
 CHANNELS = "dry=0,wet=1"
 
@@ -199,10 +202,10 @@ _ROW_FORMAT_NO_HUMIDITY = "%.6f,%s,%d,%.6f,%d,%.6f,,\r\n"
 class CsvWriter:
     """Streaming writer: metadata and header up front, then row by row.
 
-    The file is unbuffered: the header lines, each row and each comment line
-    go to the OS as one write of their bytes, so a killed run leaves only
-    whole lines. The flush after the header and after each row marks where a
-    line is on disk; a crash loses at most the in-flight row. `rows` counts
+    The file is unbuffered: the header lines, each row and the trailer go to
+    the OS as one write of their bytes, so a killed run leaves only whole
+    lines. The flush after the header and after each row marks where a line
+    is on disk; a crash loses at most the in-flight row. `rows` counts
     the rows written. Single-owner, append-only while a run is live. A write,
     flush or close that fails (a full disk included) raises StorageError.
     """
@@ -262,10 +265,10 @@ class CsvWriter:
             self.rows -= 1  # the row is not whole on disk
             raise StorageError(self.path, str(exc)) from exc
 
-    def comment(self, text: str) -> None:
-        """Append the line `# text`, such as an aborted run's trailer; read_csv skips it."""
-        try:
-            self._write_all(f"# {text}\r\n".encode("utf-8"))
+    def abort(self, reason: str) -> None:
+        """Append the one line of an aborted run's trailer, `# aborted = tick <rows>: reason`."""
+        try:  # a line break in reason would start a line of its own
+            self._write_all(f"# aborted = tick {self.rows}: {' '.join(reason.splitlines())}\r\n".encode("utf-8"))
         except OSError as exc:
             raise StorageError(self.path, str(exc)) from exc
 
@@ -313,14 +316,6 @@ def _require_plain(text: str, line_no: int, name: str) -> None:
         raise CsvParseError(line_no, f"bad {name} value {text!r}")
 
 
-# The parse helpers only convert text; PsychroRow and RunMeta check the values.
-def _parse_float(text: str, line_no: int, name: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise CsvParseError(line_no, f"bad {name} value {text!r}") from None
-
-
 def _bad_number(cells: list, line_no: int) -> CsvParseError:
     """The error for a data row whose one-pass parse raised ValueError: it
     names the first numeric cell, in column order, that int() (a code) or
@@ -344,11 +339,12 @@ def _parse_meta(key: str, text: str, line_no: int):
     any other key's text as it is."""
     if key == "sample_rate_hz":
         _require_plain(text, line_no, key)
-        rate = _parse_float(text, line_no, key)
         try:
-            return _finite6(key, rate)
-        except InvalidInputError as exc:  # a rate that is not finite
+            return _finite6(key, float(text))
+        except InvalidInputError as exc:  # a rate that is not finite; a ValueError too, so caught first
             raise CsvParseError(line_no, str(exc)) from None
+        except ValueError:
+            raise CsvParseError(line_no, f"bad {key} value {text!r}") from None
     if key == "channels" and text != CHANNELS:
         raise CsvParseError(line_no, f"channels must be {CHANNELS}, got {text!r}")
     return text
@@ -358,17 +354,19 @@ def read_rows(path, sink) -> RunMeta:
     """Read a file produced by write_csv, hand each row to sink in file order,
     and return the file's RunMeta.
 
-    The file is read a line at a time and never held whole. Metadata lines
-    may be absent (hand-written files), and each value is checked as its
-    line is read (a channels line must hold CHANNELS); data rows are
-    validated for column count, types and strictly increasing t_s, and a
-    value PsychroRow or RunMeta rejects (non-finite floats, codes outside
-    0..255, RH outside 0..100, one humidity value without the other) is a
-    CsvParseError too, as is a number holding '_', whitespace or a
-    non-ASCII character, and a byte that is not UTF-8. A leading BOM is
-    skipped. Lines end in LF or CRLF. Errors carry the offending 1-based line
-    number, counting LF-separated lines, and sink has then had every row
-    before that line; a file that cannot be read is a CsvParseError at line 0.
+    The file is read a line at a time and never held whole. A `#` line whose
+    first word (up to whitespace or '=') is a metadata key must read exactly
+    `# key = value`, above the header and once, or it is a CsvParseError;
+    other `#` lines are free text. Metadata lines may be absent (hand-written
+    files), and each value is checked as its line is read (a channels line
+    must hold CHANNELS); data rows are validated for column count, types and
+    strictly increasing t_s, and a value PsychroRow or RunMeta rejects
+    (non-finite floats, codes outside 0..255, RH outside 0..100, one humidity
+    value without the other) is a CsvParseError too, as is a number holding
+    '_', whitespace or a non-ASCII character, and a byte that is not UTF-8.
+    A leading BOM is skipped. Lines end in LF or CRLF. Errors carry the
+    1-based line number, counting LF-separated lines, and sink has had every
+    row before it; a file that cannot be read is a CsvParseError at line 0.
     """
     try:
         # only LF ends a line, and a byte that is not UTF-8 reads as a lone surrogate
@@ -405,10 +403,13 @@ def read_rows(path, sink) -> RunMeta:
                 continue
             if line[0] == "#":
                 comment_line_no = line_no
-                key, sep, value = line[1:].strip().partition(" = ")
-                key = key.strip()
-                if sep and key in _META_KEYS:  # any other comment is free-form text
-                    meta[key] = _parse_meta(key, value, line_no)
+                key = _FIRST_WORD.match(line)[1]
+                if key in _META_KEYS:  # any other comment is free-form text
+                    prefix = f"# {key} = "
+                    if header_seen or key in meta or not line.startswith(prefix):
+                        rule = "after the header" if header_seen else "twice" if key in meta else f"not as '{prefix}value'"
+                        raise CsvParseError(line_no, f"{key} line {rule}")
+                    meta[key] = _parse_meta(key, line[len(prefix) :].rstrip(), line_no)
                 continue
             if not header_seen:
                 if line != HEADER:

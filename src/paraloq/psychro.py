@@ -67,7 +67,7 @@ class PsychroReading(namedtuple("PsychroReading", ("dry_c", "wet_c", "rh_pct", "
     __slots__ = ()
 
     def __new__(cls, dry_c, wet_c, rh_pct, dew_point_c):
-        # wet <= dry is _vapor_pressure's check and 0..100 is _rh_from's clamp;
+        # wet <= dry and e > 0 are _vapor_pressure's checks and 100 is _rh_from's clamp;
         # Magnus rounding can still put the dew point a hair above the dry bulb
         if dew_point_c > dry_c + 1e-9:
             raise InvalidInputError(f"dew point {dew_point_c} exceeds dry bulb {dry_c}")
@@ -106,9 +106,7 @@ def _vapor_pressure(dry_c: float, wet_c: float, cfg: PsychroConfig) -> float:
 
 
 def _rh_from(e_hpa: float, dry_c: float) -> float:
-    rh = 100.0 * e_hpa / saturation_vapor_pressure(dry_c)
-    if rh < 0.0:
-        return 0.0
+    rh = 100.0 * e_hpa / saturation_vapor_pressure(dry_c)  # e_hpa > 0, as _vapor_pressure checks
     return 100.0 if rh > 100.0 else rh
 
 

@@ -357,6 +357,29 @@ MUTANTS = (
         "a row with RH and no dew point refused as a dew point that is not finite"
         " (CHANGES.md: The log holds only what a run writes)",
     ),
+    Mutant(
+        "paraloq/logstore.py",
+        "                    if header_seen or key in meta or not line.startswith(prefix):\n",
+        "                    if key in meta or not line.startswith(prefix):\n",
+        ("tests/test_logstore.py", "-k", "out_of_the_grammar"),
+        "a # sample_rate_hz line after the rows set the run's rate, with exit 0"
+        " (CHANGES.md: The reader's grammar is the writer's)",
+    ),
+    Mutant(
+        "paraloq/logstore.py",
+        "                    if header_seen or key in meta or not line.startswith(prefix):\n",
+        "                    if header_seen or not line.startswith(prefix):\n",
+        ("tests/test_logstore.py", "-k", "out_of_the_grammar"),
+        "a second # config line replaced the first, with exit 0 (CHANGES.md: The reader's grammar is the writer's)",
+    ),
+    Mutant(
+        "paraloq/logstore.py",
+        "                    if header_seen or key in meta or not line.startswith(prefix):\n",
+        "                    if header_seen or key in meta:\n",
+        ("tests/test_logstore.py", "-k", "out_of_the_grammar"),
+        "# sample_rate_hz=9 was a free-form comment, so the rate was lost with exit 0"
+        " (CHANGES.md: The reader's grammar is the writer's)",
+    ),
 )
 
 

@@ -69,6 +69,10 @@ step_bom() {
     python3 -c 'lines = open("ci-steady.csv", "rb").read().split(b"\n"); lines[3] = b"# channels = dry=1,wet=0\r"; open("ci-steady-swap.csv", "wb").write(b"\n".join(lines))'
     exits 5 "$PARALOQ" summarize --input ci-steady-swap.csv > /dev/null 2> ci-steady-swap.err
     cat ci-steady-swap.err; grep -qx "error: line 4: channels must be dry=0,wet=1, got 'dry=1,wet=0'" ci-steady-swap.err
+    # a rate line after the 1,201 rows, line 1208: metadata comes before the header, so it is refused
+    { cat ci-steady.csv; printf '# sample_rate_hz = 7.000000\r\n'; } > ci-steady-rate.csv
+    exits 5 "$PARALOQ" summarize --input ci-steady-rate.csv > /dev/null 2> ci-steady-rate.err
+    cat ci-steady-rate.err; grep -qx "error: line 1208: sample_rate_hz line after the header" ci-steady-rate.err
 }
 step_pipe() {
     "$PARALOQ" simulate --duration 3600 --seed 0 "${START[@]}" --out ci-hour.csv

@@ -32,8 +32,3 @@ def constant_run_config(dry_c=20.0, wet_c=18.0, **kwargs):
 def with_stimulus(cfg, channel, stimulus):
     """cfg with channel's stimulus replaced; a built RunConfig cannot change."""
     return dataclasses.replace(cfg, stimuli={**cfg.stimuli, channel: stimulus})
-
-
-@pytest.fixture
-def run_config_factory():
-    return constant_run_config

@@ -224,6 +224,8 @@ class TestSimulate:
         assert [r.dry_code for r in read_csv(out).rows] == [
             r.dry_code for r in read_csv(source).rows
         ]
+        # each channel replays its own column: the wet codes are not the dry ones
+        assert [r.wet_code for r in read_csv(out).rows] == [r.wet_code for r in read_csv(source).rows]
 
     def test_missing_replay_source_exits_5(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -516,6 +518,29 @@ class TestSummarize:
         path.write_bytes(b"\r\n".join(lines))
         assert main(["summarize", "--input", str(path)]) == 5
         assert capsys.readouterr().err == "error: line 4: channels must be dry=0,wet=1, got 'dry=1,wet=0'\n"
+
+    @pytest.mark.parametrize(
+        "at, line, message",
+        [
+            (11, b"# sample_rate_hz = 7.000000", "line 12: sample_rate_hz line after the header"),
+            (5, b"# config = 000000000000", "line 6: config line twice"),
+            (8, b"# start = bogus", "line 9: start line after the header"),
+            (2, b"# sample_rate_hz=9", "line 3: sample_rate_hz line not as '# sample_rate_hz = value'"),
+            (3, b"# channels", "line 4: channels line not as '# channels = value'"),
+        ],
+        ids=["rate-after-the-rows", "config-twice", "start-between-rows", "rate-without-spaces", "bare-channels"],
+    )
+    def test_a_metadata_line_out_of_the_grammar_exits_5_and_names_the_line(self, tmp_path, capsys, at, line, message):
+        # each of these changed the run's rate, fingerprint or start, or dropped its rate, with exit 0
+        code, path = simulate(tmp_path, "--duration", "2")
+        assert code == 0
+        capsys.readouterr()
+        lines = path.read_bytes().split(b"\r\n")
+        assert len(lines) == 12 and lines[5] == HEADER.encode()  # five metadata lines, the header, five rows
+        lines.insert(at, line)
+        path.write_bytes(b"\r\n".join(lines))
+        assert main(["summarize", "--input", str(path)]) == 5
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_half_a_humidity_pair_exits_5_and_names_the_line(self, tmp_path, capsys):
         # RH from one row and dew point from another were summarized as one

@@ -242,16 +242,25 @@ class TestWrite:
         writer = CsvWriter(tmp_path / "full.csv", META)
         writer._fh = FullDisk(writer._fh)
         with pytest.raises(StorageError, match="No space left"):
-            writer.comment("aborted = tick 0: interrupted")
+            writer.abort("interrupted")
         writer.close()
 
     def test_the_aborted_trailer_is_on_disk_before_close(self, tmp_path):
         path = tmp_path / "aborted.csv"
         writer = CsvWriter(path, META)
         writer.write_row(make_row(0))
-        writer.comment("aborted = tick 1: interrupted")
+        writer.abort("interrupted")
         assert path.read_bytes().endswith(b"12.000000\r\n# aborted = tick 1: interrupted\r\n")
         writer.close()
+
+    def test_a_line_break_in_an_abort_reason_stays_in_the_trailer(self, tmp_path):
+        # the trailer is the one comment line a run appends, so no reason can append a metadata line
+        path = tmp_path / "aborted.csv"
+        with CsvWriter(path, META) as writer:
+            writer.write_row(make_row(0))
+            writer.abort("timeout\n# sample_rate_hz = 7.000000\r\n")
+        assert path.read_bytes().endswith(b"\r\n# aborted = tick 1: timeout # sample_rate_hz = 7.000000\r\n")
+        assert read_csv(path) == RunLog(meta=META, rows=[make_row(0)])
 
 
 # a log's first three lines: a comment, the header and the row at t_s 0.0
@@ -351,6 +360,12 @@ class TestRead:
             read_csv(path)
         assert str(err.value) == f"line 3: bad {column} value {cell!r}"
         assert err.value.line_no == 3
+
+    def test_an_empty_rh_cell_is_a_missing_value_not_the_bad_number(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(HEADER + "\n0.0,t,102,20.0,92,18.0,,abc\n", encoding="utf-8")
+        with pytest.raises(CsvParseError, match="^line 2: bad dew_point_c value 'abc'$"):
+            read_csv(path)
 
     def test_the_first_non_number_is_named(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -484,6 +499,54 @@ class TestRead:
             read_rows(path, seen.append)
         assert err.value.line_no == line_no
         assert len(seen) == rows
+
+    @pytest.mark.parametrize(
+        "text, line_no, message",
+        [
+            # a key the lines above the header lack is refused below it all the same
+            (
+                "# run_id = x\n" + HEADER + "\n0.0,t,102,20.0,92,18.0,,\n# sample_rate_hz = 7\n",
+                4,
+                "sample_rate_hz line after the header",
+            ),
+            (HEADER + "\n# run_id = x\n", 2, "run_id line after the header"),
+            ("# config = a\n# run_id = x\n# config = b\n" + HEADER + "\n", 3, "config line twice"),
+            ("# run_id = x\n# run_id = x\n" + HEADER + "\n", 2, "run_id line twice"),
+            ("# sample_rate_hz=9\n" + HEADER + "\n", 1, "sample_rate_hz line not as '# sample_rate_hz = value'"),
+            ("#sample_rate_hz = 2.0\n" + HEADER + "\n", 1, "sample_rate_hz line not as '# sample_rate_hz = value'"),
+            ("# run_id  = x\n" + HEADER + "\n", 1, "run_id line not as '# run_id = value'"),
+            ("#\tstart = x\n" + HEADER + "\n", 1, "start line not as '# start = value'"),
+            ("# run_id = x\n# start =\n" + HEADER + "\n", 2, "start line not as '# start = value'"),
+            ("# channels\n" + HEADER + "\n", 1, "channels line not as '# channels = value'"),
+        ],
+        ids=[
+            "after-the-rows",
+            "after-the-header",
+            "config-twice",
+            "same-value-twice",
+            "no-spaces",
+            "no-space-after-hash",
+            "two-spaces",
+            "tab",
+            "no-value",
+            "bare-channels",
+        ],
+    )
+    def test_a_metadata_line_out_of_the_grammar_names_its_line_and_rule(self, tmp_path, text, line_no, message):
+        # exactly `# key = value`, above the header, once: the writer's own lines, and no others
+        path = tmp_path / "grammar.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(CsvParseError) as err:
+            read_csv(path)
+        assert (err.value.line_no, str(err.value)) == (line_no, f"line {line_no}: {message}")
+
+    def test_a_comment_whose_first_word_is_no_key_is_free_text(self, tmp_path):
+        # the aborted trailer, a note with ' = ' in it, and a word that only starts as a key
+        path = tmp_path / "notes.csv"
+        lines = ["# a note = with an equals", "# channel = dry", "# configs = 3", "#", "# = x", HEADER]
+        lines += ["0.0,t,102,20.0,92,18.0,,", "# run_idx = y", "# aborted = tick 1: interrupted", ""]
+        path.write_text("\n".join(lines), encoding="utf-8")
+        assert read_csv(path) == RunLog(meta=RunMeta(), rows=[PsychroRow(0.0, "t", 102, 20.0, 92, 18.0)])
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "nohdr.csv"
@@ -623,7 +686,7 @@ class TestRead:
         with CsvWriter(path, META) as writer:
             for row in rows:
                 writer.write_row(row)
-            writer.comment("aborted = tick 50: interrupted")
+            writer.abort("interrupted")
         checked = []
         require_plain = logstore._require_plain
 
@@ -688,6 +751,42 @@ def test_round_trip_property(run, tmp_path_factory):
     path = tmp_path_factory.mktemp("rt") / "run.csv"
     write_csv(run, path)
     assert read_csv(path) == run
+
+
+# a key of the log's or a word that is none, with each space drawn
+meta_words = st.sampled_from(logstore._META_KEYS + ("aborted", "note", "channel", "configs", ""))
+spacings = st.sampled_from([" ", "", "  ", "\t"])
+meta_values = st.one_of(
+    st.sampled_from(["7.000000", "2.000000", "nan", "x", "", logstore.CHANNELS, "dry=1,wet=0"]),
+    st.text(alphabet="0123456789abcdef.=,- ", max_size=8),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    run=run_logs(),
+    key=meta_words,
+    spaces=st.tuples(spacings, spacings, spacings),
+    value=meta_values,
+    at=st.integers(min_value=0),
+)
+def test_an_inserted_metadata_line_is_refused_or_changes_nothing(run, key, spaces, value, at, tmp_path_factory):
+    # a log write_csv wrote, with one `#<sp>key<sp>=<sp>value` line put between two of its lines
+    path = tmp_path_factory.mktemp("insert") / "run.csv"
+    write_csv(run, path)
+    lines = path.read_bytes().decode().split("\r\n")[:-1]
+    at %= len(lines) + 1
+    inserted = f"#{spaces[0]}{key}{spaces[1]}={spaces[2]}{value}"
+    path.write_bytes("".join(line + "\r\n" for line in [*lines[:at], inserted, *lines[at:]]).encode())
+    rows = []
+    try:
+        meta = read_rows(path, rows.append)
+    except CsvParseError as exc:
+        # the inserted line, or the written line of its key, one down, when the inserted one came first
+        written = [n for n, line in enumerate(lines, start=1) if line.startswith(f"# {key} = ")]
+        assert exc.line_no == at + 1 or str(exc) in [f"line {n + 1}: {key} line twice" for n in written]
+    else:
+        assert (meta, rows) == (run.meta, run.rows)
 
 
 # -- block seams ---------------------------------------------------------------
