@@ -41,12 +41,7 @@ from .errors import (
 )
 from .logstore import PsychroRow, RunLog, RunMeta, read_csv, write_csv
 from .pport import SimulatedPort, acquire_byte
-from .psychro import (
-    PsychroConfig,
-    PsychroReading,
-    reading,
-    saturation_vapor_pressure,
-)
+from .psychro import PsychroConfig, PsychroReading, reading
 from .signal_chain import (
     alias_frequency,
     chain_voltage,

@@ -266,9 +266,12 @@ class CsvWriter:
             raise StorageError(self.path, str(exc)) from exc
 
     def abort(self, reason: str) -> None:
-        """Append the one line of an aborted run's trailer, `# aborted = tick <rows>: reason`."""
-        try:  # a line break in reason would start a line of its own
-            self._write_all(f"# aborted = tick {self.rows}: {' '.join(reason.splitlines())}\r\n".encode("utf-8"))
+        """Append the one line of an aborted run's trailer, `# aborted = tick <rows>: reason`;
+        a character of reason that UTF-8 cannot encode is written as its backslash escape."""
+        # a line break in reason would start a line of its own, and a failed encode would leave no trailer
+        line = f"# aborted = tick {self.rows}: {' '.join(reason.splitlines())}\r\n".encode("utf-8", "backslashreplace")
+        try:
+            self._write_all(line)
         except OSError as exc:
             raise StorageError(self.path, str(exc)) from exc
 

@@ -7,8 +7,10 @@ with the classical psychrometer equation
     e = es(T_wet) - gamma * P * (T_dry - T_wet)
 
 where e is the actual vapor pressure, gamma the psychrometer coefficient
-and P the station pressure. Relative humidity is 100 e / es(T_dry); the
-dew point inverts the Magnus curve at e.
+and P the station pressure. Relative humidity is 100 e / es(T_dry), at most
+100; the dew point inverts the Magnus curve at e. `reading` is the one
+function that computes them: it checks a pair once, where it enters, and
+evaluates the curve at both bulbs and its inverse at e in its own body.
 
 Temperatures below 0 degC are rejected: they are outside the logger's
 operating range, which also sidesteps the ice-surface constant switch.
@@ -26,7 +28,6 @@ from .errors import (
     InvalidInputError,
     require_above,
     require_finite,
-    shown,
     store_floats,
 )
 
@@ -67,7 +68,7 @@ class PsychroReading(namedtuple("PsychroReading", ("dry_c", "wet_c", "rh_pct", "
     __slots__ = ()
 
     def __new__(cls, dry_c, wet_c, rh_pct, dew_point_c):
-        # wet <= dry and e > 0 are _vapor_pressure's checks and 100 is _rh_from's clamp;
+        # wet <= dry and e > 0 are reading's checks and 100 is its clamp;
         # Magnus rounding can still put the dew point a hair above the dry bulb
         if dew_point_c > dry_c + 1e-9:
             raise InvalidInputError(f"dew point {dew_point_c} exceeds dry bulb {dry_c}")
@@ -80,47 +81,30 @@ class PsychroReading(namedtuple("PsychroReading", ("dry_c", "wet_c", "rh_pct", "
         return cls(*iterable)
 
 
-def saturation_vapor_pressure(t_c: float) -> float:
-    """Saturation vapor pressure in hPa at t_c degC (Magnus form)."""
-    if not -MAGNUS_C < t_c <= FLOAT_MAX:
-        raise InvalidInputError(f"t_c must be finite and > {-MAGNUS_C} degC, got {shown(t_c)}")
-    return MAGNUS_A * math.exp(MAGNUS_B * t_c / (MAGNUS_C + t_c))
+def reading(dry_c: float, wet_c: float, cfg: PsychroConfig = PsychroConfig()) -> PsychroReading:
+    """Compute a full PsychroReading for one dry/wet pair, in one body.
 
-
-def _vapor_pressure(dry_c: float, wet_c: float, cfg: PsychroConfig) -> float:
-    """Actual vapor pressure from the psychrometer equation; validates the pair."""
+    Raises InvalidInputError for a bulb below 0 or not finite, a wet bulb
+    above the dry, and a vapor pressure that is not finite or is beyond the
+    Magnus domain; InconsistentReadingError for a vapor pressure <= 0.
+    """
     if not 0.0 <= wet_c <= dry_c <= FLOAT_MAX:  # both bulbs finite and >= 0, wet <= dry; false for nan
         for name, value in (("dry_c", dry_c), ("wet_c", wet_c)):
             if not 0.0 <= value <= FLOAT_MAX:
                 require_finite(name, value)  # a finite value that fails is below 0
                 raise InvalidInputError(f"{name} below the 0..50 degC range: {value}")
         raise InvalidInputError(f"wet bulb {wet_c} exceeds dry bulb {dry_c}")
-    e = saturation_vapor_pressure(wet_c) - cfg.psychrometer_coeff * cfg.pressure_hpa * (
-        dry_c - wet_c
-    )
-    if e <= 0.0:
-        raise InconsistentReadingError(
-            f"dry {dry_c} / wet {wet_c} degC gives vapor pressure {e:.4f} hPa <= 0"
-        )
-    return e
-
-
-def _rh_from(e_hpa: float, dry_c: float) -> float:
-    rh = 100.0 * e_hpa / saturation_vapor_pressure(dry_c)  # e_hpa > 0, as _vapor_pressure checks
-    return 100.0 if rh > 100.0 else rh
-
-
-def dew_point_from_vapor_pressure(e_hpa: float) -> float:
-    """Temperature at which e_hpa would be the saturation pressure."""
-    if not 0 < e_hpa <= FLOAT_MAX:
-        raise InvalidInputError(f"e_hpa must be finite and > 0, got {shown(e_hpa)}")
-    ratio = math.log(e_hpa / MAGNUS_A)
+    es_wet = MAGNUS_A * math.exp(MAGNUS_B * wet_c / (MAGNUS_C + wet_c))
+    e = es_wet - cfg.psychrometer_coeff * cfg.pressure_hpa * (dry_c - wet_c)
+    # past a wet bulb of ~1e307 es(wet) overflows: e is inf, or inf - inf = nan
+    if not 0.0 < e <= FLOAT_MAX:
+        if e <= 0.0:
+            raise InconsistentReadingError(
+                f"dry {dry_c} / wet {wet_c} degC gives vapor pressure {e:.4f} hPa <= 0"
+            )
+        raise InvalidInputError(f"dry {dry_c} / wet {wet_c} degC gives vapor pressure {e} hPa, not finite")
+    rh = 100.0 * e / (MAGNUS_A * math.exp(MAGNUS_B * dry_c / (MAGNUS_C + dry_c)))
+    ratio = math.log(e / MAGNUS_A)  # the Magnus curve inverted at e
     if ratio >= MAGNUS_B:
-        raise InvalidInputError(f"vapor pressure {e_hpa} hPa beyond the Magnus domain")
-    return MAGNUS_C * ratio / (MAGNUS_B - ratio)
-
-
-def reading(dry_c: float, wet_c: float, cfg: PsychroConfig = PsychroConfig()) -> PsychroReading:
-    """Compute a full PsychroReading for one dry/wet pair."""
-    e = _vapor_pressure(dry_c, wet_c, cfg)
-    return PsychroReading(dry_c, wet_c, _rh_from(e, dry_c), dew_point_from_vapor_pressure(e))
+        raise InvalidInputError(f"vapor pressure {e} hPa beyond the Magnus domain")
+    return PsychroReading(dry_c, wet_c, 100.0 if rh > 100.0 else rh, MAGNUS_C * ratio / (MAGNUS_B - ratio))

@@ -198,11 +198,19 @@ MUTANTS = (
     ),
     Mutant(
         "paraloq/psychro.py",
-        "    if not 0 < e_hpa <= FLOAT_MAX:\n",
-        "    if not 0 <= e_hpa <= FLOAT_MAX:\n",
-        ("tests/test_psychro.py", "-k", "vapor_pressure_of_zero"),
-        "dew_point_from_vapor_pressure(0.0) escaping as math.log's ValueError"
-        " (CHANGES.md: Public names that only tests reached are deleted)",
+        "    if not 0.0 < e <= FLOAT_MAX:\n",
+        "    if not 0.0 <= e <= FLOAT_MAX:\n",
+        ("tests/test_psychro.py", "-k", "vapor_pressure_of_exactly_zero"),
+        "a vapor pressure of 0.0 escaping as math.log's ValueError"
+        " (CHANGES.md: Public names that only tests reached are deleted; A humidity reading in one checked body)",
+    ),
+    Mutant(
+        "paraloq/psychro.py",
+        '        raise InvalidInputError(f"dry {dry_c} / wet {wet_c} degC gives vapor pressure {e} hPa, not finite")\n',
+        "",
+        ("tests/test_psychro.py", "-k", "vapor_pressure_that_is_not_finite"),
+        "a nan vapor pressure read as PsychroReading(rh_pct=nan, dew_point_c=nan)"
+        " (CHANGES.md: A humidity reading in one checked body)",
     ),
     Mutant(
         "paraloq/errors.py",
@@ -218,15 +226,15 @@ MUTANTS = (
         "    if not 0.0 <= wet_c <= dry_c < FLOAT_MAX:",
         ("tests/test_psychro.py", "-k", "impossible_depression and FLOAT_MAX"),
         "reading(FLOAT_MAX, 10.0) as a wet bulb above the dry"
-        " (CHANGES.md: Public names that only tests reached are deleted)",
+        " (CHANGES.md: Public names that only tests reached are deleted; A humidity reading in one checked body)",
     ),
     Mutant(
         "paraloq/psychro.py",
-        "    if e <= 0.0:\n",
-        "    if e < 0.0:\n",
+        "        if e <= 0.0:\n",
+        "        if e < 0.0:\n",
         ("tests/test_psychro.py", "-k", "vapor_pressure_of_exactly_zero"),
-        "an e of exactly 0.0 passed on to dew_point_from_vapor_pressure"
-        " (CHANGES.md: CI runs from files)",
+        "a vapor pressure of exactly 0.0 refused as not finite, not as inconsistent"
+        " (CHANGES.md: CI runs from files; A humidity reading in one checked body)",
     ),
     Mutant(
         "paraloq/plotting.py",
@@ -307,8 +315,8 @@ MUTANTS = (
         "    if ratio >= MAGNUS_B:\n",
         "    if ratio > MAGNUS_B:\n",
         ("tests/test_psychro.py", "-k", "edge_of_the_magnus_domain"),
-        "dew_point_from_vapor_pressure at log(e / MAGNUS_A) == MAGNUS_B divided by zero"
-        " (CHANGES.md: One owner for four rules)",
+        "reading(1e20, 1e20), where log(e / MAGNUS_A) == MAGNUS_B, divided by zero"
+        " (CHANGES.md: One owner for four rules; A humidity reading in one checked body)",
     ),
     Mutant(
         "paraloq/acquisition.py",

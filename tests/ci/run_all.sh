@@ -17,6 +17,7 @@ step_tier1() { (cd "$ROOT" && python3 -m pytest -q --continue-on-collection-erro
 step_mutants() { python3 "$CI/mutants.py"; }
 step_finite6() { python3 "$CI/finite6_sweep.py"; }
 step_chain_voltage() { python3 "$CI/chain_voltage_sweep.py"; }
+step_reading() { python3 "$CI/reading_sweep.py"; }
 step_acceptance() { (cd "$ROOT" && python3 -m pytest tests/test_acceptance.py -v -s) | python3 "$CI/acceptance_lines.py"; }
 step_console() {
     "$PARALOQ" simulate --duration 5 --dry-temp 20 --wet-temp 18 "${START[@]}" --out ci.csv

@@ -50,7 +50,6 @@ from paraloq import (
     run_acquisition,
     run_meta,
     sar_convert,
-    saturation_vapor_pressure,
     summarize,
     write_csv,
 )
@@ -58,7 +57,6 @@ from paraloq.acquisition import acquire_rows
 from paraloq.adc0808 import CLOCK_HZ, VREF
 from paraloq.errors import FLOAT_MAX, require_above, shown
 from paraloq.logstore import PsychroRow
-from paraloq.psychro import dew_point_from_vapor_pressure
 
 from conftest import constant_run_config, with_stimulus
 
@@ -1045,20 +1043,16 @@ FINITE_CHECKED_CALLS = pytest.mark.parametrize(
         (quantize, "v_in"),
         (chain_voltage, "temp_c"),
         (lambda v: SimulatedPort().set_input(0, v), "volts"),
-        (saturation_vapor_pressure, "t_c"),
         (lambda v: reading(v, 18.0), "dry_c"),
         (lambda v: reading(20.0, v), "wet_c"),
-        (dew_point_from_vapor_pressure, "e_hpa"),
     ],
     ids=[
         "sar_convert",
         "quantize",
         "chain_voltage",
         "set_input",
-        "saturation_vapor_pressure",
         "reading.dry_c",
         "reading.wet_c",
-        "dew_point_from_vapor_pressure",
     ],
 )
 
@@ -1079,9 +1073,7 @@ def test_the_ends_of_the_float_range_are_finite(call, name):
         try:
             call(value)
         except ParaloqError as err:
-            # a lower bound may refuse -max ("t_c must be finite and > -243.12 degC, got ...")
-            message = str(err)
-            assert not message.startswith(f"{name} must be finite") or (value < 0 and " and > " in message)
+            assert not str(err).startswith(f"{name} must be finite")
     for value in (10**309, int(top) + 1):
         with pytest.raises(InvalidInputError, match=rf"^{name} must be finite"):
             call(value)

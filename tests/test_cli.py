@@ -351,6 +351,13 @@ class TestCompute:
         assert main(["compute", "--dry", "10", "--wet", "20"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_a_vapor_pressure_that_is_not_finite_exits_2(self, capsys):
+        # es(1e308) overflows to inf: no rh_pct=inf or nan line, but a usage error naming it
+        assert main(["compute", "--dry", "1.7976931348623157e308", "--wet", "1e308"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "gives vapor pressure inf hPa, not finite" in captured.err
+
     def test_pressure_flag(self, capsys):
         assert main(["compute", "--dry", "20", "--wet", "18", "--pressure", "850"]) == 0
         assert "rh_pct=" in capsys.readouterr().out

@@ -262,6 +262,27 @@ class TestWrite:
         assert path.read_bytes().endswith(b"\r\n# aborted = tick 1: timeout # sample_rate_hz = 7.000000\r\n")
         assert read_csv(path) == RunLog(meta=META, rows=[make_row(0)])
 
+    @pytest.mark.parametrize(
+        "reason, written",
+        [
+            ("\ud800 lost", b"\\ud800 lost"),
+            # os.fsdecode's surrogateescape form of an undecodable byte, as a file name gives it
+            ("no such file: b\udcff.csv", b"no such file: b\\udcff.csv"),
+            ("\udc80\r\nlost", b"\\udc80 lost"),  # escaped, and its line break joined as any
+        ],
+        ids=["lone-surrogate", "surrogateescape", "with-line-break"],
+    )
+    def test_a_reason_that_is_not_utf8_is_escaped_in_the_trailer(self, tmp_path, reason, written):
+        # a lone surrogate raised a bare UnicodeEncodeError, and the aborted log had no trailer
+        path = tmp_path / "aborted.csv"
+        with CsvWriter(path, META) as writer:
+            writer.write_row(make_row(0))
+            writer.abort(reason)
+        assert path.read_bytes().endswith(b"\r\n# aborted = tick 1: " + written + b"\r\n")
+        rows = []
+        assert read_rows(path, rows.append) == META
+        assert rows == [make_row(0)]
+
 
 # a log's first three lines: a comment, the header and the row at t_s 0.0
 _LOG_START = b"# run_id = x\r\n" + HEADER.encode() + b"\r\n0.0,t,102,20.0,92,18.0,,\r\n"

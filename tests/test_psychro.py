@@ -2,19 +2,19 @@ import math
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from paraloq import (
     InconsistentReadingError,
     InvalidInputError,
+    ParaloqError,
     PsychroConfig,
     PsychroReading,
     reading,
-    saturation_vapor_pressure,
 )
 from paraloq.errors import FLOAT_MAX
-from paraloq.psychro import MAGNUS_A, MAGNUS_B, _rh_from, dew_point_from_vapor_pressure
+from paraloq.psychro import MAGNUS_A, MAGNUS_B, MAGNUS_C
 
 # Reference dry/wet pair from the instrument's recorded table, and the
 # frozen oracle values this formula family produces for it (double-precision
@@ -32,33 +32,44 @@ WATER_TABLE = [
 ]
 
 
+def magnus(t_c):
+    """Saturation vapor pressure in hPa at t_c degC, from psychro's constants
+    as reading evaluates its curve."""
+    return MAGNUS_A * math.exp(MAGNUS_B * t_c / (MAGNUS_C + t_c))
+
+
 class TestSaturationVaporPressure:
+    # magnus is the oracle of the tests below: these pin it, and so psychro's constants
     def test_zero_returns_magnus_a(self):
-        assert saturation_vapor_pressure(0.0) == 6.112
+        assert magnus(0.0) == 6.112
 
     def test_wet_reference_point(self):
-        assert saturation_vapor_pressure(WET_REF) == pytest.approx(
-            20.61933794283785, abs=1e-9
-        )
+        assert magnus(WET_REF) == pytest.approx(20.61933794283785, abs=1e-9)
 
     def test_dry_reference_point(self):
-        assert saturation_vapor_pressure(DRY_REF) == pytest.approx(
-            23.223078876199683, abs=1e-9
-        )
+        assert magnus(DRY_REF) == pytest.approx(23.223078876199683, abs=1e-9)
 
     def test_domain_violation(self):
-        with pytest.raises(InvalidInputError):
-            saturation_vapor_pressure(-243.12)
+        # the curve divides by zero at -MAGNUS_C; reading refuses every bulb below 0 before it
+        with pytest.raises(InvalidInputError, match="^dry_c below the 0..50 degC range: -243.12$"):
+            reading(-243.12, -243.12)
 
     # over water, -40..60 degC: the Magnus form (Sonntag 1990) stays within
     # 0.4 % of the Hyland-Wexler formulation that the WMO CIMO guide tabulates
     @pytest.mark.parametrize("t_c, e_hpa", WATER_TABLE, ids=[f"{t:g}" for t, _ in WATER_TABLE])
     def test_follows_the_saturation_curve_over_water(self, t_c, e_hpa):
-        assert saturation_vapor_pressure(t_c) == pytest.approx(e_hpa, rel=4e-3)
+        assert magnus(t_c) == pytest.approx(e_hpa, rel=4e-3)
 
     @pytest.mark.parametrize("t_c", [t for t, _ in WATER_TABLE], ids=[f"{t:g}" for t, _ in WATER_TABLE])
     def test_the_dew_point_of_saturated_air_inverts_the_curve(self, t_c):
-        assert dew_point_from_vapor_pressure(saturation_vapor_pressure(t_c)) == pytest.approx(t_c, abs=1e-12)
+        if t_c >= 0.0:
+            # wet == dry: the vapor pressure is the curve at t_c, and the dew point its inverse
+            assert reading(t_c, t_c).dew_point_c == pytest.approx(t_c, abs=1e-12)
+            return
+        # reading refuses a bulb below 0: a wet bulb at 0, where es is MAGNUS_A, and a
+        # psychrometer constant that takes all of it but es(t_c) leave air saturated at t_c
+        cfg = PsychroConfig(psychrometer_coeff=1.0, pressure_hpa=MAGNUS_A - magnus(t_c))
+        assert reading(1.0, 0.0, cfg).dew_point_c == pytest.approx(t_c, abs=1e-12)
 
 
 class TestRelativeHumidity:
@@ -135,20 +146,25 @@ class TestDewPoint:
         assert abs(reading(DRY_REF, WET_REF).dew_point_c - DEW_TABLE) <= 1.0
 
     def test_vapor_pressure_at_magnus_a_gives_zero(self):
-        assert dew_point_from_vapor_pressure(6.112) == 0.0
-
-    @pytest.mark.parametrize("e_hpa", [0.0, -0.0])
-    def test_a_vapor_pressure_of_zero_is_invalid_input(self, e_hpa):
-        # not the bare ValueError math.log raises at 0
-        with pytest.raises(InvalidInputError, match=rf"^e_hpa must be finite and > 0, got {e_hpa}$"):
-            dew_point_from_vapor_pressure(e_hpa)
+        # es(0) is MAGNUS_A, and log(MAGNUS_A / MAGNUS_A) is 0
+        assert reading(0.0, 0.0).dew_point_c == 0.0
 
     def test_a_vapor_pressure_at_the_edge_of_the_magnus_domain_is_invalid_input(self):
-        # log(e / MAGNUS_A) is MAGNUS_B exactly, which would divide by zero
-        e_hpa = 274442973.8691547
-        assert math.log(e_hpa / MAGNUS_A) == MAGNUS_B
-        with pytest.raises(InvalidInputError, match="beyond the Magnus domain"):
-            dew_point_from_vapor_pressure(e_hpa)
+        # at a saturated 1e20 degC, log(e / MAGNUS_A) is MAGNUS_B exactly, which would divide by zero
+        assert math.log(magnus(1e20) / MAGNUS_A) == MAGNUS_B
+        with pytest.raises(InvalidInputError, match="^vapor pressure 274442973.8691547 hPa beyond the Magnus domain$"):
+            reading(1e20, 1e20)
+
+    @pytest.mark.parametrize(
+        "dry, wet, cfg",
+        [(FLOAT_MAX, 1.1e307, PsychroConfig(pressure_hpa=1e12)), (FLOAT_MAX, 1e308, PsychroConfig())],
+        ids=["nan", "inf"],
+    )
+    def test_a_vapor_pressure_that_is_not_finite_is_invalid_input(self, dry, wet, cfg):
+        # es(wet) is inf: less an inf gamma * P * (dry - wet) it is nan, less a finite one inf;
+        # neither is a dew point, and a nan one would pass the dew point's check as no value does
+        with pytest.raises(InvalidInputError, match="finite"):
+            reading(dry, wet, cfg)
 
     def test_never_exceeds_dry_bulb(self):
         for dry in (5.0, 15.0, 25.0, 35.0, 45.0):
@@ -212,8 +228,8 @@ class TestConfigAndReading:
     wet_share=st.floats(min_value=0.0, max_value=1.0),
 )
 def test_reading_keeps_humidity_in_range_and_dew_at_or_below_dry(dry, wet_share):
-    # the invariants PsychroReading no longer re-checks: _rh_from clamps RH,
-    # and _vapor_pressure has already rejected wet > dry
+    # the invariants PsychroReading no longer re-checks: reading clamps RH,
+    # and has already rejected wet > dry
     wet = dry * wet_share
     try:
         result = reading(dry, wet)
@@ -231,18 +247,60 @@ def test_reading_keeps_humidity_in_range_and_dew_at_or_below_dry(dry, wet_share)
 def test_relative_humidity_clamps_as_min_max_does(dry, wet_share, cfg):
     wet = dry * wet_share
     # the psychrometer equation, operation for operation
-    e = saturation_vapor_pressure(wet) - cfg.psychrometer_coeff * cfg.pressure_hpa * (dry - wet)
+    e = magnus(wet) - cfg.psychrometer_coeff * cfg.pressure_hpa * (dry - wet)
     if e <= 0.0:
         with pytest.raises(InconsistentReadingError):
             reading(dry, wet, cfg)
         return
-    rh = 100.0 * e / saturation_vapor_pressure(dry)
+    rh = 100.0 * e / magnus(dry)
     assert repr(reading(dry, wet, cfg).rh_pct) == repr(min(max(rh, 0.0), 100.0))
 
 
-@given(e=st.floats(min_value=0.0, exclude_min=True), dry=st.floats(min_value=0.0, max_value=50.0))
+@given(
+    e=st.floats(min_value=0.0, max_value=MAGNUS_A, exclude_min=True, exclude_max=True),
+    dry=st.floats(min_value=0.01, max_value=50.0),  # a finite (MAGNUS_A - e) / dry
+)
 def test_the_humidity_clamp_is_min_max_for_any_vapor_pressure(e, dry):
-    # reading passes only e > 0 (_vapor_pressure's check); above 100 only a
-    # vapor pressure beyond the saturation curve reaches, inf included
-    rh = 100.0 * e / saturation_vapor_pressure(dry)
-    assert repr(_rh_from(e, dry)) == repr(min(max(rh, 0.0), 100.0))
+    # a wet bulb at 0 degC, where es is MAGNUS_A, and a psychrometer constant that takes all
+    # of it but e: reading sees any vapor pressure in (0, MAGNUS_A), down to the subnormals;
+    # above 100 only rounding reaches, since e <= es(wet) <= es(dry)
+    cfg = PsychroConfig(psychrometer_coeff=1.0, pressure_hpa=(MAGNUS_A - e) / dry)
+    e = magnus(0.0) - cfg.psychrometer_coeff * cfg.pressure_hpa * (dry - 0.0)
+    if e <= 0.0:
+        with pytest.raises(InconsistentReadingError):
+            reading(dry, 0.0, cfg)
+        return
+    rh = 100.0 * e / magnus(dry)
+    assert repr(reading(dry, 0.0, cfg).rh_pct) == repr(min(max(rh, 0.0), 100.0))
+
+
+@given(
+    dry=st.floats(min_value=0.0, max_value=50.0),
+    wet_share=st.one_of(st.floats(min_value=0.0, max_value=1.0), st.just(1.0)),
+    cfg=st.sampled_from([PsychroConfig(), PsychroConfig(pressure_hpa=850.0)]),
+)
+def test_the_dew_point_inverts_the_curve_at_e_as_the_formula_does(dry, wet_share, cfg):
+    wet = dry * wet_share
+    e = magnus(wet) - cfg.psychrometer_coeff * cfg.pressure_hpa * (dry - wet)
+    assume(e > 0.0)
+    ratio = math.log(e / MAGNUS_A)
+    assert repr(reading(dry, wet, cfg).dew_point_c) == repr(MAGNUS_C * ratio / (MAGNUS_B - ratio))
+
+
+@given(
+    dry=st.floats(),
+    wet=st.floats(),
+    cfg=st.sampled_from([PsychroConfig(), PsychroConfig(pressure_hpa=1e12), PsychroConfig(5e-324, 5e-324)]),
+)
+@example(dry=FLOAT_MAX, wet=1.1e307, cfg=PsychroConfig(pressure_hpa=1e12))  # es(wet) inf, e nan
+@example(dry=FLOAT_MAX, wet=FLOAT_MAX, cfg=PsychroConfig())  # b * t overflows, e inf
+def test_any_pair_gives_a_finite_reading_or_a_paraloq_error(dry, wet, cfg):
+    # the one check at entry and the two on e stand for what each helper used to check:
+    # no input leaks a nan or inf field, or a bare ValueError, OverflowError or ZeroDivisionError
+    try:
+        result = reading(dry, wet, cfg)
+    except ParaloqError:
+        return
+    assert all(math.isfinite(value) for value in result)
+    assert 0.0 <= result.rh_pct <= 100.0
+    assert result.dew_point_c <= dry + 1e-9
